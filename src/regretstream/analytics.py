@@ -16,78 +16,12 @@ import numpy as np
 from . import textkit
 from .errors import UndefinedDifferenceError, ValidationError
 from .events import Corpus, TweetRecord
+from .features import MeasurementCache, TweetMeasurements  # noqa: F401 (re-exported)
 from .stats import Contingency2x2, TestResult, fisher_exact, mann_whitney_u, median
 
 NUD_MIN_TWEETS = 10  # per class, for a user to be NUD-eligible
 
 TRAIT_SYMBOLS = ("O+", "O-", "C+", "C-", "E+", "E-", "A+", "A-", "N+", "N-")
-
-
-# ---------------------------------------------------------------------------
-# Per-tweet measurement cache
-# ---------------------------------------------------------------------------
-
-class TweetMeasurements:
-    """Lazily computed linguistic measurements for one tweet."""
-
-    def __init__(self, tweet: TweetRecord, resources):
-        self.tweet = tweet
-        self._res = resources
-        self._tokens = None
-        self._tags = None
-        self._lex_counts = None
-
-    @property
-    def tokens(self):
-        if self._tokens is None:
-            self._tokens = textkit.tokenize(self.tweet.text)
-        return self._tokens
-
-    @property
-    def tags(self):
-        if self._tags is None:
-            self._tags = self._res.tags_for(self.tweet, self.tokens)
-        return self._tags
-
-    @property
-    def n_tokens(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def n_words(self) -> int:
-        return self.tokens.count_class("word")
-
-    def lexicon_counts(self) -> list[int]:
-        """Matching word-token counts per lexicon category."""
-        if self._lex_counts is None:
-            counts = [0] * textkit.Lexicon.SIZE
-            for w in self.tokens.words():
-                for idx in self._res.lexicon.categories_for(w):
-                    counts[idx] += 1
-            self._lex_counts = counts
-        return self._lex_counts
-
-    def tag_count(self, tag: str) -> int:
-        return sum(1 for t in self.tags if t == tag)
-
-    def sentiment(self) -> float:
-        return textkit.sentiment_score(self.tokens, self._res.valence)
-
-    def stats(self) -> tuple[float, float]:
-        return textkit.text_stats(self.tokens, self.tags, self._res.wordlist)
-
-
-class MeasurementCache:
-    def __init__(self, resources):
-        self._res = resources
-        self._cache: dict[int, TweetMeasurements] = {}
-
-    def get(self, tweet: TweetRecord) -> TweetMeasurements:
-        m = self._cache.get(tweet.id)
-        if m is None:
-            m = TweetMeasurements(tweet, self._res)
-            self._cache[tweet.id] = m
-        return m
 
 
 # ---------------------------------------------------------------------------

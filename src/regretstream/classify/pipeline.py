@@ -344,21 +344,33 @@ def prepare_training_data(corpus, config: TrainConfig, seed: int, resources) -> 
     train_tweets = [sample[i] for i in train_idx]
     test_tweets = [sample[i] for i in test_idx]
 
-    vocab = build_vocab(train_tweets)
-    train = featurize_corpus(
-        corpus, vocab, resources, tweets=train_tweets, with_responses=config.with_responses
+    return _prepare_split(
+        corpus, train_tweets, test_tweets, config, seed, resources,
+        stage1_extra=config.derived_feature_folds,
     )
-    test = featurize_corpus(
-        corpus, vocab, resources, tweets=test_tweets, with_responses=config.with_responses
+
+
+def _prepare_split(
+    corpus, train_tweets, eval_tweets, config: TrainConfig, seed: int, resources, stage1_extra: int
+) -> PreparedData:
+    """Vocabulary from the training tweets, featurized rows for both
+    splits, the out-of-fold derived feature on training rows, and the final
+    stage-1 model (seeded from ``stage1_extra``) scoring the evaluation rows."""
+    vocab = build_vocab(train_tweets)
+    train, test = (
+        featurize_corpus(
+            corpus, vocab, resources, tweets=tweets, with_responses=config.with_responses
+        )
+        for tweets in (train_tweets, eval_tweets)
     )
     fill_derived(train, _out_of_fold_derived(train, config, seed))
     stage1 = train_stage1(
         SparseRows.from_feature_matrix(train), train.labels,
         config.stage1_algorithm, config.stage1_hyper,
-        seed=int(_rng(seed, _RNG_STAGE1, extra=config.derived_feature_folds).integers(0, 2**31)),
+        seed=int(_rng(seed, _RNG_STAGE1, extra=stage1_extra).integers(0, 2**31)),
     )
     fill_derived(test, derived_feature(stage1, SparseRows.from_feature_matrix(test)))
-    return PreparedData(vocab, stage1, train, test, train_tweets, test_tweets)
+    return PreparedData(vocab, stage1, train, test, train_tweets, eval_tweets)
 
 
 def fit_and_evaluate(prep: PreparedData, config: TrainConfig, seed: int, mask_groups=()):
@@ -471,30 +483,10 @@ def grid_search_cv(grid, tweets, corpus, resources, config: TrainConfig, k: int 
         for f in range(k):
             train_tweets = [t for t, fid in zip(tweets, folds) if fid != f]
             val_tweets = [t for t, fid in zip(tweets, folds) if fid == f]
-            vocab = build_vocab(train_tweets)
-            train = featurize_corpus(
-                corpus, vocab, resources, tweets=train_tweets,
-                with_responses=cfg.with_responses,
+            prep = _prepare_split(
+                corpus, train_tweets, val_tweets, cfg, seed + f, resources, stage1_extra=99
             )
-            val = featurize_corpus(
-                corpus, vocab, resources, tweets=val_tweets,
-                with_responses=cfg.with_responses,
-            )
-            fill_derived(train, _out_of_fold_derived(train, cfg, seed + f))
-            stage1 = train_stage1(
-                SparseRows.from_feature_matrix(train), train.labels,
-                cfg.stage1_algorithm, cfg.stage1_hyper,
-                seed=int(_rng(seed + f, _RNG_STAGE1, extra=99).integers(0, 2**31)),
-            )
-            fill_derived(val, derived_feature(stage1, SparseRows.from_feature_matrix(val)))
-            X_train = stage2_design(train)
-            X_val = stage2_design(val)
-            model, scaler = train_stage2(
-                X_train, train.labels, cfg.stage2_algorithm, cfg.stage2_hyper, seed + f
-            )
-            if scaler is not None:
-                X_val = scaler.transform(X_val)
-            fold_metrics.append(evaluate(model.predict(X_val), val.labels))
+            fold_metrics.append(fit_and_evaluate(prep, cfg, seed + f)[2])
         mean_f1 = float(np.mean([m.f1 for m in fold_metrics]))
         entry = {
             "hyper": dict(cell),

@@ -214,9 +214,7 @@ class AdaBoostModel:
 
     def _check_error_bound(self, X, y) -> None:
         # err <= prod_t 2*sqrt(eps_t*(1-eps_t)); a perfect round forces 0.
-        bound = 1.0
-        for eps in self.stage_errors:
-            bound *= 2.0 * np.sqrt(max(eps, 0.0) * (1.0 - eps))
+        bound = self.training_error_bound()
         err = float(np.mean(self.decision_values(X) * y <= 0))
         if err > bound + 1e-9:
             raise AssertionError(

@@ -153,26 +153,27 @@ class CleanupReport:
         return "\n".join(lines)
 
 
+def near_duplicate(a: str, b: str, cfg: CleanupConfig) -> bool:
+    """True iff the edit distance of ``a`` and ``b`` is strictly below
+    ``edit_distance_max`` OR their term cosine is strictly above ``cosine_min``."""
+    # |len(a)-len(b)| lower-bounds the edit distance, so the expensive
+    # DP can be skipped for texts of very different lengths.
+    if abs(len(a) - len(b)) < cfg.edit_distance_max:
+        if textkit.edit_distance(a, b) < cfg.edit_distance_max:
+            return True
+    return textkit.term_cosine(a, b) > cfg.cosine_min
+
+
 def detect_superficial(deleted: TweetRecord, followups, cfg: CleanupConfig | None = None) -> bool:
     """True iff some followup is a near-duplicate of the deleted tweet.
 
-    Near-duplicate means edit distance strictly below ``edit_distance_max``
-    OR term cosine strictly above ``cosine_min``. ``followups`` are the
-    chronologically next tweets by the same user (at most the configured
-    lookahead); an empty list is never superficial.
+    ``followups`` are the chronologically next tweets by the same user (at
+    most the configured lookahead); an empty list is never superficial.
     """
     cfg = cfg or CleanupConfig()
-    a = deleted.text
-    for f in followups[: cfg.superficial_lookahead]:
-        b = f.text
-        # |len(a)-len(b)| lower-bounds the edit distance, so the expensive
-        # DP can be skipped for texts of very different lengths.
-        if abs(len(a) - len(b)) < cfg.edit_distance_max:
-            if textkit.edit_distance(a, b) < cfg.edit_distance_max:
-                return True
-        if textkit.term_cosine(a, b) > cfg.cosine_min:
-            return True
-    return False
+    return any(
+        near_duplicate(deleted.text, f.text, cfg) for f in followups[: cfg.superficial_lookahead]
+    )
 
 
 def _count_stage(removed: list[TweetRecord]) -> StageCounts:

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import analytics, classify, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
 from .errors import RegretstreamError
-from .events import CollectionWindow, Corpus, build_corpus, parse_rfc3339, read_events
+from .events import CollectionWindow, Corpus, build_corpus, link_records, parse_rfc3339, read_events
 from .features import FeatureResources
 from .resources import (
     data_path,
@@ -249,38 +249,12 @@ def _write_metrics_csv(path: str, rows) -> None:
 def _cmd_predict(args) -> int:
     from datetime import timedelta
 
-    from .events import TweetRecord
-
     bundle = classify.load_bundle(args.bundle)
-    tweets = {}
-    for ev in read_events(args.events):
-        if ev.kind == "tweet":
-            tweets[ev.tweet.id] = ev.tweet
+    # The last occurrence of a tweet id wins.
+    tweets = {ev.tweet.id: ev.tweet for ev in read_events(args.events) if ev.kind == "tweet"}
     if not tweets:
         raise RegretstreamError("no tweet events in input")
-
-    replies, retweets, quotes = {}, {}, {}
-    for t in tweets.values():
-        for target, links in (
-            (t.in_reply_to_id, replies),
-            (t.retweet_of_id, retweets),
-            (t.quoted_id, quotes),
-        ):
-            if target is not None and target in tweets:
-                links.setdefault(target, []).append(t.id)
-    records = [
-        TweetRecord(
-            id=t.id, user_id=t.user_id, created_at=t.created_at, text=t.text,
-            lang=t.lang, source=t.source, in_reply_to_id=t.in_reply_to_id,
-            quoted_id=t.quoted_id, retweet_of_id=t.retweet_of_id,
-            hashtags=t.hashtags, urls=t.urls, mentions=t.mentions,
-            has_geo=t.has_geo, user=t.user,
-            reply_ids=tuple(sorted(replies.get(t.id, ()))),
-            retweet_ids=tuple(sorted(retweets.get(t.id, ()))),
-            quote_ids=tuple(sorted(quotes.get(t.id, ()))),
-        )
-        for t in tweets.values()
-    ]
+    records = link_records(tweets, {})
     # A permissive window: prediction accepts events from any time range.
     start = min(t.created_at for t in records)
     end = max(t.created_at for t in records) + timedelta(seconds=1)

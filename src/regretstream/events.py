@@ -502,21 +502,41 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
         deletion[d.id] = int(lag)
         applied += 1
 
+    records = link_records(in_window, deletion)
+
+    stats = IngestStats(
+        tweets_in=tweets_in,
+        retained=retained,
+        outside_window=outside,
+        duplicates=duplicates,
+        deletes_in=deletes_in,
+        deletes_applied=applied,
+        orphan_deletes=orphans,
+        late_deletes=late,
+        clamped_lags=clamped,
+    )
+    return Corpus(records, window, stats)
+
+
+def link_records(tweets: dict[int, TweetPayload], deletion_lags: dict[int, int]) -> list[TweetRecord]:
+    """TweetRecords for ``tweets`` (keyed by id) with reply, retweet and
+    quote links resolved among them; a tweet is deleted iff its id has a
+    lag in ``deletion_lags``."""
     replies: dict[int, list[int]] = {}
     retweets: dict[int, list[int]] = {}
     quotes: dict[int, list[int]] = {}
-    for t in in_window.values():
+    for t in tweets.values():
         for target, links in (
             (t.in_reply_to_id, replies),
             (t.retweet_of_id, retweets),
             (t.quoted_id, quotes),
         ):
-            if target is not None and target in in_window:
+            if target is not None and target in tweets:
                 links.setdefault(target, []).append(t.id)
 
     records = []
-    for t in in_window.values():
-        lag = deletion.get(t.id)
+    for t in tweets.values():
+        lag = deletion_lags.get(t.id)
         records.append(
             TweetRecord(
                 id=t.id,
@@ -540,19 +560,7 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
                 quote_ids=tuple(sorted(quotes.get(t.id, ()))),
             )
         )
-
-    stats = IngestStats(
-        tweets_in=tweets_in,
-        retained=retained,
-        outside_window=outside,
-        duplicates=duplicates,
-        deletes_in=deletes_in,
-        deletes_applied=applied,
-        orphan_deletes=orphans,
-        late_deletes=late,
-        clamped_lags=clamped,
-    )
-    return Corpus(records, window, stats)
+    return records
 
 
 def tweet_record_to_event_dict(t: TweetRecord) -> dict:

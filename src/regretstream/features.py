@@ -1,5 +1,6 @@
-"""Feature assembly: sparse TF-IDF text vectors, the 112-slot dense
-post-time block, and the 93-slot response-time block.
+"""Feature assembly: the per-tweet text record (also used by analytics),
+sparse TF-IDF text vectors, the 112-slot dense post-time block, and the
+93-slot response-time block.
 
 Dense layout (fixed slot indices):
   [0..63]   lexicon category percentages
@@ -117,100 +118,6 @@ def open_text_vector(tokens: textkit.TokenList, vocab: Vocabulary) -> list[tuple
     return [(i, w / norm) for i, w in pairs]
 
 
-def dense_features(
-    tweet: TweetRecord,
-    profile: UserProfile,
-    lex: textkit.Lexicon,
-    valence: dict[str, float],
-    tagger,
-    now: datetime,
-    tags: list[str] | None = None,
-) -> np.ndarray:
-    """Compute the 112-slot dense vector for one tweet.
-
-    Slots 0..110 are always finite; slot 111 is left NaN as an explicit
-    "not yet filled" sentinel for the derived open-text feature. ``tags``
-    may carry pre-computed tags; otherwise ``tagger`` runs. ``now`` is the
-    reference timestamp for account age (normally the posting-window end).
-    """
-    if profile is None:
-        raise ValidationError(f"tweet {tweet.id} has no author profile")
-    tokens = textkit.tokenize(tweet.text)
-    if tags is None:
-        tags = textkit.pos_tag(tokens, tagger)
-    elif len(tags) != len(tokens):
-        raise ValidationError(
-            f"tweet {tweet.id}: {len(tags)} pre-computed tags for {len(tokens)} tokens"
-        )
-
-    vec = np.zeros(DENSE_SIZE, dtype=np.float64)
-    vec[0:64] = textkit.lexicon_score(tokens, lex)
-    vec[64] = textkit.sentiment_score(tokens, valence)
-    tag_index = {t: i for i, t in enumerate(tagger.tagset)}
-    for t in tags:
-        vec[65 + tag_index[t]] += 1.0
-    created = tweet.created_at
-    vec[90] = created.hour
-    vec[91] = created.weekday()
-    vec[92] = profile.timezone_offset_min if profile.timezone_offset_min is not None else 0.0
-    vec[93] = 1.0 if tweet.in_reply_to_id is not None else 0.0
-    vec[94] = 1.0 if tweet.quoted_id is not None else 0.0
-    vec[95] = len(tweet.urls)
-    vec[96] = len(tweet.mentions)
-    vec[97] = len(tweet.hashtags)
-    vec[98] = 1.0 if tweet.has_geo else 0.0
-    vec[99] = (now - profile.account_created_at).total_seconds() / 86400.0
-    vec[100] = 1.0 if profile.profile_customized else 0.0
-    vec[101] = 1.0 if profile.custom_image else 0.0
-    vec[102] = profile.bio_length
-    vec[103] = 1.0 if profile.geo_enabled else 0.0
-    vec[104] = 1.0 if profile.has_location else 0.0
-    vec[105] = 1.0 if profile.has_profile_url else 0.0
-    vec[106] = profile.favourites_count
-    vec[107] = profile.followees_count
-    vec[108] = profile.followers_count
-    vec[109] = profile.listed_count
-    vec[110] = profile.statuses_count
-    vec[DERIVED_SLOT] = np.nan
-    return vec
-
-
-def response_features(
-    tweet: TweetRecord,
-    responses,
-    lex: textkit.Lexicon,
-    valence: dict[str, float],
-    tagger,
-) -> np.ndarray:
-    """Compute the 93-slot response block for one tweet.
-
-    ``responses`` are the TweetRecords whose links target this tweet. Reply
-    lexicon/POS/sentiment features are element-wise sums over replies only;
-    no responses yields the zero vector.
-    """
-    vec = np.zeros(RESPONSE_SIZE, dtype=np.float64)
-    reply_ids = set(tweet.reply_ids)
-    retweet_ids = set(tweet.retweet_ids)
-    quote_ids = set(tweet.quote_ids)
-    tag_index = {t: i for i, t in enumerate(tagger.tagset)}
-    for r in responses:
-        if r.id in retweet_ids:
-            vec[0] += 1.0
-        if r.id in quote_ids:
-            vec[1] += 1.0
-        if r.id in reply_ids:
-            vec[2] += 1.0
-            tokens = textkit.tokenize(r.text)
-            scores = textkit.lexicon_score(tokens, lex)
-            for i, s in enumerate(scores):
-                vec[3 + i] += s
-            tags = textkit.pos_tag(tokens, tagger)
-            for t in tags:
-                vec[67 + tag_index[t]] += 1.0
-            vec[92] += textkit.sentiment_score(tokens, valence)
-    return vec
-
-
 @dataclass
 class FeatureResources:
     """The pluggable inputs dense featurization depends on."""
@@ -238,6 +145,174 @@ class FeatureResources:
         return textkit.pos_tag(tokens, self.tagger)
 
 
+class TweetMeasurements:
+    """The per-tweet text record: tokenized once, tagged through
+    ``resources.tags_for`` unless ``tags`` are given, every measurement
+    computed on first use."""
+
+    def __init__(self, tweet: TweetRecord, resources: FeatureResources, tags=None):
+        self.tweet = tweet
+        self._res = resources
+        self._tokens = None
+        self._tags = tags
+        self._lex_counts = None
+
+    @property
+    def tokens(self) -> textkit.TokenList:
+        if self._tokens is None:
+            self._tokens = textkit.tokenize(self.tweet.text)
+        return self._tokens
+
+    @property
+    def tags(self) -> list[str]:
+        if self._tags is None:
+            self._tags = self._res.tags_for(self.tweet, self.tokens)
+        return self._tags
+
+    @property
+    def n_tokens(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def n_words(self) -> int:
+        return self.tokens.count_class("word")
+
+    def lexicon_counts(self) -> list[int]:
+        """Matching word-token counts per lexicon category."""
+        if self._lex_counts is None:
+            self._lex_counts = textkit.lexicon_counts(self.tokens.words(), self._res.lexicon)
+        return self._lex_counts
+
+    def lexicon_scores(self) -> list[float]:
+        return textkit.lexicon_score(self.tokens, self._res.lexicon)
+
+    def tag_count(self, tag: str) -> int:
+        return sum(1 for t in self.tags if t == tag)
+
+    def pos_counts(self) -> np.ndarray:
+        """Tag counts in the order of the tagger's tagset."""
+        tagset = self._res.tagger.tagset
+        counts = np.zeros(len(tagset), dtype=np.float64)
+        for t in self.tags:
+            counts[tagset.index(t)] += 1.0
+        return counts
+
+    def sentiment(self) -> float:
+        return textkit.sentiment_score(self.tokens, self._res.valence)
+
+    def stats(self) -> tuple[float, float]:
+        return textkit.text_stats(self.tokens, self.tags, self._res.wordlist)
+
+
+class MeasurementCache:
+    """Per-tweet records kept by tweet id, for analytics that revisit tweets."""
+
+    def __init__(self, resources):
+        self._res = resources
+        self._cache: dict[int, TweetMeasurements] = {}
+
+    def get(self, tweet: TweetRecord) -> TweetMeasurements:
+        m = self._cache.get(tweet.id)
+        if m is None:
+            m = TweetMeasurements(tweet, self._res)
+            self._cache[tweet.id] = m
+        return m
+
+
+def _dense_vector(m: TweetMeasurements, profile: UserProfile, now: datetime) -> np.ndarray:
+    tweet = m.tweet
+    if profile is None:
+        raise ValidationError(f"tweet {tweet.id} has no author profile")
+    vec = np.zeros(DENSE_SIZE, dtype=np.float64)
+    vec[0:64] = m.lexicon_scores()
+    vec[64] = m.sentiment()
+    vec[65:90] = m.pos_counts()
+    created = tweet.created_at
+    vec[90] = created.hour
+    vec[91] = created.weekday()
+    vec[92] = profile.timezone_offset_min if profile.timezone_offset_min is not None else 0.0
+    vec[93] = 1.0 if tweet.in_reply_to_id is not None else 0.0
+    vec[94] = 1.0 if tweet.quoted_id is not None else 0.0
+    vec[95] = len(tweet.urls)
+    vec[96] = len(tweet.mentions)
+    vec[97] = len(tweet.hashtags)
+    vec[98] = 1.0 if tweet.has_geo else 0.0
+    vec[99] = (now - profile.account_created_at).total_seconds() / 86400.0
+    vec[100] = 1.0 if profile.profile_customized else 0.0
+    vec[101] = 1.0 if profile.custom_image else 0.0
+    vec[102] = profile.bio_length
+    vec[103] = 1.0 if profile.geo_enabled else 0.0
+    vec[104] = 1.0 if profile.has_location else 0.0
+    vec[105] = 1.0 if profile.has_profile_url else 0.0
+    vec[106] = profile.favourites_count
+    vec[107] = profile.followees_count
+    vec[108] = profile.followers_count
+    vec[109] = profile.listed_count
+    vec[110] = profile.statuses_count
+    vec[DERIVED_SLOT] = np.nan
+    return vec
+
+
+def _response_vector(tweet: TweetRecord, responses, resources: FeatureResources) -> np.ndarray:
+    vec = np.zeros(RESPONSE_SIZE, dtype=np.float64)
+    reply_ids = set(tweet.reply_ids)
+    retweet_ids = set(tweet.retweet_ids)
+    quote_ids = set(tweet.quote_ids)
+    for r in responses:
+        if r.id in retweet_ids:
+            vec[0] += 1.0
+        if r.id in quote_ids:
+            vec[1] += 1.0
+        if r.id in reply_ids:
+            vec[2] += 1.0
+            m = TweetMeasurements(r, resources)
+            vec[3:67] += m.lexicon_scores()
+            vec[67:92] += m.pos_counts()
+            vec[92] += m.sentiment()
+    return vec
+
+
+def dense_features(
+    tweet: TweetRecord,
+    profile: UserProfile,
+    lex: textkit.Lexicon,
+    valence: dict[str, float],
+    tagger,
+    now: datetime,
+    tags: list[str] | None = None,
+) -> np.ndarray:
+    """Compute the 112-slot dense vector for one tweet.
+
+    Slots 0..110 are always finite; slot 111 is left NaN as an explicit
+    "not yet filled" sentinel for the derived open-text feature. ``tags``
+    may carry pre-computed tags; otherwise ``tagger`` runs. ``now`` is the
+    reference timestamp for account age (normally the posting-window end).
+    """
+    res = FeatureResources(lex, valence, frozenset(), tagger)
+    m = TweetMeasurements(tweet, res, tags)
+    if tags is not None and len(tags) != m.n_tokens:
+        raise ValidationError(
+            f"tweet {tweet.id}: {len(tags)} pre-computed tags for {m.n_tokens} tokens"
+        )
+    return _dense_vector(m, profile, now)
+
+
+def response_features(
+    tweet: TweetRecord,
+    responses,
+    lex: textkit.Lexicon,
+    valence: dict[str, float],
+    tagger,
+) -> np.ndarray:
+    """Compute the 93-slot response block for one tweet.
+
+    ``responses`` are the TweetRecords whose links target this tweet. Reply
+    lexicon/POS/sentiment features are element-wise sums over replies only;
+    no responses yields the zero vector.
+    """
+    return _response_vector(tweet, responses, FeatureResources(lex, valence, frozenset(), tagger))
+
+
 @dataclass
 class FeatureMatrix:
     """Featurized corpus rows plus labels and ids."""
@@ -257,27 +332,6 @@ class FeatureMatrix:
     def sparse_row(self, i: int) -> list[tuple[int, float]]:
         lo, hi = self.sparse_indptr[i], self.sparse_indptr[i + 1]
         return list(zip(self.sparse_indices[lo:hi].tolist(), self.sparse_data[lo:hi].tolist()))
-
-    def subset(self, rows) -> "FeatureMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        indptr = [0]
-        indices = []
-        data = []
-        for i in rows:
-            lo, hi = self.sparse_indptr[i], self.sparse_indptr[i + 1]
-            indices.append(self.sparse_indices[lo:hi])
-            data.append(self.sparse_data[lo:hi])
-            indptr.append(indptr[-1] + (hi - lo))
-        return FeatureMatrix(
-            tweet_ids=self.tweet_ids[rows],
-            labels=self.labels[rows],
-            sparse_indptr=np.array(indptr, dtype=np.int64),
-            sparse_indices=np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64),
-            sparse_data=np.concatenate(data) if data else np.zeros(0, dtype=np.float64),
-            dense=self.dense[rows].copy(),
-            response=None if self.response is None else self.response[rows].copy(),
-            vocab_size=self.vocab_size,
-        )
 
 
 def featurize_corpus(
@@ -300,24 +354,18 @@ def featurize_corpus(
     ids = np.zeros(n, dtype=np.int64)
     labels = np.zeros(n, dtype=np.int8)
     for i, t in enumerate(tweets):
-        tokens = textkit.tokenize(t.text)
-        for idx, w in open_text_vector(tokens, vocab):
+        m = TweetMeasurements(t, resources)
+        for idx, w in open_text_vector(m.tokens, vocab):
             indices.append(idx)
             data.append(w)
         indptr.append(len(indices))
-        tags = resources.tags_for(t, tokens)
-        dense[i] = dense_features(
-            t, t.user, resources.lexicon, resources.valence, resources.tagger, now, tags=tags
-        )
+        dense[i] = _dense_vector(m, t.user, now)
         if with_responses:
             linked = [
                 corpus.get(rid)
                 for rid in sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
             ]
-            response[i] = response_features(
-                t, [r for r in linked if r is not None],
-                resources.lexicon, resources.valence, resources.tagger,
-            )
+            response[i] = _response_vector(t, [r for r in linked if r is not None], resources)
         ids[i] = t.id
         labels[i] = 1 if t.deleted else 0
     return FeatureMatrix(

@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import textkit
-from .cleanup import CleanupConfig
+from .cleanup import CleanupConfig, near_duplicate
 from .errors import ConfigError
 
 POST_START = datetime(2015, 8, 3, tzinfo=timezone.utc)
@@ -194,14 +193,6 @@ def _zipf_probs(n: int) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     p = 1.0 / (ranks + 2.7) ** 1.07
     return p / p.sum()
-
-
-def _near_dup(a: str, b: str, cfg: CleanupConfig = CleanupConfig()) -> bool:
-    """The cleanup near-duplicate predicate, applied to raw texts."""
-    if abs(len(a) - len(b)) < cfg.edit_distance_max:
-        if textkit.edit_distance(a, b) < cfg.edit_distance_max:
-            return True
-    return textkit.term_cosine(a, b) > cfg.cosine_min
 
 
 def generate_synthetic(cfg: SynthConfig):
@@ -567,6 +558,7 @@ def _guard_near_duplicates(tweets) -> None:
     """Resample deleted non-superficial tweets that accidentally look like
     near-duplicates of a followup (in the pre- or post-removal timeline)."""
     rng = np.random.default_rng(987654321)
+    cleanup_cfg = CleanupConfig()
     by_user: dict[int, list[_Tweet]] = {}
     for t in tweets:
         if t.filter_class == "clean":
@@ -588,7 +580,7 @@ def _guard_near_duplicates(tweets) -> None:
                 if t.id in final_pos:
                     wins += followups(final_timeline, final_pos[t.id])
                 for f in wins:
-                    if _near_dup(t.text, f.text):
+                    if near_duplicate(t.text, f.text, cleanup_cfg):
                         violation = t
                         break
                 if violation is not None:

@@ -179,23 +179,25 @@ class Lexicon:
         return cls(cats)
 
 
+def lexicon_counts(words, lex: Lexicon) -> list[int]:
+    """Per-category counts of ``words`` matching the category."""
+    counts = [0] * Lexicon.SIZE
+    for w in words:
+        for idx in lex.categories_for(w):
+            counts[idx] += 1
+    return counts
+
+
 def lexicon_score(tokens: TokenList, lex: Lexicon) -> list[float]:
     """Per-category percentages of word tokens matching the category.
 
     The basis is word-class tokens only; all-zero when there are none.
     """
     words = tokens.words()
-    out = [0.0] * Lexicon.SIZE
     if not words:
-        return out
-    counts = [0] * Lexicon.SIZE
-    for w in words:
-        for idx in lex.categories_for(w):
-            counts[idx] += 1
+        return [0.0] * Lexicon.SIZE
     n = len(words)
-    for i, c in enumerate(counts):
-        out[i] = 100.0 * c / n
-    return out
+    return [100.0 * c / n for c in lexicon_counts(words, lex)]
 
 
 def load_valence(path: str | Path) -> dict[str, float]:

@@ -3,8 +3,16 @@ import os
 
 import pytest
 
+from regretstream import classify
 from regretstream.cli import main
-from regretstream.events import Corpus
+from regretstream.events import (
+    CollectionWindow,
+    Corpus,
+    build_corpus,
+    parse_event,
+    parse_rfc3339,
+    read_events,
+)
 from regretstream.features import load_feature_matrix
 from regretstream.synth import POST_START, SynthConfig
 
@@ -239,6 +247,36 @@ class TestTrainPredictAblate:
         assert {"id", "predicted_deleted", "score"} <= set(lines[0])
         assert any(l["predicted_deleted"] for l in lines)
         assert any(not l["predicted_deleted"] for l in lines)
+
+    def test_predict_links_match_build_corpus(self, workdir, tmp_path, monkeypatch):
+        window = CollectionWindow(*(parse_rfc3339(w, "window") for w in WINDOW))
+        parsed = [(line, parse_event(line)) for line in (workdir / "events.jsonl").read_text().splitlines()]
+        lines = [
+            line for line, ev in parsed
+            if ev.kind == "tweet" and window.post_start <= ev.tweet.created_at <= window.post_end
+        ]
+        events = tmp_path / "in_window.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        expected = build_corpus(read_events(events), window, strict=False)
+
+        seen = []
+
+        class RecordingBundle:
+            def predict_records(self, corpus_like):
+                seen.append(corpus_like)
+                return [], [], []
+
+        monkeypatch.setattr(classify, "load_bundle", lambda path: RecordingBundle())
+        assert main([
+            "predict", "--bundle", "unused.rsb1",
+            "--events", str(events), "--out", str(tmp_path / "p.jsonl"),
+        ]) == 0
+
+        def links(corpus):
+            return {t.id: (t.reply_ids, t.retweet_ids, t.quote_ids) for t in corpus}
+
+        assert any(t.reply_ids for t in expected)
+        assert links(seen[0]) == links(expected)
 
     def test_ablate_report(self, workdir, train_config_path, tmp_path):
         out = tmp_path / "ablation.json"

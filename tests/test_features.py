@@ -287,12 +287,6 @@ class TestFeaturizeAndSerialize:
         np.testing.assert_allclose(loaded.response, m.response, atol=0)
         assert loaded.vocab_size == m.vocab_size
 
-    def test_subset_preserves_rows(self, small_resources):
-        m = self._matrix(small_resources)
-        sub = m.subset([2, 0])
-        assert sub.tweet_ids.tolist() == [3, 1]
-        assert sub.sparse_row(0) == m.sparse_row(2)
-
     def test_feature_groups_partition_dense_layout(self):
         all_slots = sorted(i for slots in FEATURE_GROUPS.values() for i in slots)
         assert all_slots == list(range(DENSE_SIZE))
@@ -338,6 +332,17 @@ class TestPretaggedPath:
         with pytest.raises(ContractError):
             featurize_corpus(corpus, build_vocab(corpus), res)
 
+    def test_pretagged_tags_reach_the_response_block(self, small_resources):
+        target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), text="good day", reply_ids=(2,))
+        reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="bad reply", in_reply_to_id=1)
+        res = self._resources_with_tags(small_resources, {2: ["verb", "adverb"]})
+        corpus = make_corpus([target, reply])
+        m = featurize_corpus(corpus, build_vocab(corpus), res, with_responses=True)
+        tagset = small_resources.tagger.tagset
+        for tag, count in (("verb", 1), ("adverb", 1), ("common_noun", 0)):
+            assert m.dense[1, 65 + tagset.index(tag)] == count  # the reply's own row
+            assert m.response[0, 67 + tagset.index(tag)] == count  # the target's replies
+
     def test_missing_id_falls_back_to_tagger(self, small_resources):
         tweet = make_tweet(id=9, text="quickly")
         res = self._resources_with_tags(small_resources, {8: ["verb"]})
@@ -345,3 +350,39 @@ class TestPretaggedPath:
         m = featurize_corpus(corpus, build_vocab(corpus), res)
         tagset = small_resources.tagger.tagset
         assert m.dense[0, 65 + tagset.index("adverb")] == 1
+
+
+class TestOneTextPass:
+    def test_each_row_tokenized_once(self, synth_small, resources, monkeypatch):
+        from regretstream import textkit
+
+        corpus = synth_small.cleaned
+        tweets = list(corpus)[:200]
+        vocab = build_vocab(tweets)
+        calls = []
+        real = textkit.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(textkit, "tokenize", counting)
+        featurize_corpus(corpus, vocab, resources, tweets=tweets)
+        assert sorted(calls) == sorted(t.text for t in tweets)
+
+    def test_rows_match_single_tweet_features(self, synth_small, resources):
+        corpus = synth_small.cleaned
+        replied = [t for t in corpus if t.reply_ids]
+        assert replied
+        tweets = replied[:100] + [t for t in corpus if not t.reply_ids][:50]
+        now = corpus.window.post_end
+        m = featurize_corpus(
+            corpus, build_vocab(tweets), resources, tweets=tweets, with_responses=True
+        )
+        args = (resources.lexicon, resources.valence, resources.tagger)
+        for i, t in enumerate(tweets):
+            dense = dense_features(t, t.user, *args, now)
+            np.testing.assert_array_equal(m.dense[i], dense)
+            ids = sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
+            linked = [corpus.get(r) for r in ids if corpus.get(r) is not None]
+            np.testing.assert_array_equal(m.response[i], response_features(t, linked, *args))
