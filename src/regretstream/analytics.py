@@ -300,10 +300,9 @@ def _ccdf(values) -> list[tuple[float, float]]:
     """(value, P(X >= value)) over the distinct sorted values."""
     vals = np.sort(np.asarray(values, dtype=np.float64))
     n = len(vals)
-    out = []
-    for v in np.unique(vals):
-        out.append((float(v), float(np.sum(vals >= v) / n)))
-    return out
+    distinct = np.unique(vals)
+    at_least = n - np.searchsorted(vals, distinct, side="left")
+    return [(float(v), float(c / n)) for v, c in zip(distinct, at_least)]
 
 
 def user_group_compare(

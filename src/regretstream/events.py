@@ -9,6 +9,7 @@ corpus with response links resolved.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,6 +37,48 @@ def format_rfc3339(dt: datetime) -> str:
     if dt.microsecond:
         return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _opt_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+def _str_tuple(value) -> tuple[str, ...]:
+    return tuple(str(v) for v in value)
+
+
+# (field, conversion) pairs of the wire and corpus formats. They are only
+# consulted after a conversion failed, to name the field that failed.
+_EVENT_FIELDS = (
+    ("id", int), ("user_id", int), ("in_reply_to_id", _opt_int),
+    ("quoted_id", _opt_int), ("retweet_of_id", _opt_int),
+    ("hashtags", _str_tuple), ("urls", _str_tuple), ("mentions", _str_tuple),
+)
+_USER_FIELDS = (
+    ("user_id", int), ("bio_length", int), ("favourites_count", int),
+    ("followees_count", int), ("followers_count", int), ("listed_count", int),
+    ("statuses_count", int), ("timezone_offset_min", _opt_int),
+)
+_RECORD_FIELDS = _EVENT_FIELDS + (
+    ("deletion_lag_sec", _opt_int), ("reply_ids", tuple),
+    ("retweet_ids", tuple), ("quote_ids", tuple),
+)
+
+
+def _invalid_field(raw, fields, exc: Exception, line_number=None, prefix: str = "") -> SchemaError:
+    """The SchemaError naming the first of ``fields`` whose value in ``raw``
+    its conversion rejects, after ``exc`` was raised converting ``raw``."""
+    whole = prefix[:-1] or "record"
+    if not isinstance(raw, dict):
+        return SchemaError(whole, f"{whole} must be a JSON object", line_number)
+    for name, convert in fields:
+        if name in raw:
+            try:
+                convert(raw[name])
+            except (TypeError, ValueError):
+                value = reprlib.repr(raw[name])
+                return SchemaError(prefix + name, f"invalid {prefix}{name}: {value}", line_number)
+    return SchemaError(whole, f"invalid {whole}: {exc}", line_number)
 
 
 @dataclass(frozen=True)
@@ -85,26 +128,28 @@ class UserProfile:
 
     @classmethod
     def from_dict(cls, raw: dict, line_number=None) -> "UserProfile":
-        for req in ("user_id", "account_created_at"):
-            if req not in raw:
-                raise SchemaError(f"user.{req}", line_number=line_number)
-        tz = raw.get("timezone_offset_min")
-        return cls(
-            user_id=int(raw["user_id"]),
-            account_created_at=parse_rfc3339(raw["account_created_at"], "user.account_created_at", line_number),
-            profile_customized=bool(raw.get("profile_customized", False)),
-            custom_image=bool(raw.get("custom_image", False)),
-            bio_length=int(raw.get("bio_length", 0)),
-            geo_enabled=bool(raw.get("geo_enabled", False)),
-            has_location=bool(raw.get("has_location", False)),
-            has_profile_url=bool(raw.get("has_profile_url", False)),
-            favourites_count=int(raw.get("favourites_count", 0)),
-            followees_count=int(raw.get("followees_count", 0)),
-            followers_count=int(raw.get("followers_count", 0)),
-            listed_count=int(raw.get("listed_count", 0)),
-            statuses_count=int(raw.get("statuses_count", 0)),
-            timezone_offset_min=None if tz is None else int(tz),
-        )
+        try:
+            for req in ("user_id", "account_created_at"):
+                if req not in raw:
+                    raise SchemaError(f"user.{req}", line_number=line_number)
+            return cls(
+                user_id=int(raw["user_id"]),
+                account_created_at=parse_rfc3339(raw["account_created_at"], "user.account_created_at", line_number),
+                profile_customized=bool(raw.get("profile_customized", False)),
+                custom_image=bool(raw.get("custom_image", False)),
+                bio_length=int(raw.get("bio_length", 0)),
+                geo_enabled=bool(raw.get("geo_enabled", False)),
+                has_location=bool(raw.get("has_location", False)),
+                has_profile_url=bool(raw.get("has_profile_url", False)),
+                favourites_count=int(raw.get("favourites_count", 0)),
+                followees_count=int(raw.get("followees_count", 0)),
+                followers_count=int(raw.get("followers_count", 0)),
+                listed_count=int(raw.get("listed_count", 0)),
+                statuses_count=int(raw.get("statuses_count", 0)),
+                timezone_offset_min=_opt_int(raw.get("timezone_offset_min")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise _invalid_field(raw, _USER_FIELDS, exc, line_number, "user.") from None
 
 
 @dataclass(frozen=True)
@@ -169,60 +214,59 @@ def parse_event(line: str, line_number: int | None = None) -> Event:
     if kind not in ("tweet", "delete"):
         raise SchemaError("kind", f"kind must be 'tweet' or 'delete', got {kind!r}", line_number)
 
-    if kind == "delete":
-        for req in ("id", "user_id", "observed_at"):
+    try:
+        if kind == "delete":
+            for req in ("id", "user_id", "observed_at"):
+                if req not in raw:
+                    raise SchemaError(req, line_number=line_number)
+            ident = int(raw["id"])
+            if ident <= 0:
+                raise SchemaError("id", "id must be positive", line_number)
+            return Event(
+                kind="delete",
+                delete=DeletePayload(
+                    id=ident,
+                    user_id=int(raw["user_id"]),
+                    observed_at=parse_rfc3339(raw["observed_at"], "observed_at", line_number),
+                ),
+            )
+
+        for req in ("id", "user_id", "created_at", "text", "user"):
             if req not in raw:
                 raise SchemaError(req, line_number=line_number)
         ident = int(raw["id"])
         if ident <= 0:
             raise SchemaError("id", "id must be positive", line_number)
+        text = str(raw["text"])
+        if "hashtags" in raw or "urls" in raw or "mentions" in raw:
+            hashtags = _str_tuple(raw.get("hashtags", ()))
+            urls = _str_tuple(raw.get("urls", ()))
+            mentions = _str_tuple(raw.get("mentions", ()))
+        else:
+            # Sources without entity annotation: recover entities from the text.
+            hashtags, urls, mentions = _entities_from_text(text)
+
         return Event(
-            kind="delete",
-            delete=DeletePayload(
+            kind="tweet",
+            tweet=TweetPayload(
                 id=ident,
                 user_id=int(raw["user_id"]),
-                observed_at=parse_rfc3339(raw["observed_at"], "observed_at", line_number),
+                created_at=parse_rfc3339(raw["created_at"], "created_at", line_number),
+                text=text,
+                lang=str(raw.get("lang", "en")),
+                source=str(raw.get("source", "")),
+                in_reply_to_id=_opt_int(raw.get("in_reply_to_id")),
+                quoted_id=_opt_int(raw.get("quoted_id")),
+                retweet_of_id=_opt_int(raw.get("retweet_of_id")),
+                hashtags=hashtags,
+                urls=urls,
+                mentions=mentions,
+                has_geo=bool(raw.get("has_geo", False)),
+                user=UserProfile.from_dict(raw["user"], line_number),
             ),
         )
-
-    for req in ("id", "user_id", "created_at", "text", "user"):
-        if req not in raw:
-            raise SchemaError(req, line_number=line_number)
-    ident = int(raw["id"])
-    if ident <= 0:
-        raise SchemaError("id", "id must be positive", line_number)
-    text = str(raw["text"])
-    if "hashtags" in raw or "urls" in raw or "mentions" in raw:
-        hashtags = tuple(str(h) for h in raw.get("hashtags", ()))
-        urls = tuple(str(u) for u in raw.get("urls", ()))
-        mentions = tuple(str(m) for m in raw.get("mentions", ()))
-    else:
-        # Sources without entity annotation: recover entities from the text.
-        hashtags, urls, mentions = _entities_from_text(text)
-
-    def opt_id(name: str) -> int | None:
-        v = raw.get(name)
-        return None if v is None else int(v)
-
-    return Event(
-        kind="tweet",
-        tweet=TweetPayload(
-            id=ident,
-            user_id=int(raw["user_id"]),
-            created_at=parse_rfc3339(raw["created_at"], "created_at", line_number),
-            text=text,
-            lang=str(raw.get("lang", "en")),
-            source=str(raw.get("source", "")),
-            in_reply_to_id=opt_id("in_reply_to_id"),
-            quoted_id=opt_id("quoted_id"),
-            retweet_of_id=opt_id("retweet_of_id"),
-            hashtags=hashtags,
-            urls=urls,
-            mentions=mentions,
-            has_geo=bool(raw.get("has_geo", False)),
-            user=UserProfile.from_dict(raw["user"], line_number),
-        ),
-    )
+    except (TypeError, ValueError) as exc:
+        raise _invalid_field(raw, _EVENT_FIELDS, exc, line_number) from None
 
 
 def read_events(path: str | Path):
@@ -320,27 +364,32 @@ class TweetRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TweetRecord":
-        return cls(
-            id=int(raw["id"]),
-            user_id=int(raw["user_id"]),
-            created_at=parse_rfc3339(raw["created_at"], "created_at"),
-            text=str(raw["text"]),
-            lang=str(raw["lang"]),
-            source=str(raw["source"]),
-            in_reply_to_id=raw.get("in_reply_to_id"),
-            quoted_id=raw.get("quoted_id"),
-            retweet_of_id=raw.get("retweet_of_id"),
-            hashtags=tuple(raw.get("hashtags", ())),
-            urls=tuple(raw.get("urls", ())),
-            mentions=tuple(raw.get("mentions", ())),
-            has_geo=bool(raw.get("has_geo", False)),
-            user=UserProfile.from_dict(raw["user"]),
-            deleted=bool(raw["deleted"]),
-            deletion_lag_sec=raw.get("deletion_lag_sec"),
-            reply_ids=tuple(raw.get("reply_ids", ())),
-            retweet_ids=tuple(raw.get("retweet_ids", ())),
-            quote_ids=tuple(raw.get("quote_ids", ())),
-        )
+        try:
+            return cls(
+                id=int(raw["id"]),
+                user_id=int(raw["user_id"]),
+                created_at=parse_rfc3339(raw["created_at"], "created_at"),
+                text=str(raw["text"]),
+                lang=str(raw["lang"]),
+                source=str(raw["source"]),
+                in_reply_to_id=raw.get("in_reply_to_id"),
+                quoted_id=raw.get("quoted_id"),
+                retweet_of_id=raw.get("retweet_of_id"),
+                hashtags=tuple(raw.get("hashtags", ())),
+                urls=tuple(raw.get("urls", ())),
+                mentions=tuple(raw.get("mentions", ())),
+                has_geo=bool(raw.get("has_geo", False)),
+                user=UserProfile.from_dict(raw["user"]),
+                deleted=bool(raw["deleted"]),
+                deletion_lag_sec=raw.get("deletion_lag_sec"),
+                reply_ids=tuple(raw.get("reply_ids", ())),
+                retweet_ids=tuple(raw.get("retweet_ids", ())),
+                quote_ids=tuple(raw.get("quote_ids", ())),
+            )
+        except KeyError as exc:
+            raise SchemaError(exc.args[0]) from None
+        except (TypeError, ValueError) as exc:
+            raise _invalid_field(raw, _RECORD_FIELDS, exc) from None
 
 
 @dataclass(frozen=True)
@@ -367,6 +416,9 @@ class IngestStats:
             "late_deletes": self.late_deletes,
             "clamped_lags": self.clamped_lags,
         }
+
+
+CORPUS_FORMAT = "regretstream-corpus/1"
 
 
 class Corpus:
@@ -423,25 +475,46 @@ class Corpus:
         return Corpus(tweets, self.window, self.stats)
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": "regretstream-corpus/1",
-            "window": self.window.to_dict(),
-            "stats": self.stats.to_dict(),
-            "tweets": [t.to_dict() for t in self.tweets],
-        }
+        """Write the bytes of ``json.dump(payload, sort_keys=True,
+        separators=(",", ":"))`` plus a newline, where payload holds the
+        format, stats, tweets and window. Each part is encoded on its own by
+        the C encoder (``json.dump`` never uses it), one tweet at a time."""
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write('{"format":' + encode(CORPUS_FORMAT))
+            fh.write(',"stats":' + encode(self.stats.to_dict()) + ',"tweets":[')
+            for i, t in enumerate(self.tweets):
+                if i:
+                    fh.write(",")
+                fh.write(encode(t.to_dict()))
+            fh.write('],"window":' + encode(self.window.to_dict()) + "}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Corpus":
+        """Read a corpus file; malformed content raises ValidationError or
+        SchemaError naming the file, and the tweet record and field at fault."""
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != "regretstream-corpus/1":
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+        if not isinstance(payload, dict) or payload.get("format") != CORPUS_FORMAT:
             raise ValidationError(f"{path}: not a corpus file")
-        stats = IngestStats(**payload.get("stats", {}))
-        tweets = [TweetRecord.from_dict(r) for r in payload["tweets"]]
-        return cls(tweets, CollectionWindow.from_dict(payload["window"]), stats)
+        try:
+            stats = IngestStats(**payload.get("stats", {}))
+            window = CollectionWindow.from_dict(payload["window"])
+            records = list(payload["tweets"])
+        except (KeyError, TypeError, SchemaError) as exc:
+            raise ValidationError(f"{path}: invalid corpus header: {exc!r}") from None
+        tweets = []
+        try:
+            for i, raw in enumerate(records):
+                tweets.append(TweetRecord.from_dict(raw))
+        except SchemaError as exc:
+            raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: tweet record {i}: {exc}") from None
+        return cls(tweets, window, stats)
 
 
 def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpus:

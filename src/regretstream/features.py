@@ -156,6 +156,7 @@ class TweetMeasurements:
         self._tokens = None
         self._tags = tags
         self._lex_counts = None
+        self._n_words = None
 
     @property
     def tokens(self) -> textkit.TokenList:
@@ -175,7 +176,9 @@ class TweetMeasurements:
 
     @property
     def n_words(self) -> int:
-        return self.tokens.count_class("word")
+        if self._n_words is None:
+            self._n_words = self.tokens.count_class("word")
+        return self._n_words
 
     def lexicon_counts(self) -> list[int]:
         """Matching word-token counts per lexicon category."""

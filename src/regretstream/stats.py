@@ -106,38 +106,43 @@ def fisher_exact(t: Contingency2x2, alpha: float = 0.05) -> TestResult:
     )
 
 
-def _u_statistic(xs, ys) -> float:
-    """U = #{(x, y): x > y} + 0.5 * #ties."""
-    u = 0.0
-    for x in xs:
-        for y in ys:
-            if x > y:
-                u += 1.0
-            elif x == y:
-                u += 0.5
-    return u
+def _doubled_midranks(values) -> tuple[list[int], int]:
+    """Twice the 1-based midrank of each value, and the tie term sum(t^3 - t)
+    over groups of t equal values. Doubling keeps the ranks integers."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    tie_term = 0
+    i = 0
+    while i < len(order):
+        j = i + 1
+        while j < len(order) and values[order[j]] == values[order[i]]:
+            j += 1
+        # positions i+1 .. j share the midrank (i+1+j)/2
+        for k in range(i, j):
+            ranks[order[k]] = i + 1 + j
+        t = j - i
+        tie_term += t ** 3 - t
+        i = j
+    return ranks, tie_term
 
 
-def _exact_mwu_p(values: list[float], n1: int, u_obs: float) -> float:
+def _exact_mwu_p(ranks: list[int], n1: int, u_obs: float) -> float:
     """Two-sided p over all assignments of n1 of the pooled values to group 1.
 
     p = min(1, 2 * min(P(U <= u_obs), P(U >= u_obs))) under the permutation
-    null; handles ties because U is recomputed per assignment.
+    null. ``ranks`` are the pooled values' doubled midranks, so ties are
+    handled and each assignment's doubled U is its rank sum minus
+    n1 * (n1 + 1), an exact integer.
     """
-    idx = range(len(values))
-    total = 0
-    n_le = 0
-    n_ge = 0
-    eps = 1e-9
-    for subset in combinations(idx, n1):
-        chosen = set(subset)
-        xs = [values[i] for i in subset]
-        ys = [values[i] for i in idx if i not in chosen]
-        u = _u_statistic(xs, ys)
+    u2_obs = 2.0 * u_obs
+    offset = n1 * (n1 + 1)
+    total = n_le = n_ge = 0
+    for subset in combinations(ranks, n1):
+        u2 = sum(subset) - offset
         total += 1
-        if u <= u_obs + eps:
+        if u2 <= u2_obs:
             n_le += 1
-        if u >= u_obs - eps:
+        if u2 >= u2_obs:
             n_ge += 1
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
@@ -146,15 +151,9 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _approx_mwu_p(xs, ys, u: float) -> float:
+def _approx_mwu_p(n1: int, n2: int, u: float, tie_term: int) -> float:
     """Normal approximation with tie and continuity corrections."""
-    n1, n2 = len(xs), len(ys)
     n = n1 + n2
-    pooled = sorted(xs) + sorted(ys)
-    counts: dict[float, int] = {}
-    for v in pooled:
-        counts[v] = counts.get(v, 0) + 1
-    tie_term = sum(c ** 3 - c for c in counts.values())
     var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0:
         return 1.0
@@ -172,22 +171,29 @@ def _approx_mwu_p(xs, ys, u: float) -> float:
 def mann_whitney_u(xs, ys, alpha: float = 0.05) -> TestResult:
     """Mann-Whitney U test; exact for small samples, normal approx otherwise.
 
-    The exact branch (combined size <= 16) enumerates every assignment of
-    pooled values to the two groups. The effect is the rank-biserial
-    correlation 2U/(n1*n2) - 1.
+    U = #{(x, y): x > y} + 0.5 * #ties, computed as group 1's midrank sum
+    minus n1(n1+1)/2. The exact branch (combined size <= 16) enumerates
+    every assignment of pooled values to the two groups. The effect is the
+    rank-biserial correlation 2U/(n1*n2) - 1. NaN is rejected: it has no
+    rank.
     """
     xs = list(xs)
     ys = list(ys)
     if not xs or not ys:
         raise ValidationError("both samples must be non-empty")
-    u = _u_statistic(xs, ys)
-    if len(xs) + len(ys) <= MWU_EXACT_LIMIT:
-        p = _exact_mwu_p(xs + ys, len(xs), u)
+    pooled = xs + ys
+    if any(v != v for v in pooled):
+        raise ValidationError("samples must not contain NaN")
+    n1, n2 = len(xs), len(ys)
+    ranks, tie_term = _doubled_midranks(pooled)
+    u = (sum(ranks[:n1]) - n1 * (n1 + 1)) / 2
+    if n1 + n2 <= MWU_EXACT_LIMIT:
+        p = _exact_mwu_p(ranks, n1, u)
         method = "mann_whitney_u_exact"
     else:
-        p = _approx_mwu_p(xs, ys, u)
+        p = _approx_mwu_p(n1, n2, u, tie_term)
         method = "mann_whitney_u_normal"
-    effect = 2.0 * u / (len(xs) * len(ys)) - 1.0
+    effect = 2.0 * u / (n1 * n2) - 1.0
     return TestResult(
         statistic=u,
         p_two_sided=p,

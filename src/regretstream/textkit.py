@@ -94,24 +94,42 @@ def tokenize(text: str) -> TokenList:
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit insert/delete/substitute costs.
 
-    Operates on unicode scalar values of the raw strings.
+    Operates on unicode scalar values of the raw strings. Bit-parallel
+    (Myers 1999, in Hyyrö's edit-distance form): bit i of the vertical
+    delta vectors ``pv``/``mv`` holds whether D[i+1][j] - D[i][j] is +1/-1
+    down the column of the longer string ``a``, and one step of the loop
+    advances a whole column by one character of ``b``. Python ints are the
+    bit vectors, so any length works; the result is the exact distance.
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    pv, mv, dist = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            dist += 1
+        elif mh & high:
+            dist -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def term_cosine(a: str, b: str) -> float:
@@ -150,6 +168,7 @@ class Lexicon:
         self.category_names: list[str] = [name for name, _ in padded]
         self._literal: dict[str, set[int]] = {}
         self._prefixes: list[tuple[str, int]] = []
+        self._memo: dict[str, frozenset[int]] = {}
         for idx, (_, patterns) in enumerate(padded):
             for pat in patterns:
                 pat = pat.lower()
@@ -158,13 +177,19 @@ class Lexicon:
                 else:
                     self._literal.setdefault(pat, set()).add(idx)
 
-    def categories_for(self, word: str) -> set[int]:
-        """Category indices whose patterns match ``word`` (lowercased)."""
-        word = word.lower()
-        hits = set(self._literal.get(word, ()))
-        for prefix, idx in self._prefixes:
-            if word.startswith(prefix):
-                hits.add(idx)
+    def categories_for(self, word: str) -> frozenset[int]:
+        """Category indices whose patterns match ``word`` (lowercased).
+
+        Memoized per word: the patterns never change after construction.
+        """
+        hits = self._memo.get(word)
+        if hits is None:
+            low = word.lower()
+            hits = set(self._literal.get(low, ()))
+            for prefix, idx in self._prefixes:
+                if low.startswith(prefix):
+                    hits.add(idx)
+            hits = self._memo[word] = frozenset(hits)
         return hits
 
     def index_of(self, name: str) -> int:

@@ -278,6 +278,17 @@ class TestUserGroupCompare:
         assert values == sorted(values)
         assert probs[0] == 1.0 and all(0 < p <= 1 for p in probs)
 
+    def test_ccdf_equals_direct_count_with_ties(self):
+        from regretstream.analytics import _ccdf
+
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 300):
+            values = [float(v) for v in rng.integers(0, 12, size=n)] + [-0.0, 0.0]
+            got = _ccdf(values)
+            vals = np.asarray(values)
+            want = [(float(v), float(np.sum(vals >= v) / len(vals))) for v in np.unique(vals)]
+            assert got == want
+
     def test_empty_group_rejected(self):
         corpus = make_corpus([make_tweet(id=1, user_id=1)])
         with pytest.raises(ValidationError):

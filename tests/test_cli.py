@@ -91,6 +91,21 @@ class TestIngestCommand:
     def test_usage_error_exit_code(self):
         assert main(["ingest", "--events"]) == 1
 
+    def test_non_integer_wire_field_exits_1(self, workdir, tmp_path, capsys):
+        lines = (workdir / "events.jsonl").read_text().splitlines()
+        n = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "tweet")
+        event = json.loads(lines[n])
+        event["user"]["followers_count"] = "many"
+        lines[n] = json.dumps(event)
+        bad = tmp_path / "events.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["ingest", "--events", str(bad), "--window", *WINDOW,
+                     "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"line {n + 1}" in err and "user.followers_count" in err
+
 
 class TestCleanCommand:
     def test_report_written(self, workdir):
@@ -152,6 +167,30 @@ class TestAnalyzeCommand:
         assert (out / "traits.json").exists()
         temporal = json.loads((out / "temporal.json").read_text())
         assert sum(temporal["deleted"]) == pytest.approx(100.0, abs=1e-9)
+
+    @pytest.mark.parametrize("damage", ["missing_lang", "bad_count", "truncated"])
+    def test_malformed_corpus_exits_1(self, workdir, tmp_path, capsys, damage):
+        path = tmp_path / "corpus.json"
+        text = (workdir / "cleaned.json").read_text()
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        else:
+            payload = json.loads(text)
+            record = payload["tweets"][3]
+            if damage == "missing_lang":
+                del record["lang"]
+            else:
+                record["user"]["followers_count"] = "many"
+            path.write_text(json.dumps(payload))
+        code = main(["analyze", "--corpus", str(path), "--metrics", "temporal",
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err
+        if damage != "truncated":
+            assert "tweet record 3" in err
+            assert ("lang" if damage == "missing_lang" else "user.followers_count") in err
 
     def test_unknown_metric_rejected(self, workdir, tmp_path):
         code = main([

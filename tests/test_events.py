@@ -88,6 +88,39 @@ class TestParseEvent:
         with pytest.raises(SchemaError):
             parse_event('{"kind":"poke","id":1}')
 
+    @pytest.mark.parametrize("field,value,where", [
+        ("id", "x", None),
+        ("user_id", [3], None),
+        ("in_reply_to_id", "nope", None),
+        ("hashtags", 5, None),
+        ("followers_count", "many", "user"),
+        ("timezone_offset_min", {}, "user"),
+    ])
+    def test_non_integer_field_is_schema_error(self, field, value, where):
+        obj = tweet_event()
+        if where == "user":
+            obj["user"][field] = value
+            field = f"user.{field}"
+        else:
+            obj[field] = value
+        with pytest.raises(SchemaError) as exc:
+            parse_event(json.dumps(obj), line_number=9)
+        assert exc.value.field == field
+        assert exc.value.line_number == 9
+        assert field in str(exc.value) and "line 9" in str(exc.value)
+
+    def test_delete_non_integer_id_is_schema_error(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_event('{"kind":"delete","id":"x","user_id":3,"observed_at":"2015-08-05T10:00:00Z"}', 4)
+        assert exc.value.field == "id"
+
+    def test_user_not_an_object(self):
+        obj = tweet_event()
+        obj["user"] = 7
+        with pytest.raises(SchemaError) as exc:
+            parse_event(json.dumps(obj), line_number=2)
+        assert exc.value.field == "user"
+
 
 class TestWindow:
     def test_ordering_enforced(self):
@@ -244,6 +277,61 @@ class TestCorpusContainer:
         loaded = Corpus.load(path)
         assert [t.to_dict() for t in loaded] == [t.to_dict() for t in corpus]
         assert loaded.window == corpus.window
+
+    def test_save_bytes_equal_json_dump(self, synth_small, tmp_path):
+        corpus = synth_small.cleaned
+        path = tmp_path / "corpus.json"
+        corpus.save(path)
+        payload = {
+            "format": "regretstream-corpus/1",
+            "window": corpus.window.to_dict(),
+            "stats": corpus.stats.to_dict(),
+            "tweets": [t.to_dict() for t in corpus.tweets],
+        }
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_save_escapes_non_ascii_like_json_dump(self, tmp_path):
+        corpus = make_corpus([make_tweet(id=1, text="caf\u00e9 \U0001F600 \ud800 \"q\"")])
+        path = tmp_path / "corpus.json"
+        corpus.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["tweets"][0]["text"] == "caf\u00e9 \U0001F600 \ud800 \"q\""
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def _saved_record(self, tmp_path, edit):
+        corpus = make_corpus([make_tweet(id=1), make_tweet(id=2)])
+        path = tmp_path / "corpus.json"
+        corpus.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload["tweets"][1])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_load_missing_field_names_file_record_and_field(self, tmp_path):
+        path = self._saved_record(tmp_path, lambda r: r.pop("lang"))
+        with pytest.raises(SchemaError) as exc:
+            Corpus.load(path)
+        assert exc.value.field == "lang"
+        assert str(path) in str(exc.value) and "tweet record 1" in str(exc.value)
+
+    def test_load_non_integer_field_names_file_record_and_field(self, tmp_path):
+        path = self._saved_record(tmp_path, lambda r: r["user"].update(followers_count="many"))
+        with pytest.raises(SchemaError) as exc:
+            Corpus.load(path)
+        assert exc.value.field == "user.followers_count"
+        msg = str(exc.value)
+        assert str(path) in msg and "tweet record 1" in msg and "user.followers_count" in msg
+
+    def test_load_truncated_file_names_file(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        make_corpus([make_tweet(id=1), make_tweet(id=2)]).save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValidationError) as exc:
+            Corpus.load(path)
+        assert str(path) in str(exc.value)
 
     def test_created_at_must_lie_within_window(self):
         from regretstream.events import Corpus

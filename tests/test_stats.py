@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretstream.errors import ValidationError
+from oracles import pairwise_mann_whitney
 from regretstream.stats import (
     Contingency2x2,
     fisher_exact,
@@ -196,6 +197,43 @@ class TestMannWhitney:
                 xs2 = xs + [min(xs + ys) - 1.0]
             res2 = mann_whitney_u(xs2, ys)
             assert res2.p_two_sided <= res.p_two_sided + 1e-12
+
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=8),
+        st.lists(st.integers(0, 4), min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_sums_equal_pairwise_exact_branch(self, xs, ys):
+        xs, ys = [x / 2 for x in xs], [float(y) for y in ys]
+        res = mann_whitney_u(xs, ys)
+        assert res.method == "mann_whitney_u_exact"
+        assert (res.statistic, res.p_two_sided) == pairwise_mann_whitney(xs, ys)
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_sums_equal_pairwise_normal_branch(self, xs, ys):
+        if len(xs) + len(ys) <= 16:
+            xs = xs + [0] * 17
+        res = mann_whitney_u(xs, ys)
+        assert res.method == "mann_whitney_u_normal"
+        assert (res.statistic, res.p_two_sided) == pairwise_mann_whitney(xs, ys)
+
+    def test_rank_sums_equal_pairwise_on_mixed_ties(self):
+        rng = np.random.default_rng(5)
+        for n1, n2 in ((1, 13), (7, 7), (3, 200), (150, 170)):
+            xs = [float(v) for v in rng.integers(0, 9, size=n1)] + [0.5]
+            ys = [int(v) for v in rng.integers(0, 9, size=n2)] + [-0.0]
+            res = mann_whitney_u(xs, ys)
+            assert (res.statistic, res.p_two_sided) == pairwise_mann_whitney(xs, ys)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError):
+            mann_whitney_u([1.0, float("nan")], [2.0, 3.0])
+        with pytest.raises(ValidationError):
+            mann_whitney_u([1.0] * 20, [2.0] * 20 + [np.nan])
 
     def test_rank_biserial_effect_bounds(self):
         res = mann_whitney_u([5, 6, 7], [1, 2, 3])

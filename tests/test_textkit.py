@@ -19,6 +19,8 @@ from regretstream.textkit import (
     tokenize,
 )
 
+from oracles import dp_edit_distance, scan_categories
+
 
 class TestTokenize:
     def test_one_of_each_class(self):
@@ -112,6 +114,33 @@ class TestEditDistance:
         for a, b in pairs:
             assert edit_distance(a, b) == oracle(a, b)
 
+    @given(st.text(max_size=90), st.text(max_size=90))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dp_on_any_text(self, a, b):
+        assert edit_distance(a, b) == dp_edit_distance(a, b)
+
+    @given(
+        st.text(alphabet="ab \U0001F600\ud800", min_size=65, max_size=200),
+        st.integers(0, 200),
+        st.integers(0, 40),
+        st.text(alphabet="ab \U0001F600\ud800", max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dp_on_long_near_pairs(self, a, start, cut, infix):
+        # more than 64 characters, so the bit vectors span machine words;
+        # astral characters and lone surrogates are single scalar values
+        b = a[:start] + infix + a[start + cut:]
+        assert edit_distance(a, b) == dp_edit_distance(a, b)
+        assert edit_distance(b, a) == dp_edit_distance(a, b)
+
+    def test_lengths_around_word_boundaries(self):
+        for n in (63, 64, 65, 127, 128, 129):
+            a = "x" * n
+            assert edit_distance(a, "") == n
+            assert edit_distance(a, a[1:]) == 1
+            assert edit_distance(a, "y" + a[1:]) == 1
+            assert edit_distance(a, "y" * n) == n
+
 
 class TestTermCosine:
     def test_identical(self):
@@ -175,6 +204,20 @@ class TestLexicon:
         base = lexicon_score(tokenize("happy car car car"), tiny_lexicon)[0]
         more = lexicon_score(tokenize("happy happy car car"), tiny_lexicon)[0]
         assert more >= base
+
+    def test_memo_equals_scan_on_mixed_case(self, resources, tiny_lexicon):
+        words = ["happy", "HAPPY", "Happiness", "happi", "sad", "Sad", "car", "",
+                 "the", "The", "THINK", "thinking", "know", "win", "damn", "I", "i"]
+        for lex in (tiny_lexicon, resources.lexicon):
+            for w in words + words:
+                assert lex.categories_for(w) == scan_categories(lex, w), w
+
+    def test_result_cannot_be_mutated(self, tiny_lexicon):
+        hits = tiny_lexicon.categories_for("happiness")
+        assert hits == {0}
+        with pytest.raises(AttributeError):
+            hits.add(1)
+        assert tiny_lexicon.categories_for("happiness") == {0}
 
     def test_scores_within_bounds(self, resources):
         toks = tokenize("happy sad the a and I you think know win damn")
