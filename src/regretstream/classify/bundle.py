@@ -159,23 +159,37 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
             fh.write(arr.tobytes())
 
 
+def _read_exact(fh, size: int, path, section: str) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValidationError(
+            f"{path}: truncated bundle: {section} needs {size} bytes, found {len(buf)}"
+        )
+    return buf
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
         if version != _VERSION:
             raise ValidationError(f"{path}: unsupported bundle version {version}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        terms_blob = fh.read(manifest["blobs"]["vocab_terms"]).decode("utf-8")
-        wordlist_blob = fh.read(manifest["blobs"]["wordlist"]).decode("utf-8")
+        (mlen,) = struct.unpack("<Q", _read_exact(fh, 8, path, "manifest length"))
+        raw = _read_exact(fh, mlen, path, "manifest")
+        try:
+            manifest = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"{path}: bundle manifest is not valid JSON: {exc}") from None
+        blobs = manifest["blobs"]
+        terms_blob = _read_exact(fh, blobs["vocab_terms"], path, "vocab_terms").decode("utf-8")
+        wordlist_blob = _read_exact(fh, blobs["wordlist"], path, "wordlist").decode("utf-8")
         arrays = {}
         for entry in manifest["arrays"]:
             dtype = np.dtype(entry["dtype"])
             count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(dtype.itemsize * count)
+            buf = _read_exact(fh, dtype.itemsize * count, path, f"array {entry['name']}")
             arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
 
     terms = terms_blob.split("\n") if terms_blob else []

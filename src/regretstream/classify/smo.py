@@ -161,6 +161,10 @@ class RbfSvmModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_values(X) > 0).astype(np.int8)
 
+    def diagnostics(self) -> dict:
+        """Training diagnostics for the metrics report."""
+        return {"algorithm": self.algorithm, "n_support": self.to_dict()["n_support"]}
+
     def to_dict(self) -> dict:
         return {
             "algorithm": self.algorithm,

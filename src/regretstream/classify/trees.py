@@ -1,9 +1,14 @@
 """Depth-limited Gini decision trees and discrete two-class AdaBoost.
 
-The tree split search is fully vectorized over (samples x features); ties
-break on the first (sorted-position, feature) pair so training is
-deterministic. AdaBoost stage weights are ln((1-eps)/eps)/2 and the
-classic exponential-loss training-error bound is checked on every fit.
+Each tree stable-sorts its non-constant feature columns once, into
+per-feature row orders (features x rows). A child node's orders are its
+parent's filtered by the split mask; stable filtering keeps the order, ties
+included, that a fresh stable sort of the child's rows would give. A node
+searches only the features that still take two values in it, vectorized
+over (features x sorted positions), and ties break on the first (sorted
+position, feature) pair, so training is deterministic. AdaBoost stage
+weights are ln((1-eps)/eps)/2 and the classic exponential-loss
+training-error bound is checked on every fit.
 """
 
 from __future__ import annotations
@@ -47,35 +52,59 @@ class DecisionTree:
         w = np.asarray(w, dtype=np.float64)
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
-        self._build(X, y, w, depth=0)
+        w_pos = w * (y > 0)
+
+        def grow(rows, cols, order, xs, depth) -> int:
+            # rows: the node's row indices, ascending; order[k]: the same rows
+            # sorted stably by column cols[k]; xs[k]: their values.
+            node = self._add_node()
+            yn, wn = y[rows], w[rows]
+            wpos = float(wn[yn > 0].sum())
+            wtot = float(wn.sum())
+            pure = wpos < _EPS or (wtot - wpos) < _EPS
+            if depth >= self.max_depth or len(rows) < 2 or pure:
+                self.value[node] = self._leaf_value(yn, wn)
+                return node
+            step = xs[:, 1:] > xs[:, :-1]
+            # A column without a step here has none in any descendant either.
+            live = step.any(axis=1)
+            cols, order, xs, step = cols[live], order[live], xs[live], step[live]
+            split = _best_split(xs, step, w[order], w_pos[order])
+            if split is None:
+                self.value[node] = self._leaf_value(yn, wn)
+                return node
+            k, thr = split
+            go_left = X[rows, cols[k]] <= thr
+            n_left = int(go_left.sum())
+            if n_left == 0 or n_left == len(rows):
+                self.value[node] = self._leaf_value(yn, wn)
+                return node
+            self.feature[node] = int(cols[k])
+            self.threshold[node] = thr
+            in_left = np.zeros(len(y), dtype=bool)
+            in_left[rows[go_left]] = True
+            in_left = in_left[order]
+            n_right = len(rows) - n_left
+            self.left[node] = grow(
+                rows[go_left], cols, order[in_left].reshape(-1, n_left),
+                xs[in_left].reshape(-1, n_left), depth + 1,
+            )
+            self.right[node] = grow(
+                rows[~go_left], cols, order[~in_left].reshape(-1, n_right),
+                xs[~in_left].reshape(-1, n_right), depth + 1,
+            )
+            return node
+
+        # A constant column never splits; NaN != NaN keeps NaN columns.
+        cols = np.flatnonzero((X != X[:1]).any(axis=0))
+        XT = X[:, cols].T
+        order = np.argsort(XT, axis=1, kind="stable")
+        grow(np.arange(len(y)), cols, order, np.take_along_axis(XT, order, axis=1), 0)
         return self
 
     @staticmethod
     def _leaf_value(y: np.ndarray, w: np.ndarray) -> float:
         return 1.0 if float(np.dot(w, y)) >= 0.0 else -1.0
-
-    def _build(self, X, y, w, depth) -> int:
-        node = self._add_node()
-        wpos = float(w[y > 0].sum())
-        wtot = float(w.sum())
-        pure = wpos < _EPS or (wtot - wpos) < _EPS
-        if depth >= self.max_depth or len(y) < 2 or pure:
-            self.value[node] = self._leaf_value(y, w)
-            return node
-        split = _best_split(X, y, w)
-        if split is None:
-            self.value[node] = self._leaf_value(y, w)
-            return node
-        j, thr = split
-        go_left = X[:, j] <= thr
-        if not go_left.any() or go_left.all():
-            self.value[node] = self._leaf_value(y, w)
-            return node
-        self.feature[node] = j
-        self.threshold[node] = thr
-        self.left[node] = self._build(X[go_left], y[go_left], w[go_left], depth + 1)
-        self.right[node] = self._build(X[~go_left], y[~go_left], w[~go_left], depth + 1)
-        return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -124,43 +153,39 @@ class DecisionTree:
         return t
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Lowest weighted-Gini split as (feature, threshold), or None.
+def _best_split(xs: np.ndarray, step: np.ndarray, ws: np.ndarray, ws_pos: np.ndarray):
+    """Lowest weighted-Gini split as (feature row, threshold), or None.
 
-    Evaluates every midpoint between adjacent distinct sorted values of
-    every feature in one vectorized pass.
+    Each row of the (features x samples) arrays holds one feature's node
+    values in ascending order, with their weights and their weights on
+    positive labels (zero on negative ones); ``step`` marks the adjacent
+    pairs whose values differ. Evaluates the midpoint of every such pair in
+    one vectorized pass. The weights must keep these Gini terms finite.
     """
-    n, n_features = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    ws = w[order]
-    wy_pos = ws * (ys > 0)
-    cum_w = np.cumsum(ws, axis=0)
-    cum_pos = np.cumsum(wy_pos, axis=0)
-    w_tot = cum_w[-1]
-    pos_tot = cum_pos[-1]
-
-    wl = cum_w[:-1]
-    pl = cum_pos[:-1]
-    wr = w_tot - wl
-    pr = pos_tot - pl
+    cum_w = np.cumsum(ws, axis=1)
+    cum_pos = np.cumsum(ws_pos, axis=1)
+    # Candidate cells position-major, so the first (position, feature)
+    # minimum wins.
+    i, k = np.nonzero(step.T)
+    wl = cum_w[k, i]
+    pl = cum_pos[k, i]
+    wr = cum_w[k, -1] - wl
+    pr = cum_pos[k, -1] - pl
     nl = wl - pl
     nr = wr - pr
-    impurity = 2.0 * (pl * nl / np.maximum(wl, _EPS) + pr * nr / np.maximum(wr, _EPS))
-    valid = (xs[1:] > xs[:-1]) & (wl > _EPS) & (wr > _EPS)
+    valid = (wl > _EPS) & (wr > _EPS)
     if not valid.any():
         return None
+    impurity = 2.0 * (pl * nl / np.maximum(wl, _EPS) + pr * nr / np.maximum(wr, _EPS))
     # Zero-gain splits are allowed (XOR-style data has no first-split gain);
     # recursion stays bounded by depth, purity, and the distinct-value check.
-    impurity = np.where(valid, impurity, np.inf)
-    flat = int(np.argmin(impurity))
-    i, j = divmod(flat, n_features)
-    thr = float((xs[i, j] + xs[i + 1, j]) / 2.0)
+    c = int(np.argmin(np.where(valid, impurity, np.inf)))
+    i, k = i[c], k[c]
+    thr = float((xs[k, i] + xs[k, i + 1]) / 2.0)
     # Guard against midpoint rounding onto the upper value.
-    if thr >= xs[i + 1, j]:
-        thr = float(xs[i, j])
-    return j, thr
+    if thr >= xs[k, i + 1]:
+        thr = float(xs[k, i])
+    return k, thr
 
 
 @dataclass
@@ -236,6 +261,16 @@ class AdaBoostModel:
         for eps in self.stage_errors:
             bound *= 2.0 * np.sqrt(max(eps, 0.0) * (1.0 - eps))
         return bound
+
+    def diagnostics(self) -> dict:
+        """Training diagnostics for the metrics report."""
+        return {
+            "algorithm": self.algorithm,
+            "rounds_used": len(self.trees),
+            "stage_errors": list(self.stage_errors),
+            "early_stop": self.early_stop,
+            "training_error_bound": float(self.training_error_bound()),
+        }
 
     def to_dict(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analytics, classify, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
-from .errors import RegretstreamError
+from .errors import ConfigError, RegretstreamError, ValidationError
 from .events import CollectionWindow, Corpus, build_corpus, link_records, parse_rfc3339, read_events
 from .features import FeatureResources
 from .resources import (
@@ -46,7 +46,12 @@ class _Parser(argparse.ArgumentParser):
 def _threads(args) -> int:
     env = os.environ.get("REGRETSTREAM_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"REGRETSTREAM_THREADS={env!r} is not an integer thread count"
+            ) from None
     if getattr(args, "threads", None):
         return max(1, args.threads)
     return os.cpu_count() or 1
@@ -228,7 +233,11 @@ def _cmd_train(args) -> int:
     bundle, metrics = classify.two_stage_train(corpus, config, args.seed, res)
     classify.save_bundle(bundle, args.out)
     if args.metrics_out:
-        _write_json(args.metrics_out, {"metrics": metrics.to_dict(), "seed": args.seed})
+        _write_json(args.metrics_out, {
+            "metrics": metrics.to_dict(),
+            "seed": args.seed,
+            "stage2": bundle.stage2.diagnostics(),
+        })
     if args.metrics_csv:
         _write_metrics_csv(args.metrics_csv, [("heldout", metrics)])
     print(json.dumps(
@@ -323,7 +332,13 @@ def _cmd_synth(args) -> int:
 def _load_train_config(args) -> "classify.TrainConfig":
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            return classify.TrainConfig.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(
+                    f"{args.config}: line {exc.lineno}: train config is not valid JSON: {exc.msg}"
+                ) from None
+        return classify.TrainConfig.from_dict(raw)
     return classify.TrainConfig()
 
 

@@ -9,6 +9,10 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+import numpy as np
+
+from regretstream.classify.trees import _EPS, DecisionTree
+
 
 def dp_edit_distance(a: str, b: str) -> int:
     """Levenshtein distance by the full dynamic-programming matrix."""
@@ -100,3 +104,74 @@ def scan_categories(lexicon, word: str) -> set[int]:
             if matched:
                 hits.add(idx)
     return hits
+
+
+class ReferenceTree(DecisionTree):
+    """The former tree builder: every node copies its rows out of X and
+    stable-argsorts the whole node matrix again to find its split."""
+
+    def fit(self, X, y, w) -> "ReferenceTree":
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        w = np.asarray(w, dtype=np.float64)
+        self.feature, self.threshold = [], []
+        self.left, self.right, self.value = [], [], []
+        _copy_build(self, X, y, w, depth=0)
+        return self
+
+
+def _copy_build(tree, X, y, w, depth) -> int:
+    node = tree._add_node()
+    wpos = float(w[y > 0].sum())
+    wtot = float(w.sum())
+    pure = wpos < _EPS or (wtot - wpos) < _EPS
+    if depth >= tree.max_depth or len(y) < 2 or pure:
+        tree.value[node] = tree._leaf_value(y, w)
+        return node
+    split = reference_best_split(X, y, w)
+    if split is None:
+        tree.value[node] = tree._leaf_value(y, w)
+        return node
+    j, thr = split
+    go_left = X[:, j] <= thr
+    if not go_left.any() or go_left.all():
+        tree.value[node] = tree._leaf_value(y, w)
+        return node
+    tree.feature[node] = j
+    tree.threshold[node] = thr
+    tree.left[node] = _copy_build(tree, X[go_left], y[go_left], w[go_left], depth + 1)
+    tree.right[node] = _copy_build(tree, X[~go_left], y[~go_left], w[~go_left], depth + 1)
+    return node
+
+
+def reference_best_split(X, y, w):
+    """Lowest weighted-Gini split as (feature, threshold), or None, from a
+    fresh stable argsort of the (samples x features) node matrix."""
+    n, n_features = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    ws = w[order]
+    wy_pos = ws * (ys > 0)
+    cum_w = np.cumsum(ws, axis=0)
+    cum_pos = np.cumsum(wy_pos, axis=0)
+    w_tot = cum_w[-1]
+    pos_tot = cum_pos[-1]
+
+    wl = cum_w[:-1]
+    pl = cum_pos[:-1]
+    wr = w_tot - wl
+    pr = pos_tot - pl
+    nl = wl - pl
+    nr = wr - pr
+    impurity = 2.0 * (pl * nl / np.maximum(wl, _EPS) + pr * nr / np.maximum(wr, _EPS))
+    valid = (xs[1:] > xs[:-1]) & (wl > _EPS) & (wr > _EPS)
+    if not valid.any():
+        return None
+    impurity = np.where(valid, impurity, np.inf)
+    flat = int(np.argmin(impurity))
+    i, j = divmod(flat, n_features)
+    thr = float((xs[i, j] + xs[i + 1, j]) / 2.0)
+    if thr >= xs[i + 1, j]:
+        thr = float(xs[i, j])
+    return j, thr

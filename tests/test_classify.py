@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regretstream.classify import (
     AdaBoostModel,
@@ -29,6 +33,7 @@ from regretstream.classify.smo import MAX_TRAIN_ROWS
 from regretstream.errors import ConfigError, InsufficientDataError, ValidationError
 
 from conftest import make_corpus, make_tweet, ts
+from oracles import ReferenceTree
 
 
 def sparse_from_rows(rows, n_cols):
@@ -268,6 +273,117 @@ class TestAdaBoost:
         np.testing.assert_allclose(model.decision_values(X), again.decision_values(X), atol=0)
 
 
+@st.composite
+def tree_problems(draw, min_rows=0, max_rows=30, levels=4, weights=None):
+    """(X, y, w, max_depth): few distinct values per column, so heavy ties."""
+    n = draw(st.integers(min_rows, max_rows))
+    n_features = draw(st.integers(1, 5))
+    values = st.integers(0, draw(st.integers(1, levels)) - 1).map(float)
+    X = draw(hnp.arrays(np.float64, (n, n_features), elements=values))
+    y = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    if weights is None:
+        weights = st.floats(1e-3, 1.0, allow_subnormal=False)
+    w = draw(hnp.arrays(np.float64, n, elements=weights))
+    return X, y, w, draw(st.integers(0, 6))
+
+
+def _fit_both(X, y, w, depth):
+    tree = DecisionTree(max_depth=depth).fit(X, y, w).to_dict()
+    assert tree == ReferenceTree(max_depth=depth).fit(X, y, w).to_dict()
+    return tree
+
+
+class TestTreeMatchesOracle:
+    """The presorted split search builds exactly the tree that a fresh
+    stable argsort of every node's matrix builds."""
+
+    @given(tree_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_heavy_ties(self, problem):
+        _fit_both(*problem)
+
+    @given(tree_problems(levels=2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_globally_constant_columns(self, problem, data):
+        X, y, w, depth = problem
+        constant = data.draw(hnp.arrays(bool, X.shape[1]))
+        X[:, constant] = data.draw(st.sampled_from([-1.0, 0.0, 2.5]))
+        _fit_both(X, y, w, depth)
+
+    @given(tree_problems(min_rows=1))
+    @settings(max_examples=100, deadline=None)
+    def test_all_constant_x_is_one_leaf_over_all_rows(self, problem):
+        X, y, w, depth = problem
+        X[:] = 3.0
+        tree = _fit_both(X, y, w, depth)
+        assert tree["feature"] == [-1]
+        assert tree["value"] == [1.0 if float(np.dot(w, y)) >= 0.0 else -1.0]
+
+    @given(tree_problems(min_rows=4, levels=2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_columns_constant_inside_a_node(self, problem, data):
+        X, y, w, depth = problem
+        # column 1 varies only where column 0 is 1, so it is constant on one
+        # side of a split on column 0
+        side = data.draw(hnp.arrays(np.float64, len(X), elements=st.sampled_from([0.0, 1.0])))
+        X = np.column_stack([side, np.where(side > 0, X[:, 0], 7.0), X])
+        _fit_both(X, y, w, depth)
+
+    @given(tree_problems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_duplicated_columns(self, problem, data):
+        X, y, w, depth = problem
+        picks = data.draw(st.lists(st.integers(0, X.shape[1] - 1), min_size=2, max_size=6))
+        _fit_both(X[:, picks], y, w, depth)
+
+    @given(tree_problems(min_rows=2, max_rows=2, levels=3))
+    @settings(max_examples=80, deadline=None)
+    def test_two_rows(self, problem):
+        _fit_both(*problem)
+
+    @given(tree_problems(weights=st.floats(-300.0, 100.0).map(lambda e: 10.0 ** e)))
+    @settings(max_examples=150, deadline=None)
+    def test_extreme_weights(self, problem):
+        _fit_both(*problem)
+
+    @given(tree_problems(levels=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nan_values(self, problem, data):
+        X, y, w, depth = problem
+        X[data.draw(hnp.arrays(bool, X.shape))] = np.nan
+        _fit_both(X, y, w, depth)
+
+    @given(tree_problems(min_rows=2, levels=3), st.integers(1, 4), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_adaboost(self, problem, depth, rounds):
+        X, y, _, _ = problem
+        y01 = (y > 0).astype(int)
+        y01[:2] = [0, 1]
+
+        def fit():
+            try:
+                return AdaBoostModel(max_depth=depth, rounds=rounds).fit(X, y01).to_dict()
+            except ValidationError as exc:
+                return str(exc)
+
+        with mock.patch("regretstream.classify.trees.DecisionTree", ReferenceTree):
+            expected = fit()
+        assert fit() == expected
+
+    def test_adaboost_on_continuous_and_constant_columns(self):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([
+            rng.normal(size=300), rng.integers(0, 2, 300), np.zeros(300),
+            rng.integers(0, 20, 300), np.full(300, 4.0),
+        ]).astype(float)
+        y = ((X[:, 0] > 0.2) ^ (X[:, 1] > 0) ^ (rng.random(300) < 0.15)).astype(int)
+        model = AdaBoostModel(max_depth=3, rounds=25).fit(X, y)
+        with mock.patch("regretstream.classify.trees.DecisionTree", ReferenceTree):
+            expected = AdaBoostModel(max_depth=3, rounds=25).fit(X, y)
+        assert model.to_dict() == expected.to_dict()
+        assert len(model.trees) > 1
+
+
 class TestRbfSvm:
     def _blobs(self, n=120, seed=6):
         rng = np.random.default_rng(seed)
@@ -301,6 +417,14 @@ class TestRbfSvm:
         assert scaler2 is None
         with pytest.raises(ConfigError):
             train_stage2(X_train, y_train, "mlp", {})
+
+    def test_diagnostics_report_support_vectors(self):
+        X, y = self._blobs(80, seed=8)
+        model = RbfSvmModel(c=10.0, gamma=0.5).fit(X, y)
+        assert model.diagnostics() == {
+            "algorithm": "rbf_svm", "n_support": len(model.support_vectors),
+        }
+        assert 0 < model.diagnostics()["n_support"] <= len(X)
 
 
 class TestEvaluate:

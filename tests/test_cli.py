@@ -246,6 +246,68 @@ class TestTrainPredictAblate:
         assert bundle.read_bytes()[:4] == b"RSB1"
         payload = json.loads(metrics.read_text())
         assert 0.0 <= payload["metrics"]["f1"] <= 1.0
+        model = classify.load_bundle(bundle).stage2
+        stage2 = payload["stage2"]
+        assert stage2 == {
+            "algorithm": "adaboost",
+            "rounds_used": len(model.trees),
+            "stage_errors": model.stage_errors,
+            "early_stop": model.early_stop,
+            "training_error_bound": model.training_error_bound(),
+        }
+        assert 1 <= stage2["rounds_used"] <= 8
+        assert all(0.0 <= e < 0.5 for e in stage2["stage_errors"])
+
+    def test_truncated_bundle_exits_1(self, workdir, train_config_path, tmp_path, capsys):
+        bundle = tmp_path / "model.rsb1"
+        assert main([
+            "train", "--corpus", str(workdir / "cleaned.json"),
+            "--config", str(train_config_path), "--seed", "7", "--out", str(bundle),
+        ]) == 0
+        data = bundle.read_bytes()
+        header = 16 + int.from_bytes(data[8:16], "little")
+        offsets = {
+            "magic": 2, "version": 6, "manifest length": 12, "manifest": header - 40,
+            "vocab_terms": header + 3, "array": len(data) - 9,
+        }
+        capsys.readouterr()
+        for section, cut in offsets.items():
+            short = tmp_path / f"cut{cut}.rsb1"
+            short.write_bytes(data[:cut])
+            code = main([
+                "predict", "--bundle", str(short),
+                "--events", str(workdir / "events.jsonl"), "--out", str(tmp_path / "p.jsonl"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 1, section
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert str(short) in err
+            assert (section if section != "magic" else "bad magic") in err
+
+    def test_train_config_not_json_exits_1(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text('{\n  "n_per_class": 50,\n  {bad\n')
+        code = main([
+            "train", "--corpus", str(workdir / "cleaned.json"),
+            "--config", str(cfg), "--out", str(tmp_path / "m.rsb1"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{cfg}: line 3" in err
+
+    def test_non_integer_threads_env_exits_1(self, workdir, train_config_path, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.setenv("REGRETSTREAM_THREADS", "abc")
+        code = main([
+            "ablate", "--corpus", str(workdir / "cleaned.json"),
+            "--config", str(train_config_path),
+            "--groups", "user", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "REGRETSTREAM_THREADS='abc'" in err
 
     def test_train_deterministic_across_threads(self, workdir, train_config_path, tmp_path):
         outs = []
