@@ -38,13 +38,13 @@ window = CollectionWindow(
 )
 corpus = build_corpus([parse_event(json.dumps(e)) for e in events], window)
 cleaned, _ = run_cleanup(corpus, CleanupConfig(client_whitelist=load_default_whitelist()))
-resources = load_default_resources()
+cache = analytics.MeasurementCache(load_default_resources())
 
 deleters, non_deleters = analytics.partition_users(cleaned)
 print(f"deleters: {len(deleters)}  non-deleters: {len(non_deleters)}")
 
 # Structural NTD/NUD rows (hashtags, urls, mentions, replies).
-rows = analytics.group_compare_report(cleaned, analytics.structural_extractors(), resources)
+rows = analytics.group_compare_report(cleaned, analytics.structural_extractors(), cache)
 for row in rows:
     ntd = f"{row['ntd']:+7.2f}%" if row["ntd"] is not None else "   n/a "
     nud = f"{row['nud']:+7.2f}%" if row.get("nud") is not None else "   n/a "
@@ -67,7 +67,7 @@ print(f"tweets posted 20:00-06:00 UTC: deleted {late_night(deleted_hist):.1f}% "
 report = analytics.response_report(cleaned)
 print(f"replied-to: deleted {report.deleted.pct_with_replies:.1f}% "
       f"vs kept {report.non_deleted.pct_with_replies:.1f}%")
-split = analytics.reply_sentiment_split(cleaned, resources.valence)
+split = analytics.reply_sentiment_split(cleaned, cache)
 print(f"negative first replies: deleted {split['deleted']['pct_negative']:.1f}% "
       f"vs kept {split['non_deleted']['pct_negative']:.1f}%")
 

@@ -7,7 +7,6 @@ tally, temporal histograms, response statistics, and annotation aggregation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,6 +130,21 @@ def _prevalence(attr: AttributeExtractor, tweets, cache) -> tuple[float, tuple[i
     raise ValidationError(f"attribute kind {attr.kind} has no prevalence")
 
 
+def _compare(attr: AttributeExtractor, del_tweets, nondel_tweets, cache, alpha):
+    """(deleted value, non-deleted value, test): medians with Mann-Whitney U
+    for scalar attributes, prevalences with Fisher's exact test otherwise (a
+    side with no tokens is an empty row, which ``Contingency2x2`` rejects)."""
+    if attr.kind == "scalar":
+        dv = [float(attr.fn(t, cache.get(t))) for t in del_tweets]
+        nv = [float(attr.fn(t, cache.get(t))) for t in nondel_tweets]
+        test = mann_whitney_u(dv, nv, alpha)
+        return median(dv), median(nv), test
+    dfrac, (dnum, dden) = _prevalence(attr, del_tweets, cache)
+    nfrac, (nnum, nden) = _prevalence(attr, nondel_tweets, cache)
+    test = fisher_exact(Contingency2x2(dnum, dden - dnum, nnum, nden - nnum), alpha)
+    return dfrac, nfrac, test
+
+
 def ntd(
     attr: AttributeExtractor,
     del_tweets,
@@ -138,25 +152,13 @@ def ntd(
     cache: MeasurementCache,
     alpha: float = 0.05,
 ) -> tuple[float, TestResult]:
-    """Aggregate normalized tweet difference plus the attached test.
-
-    Binary and token-fraction attributes use prevalences with Fisher's exact
-    test; scalar attributes use medians with Mann-Whitney U.
-    """
+    """Aggregate normalized tweet difference plus the attached test."""
     del_tweets = list(del_tweets)
     nondel_tweets = list(nondel_tweets)
     if not del_tweets or not nondel_tweets:
         raise ValidationError("both tweet sets must be non-empty")
-    if attr.kind == "scalar":
-        dv = [float(attr.fn(t, cache.get(t))) for t in del_tweets]
-        nv = [float(attr.fn(t, cache.get(t))) for t in nondel_tweets]
-        test = mann_whitney_u(dv, nv, alpha)
-        return ntd_value(median(dv), median(nv)), test
-    dfrac, (dnum, dden) = _prevalence(attr, del_tweets, cache)
-    nfrac, (nnum, nden) = _prevalence(attr, nondel_tweets, cache)
-    table = Contingency2x2(dnum, dden - dnum, nnum, nden - nnum)
-    test = fisher_exact(table, alpha)
-    return ntd_value(dfrac, nfrac), test
+    dval, nval, test = _compare(attr, del_tweets, nondel_tweets, cache, alpha)
+    return ntd_value(dval, nval), test
 
 
 @dataclass
@@ -170,22 +172,15 @@ class NudDetail:
 
 def _user_direction(attr, del_tweets, nondel_tweets, cache, alpha) -> int:
     """+1 if significantly higher in deleted, -1 if in non-deleted, else 0."""
-    if attr.kind == "scalar":
-        dv = [float(attr.fn(t, cache.get(t))) for t in del_tweets]
-        nv = [float(attr.fn(t, cache.get(t))) for t in nondel_tweets]
-        test = mann_whitney_u(dv, nv, alpha)
-        if not test.significant:
-            return 0
-        dm, nm = median(dv), median(nv)
-        return 1 if dm > nm else (-1 if dm < nm else 0)
-    dfrac, (dnum, dden) = _prevalence(attr, del_tweets, cache)
-    nfrac, (nnum, nden) = _prevalence(attr, nondel_tweets, cache)
-    if dden == 0 or nden == 0:
-        return 0
-    test = fisher_exact(Contingency2x2(dnum, dden - dnum, nnum, nden - nnum), alpha)
+    try:
+        dval, nval, test = _compare(attr, del_tweets, nondel_tweets, cache, alpha)
+    except ValidationError:
+        if attr.kind == "scalar":
+            raise
+        return 0  # an empty contingency row: no tokens on one side
     if not test.significant:
         return 0
-    return 1 if dfrac > nfrac else (-1 if dfrac < nfrac else 0)
+    return 1 if dval > nval else (-1 if dval < nval else 0)
 
 
 def nud(
@@ -226,19 +221,17 @@ def nud(
 def group_compare_report(
     corpus: Corpus,
     attrs,
-    resources,
+    cache: MeasurementCache,
     alpha: float = 0.05,
-    deleter_set_only: bool = True,
 ) -> list[dict]:
     """NTD and NUD rows for each attribute.
 
-    When ``deleter_set_only`` the tweet-level comparison is restricted to
-    tweets posted by deleter-set users. NUD rows that are undefined for an
-    attribute carry ``nud: null`` plus the reason instead of failing.
+    The tweet-level comparison is restricted to tweets posted by deleter-set
+    users. NUD rows that are undefined for an attribute carry ``nud: null``
+    plus the reason instead of failing.
     """
-    cache = MeasurementCache(resources)
     deleters, _ = partition_users(corpus)
-    pool = [t for t in corpus if (not deleter_set_only) or t.user_id in deleters]
+    pool = [t for t in corpus if t.user_id in deleters]
     del_tweets = [t for t in pool if t.deleted]
     nondel_tweets = [t for t in pool if not t.deleted]
     rows = []
@@ -307,7 +300,7 @@ def _ccdf(values) -> list[tuple[float, float]]:
 
 def user_group_compare(
     corpus: Corpus,
-    metric,
+    metric: str,
     deleters: set[int],
     non_deleters: set[int],
     alpha: float = 0.05,
@@ -315,16 +308,10 @@ def user_group_compare(
     """Compare one per-user metric between the two user groups."""
     if not deleters or not non_deleters:
         raise ValidationError("both user groups must be non-empty")
-    if callable(metric):
-        name = getattr(metric, "__name__", "custom")
-        dv = [float(metric(u)) for u in sorted(deleters)]
-        nv = [float(metric(u)) for u in sorted(non_deleters)]
-    else:
-        name = metric
-        dv = [_user_metric(corpus, u, metric) for u in sorted(deleters)]
-        nv = [_user_metric(corpus, u, metric) for u in sorted(non_deleters)]
+    dv = [_user_metric(corpus, u, metric) for u in sorted(deleters)]
+    nv = [_user_metric(corpus, u, metric) for u in sorted(non_deleters)]
     return GroupDistribution(
-        metric=name,
+        metric=metric,
         median_deleters=median(dv),
         median_non_deleters=median(nv),
         test=mann_whitney_u(dv, nv, alpha),
@@ -343,8 +330,7 @@ def load_trait_map(path: str | Path) -> dict[str, list[str]]:
     The mapped symbols describe the trait direction associated with a HIGHER
     attribute value; the tally flips them when the deleter median is lower.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = textkit.load_json(path)
     out = {}
     for attr, symbols in raw.items():
         for s in symbols:
@@ -383,16 +369,15 @@ def trait_tally(
     return tally, unmapped
 
 
-def user_category_medians(corpus: Corpus, resources, deleters, non_deleters) -> dict:
+def user_category_medians(corpus: Corpus, cache: MeasurementCache, deleters, non_deleters) -> dict:
     """Per-group medians of per-user linguistic usage (trait-tally input).
 
     For each user: percentage of their word tokens in each lexicon category,
     plus percentages of their tweets with positive/negative sentiment and
     with hashtags/urls. Medians are taken per group.
     """
-    cache = MeasurementCache(resources)
     per_user: dict[int, dict[str, float]] = {}
-    names = resources.lexicon.category_names
+    names = cache.resources.lexicon.category_names
     for user_id in corpus.user_ids():
         timeline = corpus.tweets_of(user_id)
         counts = [0] * textkit.Lexicon.SIZE
@@ -493,19 +478,17 @@ class ResponseReport:
 def response_report(corpus: Corpus) -> ResponseReport:
     """Response-rate and latency statistics per deletion group."""
 
-    def group_stats(tweets) -> ResponseGroupStats:
+    def first_reply_latencies(tweets) -> list[float]:
+        firsts = ((t, _first_reply(corpus, t)) for t in tweets if t.reply_ids)
+        return [(f.created_at - t.created_at).total_seconds() for t, f in firsts if f is not None]
+
+    def group_stats(tweets, latencies) -> ResponseGroupStats:
         n = len(tweets)
         if n == 0:
             return ResponseGroupStats(0, 0.0, 0.0, 0.0, None)
-        with_replies = [t for t in tweets if t.reply_ids]
-        latencies = []
-        for t in with_replies:
-            first = _first_reply(corpus, t)
-            if first is not None:
-                latencies.append((first.created_at - t.created_at).total_seconds())
         return ResponseGroupStats(
             n=n,
-            pct_with_replies=100.0 * len(with_replies) / n,
+            pct_with_replies=100.0 * sum(1 for t in tweets if t.reply_ids) / n,
             pct_with_retweets=100.0 * sum(1 for t in tweets if t.retweet_ids) / n,
             pct_with_quotes=100.0 * sum(1 for t in tweets if t.quote_ids) / n,
             median_first_reply_sec=median(latencies) if latencies else None,
@@ -513,24 +496,21 @@ def response_report(corpus: Corpus) -> ResponseReport:
 
     deleted = [t for t in corpus if t.deleted]
     non_deleted = [t for t in corpus if not t.deleted]
-    all_latencies = []
-    for t in corpus:
-        if t.reply_ids:
-            first = _first_reply(corpus, t)
-            if first is not None:
-                all_latencies.append((first.created_at - t.created_at).total_seconds())
+    del_latencies = first_reply_latencies(deleted)
+    nondel_latencies = first_reply_latencies(non_deleted)
+    all_latencies = del_latencies + nondel_latencies
     lags = [t.deletion_lag_sec for t in deleted]
     lags_replied = [t.deletion_lag_sec for t in deleted if t.reply_ids]
     return ResponseReport(
-        deleted=group_stats(deleted),
-        non_deleted=group_stats(non_deleted),
+        deleted=group_stats(deleted, del_latencies),
+        non_deleted=group_stats(non_deleted, nondel_latencies),
         median_first_reply_sec_all=median(all_latencies) if all_latencies else None,
         median_deletion_lag_sec=median(lags) if lags else None,
         median_deletion_lag_sec_replied=median(lags_replied) if lags_replied else None,
     )
 
 
-def reply_sentiment_split(corpus: Corpus, valence: dict[str, float]) -> dict:
+def reply_sentiment_split(corpus: Corpus, cache: MeasurementCache) -> dict:
     """Per-group percentages of first replies with positive/negative tone.
 
     Only tweets with at least one reply count; a first reply scoring exactly
@@ -546,7 +526,7 @@ def reply_sentiment_split(corpus: Corpus, valence: dict[str, float]) -> dict:
             first = _first_reply(corpus, t)
             if first is None:
                 continue
-            s = textkit.sentiment_score(textkit.tokenize(first.text), valence)
+            s = cache.get(first).sentiment()
             if s > 0:
                 pos += 1
             elif s < 0:
@@ -571,13 +551,7 @@ ANSWERS = ("yes", "no", "cant_say")
 
 
 def load_annotations(path: str | Path) -> list[dict]:
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                items.append(json.loads(line))
-    return items
+    return textkit.load_jsonl(path)
 
 
 def _majority(answers) -> str | None:

@@ -19,7 +19,15 @@ import numpy as np
 from .. import textkit
 from ..errors import ValidationError
 from ..events import format_rfc3339, parse_rfc3339
-from ..features import DERIVED_SLOT, FeatureResources, Vocabulary, featurize_corpus
+from ..features import (
+    DERIVED_SLOT,
+    FeatureResources,
+    Vocabulary,
+    _read_arrays,
+    _read_exact,
+    _read_header,
+    featurize_corpus,
+)
 from .pipeline import DenseScaler, EvalMetrics, TrainConfig, stage2_design
 from .smo import RbfSvmModel
 from .stage1 import LinearSvmModel, NaiveBayesModel, SparseRows, derived_feature
@@ -159,38 +167,22 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh, size: int, path, section: str) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ValidationError(
-            f"{path}: truncated bundle: {section} needs {size} bytes, found {len(buf)}"
-        )
-    return buf
-
-
 def load_bundle(path: str | Path) -> ModelBundle:
+    """Read an RSB1 file; a short section or a manifest that is not JSON or
+    lacks or mistypes a field raises ValidationError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
-        if version != _VERSION:
-            raise ValidationError(f"{path}: unsupported bundle version {version}")
-        (mlen,) = struct.unpack("<Q", _read_exact(fh, 8, path, "manifest length"))
-        raw = _read_exact(fh, mlen, path, "manifest")
+        manifest = _read_header(fh, path, _MAGIC, _VERSION, "bundle")
         try:
-            manifest = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"{path}: bundle manifest is not valid JSON: {exc}") from None
-        blobs = manifest["blobs"]
-        terms_blob = _read_exact(fh, blobs["vocab_terms"], path, "vocab_terms").decode("utf-8")
-        wordlist_blob = _read_exact(fh, blobs["wordlist"], path, "wordlist").decode("utf-8")
-        arrays = {}
-        for entry in manifest["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = _read_exact(fh, dtype.itemsize * count, path, f"array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
+            return _decode_bundle(fh, path, manifest)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: invalid bundle manifest: {exc!r}") from None
+
+
+def _decode_bundle(fh, path, manifest: dict) -> ModelBundle:
+    blobs = manifest["blobs"]
+    terms_blob = _read_exact(fh, blobs["vocab_terms"], path, "vocab_terms").decode("utf-8")
+    wordlist_blob = _read_exact(fh, blobs["wordlist"], path, "wordlist").decode("utf-8")
+    arrays = _read_arrays(fh, path, manifest["arrays"])
 
     terms = terms_blob.split("\n") if terms_blob else []
     df = arrays["vocab_df"].astype(np.int64)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analytics, classify, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
-from .errors import ConfigError, RegretstreamError, ValidationError
+from .errors import ConfigError, RegretstreamError
 from .events import CollectionWindow, Corpus, build_corpus, link_records, parse_rfc3339, read_events
 from .features import FeatureResources
 from .resources import (
@@ -96,8 +96,7 @@ def _cmd_clean(args) -> int:
     corpus = Corpus.load(args.corpus)
     whitelist = load_whitelist(args.whitelist) if args.whitelist else load_default_whitelist()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = textkit.load_json(args.config)
         raw.setdefault("client_whitelist", sorted(whitelist))
         cfg = CleanupConfig.from_dict(raw)
     else:
@@ -138,12 +137,13 @@ def _cmd_analyze(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     deleters, non_deleters = analytics.partition_users(corpus)
+    cache = features.MeasurementCache(res)  # one record per tweet for the whole run
 
     if "ntd" in metrics or "nud" in metrics:
         attrs = analytics.structural_extractors()
         if not args.structural_only:
             attrs += analytics.linguistic_extractors(res)
-        rows = analytics.group_compare_report(corpus, attrs, res, alpha=args.alpha)
+        rows = analytics.group_compare_report(corpus, attrs, cache, alpha=args.alpha)
         if "ntd" not in metrics:
             for row in rows:
                 row.pop("ntd", None)
@@ -196,7 +196,7 @@ def _cmd_analyze(args) -> int:
 
     if "response" in metrics:
         report = analytics.response_report(corpus).to_dict()
-        report["reply_sentiment"] = analytics.reply_sentiment_split(corpus, res.valence)
+        report["reply_sentiment"] = analytics.reply_sentiment_split(corpus, cache)
         _write_json(outdir / "response.json", report)
 
     if "traits" in metrics:
@@ -205,7 +205,7 @@ def _cmd_analyze(args) -> int:
             if args.traits_map
             else load_default_trait_map()
         )
-        medians = analytics.user_category_medians(corpus, res, deleters, non_deleters)
+        medians = analytics.user_category_medians(corpus, cache, deleters, non_deleters)
         # Keep only attributes the map knows plus the non-lexicon rows.
         tally, unmapped = analytics.trait_tally(medians, trait_map)
         _write_json(
@@ -331,14 +331,7 @@ def _cmd_synth(args) -> int:
 
 def _load_train_config(args) -> "classify.TrainConfig":
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{args.config}: line {exc.lineno}: train config is not valid JSON: {exc.msg}"
-                ) from None
-        return classify.TrainConfig.from_dict(raw)
+        return classify.TrainConfig.from_dict(textkit.load_json(args.config))
     return classify.TrainConfig()
 
 

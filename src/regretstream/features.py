@@ -210,14 +210,14 @@ class TweetMeasurements:
 class MeasurementCache:
     """Per-tweet records kept by tweet id, for analytics that revisit tweets."""
 
-    def __init__(self, resources):
-        self._res = resources
+    def __init__(self, resources: FeatureResources):
+        self.resources = resources
         self._cache: dict[int, TweetMeasurements] = {}
 
     def get(self, tweet: TweetRecord) -> TweetMeasurements:
         m = self._cache.get(tweet.id)
         if m is None:
-            m = TweetMeasurements(tweet, self._res)
+            m = TweetMeasurements(tweet, self.resources)
             self._cache[tweet.id] = m
         return m
 
@@ -421,29 +421,58 @@ def save_feature_matrix(m: FeatureMatrix, path: str | Path) -> None:
             fh.write(arr.tobytes())
 
 
+def _read_exact(fh, size: int, path, section: str) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValidationError(
+            f"{path}: truncated file: {section} needs {size} bytes, found {len(buf)}"
+        )
+    return buf
+
+
+def _read_header(fh, path, magic: bytes, version: int, kind: str) -> dict:
+    """Check a container's magic and version and return its JSON manifest."""
+    found = fh.read(len(magic))
+    if found != magic:
+        raise ValidationError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    (found_version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
+    if found_version != version:
+        raise ValidationError(f"{path}: unsupported {kind} version {found_version}")
+    (mlen,) = struct.unpack("<Q", _read_exact(fh, 8, path, "manifest length"))
+    raw = _read_exact(fh, mlen, path, "manifest")
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValidationError(f"{path}: {kind} manifest is not valid JSON: {exc}") from None
+
+
+def _read_arrays(fh, path, entries) -> dict[str, np.ndarray]:
+    """The arrays the manifest ``entries`` describe, read in order."""
+    arrays = {}
+    for entry in entries:
+        dtype = np.dtype(entry["dtype"])
+        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        buf = _read_exact(fh, dtype.itemsize * count, path, f"array {entry['name']}")
+        arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
+    return arrays
+
+
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
+    """Read an RSF1 file; a short section or a manifest that is not JSON or
+    lacks a field raises ValidationError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValidationError(f"{path}: unsupported feature-matrix version {version}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        arrays = {}
-        for entry in manifest["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(dtype.itemsize * count)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
-    return FeatureMatrix(
-        tweet_ids=arrays["tweet_ids"].astype(np.int64),
-        labels=arrays["labels"].astype(np.int8),
-        sparse_indptr=arrays["sparse_indptr"].astype(np.int64),
-        sparse_indices=arrays["sparse_indices"].astype(np.int64),
-        sparse_data=arrays["sparse_data"].astype(np.float64),
-        dense=arrays["dense"].astype(np.float64),
-        response=arrays.get("response").astype(np.float64) if "response" in arrays else None,
-        vocab_size=int(manifest["vocab_size"]),
-    )
+        manifest = _read_header(fh, path, _MAGIC, _VERSION, "feature-matrix")
+        try:
+            arrays = _read_arrays(fh, path, manifest["arrays"])
+            return FeatureMatrix(
+                tweet_ids=arrays["tweet_ids"].astype(np.int64),
+                labels=arrays["labels"].astype(np.int8),
+                sparse_indptr=arrays["sparse_indptr"].astype(np.int64),
+                sparse_indices=arrays["sparse_indices"].astype(np.int64),
+                sparse_data=arrays["sparse_data"].astype(np.float64),
+                dense=arrays["dense"].astype(np.float64),
+                response=arrays["response"].astype(np.float64) if "response" in arrays else None,
+                vocab_size=int(manifest["vocab_size"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: invalid feature-matrix manifest: {exc!r}") from None

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textkit
 from .cleanup import CleanupConfig, near_duplicate
 from .errors import ConfigError
 
@@ -129,8 +130,7 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(textkit.load_json(path))
 
 
 @dataclass

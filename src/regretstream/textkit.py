@@ -2,7 +2,8 @@
 
 Everything here is a pure function of its inputs: tokenizing, Levenshtein
 distance, term-frequency cosine, lexicon category scoring, valence
-sentiment, part-of-speech tagging, and lexical-density statistics.
+sentiment, part-of-speech tagging, and lexical-density statistics. The
+JSON readers here are the ones every JSON and JSON Lines input goes through.
 """
 
 from __future__ import annotations
@@ -147,6 +148,29 @@ def term_cosine(a: str, b: str) -> float:
     return dot / (na * nb)
 
 
+def _parse_json(text: str, path, line: int = 1):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: line {line + exc.lineno - 1}: not valid JSON: {exc.msg}"
+        ) from None
+
+
+def load_json(path: str | Path):
+    """The value in a JSON file; malformed JSON raises ValidationError naming
+    the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_json(fh.read(), path)
+
+
+def load_jsonl(path: str | Path) -> list:
+    """The values on the non-blank lines of a JSON Lines file; a malformed
+    line raises ValidationError naming the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        return [_parse_json(text, path, n) for n, text in enumerate(fh, 1) if text.strip()]
+
+
 class Lexicon:
     """Closed-vocabulary category lexicon (64 categories, prefix wildcards).
 
@@ -198,8 +222,7 @@ class Lexicon:
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load the JSON lexicon format: {"categories": [{"name", "patterns"}]}."""
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = load_json(path)
         cats = [(c["name"], list(c["patterns"])) for c in raw["categories"]]
         return cls(cats)
 
@@ -227,8 +250,7 @@ def lexicon_score(tokens: TokenList, lex: Lexicon) -> list[float]:
 
 def load_valence(path: str | Path) -> dict[str, float]:
     """Load a JSON word -> valence score table."""
-    with open(path, encoding="utf-8") as fh:
-        table = json.load(fh)
+    table = load_json(path)
     return {str(k).lower(): float(v) for k, v in table.items()}
 
 
@@ -369,14 +391,7 @@ class PretaggedStore:
 
     @classmethod
     def from_file(cls, path: str | Path, tagset=DEFAULT_TAGSET) -> "PretaggedStore":
-        tags_by_id: dict[int, list[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                tags_by_id[int(rec["id"])] = [str(t) for t in rec["tags"]]
+        tags_by_id = {int(rec["id"]): [str(t) for t in rec["tags"]] for rec in load_jsonl(path)}
         return cls(tags_by_id, tagset)
 
 

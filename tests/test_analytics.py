@@ -403,7 +403,7 @@ class TestReplySentimentSplit:
     def test_all_positive(self, resources):
         target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), deleted=True, reply_ids=(2,))
         reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="good stuff", in_reply_to_id=1)
-        split = reply_sentiment_split(make_corpus([target, reply]), resources.valence)
+        split = reply_sentiment_split(make_corpus([target, reply]), MeasurementCache(resources))
         assert split["deleted"]["pct_positive"] == pytest.approx(100.0)
         assert split["deleted"]["pct_negative"] == 0.0
 
@@ -416,14 +416,14 @@ class TestReplySentimentSplit:
             make_tweet(id=12, user_id=2, created_at=ts(hours=5), text="great", in_reply_to_id=2),
             make_tweet(id=13, user_id=2, created_at=ts(hours=6), text="awful", in_reply_to_id=3),
         ]
-        split = reply_sentiment_split(make_corpus(tweets), resources.valence)
+        split = reply_sentiment_split(make_corpus(tweets), MeasurementCache(resources))
         assert split["deleted"]["pct_positive"] == pytest.approx(200 / 3, abs=0.01)
         assert split["deleted"]["pct_negative"] == pytest.approx(100 / 3, abs=0.01)
 
     def test_zero_score_counted_separately(self, resources):
         target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), reply_ids=(2,))
         reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="neutral words", in_reply_to_id=1)
-        split = reply_sentiment_split(make_corpus([target, reply]), resources.valence)
+        split = reply_sentiment_split(make_corpus([target, reply]), MeasurementCache(resources))
         g = split["non_deleted"]
         assert g["pct_zero"] == pytest.approx(100.0)
         assert g["pct_positive"] == 0.0 and g["pct_negative"] == 0.0
@@ -492,7 +492,7 @@ class TestAggregateAnnotations:
 class TestGroupCompareReport:
     def test_rows_shape_on_synth(self, synth_small, resources):
         attrs = analytics.structural_extractors()
-        rows = analytics.group_compare_report(synth_small.cleaned, attrs, resources)
+        rows = analytics.group_compare_report(synth_small.cleaned, attrs, MeasurementCache(resources))
         names = [r["attribute"] for r in rows]
         assert "tweets_w_hashtags" in names and "replies" in names
         for row in rows:
@@ -505,3 +505,56 @@ class TestGroupCompareReport:
         assert "lexical_density" in names
         assert "pos_proper_noun" in names
         assert "lexicon_swear" in names
+
+
+class TestSharedMeasurements:
+    def test_analyze_tokenizes_each_text_once(self, synth_small, tmp_path, monkeypatch):
+        from regretstream import textkit
+        from regretstream.cli import main
+
+        path = tmp_path / "cleaned.json"
+        synth_small.cleaned.save(path)
+        calls = []
+        tokenize = textkit.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(textkit, "tokenize", counting)
+        assert main(["analyze", "--corpus", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == len({t.text for t in synth_small.cleaned})
+        assert len(calls) == len(set(calls))
+
+    def test_ntd_row_with_no_words_on_one_side_keeps_error(self, resources):
+        words_attr = analytics.linguistic_extractors(resources)[-1]
+        assert words_attr.kind == "token_fraction" and words_attr.name.startswith("lexicon_")
+        tweets = [
+            make_tweet(id=1, deleted=True, text="123 !!"),
+            make_tweet(id=2, deleted=True, text="42"),
+            make_tweet(id=3, text="good words here"),
+        ]
+        (row,) = analytics.group_compare_report(
+            make_corpus(tweets), [words_attr], MeasurementCache(resources)
+        )
+        assert row["ntd"] is None
+        assert row["ntd_error"] == "each row of the contingency table must be nonempty"
+
+    def test_nud_user_with_no_words_on_one_side_not_flagged(self, resources):
+        good = AttributeExtractor(
+            "good_words", "token_fraction",
+            lambda t, m: (m.tokens.words().count("good"), m.n_words),
+        )
+        tweets = []
+        for i in range(12):
+            # user 1: no word tokens in any deleted tweet
+            tweets.append(make_tweet(id=100 + i, user_id=1, deleted=True, text="123"))
+            tweets.append(make_tweet(id=200 + i, user_id=1, text="good day"))
+            # user 2: "good" only in kept tweets, so flagged on the kept side
+            tweets.append(make_tweet(id=300 + i, user_id=2, deleted=True, text="bad day"))
+            tweets.append(make_tweet(id=400 + i, user_id=2, text="good good"))
+        value, detail = nud(good, make_corpus(tweets), MeasurementCache(resources))
+        assert set(detail.eligible_users) == {1, 2}
+        assert detail.higher_in_nondeleted == [2]
+        assert detail.higher_in_deleted == []
+        assert value == pytest.approx(-100.0)

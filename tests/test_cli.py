@@ -284,6 +284,27 @@ class TestTrainPredictAblate:
             assert str(short) in err
             assert (section if section != "magic" else "bad magic") in err
 
+    @pytest.mark.parametrize("manifest", [
+        {},
+        {"blobs": "vocab_terms"},
+        {"blobs": {"vocab_terms": "3", "wordlist": 0}, "arrays": []},
+    ])
+    def test_bundle_manifest_missing_or_mistyped_keys_exits_1(self, workdir, tmp_path,
+                                                               capsys, manifest):
+        raw = json.dumps(manifest).encode("utf-8")
+        bundle = tmp_path / "model.rsb1"
+        bundle.write_bytes(
+            b"RSB1" + (1).to_bytes(4, "little") + len(raw).to_bytes(8, "little") + raw
+        )
+        code = main([
+            "predict", "--bundle", str(bundle),
+            "--events", str(workdir / "events.jsonl"), "--out", str(tmp_path / "p.jsonl"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{bundle}: invalid bundle manifest" in err
+
     def test_train_config_not_json_exits_1(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "train.json"
         cfg.write_text('{\n  "n_per_class": 50,\n  {bad\n')
@@ -396,3 +417,37 @@ class TestTrainPredictAblate:
             "--groups", "user,wat", "--out", str(tmp_path / "x.json"),
         ])
         assert code == 1
+
+
+# Each JSON or JSON Lines input, given a file whose line 3 is not JSON.
+BAD_JSON_INPUTS = {
+    "synth --config": ["synth", "--config", "{bad}", "--out-events", "{tmp}/e.jsonl",
+                       "--out-ledger", "{tmp}/l.jsonl"],
+    "clean --config": ["clean", "--corpus", "{work}/corpus.json", "--config", "{bad}",
+                       "--out", "{tmp}/c.json"],
+    "--lexicon": ["analyze", "--corpus", "{work}/cleaned.json", "--metrics", "temporal",
+                  "--lexicon", "{bad}", "--out", "{tmp}/r"],
+    "--valence": ["analyze", "--corpus", "{work}/cleaned.json", "--metrics", "temporal",
+                  "--valence", "{bad}", "--out", "{tmp}/r"],
+    "--traits-map": ["analyze", "--corpus", "{work}/cleaned.json", "--metrics", "traits",
+                     "--traits-map", "{bad}", "--out", "{tmp}/r"],
+    "--tags": ["featurize", "--corpus", "{work}/cleaned.json", "--tags", "{bad}",
+               "--out", "{tmp}/f.rsf1"],
+    "annotate-agg --annotations": ["annotate-agg", "--annotations", "{bad}",
+                                   "--out", "{tmp}/a.json"],
+}
+JSONL_INPUTS = ("--tags", "annotate-agg --annotations")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_JSON_INPUTS))
+def test_malformed_json_input_exits_1(workdir, tmp_path, capsys, name):
+    bad = tmp_path / "bad.json"
+    if name in JSONL_INPUTS:
+        bad.write_text('{"id": 1, "tags": []}\n\n{bad\n')
+    else:
+        bad.write_text('{\n  "a": 1,\n  {bad\n')
+    argv = [a.format(bad=bad, work=workdir, tmp=tmp_path) for a in BAD_JSON_INPUTS[name]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{bad}: line 3: not valid JSON" in err

@@ -287,6 +287,35 @@ class TestFeaturizeAndSerialize:
         np.testing.assert_allclose(loaded.response, m.response, atol=0)
         assert loaded.vocab_size == m.vocab_size
 
+    def test_truncated_rsf1_names_file_and_section(self, small_resources, tmp_path):
+        path = tmp_path / "features.rsf1"
+        save_feature_matrix(self._matrix(small_resources, with_responses=True), path)
+        data = path.read_bytes()
+        header = 16 + int.from_bytes(data[8:16], "little")
+        offsets = {
+            "bad magic": 2, "version": 6, "manifest length": 10, "manifest": header - 5,
+            "array tweet_ids": header + 3, "array dense": len(data) - 93 * 8 * 3 - 9,
+            "array response": len(data) - 9, "half": len(data) // 2,
+        }
+        for section, cut in offsets.items():
+            short = tmp_path / f"cut{cut}.rsf1"
+            short.write_bytes(data[:cut])
+            with pytest.raises(ValidationError) as exc:
+                load_feature_matrix(short)
+            assert str(short) in str(exc.value), section
+            if section != "half":
+                assert section in str(exc.value)
+
+    @pytest.mark.parametrize("manifest", [b"{bad", b"{}", b'{"arrays": 3}', b"\xff\xfe"])
+    def test_bad_rsf1_manifest_names_file(self, tmp_path, manifest):
+        path = tmp_path / "features.rsf1"
+        path.write_bytes(
+            b"RSF1" + (1).to_bytes(4, "little") + len(manifest).to_bytes(8, "little") + manifest
+        )
+        with pytest.raises(ValidationError, match="manifest") as exc:
+            load_feature_matrix(path)
+        assert str(path) in str(exc.value)
+
     def test_feature_groups_partition_dense_layout(self):
         all_slots = sorted(i for slots in FEATURE_GROUPS.values() for i in slots)
         assert all_slots == list(range(DENSE_SIZE))
