@@ -330,7 +330,10 @@ def load_trait_map(path: str | Path) -> dict[str, list[str]]:
     The mapped symbols describe the trait direction associated with a HIGHER
     attribute value; the tally flips them when the deleter median is lower.
     """
-    raw = textkit.load_json(path)
+    return textkit.decode_json(path, _trait_map)
+
+
+def _trait_map(raw: dict) -> dict[str, list[str]]:
     out = {}
     for attr, symbols in raw.items():
         for s in symbols:
@@ -550,8 +553,15 @@ def reply_sentiment_split(corpus: Corpus, cache: MeasurementCache) -> dict:
 ANSWERS = ("yes", "no", "cant_say")
 
 
-def load_annotations(path: str | Path) -> list[dict]:
-    return textkit.load_jsonl(path)
+def annotation_item(raw: dict) -> dict:
+    """One JSON Lines annotation record with the fields aggregation reads;
+    a record of another shape raises KeyError, TypeError or AttributeError."""
+    return {
+        "item_id": raw.get("item_id"),
+        "group": raw["group"],
+        "answers": {category: list(a) for category, a in raw.get("answers", {}).items()},
+        "regret": list(raw["regret"]),
+    }
 
 
 def _majority(answers) -> str | None:

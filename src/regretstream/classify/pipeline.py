@@ -239,11 +239,12 @@ class DenseScaler:
         return (X - self.mean) / self.scale
 
 
-def train_stage2(X_dense: np.ndarray, y, algorithm: str, hyper: dict | None = None, seed: int = 0):
+def train_stage2(X_dense: np.ndarray, y, algorithm: str, hyper: dict | None = None):
     """Train the dense stage; returns (model, scaler-or-None).
 
     The RBF-SVM runs on z-scored features; AdaBoost runs on raw features
-    (trees are scale-invariant).
+    (trees are scale-invariant). Neither draws random numbers, so the
+    stage takes no seed.
     """
     hyper = hyper or {}
     if algorithm == "adaboost":
@@ -373,12 +374,12 @@ def _prepare_split(
     return PreparedData(vocab, stage1, train, test, train_tweets, eval_tweets)
 
 
-def fit_and_evaluate(prep: PreparedData, config: TrainConfig, seed: int, mask_groups=()):
+def fit_and_evaluate(prep: PreparedData, config: TrainConfig, mask_groups=()):
     """Train stage-2 on prepared data and evaluate on the held-out split."""
     X_train = stage2_design(prep.train, mask_groups)
     X_test = stage2_design(prep.test, mask_groups)
     model, scaler = train_stage2(
-        X_train, prep.train.labels, config.stage2_algorithm, config.stage2_hyper, seed
+        X_train, prep.train.labels, config.stage2_algorithm, config.stage2_hyper
     )
     if scaler is not None:
         X_test = scaler.transform(X_test)
@@ -391,7 +392,7 @@ def two_stage_train(corpus, config: TrainConfig, seed: int, resources, mask_grou
     from .bundle import ModelBundle
 
     prep = prepare_training_data(corpus, config, seed, resources)
-    model, scaler, metrics = fit_and_evaluate(prep, config, seed, mask_groups)
+    model, scaler, metrics = fit_and_evaluate(prep, config, mask_groups)
     bundle = ModelBundle(
         config=config,
         seed=seed,
@@ -412,30 +413,21 @@ def ablate(corpus, config: TrainConfig, groups, seed: int, resources, threads: i
 
     Group names must come from the dense layout groups. Results carry
     absolute metrics, metric ratios relative to baseline, and the F1 delta.
+    The cells run on ``threads`` workers; results come back in group order,
+    so the report does not depend on the worker count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     groups = list(groups)
-    for g in groups:
-        if g not in FEATURE_GROUPS:
-            raise ValidationError(
-                f"unknown feature group {g!r}; valid: {sorted(FEATURE_GROUPS)}"
-            )
+    mask_slots(groups)  # rejects an unknown group before any training
     prep = prepare_training_data(corpus, config, seed, resources)
-    _, _, baseline = fit_and_evaluate(prep, config, seed, ())
+    _, _, baseline = fit_and_evaluate(prep, config, ())
 
-    def run_cell(group: str):
-        _, _, m = fit_and_evaluate(prep, config, seed, (group,))
-        return group, m
+    def run_cell(group: str) -> EvalMetrics:
+        return fit_and_evaluate(prep, config, (group,))[2]
 
-    results: dict[str, EvalMetrics] = {}
-    if threads > 1 and len(groups) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for group, m in pool.map(run_cell, groups):
-                results[group] = m
-    else:
-        for group in groups:
-            results[group] = run_cell(group)[1]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = dict(zip(groups, pool.map(run_cell, groups)))
 
     def rel(x, base):
         return x / base if base else 0.0
@@ -486,7 +478,7 @@ def grid_search_cv(grid, tweets, corpus, resources, config: TrainConfig, k: int 
             prep = _prepare_split(
                 corpus, train_tweets, val_tweets, cfg, seed + f, resources, stage1_extra=99
             )
-            fold_metrics.append(fit_and_evaluate(prep, cfg, seed + f)[2])
+            fold_metrics.append(fit_and_evaluate(prep, cfg)[2])
         mean_f1 = float(np.mean([m.f1 for m in fold_metrics]))
         entry = {
             "hyper": dict(cell),

@@ -56,11 +56,10 @@ class CleanupConfig:
 def load_whitelist(path: str | Path) -> frozenset[str]:
     """Load a client whitelist file: one client name per line, exact match."""
     names = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            name = line.strip()
-            if name and not name.startswith("#"):
-                names.add(name)
+    for _, line in textkit.text_lines(path):
+        name = line.strip()
+        if name and not name.startswith("#"):
+            names.add(name)
     return frozenset(names)
 
 
@@ -164,13 +163,12 @@ def near_duplicate(a: str, b: str, cfg: CleanupConfig) -> bool:
     return textkit.term_cosine(a, b) > cfg.cosine_min
 
 
-def detect_superficial(deleted: TweetRecord, followups, cfg: CleanupConfig | None = None) -> bool:
+def detect_superficial(deleted: TweetRecord, followups, cfg: CleanupConfig) -> bool:
     """True iff some followup is a near-duplicate of the deleted tweet.
 
     ``followups`` are the chronologically next tweets by the same user (at
     most the configured lookahead); an empty list is never superficial.
     """
-    cfg = cfg or CleanupConfig()
     return any(
         near_duplicate(deleted.text, f.text, cfg) for f in followups[: cfg.superficial_lookahead]
     )

@@ -3,7 +3,7 @@
 One subcommand per stage, composable through files:
 ingest, clean, featurize, analyze, annotate-agg, train, predict, ablate,
 synth. Exit code 0 on success, 1 on validation errors, 2 on I/O errors.
-REGRETSTREAM_THREADS overrides --threads.
+REGRETSTREAM_THREADS overrides ablate's --threads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import ConfigError, RegretstreamError
 from .events import CollectionWindow, Corpus, build_corpus, link_records, parse_rfc3339, read_events
 from .features import FeatureResources
 from .resources import (
-    data_path,
     load_default_resources,
     load_default_trait_map,
     load_default_whitelist,
@@ -52,7 +51,7 @@ def _threads(args) -> int:
             raise ConfigError(
                 f"REGRETSTREAM_THREADS={env!r} is not an integer thread count"
             ) from None
-    if getattr(args, "threads", None):
+    if args.threads:
         return max(1, args.threads)
     return os.cpu_count() or 1
 
@@ -65,13 +64,13 @@ def _write_json(path: str, payload) -> None:
 
 def _load_resources(args) -> FeatureResources:
     res = load_default_resources()
-    if getattr(args, "lexicon", None):
+    if args.lexicon:
         res.lexicon = textkit.Lexicon.from_file(args.lexicon)
-    if getattr(args, "valence", None):
+    if args.valence:
         res.valence = textkit.load_valence(args.valence)
-    if getattr(args, "wordlist", None):
+    if args.wordlist:
         res.wordlist = textkit.load_wordlist(args.wordlist)
-    if getattr(args, "tags", None):
+    if args.tags:
         res.pretagged = textkit.PretaggedStore.from_file(args.tags)
     return res
 
@@ -96,9 +95,10 @@ def _cmd_clean(args) -> int:
     corpus = Corpus.load(args.corpus)
     whitelist = load_whitelist(args.whitelist) if args.whitelist else load_default_whitelist()
     if args.config:
-        raw = textkit.load_json(args.config)
-        raw.setdefault("client_whitelist", sorted(whitelist))
-        cfg = CleanupConfig.from_dict(raw)
+        cfg = textkit.decode_json(
+            args.config,
+            lambda raw: CleanupConfig.from_dict({"client_whitelist": sorted(whitelist), **raw}),
+        )
     else:
         cfg = CleanupConfig(client_whitelist=whitelist)
     cleaned, report = run_cleanup(corpus, cfg)
@@ -217,7 +217,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_annotate_agg(args) -> int:
-    items = analytics.load_annotations(args.annotations)
+    items = textkit.decode_jsonl(args.annotations, analytics.annotation_item)
     result = analytics.aggregate_annotations(items, alpha=args.alpha)
     _write_json(args.out, result)
     print(json.dumps(result["regret"], sort_keys=True))
@@ -228,8 +228,6 @@ def _cmd_train(args) -> int:
     corpus = Corpus.load(args.corpus)
     res = _load_resources(args)
     config = _load_train_config(args)
-    if args.with_responses:
-        config = classify.TrainConfig.from_dict({**config.to_dict(), "with_responses": True})
     bundle, metrics = classify.two_stage_train(corpus, config, args.seed, res)
     classify.save_bundle(bundle, args.out)
     if args.metrics_out:
@@ -330,8 +328,8 @@ def _cmd_synth(args) -> int:
 
 
 def _load_train_config(args) -> "classify.TrainConfig":
-    if getattr(args, "config", None):
-        return classify.TrainConfig.from_dict(textkit.load_json(args.config))
+    if args.config:
+        return textkit.decode_json(args.config, classify.TrainConfig.from_dict)
     return classify.TrainConfig()
 
 
@@ -398,10 +396,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="training config JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model bundle output (RSB1)")
-    p.add_argument("--with-responses", action="store_true")
     p.add_argument("--metrics-out", help="also write metrics JSON here")
     p.add_argument("--metrics-csv", help="also write metrics CSV here")
-    p.add_argument("--threads", type=int)
     _add_resource_flags(p)
     p.set_defaults(fn=_cmd_train)
 

@@ -271,12 +271,11 @@ def parse_event(line: str, line_number: int | None = None) -> Event:
 
 def read_events(path: str | Path):
     """Iterate events from a JSONL file, tracking line numbers for errors."""
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            yield parse_event(line, line_number=i)
+    for i, line in textkit.text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        yield parse_event(line, line_number=i)
 
 
 @dataclass(frozen=True)
@@ -635,23 +634,3 @@ def link_records(tweets: dict[int, TweetPayload], deletion_lags: dict[int, int])
         )
     return records
 
-
-def tweet_record_to_event_dict(t: TweetRecord) -> dict:
-    """Wire-format dict for a tweet record (used by generators and tests)."""
-    return {
-        "kind": "tweet",
-        "id": t.id,
-        "user_id": t.user_id,
-        "created_at": format_rfc3339(t.created_at),
-        "text": t.text,
-        "lang": t.lang,
-        "source": t.source,
-        "in_reply_to_id": t.in_reply_to_id,
-        "quoted_id": t.quoted_id,
-        "retweet_of_id": t.retweet_of_id,
-        "hashtags": list(t.hashtags),
-        "urls": list(t.urls),
-        "mentions": list(t.mentions),
-        "has_geo": t.has_geo,
-        "user": t.user.to_dict(),
-    }

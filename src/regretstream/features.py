@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import textkit
-from .errors import ContractError, ValidationError
+from .errors import ValidationError
 from .events import Corpus, TweetRecord, UserProfile
 
 DENSE_SIZE = 112
@@ -132,29 +132,21 @@ class FeatureResources:
         if self.pretagged is not None:
             tags = self.pretagged.get(tweet.id)
             if tags is not None:
-                if len(tags) != len(tokens):
-                    raise ContractError(
-                        f"tweet {tweet.id}: pre-tagged file has {len(tags)} tags "
-                        f"for {len(tokens)} tokens"
-                    )
-                tagset = set(self.pretagged.tagset)
-                for t in tags:
-                    if t not in tagset:
-                        raise ContractError(f"tweet {tweet.id}: unknown pre-tagged tag {t!r}")
-                return tags
+                return textkit.check_tags(
+                    tags, tokens, self.tagger, f"tweet {tweet.id}: pre-tagged file"
+                )
         return textkit.pos_tag(tokens, self.tagger)
 
 
 class TweetMeasurements:
-    """The per-tweet text record: tokenized once, tagged through
-    ``resources.tags_for`` unless ``tags`` are given, every measurement
-    computed on first use."""
+    """The per-tweet text record: tokenized once, tagged once through
+    ``resources.tags_for``, every measurement computed on first use."""
 
-    def __init__(self, tweet: TweetRecord, resources: FeatureResources, tags=None):
+    def __init__(self, tweet: TweetRecord, resources: FeatureResources):
         self.tweet = tweet
         self._res = resources
         self._tokens = None
-        self._tags = tags
+        self._tags = None
         self._lex_counts = None
         self._n_words = None
 
@@ -282,22 +274,16 @@ def dense_features(
     valence: dict[str, float],
     tagger,
     now: datetime,
-    tags: list[str] | None = None,
 ) -> np.ndarray:
     """Compute the 112-slot dense vector for one tweet.
 
     Slots 0..110 are always finite; slot 111 is left NaN as an explicit
-    "not yet filled" sentinel for the derived open-text feature. ``tags``
-    may carry pre-computed tags; otherwise ``tagger`` runs. ``now`` is the
-    reference timestamp for account age (normally the posting-window end).
+    "not yet filled" sentinel for the derived open-text feature. ``now`` is
+    the reference timestamp for account age (normally the posting-window
+    end).
     """
     res = FeatureResources(lex, valence, frozenset(), tagger)
-    m = TweetMeasurements(tweet, res, tags)
-    if tags is not None and len(tags) != m.n_tokens:
-        raise ValidationError(
-            f"tweet {tweet.id}: {len(tags)} pre-computed tags for {m.n_tokens} tokens"
-        )
-    return _dense_vector(m, profile, now)
+    return _dense_vector(TweetMeasurements(tweet, res), profile, now)
 
 
 def response_features(
@@ -331,10 +317,6 @@ class FeatureMatrix:
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
-
-    def sparse_row(self, i: int) -> list[tuple[int, float]]:
-        lo, hi = self.sparse_indptr[i], self.sparse_indptr[i + 1]
-        return list(zip(self.sparse_indices[lo:hi].tolist(), self.sparse_data[lo:hi].tolist()))
 
 
 def featurize_corpus(

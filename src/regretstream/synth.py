@@ -130,7 +130,7 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
-        return cls.from_dict(textkit.load_json(path))
+        return textkit.decode_json(path, cls.from_dict)
 
 
 @dataclass
@@ -756,7 +756,3 @@ def load_ledger_summary(path: str | Path) -> dict:
                 return rec
     raise ConfigError(f"{path}: no summary record found")
 
-
-def load_ledger(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -64,12 +64,6 @@ class Token:
 class TokenList(list):
     """Ordered list of Token with convenience views."""
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self]
-
-    def normalized(self) -> list[str]:
-        return [t.normalized for t in self]
-
     def words(self) -> list[str]:
         """Normalized surfaces of word-class tokens."""
         return [t.normalized for t in self if t.cls == "word"]
@@ -148,6 +142,28 @@ def term_cosine(a: str, b: str) -> float:
     return dot / (na * nb)
 
 
+def _not_utf8(path) -> ValidationError:
+    """The error for a file that failed to decode as UTF-8, naming the line
+    of its first invalid byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValidationError(f"{path}: line {line}: not valid UTF-8: {exc.reason}")
+    return ValidationError(f"{path}: not valid UTF-8")
+
+
+def text_lines(path: str | Path):
+    """(line number, line) for each line of a UTF-8 text file; a file that
+    is not UTF-8 raises ValidationError naming the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
 def _parse_json(text: str, path, line: int = 1):
     try:
         return json.loads(text)
@@ -157,18 +173,29 @@ def _parse_json(text: str, path, line: int = 1):
         ) from None
 
 
-def load_json(path: str | Path):
-    """The value in a JSON file; malformed JSON raises ValidationError naming
-    the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_json(fh.read(), path)
+def _shaped(decode, value, where: str):
+    """``decode(value)``; a value of the wrong shape for ``decode`` (it
+    raises AttributeError, KeyError, TypeError or ValueError) raises
+    ValidationError naming ``where``."""
+    try:
+        return decode(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: unexpected JSON shape: {exc!r}") from None
 
 
-def load_jsonl(path: str | Path) -> list:
-    """The values on the non-blank lines of a JSON Lines file; a malformed
-    line raises ValidationError naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        return [_parse_json(text, path, n) for n, text in enumerate(fh, 1) if text.strip()]
+def decode_json(path: str | Path, decode):
+    """``decode`` applied to the value in a JSON file. Malformed JSON raises
+    ValidationError naming the file and line; a value of the wrong shape, one
+    naming the file."""
+    return _shaped(decode, _parse_json("".join(text for _, text in text_lines(path)), path), path)
+
+
+def decode_jsonl(path: str | Path, decode) -> list:
+    """``decode`` applied to the value on each non-blank line of a JSON Lines
+    file, once every line has parsed. Malformed JSON, or a value of the wrong
+    shape, raises ValidationError naming the file and line."""
+    values = [(n, _parse_json(text, path, n)) for n, text in text_lines(path) if text.strip()]
+    return [_shaped(decode, value, f"{path}: line {n}") for n, value in values]
 
 
 class Lexicon:
@@ -216,15 +243,12 @@ class Lexicon:
             hits = self._memo[word] = frozenset(hits)
         return hits
 
-    def index_of(self, name: str) -> int:
-        return self.category_names.index(name)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load the JSON lexicon format: {"categories": [{"name", "patterns"}]}."""
-        raw = load_json(path)
-        cats = [(c["name"], list(c["patterns"])) for c in raw["categories"]]
-        return cls(cats)
+        return decode_json(
+            path, lambda raw: cls([(c["name"], list(c["patterns"])) for c in raw["categories"]])
+        )
 
 
 def lexicon_counts(words, lex: Lexicon) -> list[int]:
@@ -250,8 +274,7 @@ def lexicon_score(tokens: TokenList, lex: Lexicon) -> list[float]:
 
 def load_valence(path: str | Path) -> dict[str, float]:
     """Load a JSON word -> valence score table."""
-    table = load_json(path)
-    return {str(k).lower(): float(v) for k, v in table.items()}
+    return decode_json(path, lambda table: {str(k).lower(): float(v) for k, v in table.items()})
 
 
 def _is_negation(tok: Token) -> bool:
@@ -382,43 +405,46 @@ class RuleTagger:
 class PretaggedStore:
     """Tags loaded from a pre-tagged JSONL file ({"id": u64, "tags": [...]})."""
 
-    def __init__(self, tags_by_id: dict[int, list[str]], tagset=DEFAULT_TAGSET):
-        self.tagset = tuple(tagset)
+    def __init__(self, tags_by_id: dict[int, list[str]]):
         self._tags = tags_by_id
 
     def get(self, tweet_id: int) -> list[str] | None:
         return self._tags.get(tweet_id)
 
     @classmethod
-    def from_file(cls, path: str | Path, tagset=DEFAULT_TAGSET) -> "PretaggedStore":
-        tags_by_id = {int(rec["id"]): [str(t) for t in rec["tags"]] for rec in load_jsonl(path)}
-        return cls(tags_by_id, tagset)
+    def from_file(cls, path: str | Path) -> "PretaggedStore":
+        return cls(dict(decode_jsonl(
+            path, lambda rec: (int(rec["id"]), [str(t) for t in rec["tags"]])
+        )))
+
+
+def check_tags(tags: list[str], tokens: TokenList, tagger, source: str) -> list[str]:
+    """``tags`` for ``tokens``, after checking that ``source`` (named in the
+    error) gave one tag per token, each from ``tagger``'s tagset: the set
+    that POS counts index into."""
+    if len(tags) != len(tokens):
+        raise ContractError(f"{source} has {len(tags)} tags for {len(tokens)} tokens")
+    tagset = set(tagger.tagset)
+    for t in tags:
+        if t not in tagset:
+            raise ContractError(f"{source} has unknown tag {t!r}")
+    return tags
 
 
 def pos_tag(tokens: TokenList, tagger) -> list[str]:
     """Tag ``tokens`` through ``tagger``, enforcing the interface contract."""
-    tagset = set(tagger.tagset)
     if len(tagger.tagset) != 25:
         raise ContractError(f"tagger declares {len(tagger.tagset)} tags, expected 25")
-    tags = tagger.tag(tokens)
-    if len(tags) != len(tokens):
-        raise ContractError(
-            f"tagger returned {len(tags)} tags for {len(tokens)} tokens"
-        )
-    for t in tags:
-        if t not in tagset:
-            raise ContractError(f"tagger emitted unknown tag {t!r}")
-    return tags
+    return check_tags(tagger.tag(tokens), tokens, tagger, "tagger output")
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line dictionary wordlist (lowercased)."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            w = line.strip().lower()
-            if w:
-                words.add(w)
+    for _, line in text_lines(path):
+        w = line.strip().lower()
+        if w:
+            words.add(w)
     return frozenset(words)
 
 
@@ -426,7 +452,6 @@ def text_stats(
     tokens: TokenList,
     tags: list[str],
     wordlist: frozenset[str],
-    content_tags: frozenset[str] = CONTENT_TAGS,
 ) -> tuple[float, float]:
     """(lexical_density, dictionary_fraction) over word tokens.
 
@@ -439,7 +464,7 @@ def text_stats(
     n_words = tokens.count_class("word")
     if n_words == 0:
         return (0.0, 0.0)
-    content = sum(1 for t in tags if t in content_tags)
+    content = sum(1 for t in tags if t in CONTENT_TAGS)
     in_dict = sum(
         1 for tok in tokens if tok.cls == "word" and tok.normalized in wordlist
     )

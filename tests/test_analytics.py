@@ -324,6 +324,76 @@ class TestTraitTally:
         assert all(v == 0 for v in tally.values())
 
 
+class TestUserCategoryMedians:
+    """Trait-tally input on two deleters (users 1, 2) and two non-deleters
+    (users 3, 4). In the toy resources "good" is affect + posemo with
+    positive valence, "bad" affect + negemo with negative valence, "work"
+    and "money" their own categories, and "plain" and "day" match nothing."""
+
+    def _corpus(self):
+        rows = [
+            # user 1: 4 words (posemo 1, negemo 1, affect 2, work 1); 1 of 2
+            # tweets positive, 1 negative, 1 with a hashtag.
+            (1, "good work", True, ("#a",), ()),
+            (1, "bad day", False, (), ()),
+            # user 2: 4 words (money 2, posemo 1, affect 1); 1 of 3 tweets
+            # positive, 1 with a url.
+            (2, "money money", True, (), ("http://t.co/x",)),
+            (2, "good", False, (), ()),
+            (2, "plain", False, (), ()),
+            # user 3: 4 words (work 3, negemo 1, affect 1); its one tweet
+            # negative and with a hashtag.
+            (3, "work work work bad", False, ("#b",), ()),
+            # user 4: 3 words (posemo 2, affect 2); 1 of 2 tweets positive,
+            # 1 with a url.
+            (4, "plain", False, (), ()),
+            (4, "good good", False, (), ("http://t.co/y",)),
+        ]
+        return make_corpus([
+            make_tweet(id=i, user_id=u, text=text, deleted=deleted, hashtags=tags, urls=urls)
+            for i, (u, text, deleted, tags, urls) in enumerate(rows, 1)
+        ])
+
+    def test_hand_computed_medians(self, resources):
+        corpus = self._corpus()
+        deleters, non_deleters = partition_users(corpus)
+        assert (deleters, non_deleters) == ({1, 2}, {3, 4})
+        medians = analytics.user_category_medians(
+            corpus, MeasurementCache(resources), deleters, non_deleters
+        )
+        # (non-deleter median, deleter median); a median of two users is
+        # their mean. Per-user values in the order (3, 4) and (1, 2).
+        expected = {
+            "lexicon_posemo": ((0.0 + 200 / 3) / 2, (25.0 + 25.0) / 2),
+            "lexicon_negemo": ((25.0 + 0.0) / 2, (25.0 + 0.0) / 2),
+            "lexicon_affect": ((25.0 + 200 / 3) / 2, (50.0 + 25.0) / 2),
+            "lexicon_work": ((75.0 + 0.0) / 2, (25.0 + 0.0) / 2),
+            "lexicon_money": (0.0, (0.0 + 50.0) / 2),
+            "tweets_w_positive_sentiment": ((0.0 + 50.0) / 2, (50.0 + 100 / 3) / 2),
+            "tweets_w_negative_sentiment": ((100.0 + 0.0) / 2, (50.0 + 0.0) / 2),
+            "tweets_w_hashtags": ((100.0 + 0.0) / 2, (50.0 + 0.0) / 2),
+            "tweets_w_urls": ((0.0 + 50.0) / 2, (0.0 + 100 / 3) / 2),
+        }
+        n_categories = len(resources.lexicon.category_names)
+        assert len(medians) == n_categories + 4
+        for attr, pair in expected.items():
+            assert medians[attr] == pytest.approx(pair), attr
+        for attr in set(medians) - set(expected):
+            assert medians[attr] == (0.0, 0.0), attr
+
+    def test_pair_order_is_non_deleter_first(self, resources):
+        corpus = self._corpus()
+        deleters, non_deleters = partition_users(corpus)
+        swapped = analytics.user_category_medians(
+            corpus, MeasurementCache(resources), non_deleters, deleters
+        )
+        medians = analytics.user_category_medians(
+            corpus, MeasurementCache(resources), deleters, non_deleters
+        )
+        assert medians["lexicon_money"] == (0.0, 25.0)
+        assert swapped == {attr: (d, n) for attr, (n, d) in medians.items()}
+
+
 class TestTemporalHistogram:
     def test_single_hour(self):
         tweets = [make_tweet(id=i, created_at=ts(hours=23, minutes=i)) for i in range(1, 6)]

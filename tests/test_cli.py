@@ -451,3 +451,94 @@ def test_malformed_json_input_exits_1(workdir, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{bad}: line 3: not valid JSON" in err
+
+
+# Inputs that are not UTF-8 (the bytes ff fe 7b) or are valid JSON of the
+# wrong shape: (argv, file bytes, line the error names or None).
+NOT_UTF8 = b"\xff\xfe{"
+BAD_INPUTS = {
+    "non-UTF-8 --lexicon": (["analyze", "--corpus", "{work}/cleaned.json", "--metrics",
+                             "temporal", "--lexicon", "{bad}", "--out", "{tmp}/r"],
+                            NOT_UTF8, 1),
+    "non-UTF-8 ingest --events": (["ingest", "--events", "{bad}", "--window", *WINDOW,
+                                   "--out", "{tmp}/c.json"], b'\n' + NOT_UTF8, 2),
+    "non-UTF-8 --wordlist": (["analyze", "--corpus", "{work}/cleaned.json", "--metrics",
+                              "temporal", "--wordlist", "{bad}", "--out", "{tmp}/r"],
+                             b"alpha\nbeta\n" + NOT_UTF8, 3),
+    "non-UTF-8 clean --whitelist": (["clean", "--corpus", "{work}/corpus.json",
+                                     "--whitelist", "{bad}", "--out", "{tmp}/c.json"],
+                                    NOT_UTF8, 1),
+    "--lexicon object without categories": (
+        ["analyze", "--corpus", "{work}/cleaned.json", "--metrics", "temporal",
+         "--lexicon", "{bad}", "--out", "{tmp}/r"], b'{"x": 1}', None),
+    "--valence list": (["analyze", "--corpus", "{work}/cleaned.json", "--metrics",
+                        "temporal", "--valence", "{bad}", "--out", "{tmp}/r"], b"[1,2]", None),
+    "--traits-map list": (["analyze", "--corpus", "{work}/cleaned.json", "--metrics",
+                           "traits", "--traits-map", "{bad}", "--out", "{tmp}/r"],
+                          b"[1,2]", None),
+    "annotate-agg record without group": (
+        ["annotate-agg", "--annotations", "{bad}", "--out", "{tmp}/a.json"],
+        b'{"item_id": 0, "group": "deleted", "regret": ["no", "no", "no"]}\n'
+        b'{"item_id": 1}\n', 2),
+    "train --config list": (["train", "--corpus", "{work}/cleaned.json", "--config", "{bad}",
+                             "--out", "{tmp}/m.rsb1"], b"[1,2]", None),
+    "ablate --config list": (["ablate", "--corpus", "{work}/cleaned.json", "--config",
+                              "{bad}", "--groups", "user", "--out", "{tmp}/x.json"],
+                             b"[1,2]", None),
+    "clean --config list": (["clean", "--corpus", "{work}/corpus.json", "--config", "{bad}",
+                             "--out", "{tmp}/c.json"], b"[1,2]", None),
+    "--tags record without id": (["featurize", "--corpus", "{work}/cleaned.json",
+                                  "--tags", "{bad}", "--out", "{tmp}/f.rsf1"],
+                                 b'{"id": 1, "tags": []}\n\n{"tags": []}\n', 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_file_exits_1(workdir, tmp_path, capsys, name):
+    argv, content, line = BAD_INPUTS[name]
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(content)
+    argv = [a.format(bad=bad, work=workdir, tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"error: {bad}: " in err
+    if line is not None:
+        assert f"{bad}: line {line}: " in err
+
+
+class TestRemovedTrainFlags:
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--with-responses"]])
+    def test_flag_is_a_usage_error(self, workdir, tmp_path, capsys, flag):
+        code = main([
+            "train", "--corpus", str(workdir / "cleaned.json"),
+            "--out", str(tmp_path / "m.rsb1"), *flag,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert not (tmp_path / "m.rsb1").exists()
+
+
+class TestPretaggedContractThroughCli:
+    @pytest.mark.parametrize("damage", ["short", "unknown_tag"])
+    def test_bad_pretagged_entry_exits_1(self, workdir, tmp_path, capsys, damage):
+        from regretstream.textkit import tokenize
+
+        first = Corpus.load(workdir / "cleaned.json").tweets[0]
+        tags = ["common_noun"] * len(tokenize(first.text))
+        if damage == "short":
+            tags = tags[:-1]
+        else:
+            tags[0] = "wat"
+        tags_path = tmp_path / "tags.jsonl"
+        tags_path.write_text(json.dumps({"id": first.id, "tags": tags}) + "\n")
+        code = main([
+            "featurize", "--corpus", str(workdir / "cleaned.json"),
+            "--tags", str(tags_path), "--out", str(tmp_path / "f.rsf1"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tweet {first.id}: pre-tagged file ")
+        assert "Traceback" not in err
+        assert ("unknown tag 'wat'" if damage == "unknown_tag" else "tags for") in err

@@ -1,0 +1,84 @@
+"""Dead-definition guard: every function and class defined in the package
+is used somewhere in the source tree.
+
+A use is a name, an attribute, or a string constant (or one dot-separated
+part of it, as in the benchmark's ``"Lexicon.categories_for"`` probe
+targets) anywhere under ``src/``, ``tests/``, ``demos/`` or ``perfbench/``.
+Imports alone do not count. Dunder methods are called by the language
+itself and are skipped.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "regretstream"
+SCANNED = ("src", "tests", "demos", "perfbench")
+
+# Hooks called by a framework rather than by name.
+FRAMEWORK_HOOKS = {
+    "_Parser.error",  # argparse.ArgumentParser calls error() on a usage error
+}
+
+
+def _trees():
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(trees) -> set[str]:
+    used: set[str] = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+                used.update(node.value.split("."))
+    return used
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, name) of every function and class, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualified = prefix + node.name
+            yield qualified, node.name
+            yield from _definitions(node, qualified + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def unused_definitions() -> list[str]:
+    trees = list(_trees())
+    used = _used_names(trees)
+    unused = []
+    for path, tree in trees:
+        if not path.is_relative_to(PACKAGE):
+            continue
+        for qualified, name in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if qualified in FRAMEWORK_HOOKS or name in used:
+                continue
+            unused.append(f"{path.relative_to(ROOT)}: {qualified}")
+    return unused
+
+
+def test_every_definition_has_a_use():
+    assert unused_definitions() == []
+
+
+def test_framework_hooks_are_still_defined():
+    defined = {
+        qualified
+        for path, tree in _trees()
+        if path.is_relative_to(PACKAGE)
+        for qualified, _ in _definitions(tree)
+    }
+    assert FRAMEWORK_HOOKS <= defined
