@@ -551,26 +551,43 @@ def reply_sentiment_split(corpus: Corpus, cache: MeasurementCache) -> dict:
 # ---------------------------------------------------------------------------
 
 ANSWERS = ("yes", "no", "cant_say")
+GROUPS = ("deleted", "non_deleted")
 
 
 def annotation_item(raw: dict) -> dict:
     """One JSON Lines annotation record with the fields aggregation reads;
-    a record of another shape raises KeyError, TypeError or AttributeError."""
+    a record of another shape raises KeyError, TypeError or AttributeError,
+    and an unknown group or an answer list that is not three known answers,
+    ValidationError."""
     return {
         "item_id": raw.get("item_id"),
-        "group": raw["group"],
-        "answers": {category: list(a) for category, a in raw.get("answers", {}).items()},
-        "regret": list(raw["regret"]),
+        "group": _checked_group(raw["group"]),
+        "answers": {
+            category: _checked_answers(list(a)) for category, a in raw.get("answers", {}).items()
+        },
+        "regret": _checked_answers(list(raw["regret"])),
     }
 
 
-def _majority(answers) -> str | None:
-    """Majority answer among three, or None when there is no majority."""
+def _checked_group(group):
+    if group not in GROUPS:
+        raise ValidationError(f"unknown annotation group {group!r}")
+    return group
+
+
+def _checked_answers(answers):
+    """``answers``, after checking that they are three answers from ANSWERS."""
     if len(answers) != 3:
         raise ValidationError(f"expected exactly 3 annotator answers, got {len(answers)}")
     for a in answers:
         if a not in ANSWERS:
             raise ValidationError(f"malformed annotator answer {a!r}")
+    return answers
+
+
+def _majority(answers) -> str | None:
+    """Majority answer among three, or None when there is no majority."""
+    _checked_answers(answers)
     for candidate in ANSWERS:
         if sum(1 for a in answers if a == candidate) >= 2:
             return candidate
@@ -589,22 +606,20 @@ def aggregate_annotations(items, alpha: float = 0.05) -> dict:
     with_majority = 0
     total_questions = 0
     category_counts: dict[str, dict[str, int]] = {}
-    regret_yes = {"deleted": 0, "non_deleted": 0}
-    group_totals = {"deleted": 0, "non_deleted": 0}
+    regret_yes = dict.fromkeys(GROUPS, 0)
+    group_totals = dict.fromkeys(GROUPS, 0)
 
     for item in items:
-        group = item["group"]
-        if group not in group_totals:
-            raise ValidationError(f"unknown annotation group {group!r}")
+        group = _checked_group(item["group"])
         group_totals[group] += 1
         assigned = []
         unclassified = []
         questions = list(item.get("answers", {}).items()) + [("regret", item["regret"])]
         for category, answers in questions:
             total_questions += 1
+            maj = _majority(answers)  # checks the answers before they are hashed
             if len(set(answers)) == 1:
                 unanimous += 1
-            maj = _majority(answers)
             if maj is not None:
                 with_majority += 1
             if category == "regret":

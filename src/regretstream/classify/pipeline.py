@@ -18,6 +18,7 @@ from ..features import (
     DERIVED_SLOT,
     FEATURE_GROUPS,
     FeatureMatrix,
+    TweetMeasurements,
     build_vocab,
     featurize_corpus,
 )
@@ -357,12 +358,13 @@ def _prepare_split(
     """Vocabulary from the training tweets, featurized rows for both
     splits, the out-of-fold derived feature on training rows, and the final
     stage-1 model (seeded from ``stage1_extra``) scoring the evaluation rows."""
-    vocab = build_vocab(train_tweets)
+    records = [TweetMeasurements(t, resources) for t in train_tweets]  # tokenized once
+    vocab = build_vocab(records)
     train, test = (
         featurize_corpus(
             corpus, vocab, resources, tweets=tweets, with_responses=config.with_responses
         )
-        for tweets in (train_tweets, eval_tweets)
+        for tweets in (records, eval_tweets)
     )
     fill_derived(train, _out_of_fold_derived(train, config, seed))
     stage1 = train_stage1(

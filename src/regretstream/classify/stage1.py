@@ -125,24 +125,34 @@ class LinearSvmModel:
         if self.c <= 0:
             raise ConfigError("SVM C must be > 0")
         y = _check_binary_labels(y)
-        ypm = y.astype(np.float64) * 2.0 - 1.0
+        ypm = (y.astype(np.float64) * 2.0 - 1.0).tolist()
         n = len(X)
         v = X.n_cols
         lam = 1.0 / (n * self.c)
+        # Each row's (indices, data) slice, taken once per fit; the bias
+        # w[v] is kept as a Python float and scaled and stepped with the
+        # same float64 arithmetic, so the weights are bit-identical to
+        # updating it in place.
+        bounds = X.indptr.tolist()
+        rows = [(X.indices[lo:hi], X.data[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         w = np.zeros(v + 1, dtype=np.float64)
+        b = 0.0
         rng = np.random.default_rng(self.seed)
         t = 0
         for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for i in order:
+            for i in rng.permutation(n).tolist():
                 t += 1
                 eta = 1.0 / (lam * t)
-                idx, vals = X.row(i)
-                margin = ypm[i] * (float(np.dot(vals, w[idx])) + w[v])
-                w *= 1.0 - eta * lam
+                idx, vals = rows[i]
+                yi = ypm[i]
+                margin = yi * (float(np.dot(vals, w[idx])) + b)
+                scale = 1.0 - eta * lam
+                w *= scale
+                b *= scale
                 if margin < 1.0:
-                    w[idx] += eta * ypm[i] * vals
-                    w[v] += eta * ypm[i]
+                    w[idx] += eta * yi * vals
+                    b += eta * yi
+        w[v] = b
         self.weights = w
         return self
 

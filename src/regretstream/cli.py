@@ -112,9 +112,10 @@ def _cmd_clean(args) -> int:
 def _cmd_featurize(args) -> int:
     corpus = Corpus.load(args.corpus)
     res = _load_resources(args)
-    vocab = features.build_vocab(corpus)
+    records = [features.TweetMeasurements(t, res) for t in corpus]  # tokenized once
+    vocab = features.build_vocab(records)
     matrix = features.featurize_corpus(
-        corpus, vocab, res, with_responses=args.with_responses
+        corpus, vocab, res, tweets=records, with_responses=args.with_responses
     )
     features.save_feature_matrix(matrix, args.out)
     print(

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -76,22 +77,22 @@ class Vocabulary:
         return np.log((1.0 + self.n_documents) / (1.0 + self.df)) + 1.0
 
 
-def tweet_terms(tweet: TweetRecord) -> list[str]:
-    """Normalized tokens of a tweet, mentions and urls removed."""
-    tokens = textkit.tokenize(tweet.text)
-    return [t.normalized for t in tokens if t.cls not in ("mention", "url")]
-
-
 def build_vocab(corpus) -> Vocabulary:
-    """Build a Vocabulary from a cleaned corpus (or any tweet iterable)."""
-    tweets = list(corpus)
-    if not tweets:
-        raise ValidationError("cannot build a vocabulary from an empty corpus")
+    """Build a Vocabulary from a cleaned corpus (or any tweet iterable).
+
+    An item may be a tweet's TweetMeasurements in place of the tweet; its
+    tokens are then reused, not tokenized again.
+    """
     df: dict[str, int] = {}
-    for t in tweets:
-        for term in set(tweet_terms(t)):
+    n_documents = 0
+    for t in corpus:
+        tokens = t.tokens if isinstance(t, TweetMeasurements) else textkit.tokenize(t.text)
+        for term in {tok.normalized for tok in tokens if tok.cls not in ("mention", "url")}:
             df[term] = df.get(term, 0) + 1
-    return Vocabulary(df, len(tweets))
+        n_documents += 1
+    if not n_documents:
+        raise ValidationError("cannot build a vocabulary from an empty corpus")
+    return Vocabulary(df, n_documents)
 
 
 def open_text_vector(tokens: textkit.TokenList, vocab: Vocabulary) -> list[tuple[int, float]]:
@@ -175,22 +176,26 @@ class TweetMeasurements:
     def lexicon_counts(self) -> list[int]:
         """Matching word-token counts per lexicon category."""
         if self._lex_counts is None:
-            self._lex_counts = textkit.lexicon_counts(self.tokens.words(), self._res.lexicon)
+            words = self.tokens.words()
+            self._n_words = len(words)
+            self._lex_counts = textkit.lexicon_counts(words, self._res.lexicon)
         return self._lex_counts
 
     def lexicon_scores(self) -> list[float]:
-        return textkit.lexicon_score(self.tokens, self._res.lexicon)
+        """Per-category percentages of word tokens, as ``textkit.lexicon_score``."""
+        counts = self.lexicon_counts()
+        n = self.n_words
+        if not n:
+            return [0.0] * textkit.Lexicon.SIZE
+        return [100.0 * c / n for c in counts]
 
     def tag_count(self, tag: str) -> int:
         return sum(1 for t in self.tags if t == tag)
 
-    def pos_counts(self) -> np.ndarray:
+    def pos_counts(self) -> list[int]:
         """Tag counts in the order of the tagger's tagset."""
-        tagset = self._res.tagger.tagset
-        counts = np.zeros(len(tagset), dtype=np.float64)
-        for t in self.tags:
-            counts[tagset.index(t)] += 1.0
-        return counts
+        counts = Counter(self.tags)
+        return [counts.get(t, 0) for t in self._res.tagger.tagset]
 
     def sentiment(self) -> float:
         return textkit.sentiment_score(self.tokens, self._res.valence)
@@ -206,7 +211,11 @@ class MeasurementCache:
         self.resources = resources
         self._cache: dict[int, TweetMeasurements] = {}
 
-    def get(self, tweet: TweetRecord) -> TweetMeasurements:
+    def get(self, tweet) -> TweetMeasurements:
+        """The record for ``tweet``. A TweetMeasurements passed in place of
+        a tweet becomes that tweet's record unless it already has one."""
+        if isinstance(tweet, TweetMeasurements):
+            return self._cache.setdefault(tweet.tweet.id, tweet)
         m = self._cache.get(tweet.id)
         if m is None:
             m = TweetMeasurements(tweet, self.resources)
@@ -248,7 +257,7 @@ def _dense_vector(m: TweetMeasurements, profile: UserProfile, now: datetime) -> 
     return vec
 
 
-def _response_vector(tweet: TweetRecord, responses, resources: FeatureResources) -> np.ndarray:
+def _response_vector(tweet: TweetRecord, responses, records: MeasurementCache) -> np.ndarray:
     vec = np.zeros(RESPONSE_SIZE, dtype=np.float64)
     reply_ids = set(tweet.reply_ids)
     retweet_ids = set(tweet.retweet_ids)
@@ -260,7 +269,7 @@ def _response_vector(tweet: TweetRecord, responses, resources: FeatureResources)
             vec[1] += 1.0
         if r.id in reply_ids:
             vec[2] += 1.0
-            m = TweetMeasurements(r, resources)
+            m = records.get(r)
             vec[3:67] += m.lexicon_scores()
             vec[67:92] += m.pos_counts()
             vec[92] += m.sentiment()
@@ -299,7 +308,8 @@ def response_features(
     lexicon/POS/sentiment features are element-wise sums over replies only;
     no responses yields the zero vector.
     """
-    return _response_vector(tweet, responses, FeatureResources(lex, valence, frozenset(), tagger))
+    res = FeatureResources(lex, valence, frozenset(), tagger)
+    return _response_vector(tweet, responses, MeasurementCache(res))
 
 
 @dataclass
@@ -327,8 +337,16 @@ def featurize_corpus(
     with_responses: bool = False,
     now: datetime | None = None,
 ) -> FeatureMatrix:
-    """Featurize corpus tweets (or a subset) against a fixed vocabulary."""
+    """Featurize corpus tweets (or a subset) against a fixed vocabulary.
+
+    ``tweets`` may hold TweetMeasurements in place of tweets, as given to
+    ``build_vocab``; their tokens are reused. With responses, a reply's own
+    row and its target's response block share one record.
+    """
     tweets = list(corpus if tweets is None else tweets)
+    records = MeasurementCache(resources)
+    if with_responses:
+        tweets = [records.get(t) for t in tweets]
     now = now or corpus.window.post_end
     n = len(tweets)
     indptr = [0]
@@ -339,7 +357,8 @@ def featurize_corpus(
     ids = np.zeros(n, dtype=np.int64)
     labels = np.zeros(n, dtype=np.int8)
     for i, t in enumerate(tweets):
-        m = TweetMeasurements(t, resources)
+        m = t if isinstance(t, TweetMeasurements) else TweetMeasurements(t, resources)
+        t = m.tweet
         for idx, w in open_text_vector(m.tokens, vocab):
             indices.append(idx)
             data.append(w)
@@ -350,7 +369,7 @@ def featurize_corpus(
                 corpus.get(rid)
                 for rid in sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
             ]
-            response[i] = _response_vector(t, [r for r in linked if r is not None], resources)
+            response[i] = _response_vector(t, [r for r in linked if r is not None], records)
         ids[i] = t.id
         labels[i] = 1 if t.deleted else 0
     return FeatureMatrix(

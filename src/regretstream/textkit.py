@@ -8,6 +8,7 @@ JSON readers here are the ones every JSON and JSON Lines input goes through.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ContractError, ValidationError
+from .errors import ConfigError, ContractError, ValidationError
 
 TOKEN_CLASSES = ("word", "mention", "hashtag", "url", "emoticon", "punct", "number")
 
@@ -176,11 +177,14 @@ def _parse_json(text: str, path, line: int = 1):
 def _shaped(decode, value, where: str):
     """``decode(value)``; a value of the wrong shape for ``decode`` (it
     raises AttributeError, KeyError, TypeError or ValueError) raises
-    ValidationError naming ``where``."""
+    ValidationError naming ``where``, and a ValidationError or ConfigError
+    that ``decode`` raises itself is raised again with ``where`` in front."""
     try:
         return decode(value)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: unexpected JSON shape: {exc!r}") from None
+    except (ConfigError, ValidationError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def decode_json(path: str | Path, decode):
@@ -357,22 +361,34 @@ class RuleTagger:
     Structural token classes map 1:1; words get small-wordlist and suffix
     heuristics. This is a stand-in for a trained tagger, kept deterministic
     and dependency-free.
+
+    A word's tag depends only on its normalized form and whether its surface
+    starts with a capital, never on the tokens around it, so each instance
+    memoizes ``_tag_word`` on that pair. A context-dependent tagger must not
+    be cached per token.
     """
 
     tagset = DEFAULT_TAGSET
 
+    def __init__(self):
+        self._memo: dict[tuple[str, bool], str] = {}
+
     def tag(self, tokens: TokenList) -> list[str]:
+        memo = self._memo
         tags = []
         for tok in tokens:
             if tok.cls != "word":
                 tags.append(_STRUCTURAL_TAGS[tok.cls])
                 continue
-            tags.append(self._tag_word(tok))
+            key = (tok.normalized, tok.surface[:1].isupper())
+            tag = memo.get(key)
+            if tag is None:
+                tag = memo[key] = self._tag_word(*key)
+            tags.append(tag)
         return tags
 
     @staticmethod
-    def _tag_word(tok: Token) -> str:
-        w = tok.normalized
+    def _tag_word(w: str, capitalized: bool) -> str:
         if w == "rt":
             return "discourse_marker"
         if w in _PRONOUNS:
@@ -391,13 +407,13 @@ class RuleTagger:
             return "verb"
         if w.endswith("ly"):
             return "adverb"
-        if any(w.endswith(s) for s in _VERB_SUFFIXES):
+        if w.endswith(_VERB_SUFFIXES):
             return "verb"
-        if any(w.endswith(s) for s in _ADJ_SUFFIXES):
+        if w.endswith(_ADJ_SUFFIXES):
             return "adjective"
-        if any(w.endswith(s) for s in _NOUN_SUFFIXES):
+        if w.endswith(_NOUN_SUFFIXES):
             return "common_noun"
-        if tok.surface[:1].isupper():
+        if capitalized:
             return "proper_noun"
         return "common_noun"
 
@@ -418,13 +434,18 @@ class PretaggedStore:
         )))
 
 
+@functools.cache
+def _tag_members(tagset: tuple) -> frozenset[str]:
+    return frozenset(tagset)
+
+
 def check_tags(tags: list[str], tokens: TokenList, tagger, source: str) -> list[str]:
     """``tags`` for ``tokens``, after checking that ``source`` (named in the
     error) gave one tag per token, each from ``tagger``'s tagset: the set
     that POS counts index into."""
     if len(tags) != len(tokens):
         raise ContractError(f"{source} has {len(tags)} tags for {len(tokens)} tokens")
-    tagset = set(tagger.tagset)
+    tagset = _tag_members(tuple(tagger.tagset))
     for t in tags:
         if t not in tagset:
             raise ContractError(f"{source} has unknown tag {t!r}")

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
+from regretstream import textkit
 from regretstream.classify.trees import _EPS, DecisionTree
 
 
@@ -104,6 +105,78 @@ def scan_categories(lexicon, word: str) -> set[int]:
             if matched:
                 hits.add(idx)
     return hits
+
+
+def uncached_tag_word(tok) -> str:
+    """RuleTagger's former word rule: no memo, ``any(...)`` suffix tests."""
+    w = tok.normalized
+    if w == "rt":
+        return "discourse_marker"
+    if w in textkit._PRONOUNS:
+        return "pronoun"
+    if w in textkit._DETERMINERS:
+        return "determiner"
+    if w in textkit._PREPOSITIONS:
+        return "preposition"
+    if w in textkit._CONJUNCTIONS:
+        return "conjunction"
+    if w in textkit._INTERJECTIONS:
+        return "interjection"
+    if w == "there":
+        return "existential"
+    if w in textkit._COMMON_VERBS or "'" in w or "\u2019" in w:
+        return "verb"
+    if w.endswith("ly"):
+        return "adverb"
+    if any(w.endswith(s) for s in textkit._VERB_SUFFIXES):
+        return "verb"
+    if any(w.endswith(s) for s in textkit._ADJ_SUFFIXES):
+        return "adjective"
+    if any(w.endswith(s) for s in textkit._NOUN_SUFFIXES):
+        return "common_noun"
+    if tok.surface[:1].isupper():
+        return "proper_noun"
+    return "common_noun"
+
+
+def uncached_tags(tokens) -> list[str]:
+    """RuleTagger's former ``tag``: one rule evaluation per token."""
+    return [
+        uncached_tag_word(tok) if tok.cls == "word" else textkit._STRUCTURAL_TAGS[tok.cls]
+        for tok in tokens
+    ]
+
+
+def index_pos_counts(tags, tagset) -> np.ndarray:
+    """Tag counts in tagset order, one ``tagset.index`` lookup per tag."""
+    counts = np.zeros(len(tagset), dtype=np.float64)
+    for t in tags:
+        counts[tagset.index(t)] += 1.0
+    return counts
+
+
+def row_pegasos_weights(X, y, c: float, epochs: int, seed: int) -> np.ndarray:
+    """LinearSvmModel's former fit loop: ``X.row(i)`` and numpy-scalar
+    labels on every step, the bias updated in place as ``w[v]``."""
+    ypm = np.asarray(y).astype(np.float64) * 2.0 - 1.0
+    n = len(X)
+    v = X.n_cols
+    lam = 1.0 / (n * c)
+    w = np.zeros(v + 1, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for i in order:
+            t += 1
+            eta = 1.0 / (lam * t)
+            idx, vals = X.row(i)
+            margin = ypm[i] * (float(np.dot(vals, w[idx])) + w[v])
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w[idx] += eta * ypm[i] * vals
+                w[v] += eta * ypm[i]
+    return w
 
 
 class ReferenceTree(DecisionTree):

@@ -553,6 +553,11 @@ class TestAggregateAnnotations:
         with pytest.raises(ValidationError):
             aggregate_annotations(items)
 
+    def test_unhashable_answer_rejected(self):
+        items = [annotation_item(1, "deleted", [["x"], "no", "no"])]
+        with pytest.raises(ValidationError):
+            aggregate_annotations(items)
+
     def test_wrong_answer_count_rejected(self):
         items = [annotation_item(1, "deleted", ["yes", "yes"])]
         with pytest.raises(ValidationError):

@@ -33,7 +33,7 @@ from regretstream.classify.smo import MAX_TRAIN_ROWS
 from regretstream.errors import ConfigError, InsufficientDataError, ValidationError
 
 from conftest import make_corpus, make_tweet, ts
-from oracles import ReferenceTree
+from oracles import ReferenceTree, row_pegasos_weights
 
 
 def sparse_from_rows(rows, n_cols):
@@ -182,6 +182,43 @@ class TestLinearSvm:
         assert isinstance(train_stage1(X, y, "linear_svm"), LinearSvmModel)
         with pytest.raises(ConfigError):
             train_stage1(X, y, "perceptron")
+
+
+class TestPegasosMatchesOracle:
+    """The fit over precomputed row slices returns the former per-step
+    ``X.row(i)`` loop's weights bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 12),
+        st.floats(0.0, 0.9), st.sampled_from([1e-6, 0.01, 1.0, 50.0]), st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_sparse_rows(self, seed, n, v, empty_share, c, epochs):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(n):
+            if rng.random() < empty_share:
+                rows.append({})  # a tweet with no in-vocabulary term
+                continue
+            cols = rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False)
+            rows.append({int(j): float(rng.normal()) for j in cols})
+        X = sparse_from_rows(rows, v)
+        y = np.array([i % 2 for i in range(n)])
+        rng.shuffle(y)
+        model = LinearSvmModel(c=c, epochs=epochs, seed=seed).fit(X, y)
+        assert model.weights.tobytes() == row_pegasos_weights(X, y, c, epochs, seed).tobytes()
+
+    def test_seed_42_training_rows(self, synth_default, resources):
+        from regretstream.classify.pipeline import prepare_training_data
+
+        # The stage-1 algorithm does not change the sampled, featurized rows;
+        # naive Bayes makes the preparation fast.
+        prep = prepare_training_data(
+            synth_default.cleaned, TrainConfig(stage1_algorithm="multinomial_nb"), 42, resources
+        )
+        X, y = SparseRows.from_feature_matrix(prep.train), prep.train.labels
+        model = LinearSvmModel(c=1e-6, epochs=30, seed=42).fit(X, y)
+        assert model.weights.tobytes() == row_pegasos_weights(X, y, 1e-6, 30, 42).tobytes()
 
 
 def xor_dense(n_per_corner=25, jitter=0.0, seed=0):

@@ -480,6 +480,18 @@ BAD_INPUTS = {
         ["annotate-agg", "--annotations", "{bad}", "--out", "{tmp}/a.json"],
         b'{"item_id": 0, "group": "deleted", "regret": ["no", "no", "no"]}\n'
         b'{"item_id": 1}\n', 2),
+    "annotate-agg answer list holding a list": (
+        ["annotate-agg", "--annotations", "{bad}", "--out", "{tmp}/a.json"],
+        b'{"item_id": 0, "group": "deleted", "regret": ["no", "no", "no"]}\n'
+        b'{"item_id": 1, "group": "deleted", "regret": [["x"], "no", "no"]}\n', 2),
+    "--lexicon with 65 categories": (
+        ["analyze", "--corpus", "{work}/cleaned.json", "--metrics", "temporal",
+         "--lexicon", "{bad}", "--out", "{tmp}/r"],
+        json.dumps({"categories": [{"name": f"c{i}", "patterns": []} for i in range(65)]})
+        .encode(), None),
+    "--traits-map unknown symbol": (["analyze", "--corpus", "{work}/cleaned.json", "--metrics",
+                                     "traits", "--traits-map", "{bad}", "--out", "{tmp}/r"],
+                                    b'{"a": [1]}', None),
     "train --config list": (["train", "--corpus", "{work}/cleaned.json", "--config", "{bad}",
                              "--out", "{tmp}/m.rsb1"], b"[1,2]", None),
     "ablate --config list": (["ablate", "--corpus", "{work}/cleaned.json", "--config",

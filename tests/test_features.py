@@ -9,6 +9,7 @@ from regretstream.features import (
     DERIVED_SLOT,
     FEATURE_GROUPS,
     FeatureResources,
+    TweetMeasurements,
     build_vocab,
     dense_features,
     featurize_corpus,
@@ -17,9 +18,25 @@ from regretstream.features import (
     response_features,
     save_feature_matrix,
 )
+from regretstream import textkit
 from regretstream.textkit import Lexicon, RuleTagger, tokenize
 
 from conftest import make_corpus, make_profile, make_tweet, make_window, ts
+from oracles import index_pos_counts
+
+
+@pytest.fixture()
+def tokenize_calls(monkeypatch):
+    """The text of every ``textkit.tokenize`` call made during the test."""
+    calls = []
+    real = textkit.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(textkit, "tokenize", counting)
+    return calls
 
 
 class TestVocabulary:
@@ -382,22 +399,47 @@ class TestPretaggedPath:
 
 
 class TestOneTextPass:
-    def test_each_row_tokenized_once(self, synth_small, resources, monkeypatch):
-        from regretstream import textkit
-
+    def test_each_row_tokenized_once(self, synth_small, resources, tokenize_calls):
         corpus = synth_small.cleaned
         tweets = list(corpus)[:200]
         vocab = build_vocab(tweets)
-        calls = []
-        real = textkit.tokenize
-
-        def counting(text):
-            calls.append(text)
-            return real(text)
-
-        monkeypatch.setattr(textkit, "tokenize", counting)
+        tokenize_calls.clear()
         featurize_corpus(corpus, vocab, resources, tweets=tweets)
-        assert sorted(calls) == sorted(t.text for t in tweets)
+        assert sorted(tokenize_calls) == sorted(t.text for t in tweets)
+
+    def test_records_shared_by_vocabulary_and_rows(self, synth_small, resources, tokenize_calls):
+        corpus = synth_small.cleaned
+        tweets = list(corpus)[:200]
+        records = [TweetMeasurements(t, resources) for t in tweets]
+        m = featurize_corpus(corpus, build_vocab(records), resources, tweets=records)
+        assert sorted(tokenize_calls) == sorted(t.text for t in tweets)
+        plain = featurize_corpus(corpus, build_vocab(tweets), resources, tweets=tweets)
+        for name in ("sparse_indptr", "sparse_indices", "sparse_data", "dense", "tweet_ids"):
+            assert getattr(m, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_reply_measured_once_with_responses(self, synth_small, resources, tokenize_calls):
+        corpus = synth_small.cleaned
+        assert any(corpus.get(r) is not None for t in corpus for r in t.reply_ids)
+        vocab = build_vocab(corpus)
+        tokenize_calls.clear()
+        featurize_corpus(corpus, vocab, resources, with_responses=True)
+        assert sorted(tokenize_calls) == sorted(t.text for t in corpus)
+
+    def test_train_tokenizes_each_text_once(self, synth_small, resources, tokenize_calls):
+        from regretstream.classify import TrainConfig, two_stage_train
+
+        cfg = TrainConfig(n_per_class=60, stage2_hyper={"ada_depth": 2, "ada_rounds": 5})
+        two_stage_train(synth_small.cleaned, cfg, 1, resources)
+        assert tokenize_calls
+        assert len(tokenize_calls) == len(set(tokenize_calls))
+
+    def test_measurements_match_former_per_tag_and_per_word_paths(self, synth_small, resources):
+        tagset = resources.tagger.tagset
+        for t in synth_small.cleaned:
+            m = TweetMeasurements(t, resources)
+            counts = np.array(m.pos_counts(), dtype=np.float64)
+            assert counts.tobytes() == index_pos_counts(m.tags, tagset).tobytes()
+            assert m.lexicon_scores() == textkit.lexicon_score(m.tokens, resources.lexicon)
 
     def test_rows_match_single_tweet_features(self, synth_small, resources):
         corpus = synth_small.cleaned

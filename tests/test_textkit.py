@@ -19,7 +19,7 @@ from regretstream.textkit import (
     tokenize,
 )
 
-from oracles import dp_edit_distance, scan_categories
+from oracles import dp_edit_distance, scan_categories, uncached_tags
 
 
 class TestTokenize:
@@ -293,6 +293,60 @@ class TestPosTagger:
 
         with pytest.raises(ContractError):
             pos_tag(tokenize("two words"), ShortTagger())
+
+
+# Words that reach every rule of RuleTagger: closed-class words, each
+# suffix list, both apostrophes, and text whose case mapping is not ASCII.
+TAGGER_WORDS = (
+    sorted(textkit._PRONOUNS)[:6] + sorted(textkit._DETERMINERS)[:4]
+    + sorted(textkit._PREPOSITIONS)[:4] + sorted(textkit._CONJUNCTIONS)
+    + sorted(textkit._INTERJECTIONS)[:4] + sorted(textkit._COMMON_VERBS)[:6]
+    + ["rt", "there", "don't", "can\u2019t", "quickly", "ly"]
+    + ["walk" + s for s in textkit._VERB_SUFFIXES]
+    + ["hope" + s for s in textkit._ADJ_SUFFIXES]
+    + ["kind" + s for s in textkit._NOUN_SUFFIXES]
+    + ["apple", "london", "İstanbul", "ÉCOLE", "straße", "ǅemal", "ΣΟΦΊΑ", "ﬁne"]
+)
+CASINGS = (str.lower, str.upper, str.title, str.capitalize, str.swapcase, lambda w: w)
+
+
+@st.composite
+def tagger_texts(draw):
+    words = draw(st.lists(
+        st.one_of(
+            st.sampled_from(TAGGER_WORDS),
+            st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=8),
+        ),
+        max_size=10,
+    ))
+    return " ".join(draw(st.sampled_from(CASINGS))(w) for w in words)
+
+
+class TestTaggerMemo:
+    @given(st.lists(tagger_texts(), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_cold_and_warm_memo_match_uncached_rules(self, texts):
+        tagger = RuleTagger()
+        for text in texts + texts:  # each text once cold, once warm
+            toks = tokenize(text)
+            assert tagger.tag(toks) == uncached_tags(toks)
+
+    def test_capital_flag_is_part_of_the_key(self):
+        tagger = RuleTagger()
+        for text in ("apple Apple APPLE", "Apple apple", "ÉCOLE école", "İstanbul istanbul"):
+            toks = tokenize(text)
+            assert tagger.tag(toks) == uncached_tags(toks)
+        assert tagger.tag(tokenize("apple Apple")) == ["common_noun", "proper_noun"]
+
+    def test_memo_belongs_to_the_instance(self):
+        class NounTagger(RuleTagger):
+            @staticmethod
+            def _tag_word(w, capitalized):
+                return "common_noun"
+
+        toks = tokenize("quickly")
+        assert RuleTagger().tag(toks) == ["adverb"]
+        assert NounTagger().tag(toks) == ["common_noun"]
 
 
 class TestTextStats:
