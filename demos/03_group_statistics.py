@@ -63,11 +63,12 @@ kept_hist = analytics.temporal_histogram([t for t in cleaned if not t.deleted])
 print(f"tweets posted 20:00-06:00 UTC: deleted {late_night(deleted_hist):.1f}% "
       f"vs kept {late_night(kept_hist):.1f}%")
 
-# Response behavior and first-reply tone.
-report = analytics.response_report(cleaned)
+# Response behavior and first-reply tone, from one first-reply lookup.
+firsts = analytics.first_replies(cleaned)
+report = analytics.response_report(cleaned, firsts)
 print(f"replied-to: deleted {report.deleted.pct_with_replies:.1f}% "
       f"vs kept {report.non_deleted.pct_with_replies:.1f}%")
-split = analytics.reply_sentiment_split(cleaned, cache)
+split = analytics.reply_sentiment_split(cleaned, cache, firsts)
 print(f"negative first replies: deleted {split['deleted']['pct_negative']:.1f}% "
       f"vs kept {split['non_deleted']['pct_negative']:.1f}%")
 

@@ -3,11 +3,15 @@
 Covers deleter/non-deleter partitioning, normalized tweet/user differences
 (NTD/NUD), user-attribute distribution comparison, the personality trait
 tally, temporal histograms, response statistics, and annotation aggregation.
+
+NTD, NUD and the trait medians read a columnar ``MeasurementTable``: NTD
+sums its columns over deleted and kept rows, NUD and the trait medians over
+per-user segments of the rows sorted once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ import numpy as np
 from . import textkit
 from .errors import UndefinedDifferenceError, ValidationError
 from .events import Corpus, TweetRecord
-from .features import MeasurementCache, TweetMeasurements  # noqa: F401 (re-exported)
+from .features import MeasurementCache
 from .stats import Contingency2x2, TestResult, fisher_exact, mann_whitney_u, median
 
 NUD_MIN_TWEETS = 10  # per class, for a user to be NUD-eligible
@@ -24,22 +28,108 @@ TRAIT_SYMBOLS = ("O+", "O-", "C+", "C-", "E+", "E-", "A+", "A-", "N+", "N-")
 
 
 # ---------------------------------------------------------------------------
-# Attribute extractors
+# The measurement table
+# ---------------------------------------------------------------------------
+
+POS_TAGS = ("proper_noun", "common_noun", "verb", "adjective", "adverb", "emoticon")
+
+# Integer column groups, by the record work they need: none, the valence
+# table, tokens, and tags (the float columns come with the last).
+STRUCTURAL_COLUMNS = ("tweets_w_hashtags", "tweets_w_urls", "tweets_w_mentions", "replies")
+SENTIMENT_COLUMNS = ("tweets_w_positive_sentiment", "tweets_w_negative_sentiment")
+WORD_COLUMNS = (*(f"lexicon[{i}]" for i in range(textkit.Lexicon.SIZE)), "n_words")
+TAG_COLUMNS = (*(f"pos_{tag}" for tag in POS_TAGS), "n_tokens")
+SCALAR_COLUMNS = ("lexical_density", "dictionary_words")
+
+
+def _segments(*keys) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): a stable sort of the rows by ``keys``, the first key
+    primary, and the offset where each run of equal keys starts in it,
+    followed by the row count."""
+    order = np.lexsort(keys[::-1])
+    _, starts = np.unique(np.stack(keys)[:, order], axis=1, return_index=True)
+    return order, np.append(starts, len(order))
+
+
+class MeasurementTable:
+    """Per-tweet measurement columns, one row per tweet in the order given.
+
+    The structural flags, plus the column group of each standard column
+    named, from one read of each tweet's record. ``columns`` maps a name to
+    int32 counts or float64 scalars; callers may add their own. ``user``
+    holds each row's index into ``user_ids``, the sorted distinct user ids
+    (which need not fit 64 bits). The rows are held sorted by deleted flag
+    (``by_deleted``) and by user, then deleted flag (``by_user``);
+    ``nud_users`` holds (user id, kept segment, deleted segment) of
+    ``by_user`` for each NUD-eligible user, ascending.
+    """
+
+    def __init__(self, tweets, cache: MeasurementCache, columns=()):
+        names = set(columns)
+        sentiment = bool(names & set(SENTIMENT_COLUMNS))
+        words = bool(names & set(WORD_COLUMNS))
+        tagged = bool(names & {*TAG_COLUMNS, *SCALAR_COLUMNS})
+        layout = (
+            STRUCTURAL_COLUMNS + SENTIMENT_COLUMNS * sentiment
+            + WORD_COLUMNS * words + TAG_COLUMNS * tagged
+        )
+        n = len(tweets)
+        counts = np.zeros((n, len(layout)), dtype=np.int32)
+        scalars = np.zeros((n, len(SCALAR_COLUMNS) * tagged), dtype=np.float64)
+        self.user_ids = sorted({t.user_id for t in tweets})
+        rank = {u: k for k, u in enumerate(self.user_ids)}
+        self.user = np.array([rank[t.user_id] for t in tweets], dtype=np.int64)
+        self.deleted = np.array([t.deleted for t in tweets], dtype=bool)
+        for i, t in enumerate(tweets):
+            row = [bool(t.hashtags), bool(t.urls), bool(t.mentions), t.in_reply_to_id is not None]
+            if len(layout) > len(row):
+                m = cache.get(t)
+                if sentiment:
+                    s = m.sentiment()
+                    row += (s > 0, s < 0)
+                if words:
+                    row += m.lexicon_counts()
+                    row.append(m.n_words)
+                if tagged:
+                    tags = m.tags
+                    row += [tags.count(tag) for tag in POS_TAGS]
+                    row.append(m.n_tokens)
+                    scalars[i] = m.stats()
+            counts[i] = row
+        self.columns = {name: counts[:, j] for j, name in enumerate(layout)}
+        if tagged:
+            self.columns.update((name, scalars[:, j]) for j, name in enumerate(SCALAR_COLUMNS))
+        self.by_deleted = _segments(self.deleted)
+        self.by_user = order, bounds = _segments(self.user, self.deleted)
+        # A user's kept and deleted segments are adjacent, kept first.
+        users = self.user[order[bounds[:-1]]]
+        sizes = np.diff(bounds)
+        pair = (users[:-1] == users[1:]) & (np.minimum(sizes[:-1], sizes[1:]) >= NUD_MIN_TWEETS)
+        self.nud_users = [
+            (self.user_ids[users[i]], i, i + 1) for i in np.flatnonzero(pair).tolist()
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Attributes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AttributeExtractor:
-    """A named per-tweet measurement.
+    """A named per-tweet measurement, read from measurement-table columns.
 
-    kind "binary": fn -> bool (tweet has / has not the attribute)
-    kind "scalar": fn -> float (per-tweet value, compared via medians)
-    kind "token_fraction": fn -> (matching_tokens, total_tokens); group
-        prevalence is the pooled token fraction.
+    kind "binary": ``column`` is a 0/1 flag (tweet has / has not the
+        attribute); group prevalence is the fraction of tweets with it.
+    kind "scalar": ``column`` is a per-tweet float, compared via medians.
+    kind "token_fraction": ``column`` counts matching tokens and ``total``
+        the tokens they are drawn from; group prevalence is the pooled
+        token fraction.
     """
 
     name: str
     kind: str
-    fn: object
+    column: str
+    total: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("binary", "scalar", "token_fraction"):
@@ -48,35 +138,19 @@ class AttributeExtractor:
 
 def structural_extractors() -> list[AttributeExtractor]:
     """Attributes computable from the tweet record alone."""
-    return [
-        AttributeExtractor("tweets_w_hashtags", "binary", lambda t, m: len(t.hashtags) > 0),
-        AttributeExtractor("tweets_w_urls", "binary", lambda t, m: len(t.urls) > 0),
-        AttributeExtractor("tweets_w_mentions", "binary", lambda t, m: len(t.mentions) > 0),
-        AttributeExtractor("replies", "binary", lambda t, m: t.in_reply_to_id is not None),
-    ]
+    return [AttributeExtractor(name, "binary", name) for name in STRUCTURAL_COLUMNS]
 
 
 def linguistic_extractors(resources) -> list[AttributeExtractor]:
     """POS-, lexicon-, and density-based attributes (need feature resources)."""
-    out: list[AttributeExtractor] = []
-    for tag in ("proper_noun", "common_noun", "verb", "adjective", "adverb", "emoticon"):
-        out.append(
-            AttributeExtractor(
-                f"pos_{tag}", "token_fraction",
-                lambda t, m, tag=tag: (m.tag_count(tag), m.n_tokens),
-            )
-        )
-    out.append(AttributeExtractor("lexical_density", "scalar", lambda t, m: m.stats()[0]))
-    out.append(AttributeExtractor("dictionary_words", "scalar", lambda t, m: m.stats()[1]))
+    out = [AttributeExtractor(f"pos_{tag}", "token_fraction", f"pos_{tag}", "n_tokens")
+           for tag in POS_TAGS]
+    out += [AttributeExtractor(name, "scalar", name) for name in SCALAR_COLUMNS]
     for idx, name in enumerate(resources.lexicon.category_names):
-        if name.startswith("_empty_"):
-            continue
-        out.append(
-            AttributeExtractor(
-                f"lexicon_{name}", "token_fraction",
-                lambda t, m, idx=idx: (m.lexicon_counts()[idx], m.n_words),
-            )
-        )
+        if not name.startswith("_empty_"):
+            out.append(AttributeExtractor(
+                f"lexicon_{name}", "token_fraction", f"lexicon[{idx}]", "n_words"
+            ))
     return out
 
 
@@ -90,13 +164,8 @@ def partition_users(corpus: Corpus) -> tuple[set[int], set[int]]:
     Run this on the cleaned corpus: users whose only deletions were
     superficial have no deleted tweets left and fall in the non-deleter set.
     """
-    deleters: set[int] = set()
-    active: set[int] = set()
-    for t in corpus:
-        active.add(t.user_id)
-        if t.deleted:
-            deleters.add(t.user_id)
-    return deleters, active - deleters
+    deleters = {t.user_id for t in corpus if t.deleted}
+    return deleters, {t.user_id for t in corpus} - deleters
 
 
 def ntd_value(del_frac: float, nondel_frac: float) -> float:
@@ -113,51 +182,42 @@ def nud_value(del_user_frac: float, nondel_user_frac: float) -> float:
     return (del_user_frac - nondel_user_frac) / nondel_user_frac * 100.0
 
 
-def _prevalence(attr: AttributeExtractor, tweets, cache) -> tuple[float, tuple[int, int]]:
-    """(fraction, (numerator, denominator)) of an attribute over tweets."""
-    if attr.kind == "binary":
-        hits = sum(1 for t in tweets if bool(attr.fn(t, cache.get(t))))
-        return hits / len(tweets), (hits, len(tweets))
-    if attr.kind == "token_fraction":
-        match = total = 0
-        for t in tweets:
-            m, n = attr.fn(t, cache.get(t))
-            match += m
-            total += n
-        if total == 0:
-            return 0.0, (0, 0)
-        return match / total, (match, total)
-    raise ValidationError(f"attribute kind {attr.kind} has no prevalence")
+def _sides(attr: AttributeExtractor, table: MeasurementTable, segments) -> list:
+    """The attribute over each segment of the table's rows: the float values
+    in row order for a scalar attribute, else (matching, total) sums."""
+    order, bounds = segments
+    values = table.columns[attr.column][order]
+    starts = bounds[:-1]
+    if attr.kind == "scalar":
+        return [values[a:b].tolist() for a, b in zip(starts, bounds[1:])]
+    hits = np.add.reduceat(values, starts, dtype=np.int64).tolist()
+    if attr.total is None:
+        return list(zip(hits, np.diff(bounds).tolist()))
+    totals = np.add.reduceat(table.columns[attr.total][order], starts, dtype=np.int64)
+    return list(zip(hits, totals.tolist()))
 
 
-def _compare(attr: AttributeExtractor, del_tweets, nondel_tweets, cache, alpha):
+def _compare(attr: AttributeExtractor, del_side, nondel_side, alpha):
     """(deleted value, non-deleted value, test): medians with Mann-Whitney U
     for scalar attributes, prevalences with Fisher's exact test otherwise (a
     side with no tokens is an empty row, which ``Contingency2x2`` rejects)."""
     if attr.kind == "scalar":
-        dv = [float(attr.fn(t, cache.get(t))) for t in del_tweets]
-        nv = [float(attr.fn(t, cache.get(t))) for t in nondel_tweets]
-        test = mann_whitney_u(dv, nv, alpha)
-        return median(dv), median(nv), test
-    dfrac, (dnum, dden) = _prevalence(attr, del_tweets, cache)
-    nfrac, (nnum, nden) = _prevalence(attr, nondel_tweets, cache)
+        test = mann_whitney_u(del_side, nondel_side, alpha)
+        return median(del_side), median(nondel_side), test
+    (dnum, dden), (nnum, nden) = del_side, nondel_side
     test = fisher_exact(Contingency2x2(dnum, dden - dnum, nnum, nden - nnum), alpha)
-    return dfrac, nfrac, test
+    return dnum / dden, nnum / nden, test
 
 
 def ntd(
-    attr: AttributeExtractor,
-    del_tweets,
-    nondel_tweets,
-    cache: MeasurementCache,
-    alpha: float = 0.05,
+    attr: AttributeExtractor, table: MeasurementTable, alpha: float = 0.05
 ) -> tuple[float, TestResult]:
-    """Aggregate normalized tweet difference plus the attached test."""
-    del_tweets = list(del_tweets)
-    nondel_tweets = list(nondel_tweets)
-    if not del_tweets or not nondel_tweets:
+    """Aggregate normalized tweet difference between the table's deleted and
+    kept rows, plus the attached test."""
+    if table.deleted.all() or not table.deleted.any():
         raise ValidationError("both tweet sets must be non-empty")
-    dval, nval, test = _compare(attr, del_tweets, nondel_tweets, cache, alpha)
+    nondel_side, del_side = _sides(attr, table, table.by_deleted)
+    dval, nval, test = _compare(attr, del_side, nondel_side, alpha)
     return ntd_value(dval, nval), test
 
 
@@ -170,24 +230,8 @@ class NudDetail:
     nondel_user_frac: float
 
 
-def _user_direction(attr, del_tweets, nondel_tweets, cache, alpha) -> int:
-    """+1 if significantly higher in deleted, -1 if in non-deleted, else 0."""
-    try:
-        dval, nval, test = _compare(attr, del_tweets, nondel_tweets, cache, alpha)
-    except ValidationError:
-        if attr.kind == "scalar":
-            raise
-        return 0  # an empty contingency row: no tokens on one side
-    if not test.significant:
-        return 0
-    return 1 if dval > nval else (-1 if dval < nval else 0)
-
-
 def nud(
-    attr: AttributeExtractor,
-    corpus: Corpus,
-    cache: MeasurementCache,
-    alpha: float = 0.05,
+    attr: AttributeExtractor, table: MeasurementTable, alpha: float = 0.05
 ) -> tuple[float, NudDetail]:
     """Per-user normalized difference for one attribute.
 
@@ -195,26 +239,26 @@ def nud(
     evaluated; each eligible user is tested individually (Fisher for count
     attributes, Mann-Whitney for scalar ones) at the given alpha.
     """
-    eligible: list[int] = []
+    users = table.nud_users
+    if not users:
+        raise UndefinedDifferenceError("NUD undefined: no eligible users")
+    sides = _sides(attr, table, table.by_user)
     higher_del: list[int] = []
     higher_nondel: list[int] = []
-    for user_id in corpus.user_ids():
-        timeline = corpus.tweets_of(user_id)
-        del_tweets = [t for t in timeline if t.deleted]
-        nondel_tweets = [t for t in timeline if not t.deleted]
-        if len(del_tweets) < NUD_MIN_TWEETS or len(nondel_tweets) < NUD_MIN_TWEETS:
-            continue
-        eligible.append(user_id)
-        direction = _user_direction(attr, del_tweets, nondel_tweets, cache, alpha)
-        if direction > 0:
+    for user_id, kept, deleted in users:
+        try:
+            dval, nval, test = _compare(attr, sides[deleted], sides[kept], alpha)
+        except ValidationError:
+            if attr.kind == "scalar":
+                raise
+            continue  # an empty contingency row: no tokens on one side
+        if test.significant and dval > nval:
             higher_del.append(user_id)
-        elif direction < 0:
+        elif test.significant and dval < nval:
             higher_nondel.append(user_id)
-    if not eligible:
-        raise UndefinedDifferenceError("NUD undefined: no eligible users")
-    duf = len(higher_del) / len(eligible)
-    nuf = len(higher_nondel) / len(eligible)
-    detail = NudDetail(eligible, higher_del, higher_nondel, duf, nuf)
+    duf = len(higher_del) / len(users)
+    nuf = len(higher_nondel) / len(users)
+    detail = NudDetail([u for u, _, _ in users], higher_del, higher_nondel, duf, nuf)
     return nud_value(duf, nuf), detail
 
 
@@ -226,26 +270,26 @@ def group_compare_report(
 ) -> list[dict]:
     """NTD and NUD rows for each attribute.
 
-    The tweet-level comparison is restricted to tweets posted by deleter-set
-    users. NUD rows that are undefined for an attribute carry ``nud: null``
-    plus the reason instead of failing.
+    Both comparisons read one measurement table over the tweets posted by
+    deleter-set users (every NUD-eligible user is one). NUD rows that are
+    undefined for an attribute carry ``nud: null`` plus the reason instead
+    of failing.
     """
     deleters, _ = partition_users(corpus)
     pool = [t for t in corpus if t.user_id in deleters]
-    del_tweets = [t for t in pool if t.deleted]
-    nondel_tweets = [t for t in pool if not t.deleted]
+    table = MeasurementTable(pool, cache, {c for attr in attrs for c in (attr.column, attr.total)})
     rows = []
     for attr in attrs:
         row = {"attribute": attr.name, "kind": attr.kind}
         try:
-            value, test = ntd(attr, del_tweets, nondel_tweets, cache, alpha)
+            value, test = ntd(attr, table, alpha)
             row["ntd"] = value
             row["ntd_test"] = test.to_dict()
         except (UndefinedDifferenceError, ValidationError) as exc:
             row["ntd"] = None
             row["ntd_error"] = str(exc)
         try:
-            value, detail = nud(attr, corpus, cache, alpha)
+            value, detail = nud(attr, table, alpha)
             row["nud"] = value
             row["eligible_users"] = len(detail.eligible_users)
             row["del_sig_users"] = len(detail.higher_in_deleted)
@@ -379,43 +423,31 @@ def user_category_medians(corpus: Corpus, cache: MeasurementCache, deleters, non
     plus percentages of their tweets with positive/negative sentiment and
     with hashtags/urls. Medians are taken per group.
     """
-    per_user: dict[int, dict[str, float]] = {}
-    names = cache.resources.lexicon.category_names
-    for user_id in corpus.user_ids():
-        timeline = corpus.tweets_of(user_id)
-        counts = [0] * textkit.Lexicon.SIZE
-        words = 0
-        pos = neg = hashtags = urls = 0
-        for t in timeline:
-            m = cache.get(t)
-            lc = m.lexicon_counts()
-            for i, c in enumerate(lc):
-                counts[i] += c
-            words += m.n_words
-            s = m.sentiment()
-            pos += 1 if s > 0 else 0
-            neg += 1 if s < 0 else 0
-            hashtags += 1 if t.hashtags else 0
-            urls += 1 if t.urls else 0
-        n = len(timeline)
-        row = {}
-        for i, name in enumerate(names):
-            if name.startswith("_empty_"):
-                continue
-            row[f"lexicon_{name}"] = 100.0 * counts[i] / words if words else 0.0
-        row["tweets_w_positive_sentiment"] = 100.0 * pos / n
-        row["tweets_w_negative_sentiment"] = 100.0 * neg / n
-        row["tweets_w_hashtags"] = 100.0 * hashtags / n
-        row["tweets_w_urls"] = 100.0 * urls / n
-        per_user[user_id] = row
-    attrs = sorted(next(iter(per_user.values()))) if per_user else []
-    out = {}
-    for attr in attrs:
-        dv = [per_user[u][attr] for u in sorted(deleters) if u in per_user]
-        nv = [per_user[u][attr] for u in sorted(non_deleters) if u in per_user]
-        if dv and nv:
-            out[attr] = (median(nv), median(dv))
-    return out
+    table = MeasurementTable(corpus, cache, WORD_COLUMNS + SENTIMENT_COLUMNS)
+    order, bounds = _segments(table.user)
+    starts = bounds[:-1]
+    sums = {
+        col: np.add.reduceat(table.columns[col][order], starts, dtype=np.int64).tolist()
+        for col in table.columns
+    }
+    words, n = sums["n_words"], np.diff(bounds).tolist()
+    per_user: dict[str, list[float]] = {}  # attribute -> value per user, users ascending
+    for idx, name in enumerate(cache.resources.lexicon.category_names):
+        if not name.startswith("_empty_"):
+            per_user[f"lexicon_{name}"] = [
+                100.0 * c / w if w else 0.0 for c, w in zip(sums[f"lexicon[{idx}]"], words)
+            ]
+    for attr in (*SENTIMENT_COLUMNS, "tweets_w_hashtags", "tweets_w_urls"):
+        per_user[attr] = [100.0 * c / k for c, k in zip(sums[attr], n)]
+    position = {table.user_ids[r]: k for k, r in enumerate(table.user[order[starts]].tolist())}
+    dk = [position[u] for u in sorted(deleters) if u in position]
+    nk = [position[u] for u in sorted(non_deleters) if u in position]
+    if not dk or not nk:
+        return {}
+    return {
+        attr: (median([per_user[attr][k] for k in nk]), median([per_user[attr][k] for k in dk]))
+        for attr in sorted(per_user)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +466,15 @@ def temporal_histogram(tweets) -> list[float]:
     return [100.0 * c / n for c in counts]
 
 
-def _first_reply(corpus: Corpus, tweet: TweetRecord) -> TweetRecord | None:
-    replies = [corpus.get(i) for i in tweet.reply_ids]
-    replies = [r for r in replies if r is not None]
-    if not replies:
-        return None
-    return min(replies, key=lambda r: (r.created_at, r.id))
+def first_replies(corpus: Corpus) -> dict[int, TweetRecord]:
+    """The earliest reply in the corpus to each tweet that has one, by the
+    replied-to tweet's id."""
+    out = {}
+    for t in corpus:
+        replies = [r for r in map(corpus.get, t.reply_ids) if r is not None]
+        if replies:
+            out[t.id] = min(replies, key=lambda r: (r.created_at, r.id))
+    return out
 
 
 @dataclass
@@ -449,15 +484,6 @@ class ResponseGroupStats:
     pct_with_retweets: float
     pct_with_quotes: float
     median_first_reply_sec: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pct_with_replies": self.pct_with_replies,
-            "pct_with_retweets": self.pct_with_retweets,
-            "pct_with_quotes": self.pct_with_quotes,
-            "median_first_reply_sec": self.median_first_reply_sec,
-        }
 
 
 @dataclass
@@ -469,21 +495,18 @@ class ResponseReport:
     median_deletion_lag_sec_replied: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "deleted": self.deleted.to_dict(),
-            "non_deleted": self.non_deleted.to_dict(),
-            "median_first_reply_sec_all": self.median_first_reply_sec_all,
-            "median_deletion_lag_sec": self.median_deletion_lag_sec,
-            "median_deletion_lag_sec_replied": self.median_deletion_lag_sec_replied,
-        }
+        return asdict(self)
 
 
-def response_report(corpus: Corpus) -> ResponseReport:
-    """Response-rate and latency statistics per deletion group."""
+def response_report(corpus: Corpus, firsts: dict[int, TweetRecord]) -> ResponseReport:
+    """Response-rate and latency statistics per deletion group; ``firsts``
+    is ``first_replies(corpus)``."""
 
     def first_reply_latencies(tweets) -> list[float]:
-        firsts = ((t, _first_reply(corpus, t)) for t in tweets if t.reply_ids)
-        return [(f.created_at - t.created_at).total_seconds() for t, f in firsts if f is not None]
+        return [
+            (firsts[t.id].created_at - t.created_at).total_seconds()
+            for t in tweets if t.id in firsts
+        ]
 
     def group_stats(tweets, latencies) -> ResponseGroupStats:
         n = len(tweets)
@@ -513,35 +536,29 @@ def response_report(corpus: Corpus) -> ResponseReport:
     )
 
 
-def reply_sentiment_split(corpus: Corpus, cache: MeasurementCache) -> dict:
+def reply_sentiment_split(
+    corpus: Corpus, cache: MeasurementCache, firsts: dict[int, TweetRecord]
+) -> dict:
     """Per-group percentages of first replies with positive/negative tone.
 
-    Only tweets with at least one reply count; a first reply scoring exactly
-    zero is counted in neither bucket and reported separately.
+    Only tweets with at least one reply count (``firsts`` is
+    ``first_replies(corpus)``); a first reply scoring exactly zero is
+    counted in neither bucket and reported separately.
     """
     out = {}
-    for group, tweets in (
-        ("deleted", [t for t in corpus if t.deleted]),
-        ("non_deleted", [t for t in corpus if not t.deleted]),
-    ):
-        pos = neg = zero = 0
-        for t in tweets:
-            first = _first_reply(corpus, t)
-            if first is None:
-                continue
-            s = cache.get(first).sentiment()
-            if s > 0:
-                pos += 1
-            elif s < 0:
-                neg += 1
-            else:
-                zero += 1
-        n = pos + neg + zero
+    for group, deleted in (("deleted", True), ("non_deleted", False)):
+        scores = [
+            cache.get(first).sentiment()
+            for tid, first in firsts.items() if corpus.get(tid).deleted == deleted
+        ]
+        n = len(scores)
+        pos = sum(1 for s in scores if s > 0)
+        neg = sum(1 for s in scores if s < 0)
         out[group] = {
             "n_replied": n,
             "pct_positive": 100.0 * pos / n if n else 0.0,
             "pct_negative": 100.0 * neg / n if n else 0.0,
-            "pct_zero": 100.0 * zero / n if n else 0.0,
+            "pct_zero": 100.0 * (n - pos - neg) / n if n else 0.0,
         }
     return out
 

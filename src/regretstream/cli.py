@@ -196,8 +196,9 @@ def _cmd_analyze(args) -> int:
                 writer.writerow([h, histo["deleted"][h], histo["non_deleted"][h]])
 
     if "response" in metrics:
-        report = analytics.response_report(corpus).to_dict()
-        report["reply_sentiment"] = analytics.reply_sentiment_split(corpus, cache)
+        firsts = analytics.first_replies(corpus)
+        report = analytics.response_report(corpus, firsts).to_dict()
+        report["reply_sentiment"] = analytics.reply_sentiment_split(corpus, cache, firsts)
         _write_json(outdir / "response.json", report)
 
     if "traits" in metrics:

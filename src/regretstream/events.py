@@ -75,7 +75,7 @@ def _invalid_field(raw, fields, exc: Exception, line_number=None, prefix: str = 
         if name in raw:
             try:
                 convert(raw[name])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 value = reprlib.repr(raw[name])
                 return SchemaError(prefix + name, f"invalid {prefix}{name}: {value}", line_number)
     return SchemaError(whole, f"invalid {whole}: {exc}", line_number)
@@ -148,7 +148,7 @@ class UserProfile:
                 statuses_count=int(raw.get("statuses_count", 0)),
                 timezone_offset_min=_opt_int(raw.get("timezone_offset_min")),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _invalid_field(raw, _USER_FIELDS, exc, line_number, "user.") from None
 
 
@@ -265,7 +265,7 @@ def parse_event(line: str, line_number: int | None = None) -> Event:
                 user=UserProfile.from_dict(raw["user"], line_number),
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _invalid_field(raw, _EVENT_FIELDS, exc, line_number) from None
 
 
@@ -387,7 +387,7 @@ class TweetRecord:
             )
         except KeyError as exc:
             raise SchemaError(exc.args[0]) from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _invalid_field(raw, _RECORD_FIELDS, exc) from None
 
 
@@ -465,10 +465,10 @@ class Corpus:
 
     def profile_of(self, user_id: int) -> UserProfile:
         """Latest profile snapshot seen for a user."""
-        timeline = self.tweets_of(user_id)
-        if not timeline:
+        ids = self._user_index.get(user_id)
+        if not ids:
             raise ValidationError(f"user {user_id} has no tweets in corpus")
-        return timeline[-1].user
+        return self._by_id[ids[-1]].user
 
     def replace_tweets(self, tweets) -> "Corpus":
         return Corpus(tweets, self.window, self.stats)

@@ -189,9 +189,6 @@ class TweetMeasurements:
             return [0.0] * textkit.Lexicon.SIZE
         return [100.0 * c / n for c in counts]
 
-    def tag_count(self, tag: str) -> int:
-        return sum(1 for t in self.tags if t == tag)
-
     def pos_counts(self) -> list[int]:
         """Tag counts in the order of the tagger's tagset."""
         counts = Counter(self.tags)

@@ -8,7 +8,7 @@ the small-sample Mann-Whitney branch enumerates the full permutation null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .errors import ValidationError
@@ -47,13 +47,7 @@ class TestResult:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_two_sided": self.p_two_sided,
-            "effect": self.effect,
-            "significant": self.significant,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def _log_choose(n: int, k: int) -> float:

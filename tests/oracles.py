@@ -7,12 +7,16 @@ tests can require the fast kernel to return exactly the same result.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from regretstream import textkit
+from regretstream.analytics import NUD_MIN_TWEETS, NudDetail, ntd_value, nud_value, partition_users
 from regretstream.classify.trees import _EPS, DecisionTree
+from regretstream.errors import UndefinedDifferenceError, ValidationError
+from regretstream.stats import Contingency2x2, fisher_exact, mann_whitney_u, median
 
 
 def dp_edit_distance(a: str, b: str) -> int:
@@ -248,3 +252,173 @@ def reference_best_split(X, y, w):
     if thr >= xs[i + 1, j]:
         thr = float(xs[i, j])
     return j, thr
+
+
+# ---------------------------------------------------------------------------
+# Group comparison by one Python function per (tweet, attribute)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LambdaAttribute:
+    """The former attribute extractor: ``fn(tweet, record)`` gives a flag
+    (binary), a float (scalar) or (matching, total) (token_fraction)."""
+
+    name: str
+    kind: str
+    fn: object
+
+
+def lambda_attributes(resources, structural_only: bool = False) -> list[LambdaAttribute]:
+    """The ``analyze`` attribute list, one lambda per attribute."""
+    out = [
+        LambdaAttribute("tweets_w_hashtags", "binary", lambda t, m: len(t.hashtags) > 0),
+        LambdaAttribute("tweets_w_urls", "binary", lambda t, m: len(t.urls) > 0),
+        LambdaAttribute("tweets_w_mentions", "binary", lambda t, m: len(t.mentions) > 0),
+        LambdaAttribute("replies", "binary", lambda t, m: t.in_reply_to_id is not None),
+    ]
+    if structural_only:
+        return out
+    for tag in ("proper_noun", "common_noun", "verb", "adjective", "adverb", "emoticon"):
+        out.append(LambdaAttribute(
+            f"pos_{tag}", "token_fraction",
+            lambda t, m, tag=tag: (sum(1 for x in m.tags if x == tag), m.n_tokens),
+        ))
+    out.append(LambdaAttribute("lexical_density", "scalar", lambda t, m: m.stats()[0]))
+    out.append(LambdaAttribute("dictionary_words", "scalar", lambda t, m: m.stats()[1]))
+    for idx, name in enumerate(resources.lexicon.category_names):
+        if not name.startswith("_empty_"):
+            out.append(LambdaAttribute(
+                f"lexicon_{name}", "token_fraction",
+                lambda t, m, idx=idx: (m.lexicon_counts()[idx], m.n_words),
+            ))
+    return out
+
+
+def _prevalence(attr, tweets, cache):
+    if attr.kind == "binary":
+        hits = sum(1 for t in tweets if bool(attr.fn(t, cache.get(t))))
+        return hits / len(tweets), (hits, len(tweets))
+    match = total = 0
+    for t in tweets:
+        m, n = attr.fn(t, cache.get(t))
+        match += m
+        total += n
+    if total == 0:
+        return 0.0, (0, 0)
+    return match / total, (match, total)
+
+
+def _lambda_compare(attr, del_tweets, nondel_tweets, cache, alpha):
+    if attr.kind == "scalar":
+        dv = [float(attr.fn(t, cache.get(t))) for t in del_tweets]
+        nv = [float(attr.fn(t, cache.get(t))) for t in nondel_tweets]
+        test = mann_whitney_u(dv, nv, alpha)
+        return median(dv), median(nv), test
+    dfrac, (dnum, dden) = _prevalence(attr, del_tweets, cache)
+    nfrac, (nnum, nden) = _prevalence(attr, nondel_tweets, cache)
+    test = fisher_exact(Contingency2x2(dnum, dden - dnum, nnum, nden - nnum), alpha)
+    return dfrac, nfrac, test
+
+
+def lambda_ntd(attr, del_tweets, nondel_tweets, cache, alpha=0.05):
+    if not del_tweets or not nondel_tweets:
+        raise ValidationError("both tweet sets must be non-empty")
+    dval, nval, test = _lambda_compare(attr, del_tweets, nondel_tweets, cache, alpha)
+    return ntd_value(dval, nval), test
+
+
+def lambda_nud(attr, corpus, cache, alpha=0.05):
+    """NUD re-splitting every user's timeline for the attribute."""
+    eligible, higher_del, higher_nondel = [], [], []
+    for user_id in corpus.user_ids():
+        timeline = corpus.tweets_of(user_id)
+        del_tweets = [t for t in timeline if t.deleted]
+        nondel_tweets = [t for t in timeline if not t.deleted]
+        if len(del_tweets) < NUD_MIN_TWEETS or len(nondel_tweets) < NUD_MIN_TWEETS:
+            continue
+        eligible.append(user_id)
+        try:
+            dval, nval, test = _lambda_compare(attr, del_tweets, nondel_tweets, cache, alpha)
+        except ValidationError:
+            if attr.kind == "scalar":
+                raise
+            continue
+        if test.significant and dval > nval:
+            higher_del.append(user_id)
+        elif test.significant and dval < nval:
+            higher_nondel.append(user_id)
+    if not eligible:
+        raise UndefinedDifferenceError("NUD undefined: no eligible users")
+    duf = len(higher_del) / len(eligible)
+    nuf = len(higher_nondel) / len(eligible)
+    return nud_value(duf, nuf), NudDetail(eligible, higher_del, higher_nondel, duf, nuf)
+
+
+def lambda_group_compare_report(corpus, attrs, cache, alpha=0.05) -> list[dict]:
+    """``analytics.group_compare_report`` by per-tweet lambdas."""
+    deleters, _ = partition_users(corpus)
+    pool = [t for t in corpus if t.user_id in deleters]
+    del_tweets = [t for t in pool if t.deleted]
+    nondel_tweets = [t for t in pool if not t.deleted]
+    rows = []
+    for attr in attrs:
+        row = {"attribute": attr.name, "kind": attr.kind}
+        try:
+            value, test = lambda_ntd(attr, del_tweets, nondel_tweets, cache, alpha)
+            row["ntd"] = value
+            row["ntd_test"] = test.to_dict()
+        except (UndefinedDifferenceError, ValidationError) as exc:
+            row["ntd"] = None
+            row["ntd_error"] = str(exc)
+        try:
+            value, detail = lambda_nud(attr, corpus, cache, alpha)
+            row["nud"] = value
+            row["eligible_users"] = len(detail.eligible_users)
+            row["del_sig_users"] = len(detail.higher_in_deleted)
+            row["nondel_sig_users"] = len(detail.higher_in_nondeleted)
+            row["del_user_frac"] = detail.del_user_frac
+            row["nondel_user_frac"] = detail.nondel_user_frac
+        except UndefinedDifferenceError as exc:
+            row["nud"] = None
+            row["nud_error"] = str(exc)
+        rows.append(row)
+    return rows
+
+
+def loop_user_category_medians(corpus, cache, deleters, non_deleters) -> dict:
+    """``analytics.user_category_medians`` by a Python loop over each
+    user's timeline."""
+    per_user = {}
+    names = cache.resources.lexicon.category_names
+    for user_id in corpus.user_ids():
+        timeline = corpus.tweets_of(user_id)
+        counts = [0] * textkit.Lexicon.SIZE
+        words = pos = neg = hashtags = urls = 0
+        for t in timeline:
+            m = cache.get(t)
+            for i, c in enumerate(m.lexicon_counts()):
+                counts[i] += c
+            words += m.n_words
+            s = m.sentiment()
+            pos += 1 if s > 0 else 0
+            neg += 1 if s < 0 else 0
+            hashtags += 1 if t.hashtags else 0
+            urls += 1 if t.urls else 0
+        n = len(timeline)
+        row = {}
+        for i, name in enumerate(names):
+            if not name.startswith("_empty_"):
+                row[f"lexicon_{name}"] = 100.0 * counts[i] / words if words else 0.0
+        row["tweets_w_positive_sentiment"] = 100.0 * pos / n
+        row["tweets_w_negative_sentiment"] = 100.0 * neg / n
+        row["tweets_w_hashtags"] = 100.0 * hashtags / n
+        row["tweets_w_urls"] = 100.0 * urls / n
+        per_user[user_id] = row
+    attrs = sorted(next(iter(per_user.values()))) if per_user else []
+    out = {}
+    for attr in attrs:
+        dv = [per_user[u][attr] for u in sorted(deleters) if u in per_user]
+        nv = [per_user[u][attr] for u in sorted(non_deleters) if u in per_user]
+        if dv and nv:
+            out[attr] = (median(nv), median(dv))
+    return out

@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretstream import analytics
 from regretstream.analytics import (
     AttributeExtractor,
     MeasurementCache,
+    MeasurementTable,
     aggregate_annotations,
+    first_replies,
     nud,
     nud_value,
     ntd,
@@ -26,11 +30,10 @@ from regretstream.resources import (
 )
 from regretstream.synth import SynthConfig
 
+import oracles
 from conftest import make_corpus, make_profile, make_tweet, run_synth_pipeline, ts
 
-HASHTAG_ATTR = AttributeExtractor(
-    "tweets_w_hashtags", "binary", lambda t, m: len(t.hashtags) > 0
-)
+HASHTAG_ATTR = AttributeExtractor("tweets_w_hashtags", "binary", "tweets_w_hashtags")
 
 
 class TestPartitionUsers:
@@ -108,16 +111,18 @@ class TestNtdOnCorpora:
             make_tweet(id=5),
             make_tweet(id=6),
         ]
-        value, test = ntd(HASHTAG_ATTR, del_tweets, nondel, cache)
+        value, test = ntd(HASHTAG_ATTR, MeasurementTable(del_tweets + nondel, cache))
         assert value == pytest.approx(0.0)  # 1/2 vs 2/4
         assert test.method == "fisher_exact"
 
     def test_scalar_attribute_uses_medians_and_mwu(self, resources):
         cache = MeasurementCache(resources)
-        attr = AttributeExtractor("text_len", "scalar", lambda t, m: float(len(t.text)))
+        attr = AttributeExtractor("text_len", "scalar", "text_len")
         del_tweets = [make_tweet(id=i, deleted=True, text="x" * (10 + i)) for i in range(1, 5)]
         nondel = [make_tweet(id=i + 10, text="x" * (5 + i)) for i in range(1, 5)]
-        value, test = ntd(attr, del_tweets, nondel, cache)
+        table = MeasurementTable(del_tweets + nondel, cache)
+        table.columns["text_len"] = np.array([float(len(t.text)) for t in del_tweets + nondel])
+        value, test = ntd(attr, table)
         assert value > 0
         assert test.method.startswith("mann_whitney")
 
@@ -126,7 +131,7 @@ class TestNtdOnCorpora:
         del_tweets = [make_tweet(id=1, deleted=True, hashtags=("#a",))]
         nondel = [make_tweet(id=2)]
         with pytest.raises(UndefinedDifferenceError):
-            ntd(HASHTAG_ATTR, del_tweets, nondel, cache)
+            ntd(HASHTAG_ATTR, MeasurementTable(del_tweets + nondel, cache))
 
     def test_planted_sign_on_generator_corpus(self, resources, whitelist):
         cfg = SynthConfig(
@@ -138,12 +143,7 @@ class TestNtdOnCorpora:
         cache = MeasurementCache(resources)
         deleters, _ = partition_users(sp.cleaned)
         pool = [t for t in sp.cleaned if t.user_id in deleters]
-        value, test = ntd(
-            HASHTAG_ATTR,
-            [t for t in pool if t.deleted],
-            [t for t in pool if not t.deleted],
-            cache,
-        )
+        value, test = ntd(HASHTAG_ATTR, MeasurementTable(pool, cache))
         assert value > 0
         assert test.significant
 
@@ -184,7 +184,7 @@ class TestNud:
             tid += 30
         corpus = make_corpus(tweets)
         cache = MeasurementCache(resources)
-        value, detail = nud(HASHTAG_ATTR, corpus, cache)
+        value, detail = nud(HASHTAG_ATTR, MeasurementTable(corpus, cache))
         assert set(detail.higher_in_deleted) == {1, 2, 3, 4}
         assert set(detail.higher_in_nondeleted) == {5}
         assert len(detail.eligible_users) == 8
@@ -197,14 +197,14 @@ class TestNud:
         tweets += self._user_tweets(3, 200, 15, 1, 15, 13)
         corpus = make_corpus(tweets)
         cache = MeasurementCache(resources)
-        _, detail = nud(HASHTAG_ATTR, corpus, cache)
+        _, detail = nud(HASHTAG_ATTR, MeasurementTable(corpus, cache))
         assert 1 not in detail.eligible_users
         assert set(detail.eligible_users) == {2, 3}
 
     def test_no_eligible_users_errors(self, resources):
         corpus = make_corpus([make_tweet(id=1, deleted=True), make_tweet(id=2)])
         with pytest.raises(UndefinedDifferenceError):
-            nud(HASHTAG_ATTR, corpus, MeasurementCache(resources))
+            nud(HASHTAG_ATTR, MeasurementTable(corpus, MeasurementCache(resources)))
 
     def test_planted_users_flagged_on_generator_corpus(self, resources, whitelist):
         cfg = SynthConfig(
@@ -219,7 +219,7 @@ class TestNud:
         planted = {r["user_id"] for r in sp.ledger if r.get("kind") == "user" and r.get("nud_planted")}
         reverse = {r["user_id"] for r in sp.ledger if r.get("kind") == "user" and r.get("nud_reverse")}
         cache = MeasurementCache(resources)
-        value, detail = nud(HASHTAG_ATTR, sp.cleaned, cache)
+        value, detail = nud(HASHTAG_ATTR, MeasurementTable(sp.cleaned, cache))
         eligible = set(detail.eligible_users)
         assert planted & eligible, "generator must produce eligible planted users"
         assert planted & eligible <= set(detail.higher_in_deleted)
@@ -427,7 +427,7 @@ class TestTemporalHistogram:
 class TestResponseReport:
     def test_no_responses(self):
         corpus = make_corpus([make_tweet(id=1), make_tweet(id=2, deleted=True)])
-        report = response_report(corpus)
+        report = response_report(corpus, first_replies(corpus))
         assert report.deleted.pct_with_replies == 0.0
         assert report.non_deleted.pct_with_replies == 0.0
         assert report.median_first_reply_sec_all is None
@@ -443,7 +443,7 @@ class TestResponseReport:
             text="a reply", in_reply_to_id=1,
         )
         corpus = make_corpus([target, reply])
-        report = response_report(corpus)
+        report = response_report(corpus, first_replies(corpus))
         assert report.deleted.median_first_reply_sec == pytest.approx(85.0)
         assert report.median_deletion_lag_sec == pytest.approx(20940.0)
         assert report.median_deletion_lag_sec_replied == pytest.approx(20940.0)
@@ -457,7 +457,8 @@ class TestResponseReport:
             make_tweet(id=10, user_id=2, created_at=ts(hours=5), in_reply_to_id=1),
             make_tweet(id=11, user_id=3, created_at=ts(hours=6), retweet_of_id=3),
         ]
-        report = response_report(make_corpus(tweets))
+        corpus = make_corpus(tweets)
+        report = response_report(corpus, first_replies(corpus))
         assert report.deleted.pct_with_replies == pytest.approx(50.0)
         assert report.non_deleted.pct_with_retweets == pytest.approx(25.0)
 
@@ -465,7 +466,8 @@ class TestResponseReport:
         target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), reply_ids=(2, 3))
         late = make_tweet(id=3, user_id=2, created_at=ts(hours=3), in_reply_to_id=1)
         early = make_tweet(id=2, user_id=3, created_at=ts(hours=2), in_reply_to_id=1)
-        report = response_report(make_corpus([target, late, early]))
+        corpus = make_corpus([target, late, early])
+        report = response_report(corpus, first_replies(corpus))
         assert report.non_deleted.median_first_reply_sec == pytest.approx(3600.0)
 
 
@@ -473,7 +475,8 @@ class TestReplySentimentSplit:
     def test_all_positive(self, resources):
         target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), deleted=True, reply_ids=(2,))
         reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="good stuff", in_reply_to_id=1)
-        split = reply_sentiment_split(make_corpus([target, reply]), MeasurementCache(resources))
+        corpus = make_corpus([target, reply])
+        split = reply_sentiment_split(corpus, MeasurementCache(resources), first_replies(corpus))
         assert split["deleted"]["pct_positive"] == pytest.approx(100.0)
         assert split["deleted"]["pct_negative"] == 0.0
 
@@ -486,14 +489,16 @@ class TestReplySentimentSplit:
             make_tweet(id=12, user_id=2, created_at=ts(hours=5), text="great", in_reply_to_id=2),
             make_tweet(id=13, user_id=2, created_at=ts(hours=6), text="awful", in_reply_to_id=3),
         ]
-        split = reply_sentiment_split(make_corpus(tweets), MeasurementCache(resources))
+        corpus = make_corpus(tweets)
+        split = reply_sentiment_split(corpus, MeasurementCache(resources), first_replies(corpus))
         assert split["deleted"]["pct_positive"] == pytest.approx(200 / 3, abs=0.01)
         assert split["deleted"]["pct_negative"] == pytest.approx(100 / 3, abs=0.01)
 
     def test_zero_score_counted_separately(self, resources):
         target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), reply_ids=(2,))
         reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="neutral words", in_reply_to_id=1)
-        split = reply_sentiment_split(make_corpus([target, reply]), MeasurementCache(resources))
+        corpus = make_corpus([target, reply])
+        split = reply_sentiment_split(corpus, MeasurementCache(resources), first_replies(corpus))
         g = split["non_deleted"]
         assert g["pct_zero"] == pytest.approx(100.0)
         assert g["pct_positive"] == 0.0 and g["pct_negative"] == 0.0
@@ -616,10 +621,7 @@ class TestSharedMeasurements:
         assert row["ntd_error"] == "each row of the contingency table must be nonempty"
 
     def test_nud_user_with_no_words_on_one_side_not_flagged(self, resources):
-        good = AttributeExtractor(
-            "good_words", "token_fraction",
-            lambda t, m: (m.tokens.words().count("good"), m.n_words),
-        )
+        good = AttributeExtractor("good_words", "token_fraction", "good", "n_words")
         tweets = []
         for i in range(12):
             # user 1: no word tokens in any deleted tweet
@@ -628,8 +630,113 @@ class TestSharedMeasurements:
             # user 2: "good" only in kept tweets, so flagged on the kept side
             tweets.append(make_tweet(id=300 + i, user_id=2, deleted=True, text="bad day"))
             tweets.append(make_tweet(id=400 + i, user_id=2, text="good good"))
-        value, detail = nud(good, make_corpus(tweets), MeasurementCache(resources))
+        corpus, cache = make_corpus(tweets), MeasurementCache(resources)
+        table = MeasurementTable(corpus, cache, ["n_words"])
+        table.columns["good"] = np.array([cache.get(t).tokens.words().count("good") for t in corpus])
+        value, detail = nud(good, table)
         assert set(detail.eligible_users) == {1, 2}
         assert detail.higher_in_nondeleted == [2]
         assert detail.higher_in_deleted == []
         assert value == pytest.approx(-100.0)
+
+
+# Texts with no tokens, with tokens but no words, and with tagger, lexicon
+# and valence hits; repeated, so that scalar columns tie.
+WORDLESS_TEXTS = ("", "123", "!! ?")
+ORACLE_TEXTS = WORDLESS_TEXTS + (
+    "good", "bad day", "work work money", "The Cat runs quickly",
+    "not good at all", ":) lol", "plain day", "Amazing tiny houses were built",
+)
+
+
+@st.composite
+def oracle_corpora(draw):
+    """Small corpora with NUD-eligible users (10+ deleted and 10+ kept
+    tweets), a user with exactly 9 deleted tweets, and a few others. User
+    2's deleted tweets have no tokens (an empty NUD side); in some corpora
+    no deleted tweet has a word (an empty NTD side). User ids from 2**63 up
+    do not fit an int64."""
+    sizes = [(draw(st.integers(10, 12)), draw(st.integers(10, 12))) for _ in range(2)]
+    sizes.append((9, draw(st.integers(10, 12))))
+    sizes += draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3))
+    wordless_deletions = draw(st.booleans())
+    tweets = []
+    for user, (n_del, n_kept) in enumerate(sizes, 1):
+        user_id = user * 2 ** 62
+        for k in range(n_del + n_kept):
+            tid = len(tweets) + 1
+            if k < n_del and user == 2:
+                texts = ("",)
+            elif k < n_del and wordless_deletions:
+                texts = WORDLESS_TEXTS
+            else:
+                texts = ORACLE_TEXTS
+            tweets.append(make_tweet(
+                id=tid, user_id=user_id, created_at=ts(minutes=tid), deleted=k < n_del,
+                text=draw(st.sampled_from(texts)),
+                hashtags=("#x",) if draw(st.booleans()) else (),
+                urls=("http://t.co/x",) if draw(st.booleans()) else (),
+                mentions=("@y",) if draw(st.booleans()) else (),
+                in_reply_to_id=draw(st.sampled_from((None, 1))),
+            ))
+    return make_corpus(tweets)
+
+
+class TestColumnarOracle:
+    @given(oracle_corpora())
+    @settings(max_examples=30, deadline=None)
+    def test_reports_equal_lambda_path(self, resources, corpus):
+        deleters, non_deleters = partition_users(corpus)
+        attrs = analytics.structural_extractors() + analytics.linguistic_extractors(resources)
+        got = analytics.group_compare_report(corpus, attrs, MeasurementCache(resources))
+        want = oracles.lambda_group_compare_report(
+            corpus, oracles.lambda_attributes(resources), MeasurementCache(resources)
+        )
+        assert json.dumps(got) == json.dumps(want)
+        assert all(row.get("nud_error") != "NUD undefined: no eligible users" for row in got)
+        got = analytics.user_category_medians(
+            corpus, MeasurementCache(resources), deleters, non_deleters
+        )
+        want = oracles.loop_user_category_medians(
+            corpus, MeasurementCache(resources), deleters, non_deleters
+        )
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_zero_row_table(self, resources):
+        table = MeasurementTable([], MeasurementCache(resources), analytics.WORD_COLUMNS)
+        assert table.columns["n_words"].shape == (0,)
+        assert table.nud_users == []
+        with pytest.raises(ValidationError):
+            ntd(HASHTAG_ATTR, table)
+        with pytest.raises(UndefinedDifferenceError):
+            nud(HASHTAG_ATTR, table)
+
+
+class TestAnalyzeWorkCounts:
+    def test_stats_once_per_pool_tweet_and_timelines_once_per_family(
+        self, synth_small, tmp_path, monkeypatch
+    ):
+        from regretstream import textkit
+        from regretstream.cli import main
+        from regretstream.events import Corpus
+
+        path = tmp_path / "cleaned.json"
+        synth_small.cleaned.save(path)
+        deleters, _ = partition_users(synth_small.cleaned)
+        pool = [t for t in synth_small.cleaned if t.user_id in deleters]
+        n_users = len(synth_small.cleaned.user_ids())
+        stats_calls, timelines = [], []
+        text_stats, tweets_of = textkit.text_stats, Corpus.tweets_of
+        monkeypatch.setattr(
+            textkit, "text_stats", lambda *a: stats_calls.append(a) or text_stats(*a)
+        )
+        monkeypatch.setattr(
+            Corpus, "tweets_of", lambda self, u: timelines.append(u) or tweets_of(self, u)
+        )
+        assert main(["analyze", "--corpus", str(path), "--out", str(tmp_path / "all")]) == 0
+        assert len(stats_calls) == len(pool)
+        for family in ("ntd", "nud", "users", "temporal", "response", "traits"):
+            timelines.clear()
+            out = str(tmp_path / family)
+            assert main(["analyze", "--corpus", str(path), "--metrics", family, "--out", out]) == 0
+            assert len(timelines) <= n_users, family

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from regretstream import classify
+import oracles
+from conftest import make_corpus, make_tweet
+from regretstream import analytics, classify
 from regretstream.cli import main
 from regretstream.events import (
     CollectionWindow,
@@ -13,7 +15,8 @@ from regretstream.events import (
     parse_rfc3339,
     read_events,
 )
-from regretstream.features import load_feature_matrix
+from regretstream.features import MeasurementCache, load_feature_matrix
+from regretstream.resources import load_default_trait_map
 from regretstream.synth import POST_START, SynthConfig
 
 WINDOW = ("2015-08-03T00:00:00Z", "2015-08-17T00:00:00Z", "2015-08-24T00:00:00Z")
@@ -198,6 +201,43 @@ class TestAnalyzeCommand:
             "--metrics", "ntd,bogus", "--out", str(tmp_path / "r"),
         ])
         assert code == 1
+
+
+def _degenerate_corpus(kind):
+    if kind == "empty":
+        return make_corpus([])
+    tweets = [
+        make_tweet(id=i, user_id=i % 3 + 1, text=text, deleted=kind == "all_deleted",
+                   hashtags=("#x",) if i % 2 else ())
+        for i, text in enumerate(["good day", "123", "", "bad work", "The Cat runs"], 1)
+    ]
+    return make_corpus(tweets)
+
+
+def _json_file_bytes(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["empty", "no_deleted", "all_deleted"])
+def test_analyze_degenerate_corpus_matches_oracle(tmp_path, resources, kind):
+    """A corpus with no pool tweets builds zero-row measurement tables."""
+    corpus = _degenerate_corpus(kind)
+    path = tmp_path / "corpus.json"
+    corpus.save(path)
+    out = tmp_path / "r"
+    assert main(["analyze", "--corpus", str(path), "--metrics", "ntd,nud", "--out", str(out)]) == 0
+    rows = oracles.lambda_group_compare_report(
+        corpus, oracles.lambda_attributes(resources), MeasurementCache(resources)
+    )
+    assert (out / "group_comparison.json").read_text() == _json_file_bytes(rows)
+    assert main(["analyze", "--corpus", str(path), "--metrics", "traits", "--out", str(out)]) == 0
+    deleters, non_deleters = analytics.partition_users(corpus)
+    medians = oracles.loop_user_category_medians(
+        corpus, MeasurementCache(resources), deleters, non_deleters
+    )
+    tally, unmapped = analytics.trait_tally(medians, load_default_trait_map())
+    traits = {"tally": tally, "unmapped": unmapped, "medians": medians}
+    assert (out / "traits.json").read_text() == _json_file_bytes(traits)
 
 
 class TestAnnotateAggCommand:
