@@ -20,7 +20,9 @@ from .. import textkit
 from ..errors import ValidationError
 from ..events import format_rfc3339, parse_rfc3339
 from ..features import (
+    DENSE_SIZE,
     DERIVED_SLOT,
+    RESPONSE_SIZE,
     FeatureResources,
     Vocabulary,
     _read_arrays,
@@ -174,7 +176,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
         manifest = _read_header(fh, path, _MAGIC, _VERSION, "bundle")
         try:
             return _decode_bundle(fh, path, manifest)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: invalid bundle manifest: {exc!r}") from None
 
 
@@ -183,6 +185,7 @@ def _decode_bundle(fh, path, manifest: dict) -> ModelBundle:
     terms_blob = _read_exact(fh, blobs["vocab_terms"], path, "vocab_terms").decode("utf-8")
     wordlist_blob = _read_exact(fh, blobs["wordlist"], path, "wordlist").decode("utf-8")
     arrays = _read_arrays(fh, path, manifest["arrays"])
+    config = TrainConfig.from_dict(manifest["config"])
 
     terms = terms_blob.split("\n") if terms_blob else []
     df = arrays["vocab_df"].astype(np.int64)
@@ -210,6 +213,21 @@ def _decode_bundle(fh, path, manifest: dict) -> ModelBundle:
         stage2.support_vectors = arrays["rbf_support_vectors"].astype(np.float64)
         stage2.dual_coef = arrays["rbf_dual_coef"].astype(np.float64)
 
+    # Every array and tree must fit the rows predict builds.
+    width = DENSE_SIZE + (RESPONSE_SIZE if config.with_responses else 0)
+    n_sv = len(arrays.get("rbf_dual_coef", ()))
+    shapes = {
+        "vocab_df": (len(terms),), "svm_weights": (len(terms) + 1,),
+        "nb_class_log_prior": (2,), "nb_feature_log_prob": (2, len(terms)),
+        "rbf_support_vectors": (n_sv, width), "rbf_dual_coef": (n_sv,),
+        "scaler_mean": (width,), "scaler_scale": (width,),
+    }
+    for name, arr in arrays.items():
+        if arr.shape != shapes.get(name, arr.shape):
+            raise ValueError(f"array {name} has shape {arr.shape}, expected {shapes[name]}")
+    if any(f >= width for tree in getattr(stage2, "trees", ()) for f in tree.feature):
+        raise ValueError(f"a tree splits on a feature beyond the {width} columns")
+
     scaler = None
     if manifest["has_scaler"]:
         scaler = DenseScaler(
@@ -233,7 +251,7 @@ def _decode_bundle(fh, path, manifest: dict) -> ModelBundle:
             tp=m["tp"], fp=m["fp"], tn=m["tn"], fn=m["fn"],
         )
     return ModelBundle(
-        config=TrainConfig.from_dict(manifest["config"]),
+        config=config,
         seed=int(manifest["seed"]),
         mask_groups=tuple(manifest["mask_groups"]),
         vocab=vocab,

@@ -144,12 +144,20 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DecisionTree":
+        """The tree ``to_dict`` wrote. ValueError unless each split node's
+        children follow it, as ``fit`` adds them, so ``predict`` ends."""
         t = cls(max_depth=int(raw["max_depth"]))
         t.feature = [int(v) for v in raw["feature"]]
         t.threshold = [float(v) for v in raw["threshold"]]
         t.left = [int(v) for v in raw["left"]]
         t.right = [int(v) for v in raw["right"]]
         t.value = [float(v) for v in raw["value"]]
+        n = len(t.feature)
+        if not n or any(len(v) != n for v in (t.threshold, t.left, t.right, t.value)):
+            raise ValueError("tree node lists are empty or differ in length")
+        for i, f in enumerate(t.feature):
+            if f >= 0 and not (i < t.left[i] < n and i < t.right[i] < n):
+                raise ValueError(f"tree node {i} has a child out of order")
         return t
 
 

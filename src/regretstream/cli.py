@@ -145,17 +145,18 @@ def _cmd_analyze(args) -> int:
         if not args.structural_only:
             attrs += analytics.linguistic_extractors(res)
         rows = analytics.group_compare_report(corpus, attrs, cache, alpha=args.alpha)
-        if "ntd" not in metrics:
-            for row in rows:
-                row.pop("ntd", None)
-                row.pop("ntd_test", None)
-        if "nud" not in metrics:
-            for row in rows:
-                for key in (
-                    "nud", "eligible_users", "del_sig_users",
-                    "nondel_sig_users", "del_user_frac", "nondel_user_frac",
-                ):
-                    row.pop(key, None)
+        dropped = {
+            "ntd": ("ntd", "ntd_test", "ntd_error"),
+            "nud": (
+                "nud", "eligible_users", "del_sig_users", "nondel_sig_users",
+                "del_user_frac", "nondel_user_frac", "nud_error",
+            ),
+        }
+        for family, keys in dropped.items():
+            if family not in metrics:
+                for row in rows:
+                    for key in keys:
+                        row.pop(key, None)
         _write_json(outdir / "group_comparison.json", rows)
         with open(outdir / "group_comparison.csv", "w", newline="", encoding="utf-8") as fh:
             keys = ["attribute", "kind", "ntd", "nud", "eligible_users"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,18 +18,25 @@ from . import textkit
 from .errors import DuplicateTweetError, ParseError, SchemaError, ValidationError
 
 
+def _utc(value) -> datetime:
+    """An RFC 3339 timestamp as an aware UTC datetime."""
+    if not isinstance(value, str):
+        raise _Rejected("not a string timestamp")
+    try:
+        dt = datetime.fromisoformat(value.replace("Z", "+00:00").replace("z", "+00:00"))
+    except ValueError:
+        raise _Rejected("not RFC 3339") from None
+    if dt.tzinfo is None:
+        raise _Rejected("missing a timezone offset")
+    return dt.astimezone(timezone.utc)
+
+
 def parse_rfc3339(value: str, field_name: str, line_number=None) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime."""
-    if not isinstance(value, str):
-        raise SchemaError(field_name, f"{field_name} must be a string timestamp", line_number)
-    text = value.replace("Z", "+00:00").replace("z", "+00:00")
     try:
-        dt = datetime.fromisoformat(text)
-    except ValueError:
-        raise SchemaError(field_name, f"{field_name} is not RFC 3339: {value!r}", line_number)
-    if dt.tzinfo is None:
-        raise SchemaError(field_name, f"{field_name} lacks a timezone offset: {value!r}", line_number)
-    return dt.astimezone(timezone.utc)
+        return _utc(value)
+    except _Rejected as exc:
+        raise SchemaError(field_name, f"{field_name} is {exc}: {value!r}", line_number) from None
 
 
 def format_rfc3339(dt: datetime) -> str:
@@ -39,46 +46,64 @@ def format_rfc3339(dt: datetime) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+class _Rejected(ValueError):
+    """A converter's own reason for rejecting a value."""
+
+
+def _tweet_id(value) -> int:
+    # Feature matrices, bundles and scores store tweet ids as int64.
+    ident = int(value)
+    if not 0 < ident < 2 ** 63:
+        raise _Rejected("a tweet id lies in 1..2**63-1")
+    return ident
+
+
 def _opt_int(value) -> int | None:
     return None if value is None else int(value)
 
 
+def _opt_lag(value) -> int | None:
+    if value is not None and type(value) is not int:
+        raise _Rejected("not a JSON integer")
+    return value
+
+
 def _str_tuple(value) -> tuple[str, ...]:
-    return tuple(str(v) for v in value)
+    return tuple(map(str, value))
 
 
-# (field, conversion) pairs of the wire and corpus formats. They are only
-# consulted after a conversion failed, to name the field that failed.
-_EVENT_FIELDS = (
-    ("id", int), ("user_id", int), ("in_reply_to_id", _opt_int),
-    ("quoted_id", _opt_int), ("retweet_of_id", _opt_int),
-    ("hashtags", _str_tuple), ("urls", _str_tuple), ("mentions", _str_tuple),
-)
-_USER_FIELDS = (
-    ("user_id", int), ("bio_length", int), ("favourites_count", int),
-    ("followees_count", int), ("followers_count", int), ("listed_count", int),
-    ("statuses_count", int), ("timezone_offset_min", _opt_int),
-)
-_RECORD_FIELDS = _EVENT_FIELDS + (
-    ("deletion_lag_sec", _opt_int), ("reply_ids", tuple),
-    ("retweet_ids", tuple), ("quote_ids", tuple),
-)
+def _int_tuple(value) -> tuple[int, ...]:
+    return tuple(map(int, value))
 
 
-def _invalid_field(raw, fields, exc: Exception, line_number=None, prefix: str = "") -> SchemaError:
-    """The SchemaError naming the first of ``fields`` whose value in ``raw``
-    its conversion rejects, after ``exc`` was raised converting ``raw``."""
-    whole = prefix[:-1] or "record"
+_REQUIRED = object()
+
+
+def _decode(raw, fields, line_number=None, prefix: str = "") -> dict:
+    """Keyword arguments built from the JSON object ``raw`` by its format's
+    decode table ``fields`` of (field, converter, default) entries. A field
+    absent from ``raw`` is converted from its default; without one
+    (``_REQUIRED``) it is a SchemaError, as is a value its converter
+    rejects. Each error names the field (behind ``prefix``) and
+    ``line_number``."""
     if not isinstance(raw, dict):
-        return SchemaError(whole, f"{whole} must be a JSON object", line_number)
-    for name, convert in fields:
-        if name in raw:
-            try:
-                convert(raw[name])
-            except (TypeError, ValueError, OverflowError):
-                value = reprlib.repr(raw[name])
-                return SchemaError(prefix + name, f"invalid {prefix}{name}: {value}", line_number)
-    return SchemaError(whole, f"invalid {whole}: {exc}", line_number)
+        whole = prefix[:-1] or "record"
+        raise SchemaError(whole, f"{whole} must be a JSON object", line_number)
+    kwargs = {}
+    for name, convert, default in fields:
+        value = raw.get(name, default)
+        if value is _REQUIRED:
+            raise SchemaError(prefix + name, line_number=line_number)
+        try:
+            kwargs[name] = convert(value)
+        except SchemaError as exc:  # a nested object names its own field
+            raise SchemaError(exc.field, str(exc), line_number) from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            reason = f" ({exc})" if isinstance(exc, _Rejected) else ""
+            raise SchemaError(
+                prefix + name, f"invalid {prefix}{name}: {reprlib.repr(value)}{reason}", line_number
+            ) from None
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -100,13 +125,13 @@ class UserProfile:
 
     def __post_init__(self):
         if self.user_id <= 0:
-            raise SchemaError("user_id", "user_id must be positive")
+            raise SchemaError("user.user_id", "user.user_id must be positive")
         for name in (
             "bio_length", "favourites_count", "followees_count",
             "followers_count", "listed_count", "statuses_count",
         ):
             if getattr(self, name) < 0:
-                raise SchemaError(name, f"{name} must be nonnegative")
+                raise SchemaError(f"user.{name}", f"user.{name} must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -127,47 +152,26 @@ class UserProfile:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict, line_number=None) -> "UserProfile":
-        try:
-            for req in ("user_id", "account_created_at"):
-                if req not in raw:
-                    raise SchemaError(f"user.{req}", line_number=line_number)
-            return cls(
-                user_id=int(raw["user_id"]),
-                account_created_at=parse_rfc3339(raw["account_created_at"], "user.account_created_at", line_number),
-                profile_customized=bool(raw.get("profile_customized", False)),
-                custom_image=bool(raw.get("custom_image", False)),
-                bio_length=int(raw.get("bio_length", 0)),
-                geo_enabled=bool(raw.get("geo_enabled", False)),
-                has_location=bool(raw.get("has_location", False)),
-                has_profile_url=bool(raw.get("has_profile_url", False)),
-                favourites_count=int(raw.get("favourites_count", 0)),
-                followees_count=int(raw.get("followees_count", 0)),
-                followers_count=int(raw.get("followers_count", 0)),
-                listed_count=int(raw.get("listed_count", 0)),
-                statuses_count=int(raw.get("statuses_count", 0)),
-                timezone_offset_min=_opt_int(raw.get("timezone_offset_min")),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise _invalid_field(raw, _USER_FIELDS, exc, line_number, "user.") from None
+    def from_dict(cls, raw: dict) -> "UserProfile":
+        return cls(**_decode(raw, _USER_FIELDS, prefix="user."))
 
 
-@dataclass(frozen=True)
-class TweetPayload:
-    id: int
-    user_id: int
-    created_at: datetime
-    text: str
-    lang: str
-    source: str
-    in_reply_to_id: int | None
-    quoted_id: int | None
-    retweet_of_id: int | None
-    hashtags: tuple[str, ...]
-    urls: tuple[str, ...]
-    mentions: tuple[str, ...]
-    has_geo: bool
-    user: UserProfile
+_USER_FIELDS = (
+    ("user_id", int, _REQUIRED),
+    ("account_created_at", _utc, _REQUIRED),
+    ("profile_customized", bool, False),
+    ("custom_image", bool, False),
+    ("bio_length", int, 0),
+    ("geo_enabled", bool, False),
+    ("has_location", bool, False),
+    ("has_profile_url", bool, False),
+    ("favourites_count", int, 0),
+    ("followees_count", int, 0),
+    ("followers_count", int, 0),
+    ("listed_count", int, 0),
+    ("statuses_count", int, 0),
+    ("timezone_offset_min", _opt_int, None),
+)
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,17 @@ class DeletePayload:
     observed_at: datetime
 
 
+_DELETE_FIELDS = (
+    ("id", _tweet_id, _REQUIRED),
+    ("user_id", int, _REQUIRED),
+    ("observed_at", _utc, _REQUIRED),
+)
+
+
 @dataclass(frozen=True)
 class Event:
     kind: str  # "tweet" | "delete"
-    tweet: TweetPayload | None = None
+    tweet: TweetRecord | None = None
     delete: DeletePayload | None = None
 
     def __post_init__(self):
@@ -214,59 +225,13 @@ def parse_event(line: str, line_number: int | None = None) -> Event:
     if kind not in ("tweet", "delete"):
         raise SchemaError("kind", f"kind must be 'tweet' or 'delete', got {kind!r}", line_number)
 
-    try:
-        if kind == "delete":
-            for req in ("id", "user_id", "observed_at"):
-                if req not in raw:
-                    raise SchemaError(req, line_number=line_number)
-            ident = int(raw["id"])
-            if ident <= 0:
-                raise SchemaError("id", "id must be positive", line_number)
-            return Event(
-                kind="delete",
-                delete=DeletePayload(
-                    id=ident,
-                    user_id=int(raw["user_id"]),
-                    observed_at=parse_rfc3339(raw["observed_at"], "observed_at", line_number),
-                ),
-            )
-
-        for req in ("id", "user_id", "created_at", "text", "user"):
-            if req not in raw:
-                raise SchemaError(req, line_number=line_number)
-        ident = int(raw["id"])
-        if ident <= 0:
-            raise SchemaError("id", "id must be positive", line_number)
-        text = str(raw["text"])
-        if "hashtags" in raw or "urls" in raw or "mentions" in raw:
-            hashtags = _str_tuple(raw.get("hashtags", ()))
-            urls = _str_tuple(raw.get("urls", ()))
-            mentions = _str_tuple(raw.get("mentions", ()))
-        else:
-            # Sources without entity annotation: recover entities from the text.
-            hashtags, urls, mentions = _entities_from_text(text)
-
-        return Event(
-            kind="tweet",
-            tweet=TweetPayload(
-                id=ident,
-                user_id=int(raw["user_id"]),
-                created_at=parse_rfc3339(raw["created_at"], "created_at", line_number),
-                text=text,
-                lang=str(raw.get("lang", "en")),
-                source=str(raw.get("source", "")),
-                in_reply_to_id=_opt_int(raw.get("in_reply_to_id")),
-                quoted_id=_opt_int(raw.get("quoted_id")),
-                retweet_of_id=_opt_int(raw.get("retweet_of_id")),
-                hashtags=hashtags,
-                urls=urls,
-                mentions=mentions,
-                has_geo=bool(raw.get("has_geo", False)),
-                user=UserProfile.from_dict(raw["user"], line_number),
-            ),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _invalid_field(raw, _EVENT_FIELDS, exc, line_number) from None
+    if kind == "delete":
+        return Event(kind="delete", delete=DeletePayload(**_decode(raw, _DELETE_FIELDS, line_number)))
+    fields = _decode(raw, _TWEET_FIELDS, line_number)
+    if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
+        # Sources without entity annotation: recover entities from the text.
+        fields["hashtags"], fields["urls"], fields["mentions"] = _entities_from_text(fields["text"])
+    return Event(kind="tweet", tweet=TweetRecord(**fields))
 
 
 def read_events(path: str | Path):
@@ -363,32 +328,38 @@ class TweetRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TweetRecord":
-        try:
-            return cls(
-                id=int(raw["id"]),
-                user_id=int(raw["user_id"]),
-                created_at=parse_rfc3339(raw["created_at"], "created_at"),
-                text=str(raw["text"]),
-                lang=str(raw["lang"]),
-                source=str(raw["source"]),
-                in_reply_to_id=raw.get("in_reply_to_id"),
-                quoted_id=raw.get("quoted_id"),
-                retweet_of_id=raw.get("retweet_of_id"),
-                hashtags=tuple(raw.get("hashtags", ())),
-                urls=tuple(raw.get("urls", ())),
-                mentions=tuple(raw.get("mentions", ())),
-                has_geo=bool(raw.get("has_geo", False)),
-                user=UserProfile.from_dict(raw["user"]),
-                deleted=bool(raw["deleted"]),
-                deletion_lag_sec=raw.get("deletion_lag_sec"),
-                reply_ids=tuple(raw.get("reply_ids", ())),
-                retweet_ids=tuple(raw.get("retweet_ids", ())),
-                quote_ids=tuple(raw.get("quote_ids", ())),
-            )
-        except KeyError as exc:
-            raise SchemaError(exc.args[0]) from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise _invalid_field(raw, _RECORD_FIELDS, exc) from None
+        return cls(**_decode(raw, _RECORD_FIELDS))
+
+
+# The wire tweet format: every TweetRecord field without a default.
+_TWEET_FIELDS = (
+    ("id", _tweet_id, _REQUIRED),
+    ("user_id", int, _REQUIRED),
+    ("created_at", _utc, _REQUIRED),
+    ("text", str, _REQUIRED),
+    ("lang", str, "en"),
+    ("source", str, ""),
+    ("in_reply_to_id", _opt_int, None),
+    ("quoted_id", _opt_int, None),
+    ("retweet_of_id", _opt_int, None),
+    ("hashtags", _str_tuple, ()),
+    ("urls", _str_tuple, ()),
+    ("mentions", _str_tuple, ()),
+    ("has_geo", bool, False),
+    ("user", UserProfile.from_dict, _REQUIRED),
+)
+# The corpus format: the wire fields, lang and source required, plus the label
+# and the resolved links.
+_RECORD_FIELDS = tuple(
+    (name, convert, _REQUIRED if name in ("lang", "source") else default)
+    for name, convert, default in _TWEET_FIELDS
+) + (
+    ("deleted", bool, _REQUIRED),
+    ("deletion_lag_sec", _opt_lag, None),
+    ("reply_ids", _int_tuple, ()),
+    ("retweet_ids", _int_tuple, ()),
+    ("quote_ids", _int_tuple, ()),
+)
 
 
 @dataclass(frozen=True)
@@ -527,7 +498,7 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
     duplicate tweet id raises; otherwise the first occurrence wins and the
     duplicate is counted.
     """
-    tweets: dict[int, TweetPayload] = {}
+    tweets: dict[int, TweetRecord] = {}
     deletes: dict[int, DeletePayload] = {}
     tweets_in = retained = outside = duplicates = 0
     deletes_in = late = orphans = clamped = applied = 0
@@ -550,7 +521,7 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
             if prev is None or d.observed_at < prev.observed_at:
                 deletes[d.id] = d
 
-    in_window: dict[int, TweetPayload] = {}
+    in_window: dict[int, TweetRecord] = {}
     for t in tweets.values():
         if window.post_start <= t.created_at <= window.post_end:
             in_window[t.id] = t
@@ -590,10 +561,10 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
     return Corpus(records, window, stats)
 
 
-def link_records(tweets: dict[int, TweetPayload], deletion_lags: dict[int, int]) -> list[TweetRecord]:
-    """TweetRecords for ``tweets`` (keyed by id) with reply, retweet and
-    quote links resolved among them; a tweet is deleted iff its id has a
-    lag in ``deletion_lags``."""
+def link_records(tweets: dict[int, TweetRecord], deletion_lags: dict[int, int]) -> list[TweetRecord]:
+    """``tweets`` (keyed by id) labelled and with reply, retweet and quote
+    links resolved among them; a tweet is deleted iff its id has a lag in
+    ``deletion_lags``."""
     replies: dict[int, list[int]] = {}
     retweets: dict[int, list[int]] = {}
     quotes: dict[int, list[int]] = {}
@@ -610,21 +581,8 @@ def link_records(tweets: dict[int, TweetPayload], deletion_lags: dict[int, int])
     for t in tweets.values():
         lag = deletion_lags.get(t.id)
         records.append(
-            TweetRecord(
-                id=t.id,
-                user_id=t.user_id,
-                created_at=t.created_at,
-                text=t.text,
-                lang=t.lang,
-                source=t.source,
-                in_reply_to_id=t.in_reply_to_id,
-                quoted_id=t.quoted_id,
-                retweet_of_id=t.retweet_of_id,
-                hashtags=t.hashtags,
-                urls=t.urls,
-                mentions=t.mentions,
-                has_geo=t.has_geo,
-                user=t.user,
+            replace(
+                t,
                 deleted=lag is not None,
                 deletion_lag_sec=lag,
                 reply_ids=tuple(sorted(replies.get(t.id, ()))),
@@ -633,4 +591,3 @@ def link_records(tweets: dict[int, TweetPayload], deletion_lags: dict[int, int])
             )
         )
     return records
-

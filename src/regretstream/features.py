@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -420,12 +421,11 @@ def save_feature_matrix(m: FeatureMatrix, path: str | Path) -> None:
 
 
 def _read_exact(fh, size: int, path, section: str) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ValidationError(
-            f"{path}: truncated file: {section} needs {size} bytes, found {len(buf)}"
-        )
-    return buf
+    # Checked before reading: a damaged size must not allocate its buffer.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= size <= left:
+        raise ValidationError(f"{path}: truncated file: {section} needs {size} bytes, found {left}")
+    return fh.read(size)
 
 
 def _read_header(fh, path, magic: bytes, version: int, kind: str) -> dict:
@@ -472,5 +472,5 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
                 response=arrays["response"].astype(np.float64) if "response" in arrays else None,
                 vocab_size=int(manifest["vocab_size"]),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: invalid feature-matrix manifest: {exc!r}") from None

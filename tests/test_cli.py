@@ -94,6 +94,19 @@ class TestIngestCommand:
     def test_usage_error_exit_code(self):
         assert main(["ingest", "--events"]) == 1
 
+    def test_id_beyond_int64_exits_1(self, tmp_path, capsys):
+        event = {
+            "kind": "tweet", "id": 2 ** 70, "user_id": 3, "created_at": "2015-08-05T10:00:00Z",
+            "text": "hello", "user": {"user_id": 3, "account_created_at": "2014-01-01T00:00:00Z"},
+        }
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(event) + "\n")
+        code = main(["ingest", "--events", str(events), "--window", *WINDOW,
+                     "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: invalid id") and "Traceback" not in err
+
     def test_non_integer_wire_field_exits_1(self, workdir, tmp_path, capsys):
         lines = (workdir / "events.jsonl").read_text().splitlines()
         n = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "tweet")
@@ -171,7 +184,20 @@ class TestAnalyzeCommand:
         temporal = json.loads((out / "temporal.json").read_text())
         assert sum(temporal["deleted"]) == pytest.approx(100.0, abs=1e-9)
 
-    @pytest.mark.parametrize("damage", ["missing_lang", "bad_count", "truncated"])
+    # damage -> (edit of tweet record 3, the field the error names)
+    RECORD_DAMAGE = {
+        "missing_lang": (lambda r: r.pop("lang"), "lang"),
+        "bad_count": (lambda r: r["user"].update(followers_count="many"), "user.followers_count"),
+        "nested_reply_ids": (lambda r: r.update(reply_ids=[[2]]), "reply_ids"),
+        "object_reply_ids": (lambda r: r.update(reply_ids=[{"a": 1}]), "reply_ids"),
+        "text_reply_target": (lambda r: r.update(in_reply_to_id="x"), "in_reply_to_id"),
+        "text_lag": (lambda r: r.update(deleted=True, deletion_lag_sec="90"), "deletion_lag_sec"),
+    }
+
+    @pytest.mark.parametrize("damage", [
+        "missing_lang", "bad_count", "truncated",
+        "nested_reply_ids", "object_reply_ids", "text_reply_target", "text_lag",
+    ])
     def test_malformed_corpus_exits_1(self, workdir, tmp_path, capsys, damage):
         path = tmp_path / "corpus.json"
         text = (workdir / "cleaned.json").read_text()
@@ -179,11 +205,8 @@ class TestAnalyzeCommand:
             path.write_text(text[: len(text) // 2])
         else:
             payload = json.loads(text)
-            record = payload["tweets"][3]
-            if damage == "missing_lang":
-                del record["lang"]
-            else:
-                record["user"]["followers_count"] = "many"
+            edit, field = self.RECORD_DAMAGE[damage]
+            edit(payload["tweets"][3])
             path.write_text(json.dumps(payload))
         code = main(["analyze", "--corpus", str(path), "--metrics", "temporal",
                      "--out", str(tmp_path / "r")])
@@ -193,7 +216,28 @@ class TestAnalyzeCommand:
         assert str(path) in err
         if damage != "truncated":
             assert "tweet record 3" in err
-            assert ("lang" if damage == "missing_lang" else "user.followers_count") in err
+            assert field in err
+
+    @pytest.mark.parametrize("family", ["ntd", "nud"])
+    def test_single_family_rows_carry_only_that_family(self, tmp_path, family):
+        keys = {
+            "ntd": {"ntd", "ntd_test", "ntd_error"},
+            "nud": {"nud", "eligible_users", "del_sig_users", "nondel_sig_users",
+                    "del_user_frac", "nondel_user_frac", "nud_error"},
+        }
+        path = tmp_path / "corpus.json"
+        make_corpus([
+            make_tweet(id=1, hashtags=("#x",), deleted=True),
+            make_tweet(id=2),
+        ]).save(path)
+        out = tmp_path / "r"
+        assert main(["analyze", "--corpus", str(path), "--metrics", family,
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "group_comparison.json").read_text())
+        assert rows
+        for row in rows:
+            assert family in row
+            assert set(row) - {"attribute", "kind"} <= keys[family], row["attribute"]
 
     def test_unknown_metric_rejected(self, workdir, tmp_path):
         code = main([

@@ -1,13 +1,18 @@
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regretstream import events
 from regretstream.errors import DuplicateTweetError, ParseError, SchemaError, ValidationError
 from regretstream.events import (
     CollectionWindow,
     Corpus,
+    DeletePayload,
+    TweetRecord,
+    UserProfile,
     build_corpus,
     parse_event,
 )
@@ -120,6 +125,49 @@ class TestParseEvent:
         with pytest.raises(SchemaError) as exc:
             parse_event(json.dumps(obj), line_number=2)
         assert exc.value.field == "user"
+
+    @pytest.mark.parametrize("event", [tweet_event, delete_event])
+    def test_id_beyond_int64_names_id_and_line(self, event):
+        largest = parse_event(json.dumps(event(id=2 ** 63 - 1)))
+        assert (largest.tweet or largest.delete).id == 2 ** 63 - 1
+        with pytest.raises(SchemaError) as exc:
+            parse_event(json.dumps(event(id=2 ** 63)), line_number=5)
+        assert exc.value.field == "id"
+        assert "line 5" in str(exc.value) and "invalid id" in str(exc.value)
+
+    def test_negative_user_count_names_user_field_and_line(self):
+        obj = tweet_event()
+        obj["user"]["followers_count"] = -1
+        with pytest.raises(SchemaError) as exc:
+            parse_event(json.dumps(obj), line_number=6)
+        assert exc.value.field == "user.followers_count"
+        assert "line 6" in str(exc.value)
+
+    def test_tweet_parses_to_unlabelled_record(self):
+        t = parse_event(json.dumps(tweet_event(in_reply_to_id=5))).tweet
+        assert isinstance(t, TweetRecord)
+        assert not t.deleted and t.deletion_lag_sec is None
+        assert t.reply_ids == t.retweet_ids == t.quote_ids == ()
+
+
+class TestDecodeTables:
+    @staticmethod
+    def names(table):
+        return [name for name, _, _ in table]
+
+    def test_each_table_names_its_dataclass_fields(self):
+        assert self.names(events._USER_FIELDS) == [f.name for f in fields(UserProfile)]
+        assert self.names(events._DELETE_FIELDS) == [f.name for f in fields(DeletePayload)]
+        assert self.names(events._RECORD_FIELDS) == [f.name for f in fields(TweetRecord)]
+
+    def test_wire_table_names_the_record_fields_without_default(self):
+        assert self.names(events._TWEET_FIELDS) == [
+            f.name for f in fields(TweetRecord) if f.default is MISSING
+        ]
+
+    def test_corpus_table_shares_the_wire_converters(self):
+        wire = {name: convert for name, convert, _ in events._TWEET_FIELDS}
+        assert all(wire[name] is convert for name, convert, _ in events._RECORD_FIELDS if name in wire)
 
 
 class TestWindow:
@@ -323,6 +371,24 @@ class TestCorpusContainer:
         assert exc.value.field == "user.followers_count"
         msg = str(exc.value)
         assert str(path) in msg and "tweet record 1" in msg and "user.followers_count" in msg
+
+    @pytest.mark.parametrize("field,value", [
+        ("id", 2 ** 70),
+        ("retweet_ids", [{"a": 1}]),
+        ("quote_ids", ["x"]),
+    ])
+    def test_load_mistyped_field_names_field(self, tmp_path, field, value):
+        path = self._saved_record(tmp_path, lambda r: r.update({field: value}))
+        with pytest.raises(SchemaError) as exc:
+            Corpus.load(path)
+        assert exc.value.field == field
+        assert "tweet record 1" in str(exc.value) and f"invalid {field}" in str(exc.value)
+
+    def test_load_converts_link_ids(self, tmp_path):
+        path = self._saved_record(tmp_path, lambda r: r.update(reply_ids=[1.0], in_reply_to_id=1.0))
+        record = Corpus.load(path).get(2)
+        assert record.reply_ids == (1,) and record.in_reply_to_id == 1
+        assert all(type(i) is int for i in record.reply_ids + (record.in_reply_to_id,))
 
     def test_load_truncated_file_names_file(self, tmp_path):
         path = tmp_path / "corpus.json"

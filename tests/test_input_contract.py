@@ -1,12 +1,15 @@
-"""Property tests for the input contract of ``ingest`` and ``analyze``.
+"""Property tests for the input contract of ``ingest``, ``analyze`` and
+``predict``.
 
-A damaged event line or corpus file (truncated, a flipped bit, a value of
-the wrong type, a missing key) makes ``events.parse_event`` and
-``Corpus.load`` raise only ``RegretstreamError``; through the CLI it exits
+A damaged event line, corpus file, RSF1 feature matrix or RSB1 bundle
+(truncated, a flipped bit, a value of the wrong type, a missing key) makes
+``events.parse_event``, ``Corpus.load``, ``load_feature_matrix`` and
+``load_bundle`` raise only ``RegretstreamError``; through the CLI it exits
 1 with an ``error:`` line and no traceback.
 """
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -16,9 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regretstream.classify import TrainConfig, load_bundle, save_bundle, two_stage_train
 from regretstream.cli import main
 from regretstream.errors import RegretstreamError
 from regretstream.events import Corpus, parse_event
+from regretstream.features import (
+    build_vocab, featurize_corpus, load_feature_matrix, save_feature_matrix,
+)
+from regretstream.resources import load_default_resources
 
 from conftest import make_corpus, make_profile, make_tweet, ts
 
@@ -54,6 +62,29 @@ def _corpus_bytes() -> bytes:
         return path.read_bytes()
 
 
+WORDS = ["good", "bad", "day", "work", "#fun", "@pal", "http://t.co/x", "hate", "love", "lol"]
+
+
+@functools.cache
+def _container_bytes() -> tuple[bytes, bytes]:
+    """An RSF1 feature matrix and an RSB1 bundle of a 40-tweet corpus."""
+    corpus = make_corpus([
+        make_tweet(id=i, user_id=(i // 2) % 4 + 1, created_at=ts(hours=i), deleted=i % 2 == 0,
+                   text=" ".join(WORDS[i * k % len(WORDS)] for k in (1, 3, 7)),
+                   in_reply_to_id=i - 1 if i % 5 == 0 else None)
+        for i in range(1, 41)
+    ])
+    resources = load_default_resources()
+    config = TrainConfig(n_per_class=8, derived_feature_folds=2, stage1_hyper={"svm_epochs": 2},
+                         stage2_hyper={"ada_depth": 2, "ada_rounds": 3})
+    bundle, _ = two_stage_train(corpus, config, 0, resources)
+    matrix = featurize_corpus(corpus, build_vocab(corpus), resources, with_responses=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_feature_matrix(matrix, Path(tmp) / "m.rsf1")
+        save_bundle(bundle, Path(tmp) / "b.rsb1")
+        return (Path(tmp) / "m.rsf1").read_bytes(), (Path(tmp) / "b.rsb1").read_bytes()
+
+
 WRONG_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-(2 ** 70), 2 ** 70),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
@@ -70,7 +101,11 @@ def _key_paths(obj, prefix=()):
 
 
 @st.composite
-def damaged(draw, base: bytes) -> bytes:
+def damaged(draw, base: bytes, container: bool = False) -> bytes:
+    """``base`` truncated, with one bit flipped, or with one JSON value
+    retyped or dropped; in a ``container`` (RSF1 or RSB1: magic, version,
+    manifest length, JSON manifest, binary sections) the JSON is the
+    manifest, and its length is rewritten to match."""
     how = draw(st.sampled_from(("truncate", "flip", "retype", "drop")))
     if how == "truncate":
         return base[: draw(st.integers(0, len(base) - 1))]
@@ -78,7 +113,7 @@ def damaged(draw, base: bytes) -> bytes:
         data = bytearray(base)
         data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
         return bytes(data)
-    obj = json.loads(base)
+    obj = json.loads(_manifest(base) if container else base)
     path = draw(st.sampled_from(list(_key_paths(obj))))
     parent = obj
     for key in path[:-1]:
@@ -87,11 +122,24 @@ def damaged(draw, base: bytes) -> bytes:
         parent[path[-1]] = draw(WRONG_VALUES)
     else:
         del parent[path[-1]]
-    return json.dumps(obj).encode()
+    return _repacked(base, obj) if container else json.dumps(obj).encode()
+
+
+def _manifest(container: bytes) -> bytes:
+    return container[16:16 + int.from_bytes(container[8:16], "little")]
+
+
+def _repacked(container: bytes, manifest) -> bytes:
+    """``container`` with its manifest replaced by ``manifest``."""
+    raw = json.dumps(manifest).encode()
+    rest = container[16 + len(_manifest(container)):]
+    return container[:8] + len(raw).to_bytes(8, "little") + raw + rest
 
 
 damaged_events = st.sampled_from(EVENT_LINES).flatmap(damaged)
 damaged_corpora = damaged(_corpus_bytes())
+damaged_matrices = st.deferred(lambda: damaged(_container_bytes()[0], container=True))
+damaged_bundles = st.deferred(lambda: damaged(_container_bytes()[1], container=True))
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +167,11 @@ def test_undamaged_inputs_are_valid(scratch):
     path = scratch / "valid.json"
     path.write_bytes(_corpus_bytes())
     assert len(Corpus.load(path)) == 2
+    matrix, bundle = _container_bytes()
+    (scratch / "valid.rsf1").write_bytes(matrix)
+    assert len(load_feature_matrix(scratch / "valid.rsf1")) == 40
+    (scratch / "valid.rsb1").write_bytes(bundle)
+    assert load_bundle(scratch / "valid.rsb1").stage2.trees
 
 
 @given(damaged_events)
@@ -161,3 +214,74 @@ def test_analyze_of_damaged_corpus_exits_1(scratch, data):
         "analyze", "--corpus", str(path), "--out", str(scratch / "reports"),
     ])
     _assert_exit_contract(code, err)
+
+
+@given(damaged_matrices)
+@settings(max_examples=150, deadline=None)
+def test_load_feature_matrix_raises_only_package_errors(scratch, data):
+    path = scratch / "m.rsf1"
+    path.write_bytes(data)
+    try:
+        load_feature_matrix(path)
+    except RegretstreamError:
+        pass
+
+
+@given(damaged_bundles)
+@settings(max_examples=150, deadline=None)
+def test_load_bundle_raises_only_package_errors(scratch, data):
+    path = scratch / "b.rsb1"
+    path.write_bytes(data)
+    try:
+        load_bundle(path)
+    except RegretstreamError:
+        pass
+
+
+@given(damaged_bundles)
+@settings(max_examples=60, deadline=None)
+def test_predict_with_damaged_bundle_exits_1(scratch, data):
+    bundle = scratch / "b.rsb1"
+    bundle.write_bytes(data)
+    events = scratch / "predict.jsonl"
+    events.write_bytes(EVENT_LINES[0] + b"\n")
+    code, err = _run_cli([
+        "predict", "--bundle", str(bundle), "--events", str(events),
+        "--out", str(scratch / "scores.jsonl"),
+    ])
+    _assert_exit_contract(code, err)
+
+
+def _damage_bundle_manifest(manifest, damage) -> None:
+    tree = manifest["stage2"]["model"]["trees"][0]
+    split = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    weights = next(a for a in manifest["arrays"] if a["name"] == "svm_weights")
+    if damage == "child_out_of_range":
+        tree["left"][split] = tree["right"][split] = len(tree["feature"])
+    elif damage == "feature_beyond_width":
+        tree["feature"][split] = 500
+    elif damage == "empty_tree":
+        for key in ("feature", "threshold", "left", "right", "value"):
+            tree[key] = []
+    elif damage == "array_rank":
+        weights["shape"] = []
+    else:
+        weights["shape"] = [2 ** 40]
+
+
+@pytest.mark.parametrize("damage", [
+    "child_out_of_range", "feature_beyond_width", "empty_tree", "array_rank", "array_size",
+])
+def test_predict_with_inconsistent_bundle_exits_1(scratch, damage):
+    base = _container_bytes()[1]
+    manifest = json.loads(_manifest(base))
+    _damage_bundle_manifest(manifest, damage)
+    bundle = scratch / f"{damage}.rsb1"
+    bundle.write_bytes(_repacked(base, manifest))
+    events = scratch / "predict.jsonl"
+    events.write_bytes(EVENT_LINES[0] + b"\n")
+    code, err = _run_cli([
+        "predict", "--bundle", str(bundle), "--events", str(events),
+        "--out", str(scratch / "scores.jsonl"),
+    ])
+    assert code == 1 and err.startswith(f"error: {bundle}: ") and "Traceback" not in err
