@@ -10,6 +10,7 @@ tweets of the same user).
 """
 
 import tempfile
+from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
 
@@ -28,7 +29,7 @@ window = CollectionWindow(
     delete_end=POST_START + timedelta(days=cfg.window_days + cfg.delete_extra_days),
 )
 corpus = build_corpus(read_events(outdir / "events.jsonl"), window)
-print("ingest:", corpus.stats.to_dict())
+print("ingest:", asdict(corpus.stats))
 
 cleaned, report = run_cleanup(corpus, CleanupConfig(client_whitelist=load_default_whitelist()))
 print()

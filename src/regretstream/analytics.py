@@ -284,7 +284,7 @@ def group_compare_report(
         try:
             value, test = ntd(attr, table, alpha)
             row["ntd"] = value
-            row["ntd_test"] = test.to_dict()
+            row["ntd_test"] = asdict(test)
         except (UndefinedDifferenceError, ValidationError) as exc:
             row["ntd"] = None
             row["ntd_error"] = str(exc)
@@ -494,9 +494,6 @@ class ResponseReport:
     median_deletion_lag_sec: float | None
     median_deletion_lag_sec_replied: float | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def response_report(corpus: Corpus, firsts: dict[int, TweetRecord]) -> ResponseReport:
     """Response-rate and latency statistics per deletion group; ``firsts``
@@ -676,6 +673,6 @@ def aggregate_annotations(items, alpha: float = 0.05) -> dict:
             "yes_non_deleted": regret_yes["non_deleted"],
             "n_deleted": group_totals["deleted"],
             "n_non_deleted": group_totals["non_deleted"],
-            "fisher": fisher.to_dict(),
+            "fisher": asdict(fisher),
         },
     }

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
 from .. import textkit
-from ..errors import ValidationError
+from ..errors import RegretstreamError, ValidationError
 from ..events import format_rfc3339, parse_rfc3339
 from ..features import (
     DENSE_SIZE,
@@ -30,7 +30,7 @@ from ..features import (
     _read_header,
     featurize_corpus,
 )
-from .pipeline import DenseScaler, EvalMetrics, TrainConfig, stage2_design
+from .pipeline import DenseScaler, EvalMetrics, TrainConfig, mask_slots, stage2_design
 from .smo import RbfSvmModel
 from .stage1 import LinearSvmModel, NaiveBayesModel, SparseRows, derived_feature
 from .trees import AdaBoostModel
@@ -143,7 +143,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "stage1": stage1_manifest,
         "stage2": stage2_manifest,
         "has_scaler": bundle.scaler is not None,
-        "metrics": bundle.metrics.to_dict() if bundle.metrics is not None else None,
+        "metrics": asdict(bundle.metrics) if bundle.metrics is not None else None,
         "resources": {
             "lexicon": [
                 {"name": name, "patterns": patterns}
@@ -171,21 +171,25 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
 
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read an RSB1 file; a short section or a manifest that is not JSON or
-    lacks or mistypes a field raises ValidationError naming the file."""
+    lacks, mistypes or holds an invalid field raises ValidationError naming
+    the file."""
     with open(path, "rb") as fh:
         manifest = _read_header(fh, path, _MAGIC, _VERSION, "bundle")
         try:
-            return _decode_bundle(fh, path, manifest)
+            blobs = manifest["blobs"]
+            terms_blob = _read_exact(fh, blobs["vocab_terms"], path, "vocab_terms").decode("utf-8")
+            wordlist_blob = _read_exact(fh, blobs["wordlist"], path, "wordlist").decode("utf-8")
+            arrays = _read_arrays(fh, path, manifest["arrays"])
+            try:
+                return _decode_bundle(manifest, terms_blob, wordlist_blob, arrays)
+            except RegretstreamError as exc:  # a value the package itself rejects
+                raise ValidationError(f"{path}: invalid bundle manifest: {exc}") from None
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: invalid bundle manifest: {exc!r}") from None
 
 
-def _decode_bundle(fh, path, manifest: dict) -> ModelBundle:
-    blobs = manifest["blobs"]
-    terms_blob = _read_exact(fh, blobs["vocab_terms"], path, "vocab_terms").decode("utf-8")
-    wordlist_blob = _read_exact(fh, blobs["wordlist"], path, "wordlist").decode("utf-8")
-    arrays = _read_arrays(fh, path, manifest["arrays"])
-    config = TrainConfig.from_dict(manifest["config"])
+def _decode_bundle(manifest: dict, terms_blob: str, wordlist_blob: str, arrays) -> ModelBundle:
+    config = textkit.decode_record(TrainConfig, manifest["config"], "config.")
 
     terms = terms_blob.split("\n") if terms_blob else []
     df = arrays["vocab_df"].astype(np.int64)
@@ -243,13 +247,8 @@ def _decode_bundle(fh, path, manifest: dict) -> ModelBundle:
         wordlist=frozenset(w for w in wordlist_blob.split("\n") if w),
         tagger=textkit.RuleTagger(),
     )
-    metrics = None
-    if manifest.get("metrics"):
-        m = manifest["metrics"]
-        metrics = EvalMetrics(
-            precision=m["precision"], recall=m["recall"], f1=m["f1"],
-            tp=m["tp"], fp=m["fp"], tn=m["tn"], fn=m["fn"],
-        )
+    metrics = manifest.get("metrics")
+    mask_slots(manifest["mask_groups"])  # every group must be one predict can mask
     return ModelBundle(
         config=config,
         seed=int(manifest["seed"]),
@@ -260,5 +259,5 @@ def _decode_bundle(fh, path, manifest: dict) -> ModelBundle:
         scaler=scaler,
         resources=resources,
         reference_time=parse_rfc3339(manifest["reference_time"], "reference_time"),
-        metrics=metrics,
+        metrics=None if metrics is None else textkit.decode_record(EvalMetrics, metrics, "metrics."),
     )

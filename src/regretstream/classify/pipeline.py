@@ -9,10 +9,11 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 import numpy as np
 
+from .. import textkit
 from ..errors import ConfigError, InsufficientDataError, ValidationError
 from ..features import (
     DERIVED_SLOT,
@@ -68,30 +69,11 @@ class TrainConfig:
         return dc_replace(self, stage1_hyper=s1, stage2_hyper=s2, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "n_per_class": self.n_per_class,
-            "test_fraction": self.test_fraction,
-            "stage1_algorithm": self.stage1_algorithm,
-            "stage1_hyper": dict(self.stage1_hyper),
-            "stage2_algorithm": self.stage2_algorithm,
-            "stage2_hyper": dict(self.stage2_hyper),
-            "derived_feature_folds": self.derived_feature_folds,
-            "with_responses": self.with_responses,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        base = cls()
-        return cls(
-            n_per_class=int(raw.get("n_per_class", base.n_per_class)),
-            test_fraction=float(raw.get("test_fraction", base.test_fraction)),
-            stage1_algorithm=raw.get("stage1_algorithm", base.stage1_algorithm),
-            stage1_hyper={**base.stage1_hyper, **raw.get("stage1_hyper", {})},
-            stage2_algorithm=raw.get("stage2_algorithm", base.stage2_algorithm),
-            stage2_hyper={**base.stage2_hyper, **raw.get("stage2_hyper", {})},
-            derived_feature_folds=int(raw.get("derived_feature_folds", base.derived_feature_folds)),
-            with_responses=bool(raw.get("with_responses", base.with_responses)),
-        )
+        return textkit.decode_config(cls, raw)
 
 
 @dataclass(frozen=True)
@@ -103,14 +85,6 @@ class EvalMetrics:
     fp: int
     tn: int
     fn: int
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-        }
 
 
 def evaluate(pred, true) -> EvalMetrics:
@@ -204,6 +178,8 @@ def stratified_split(labels, test_fraction: float, rng) -> tuple[np.ndarray, np.
 
 def stratified_folds(labels, k: int, rng) -> np.ndarray:
     """Fold id per row; each class dealt round-robin after a seeded shuffle."""
+    if k < 2:
+        raise ValidationError(f"stratified folds need k >= 2, got k={k}")
     labels = np.asarray(labels)
     folds = np.zeros(len(labels), dtype=np.int64)
     for cls in np.unique(labels):
@@ -435,13 +411,13 @@ def ablate(corpus, config: TrainConfig, groups, seed: int, resources, threads: i
         return x / base if base else 0.0
 
     report = {
-        "baseline": baseline.to_dict(),
+        "baseline": asdict(baseline),
         "dropped": {},
     }
     for group in groups:
         m = results[group]
         report["dropped"][group] = {
-            "metrics": m.to_dict(),
+            "metrics": asdict(m),
             "relative": {
                 "precision": rel(m.precision, baseline.precision),
                 "recall": rel(m.recall, baseline.recall),

@@ -163,13 +163,5 @@ class RbfSvmModel:
 
     def diagnostics(self) -> dict:
         """Training diagnostics for the metrics report."""
-        return {"algorithm": self.algorithm, "n_support": self.to_dict()["n_support"]}
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "c": self.c,
-            "gamma": self.gamma,
-            "bias": self.bias,
-            "n_support": 0 if self.support_vectors is None else len(self.support_vectors),
-        }
+        n_support = 0 if self.support_vectors is None else len(self.support_vectors)
+        return {"algorithm": self.algorithm, "n_support": n_support}

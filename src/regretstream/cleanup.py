@@ -9,7 +9,7 @@ fixpoint so that cleaning an already-clean corpus changes nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import textkit
@@ -34,23 +34,11 @@ class CleanupConfig:
             raise ConfigError("cosine_min must be within [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "language_tag": self.language_tag,
-            "client_whitelist": sorted(self.client_whitelist),
-            "superficial_lookahead": self.superficial_lookahead,
-            "edit_distance_max": self.edit_distance_max,
-            "cosine_min": self.cosine_min,
-        }
+        return {**asdict(self), "client_whitelist": sorted(self.client_whitelist)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CleanupConfig":
-        return cls(
-            language_tag=raw.get("language_tag", "en"),
-            client_whitelist=frozenset(raw.get("client_whitelist", ())),
-            superficial_lookahead=int(raw.get("superficial_lookahead", 3)),
-            edit_distance_max=int(raw.get("edit_distance_max", 5)),
-            cosine_min=float(raw.get("cosine_min", 0.6)),
-        )
+        return textkit.decode_config(cls, raw)
 
 
 def load_whitelist(path: str | Path) -> frozenset[str]:
@@ -68,9 +56,6 @@ class StageCounts:
     removed: int = 0
     removed_deleted: int = 0
     users: int = 0
-
-    def to_dict(self) -> dict:
-        return {"removed": self.removed, "removed_deleted": self.removed_deleted, "users": self.users}
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,7 @@ class CleanupReport:
                 "users": self.input_users,
                 "deleting_users": self.input_deleting_users,
             },
-            "stages": {name: sc.to_dict() for name, sc in self.stages.items()},
+            "stages": {name: asdict(sc) for name, sc in self.stages.items()},
             "retained": {
                 "tweets": self.retained,
                 "deleted": self.retained_deleted,

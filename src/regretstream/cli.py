@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import analytics, classify, features, synth, textkit
@@ -87,7 +88,7 @@ def _cmd_ingest(args) -> int:
     )
     corpus = build_corpus(read_events(args.events), window, strict=args.strict)
     corpus.save(args.out)
-    print(json.dumps(corpus.stats.to_dict(), sort_keys=True))
+    print(json.dumps(asdict(corpus.stats), sort_keys=True))
     return 0
 
 
@@ -173,7 +174,7 @@ def _cmd_analyze(args) -> int:
             out[metric] = {
                 "median_deleters": dist.median_deleters,
                 "median_non_deleters": dist.median_non_deleters,
-                "test": dist.test.to_dict(),
+                "test": asdict(dist.test),
             }
             with open(outdir / f"ccdf_{metric}.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -198,7 +199,7 @@ def _cmd_analyze(args) -> int:
 
     if "response" in metrics:
         firsts = analytics.first_replies(corpus)
-        report = analytics.response_report(corpus, firsts).to_dict()
+        report = asdict(analytics.response_report(corpus, firsts))
         report["reply_sentiment"] = analytics.reply_sentiment_split(corpus, cache, firsts)
         _write_json(outdir / "response.json", report)
 
@@ -235,14 +236,14 @@ def _cmd_train(args) -> int:
     classify.save_bundle(bundle, args.out)
     if args.metrics_out:
         _write_json(args.metrics_out, {
-            "metrics": metrics.to_dict(),
+            "metrics": asdict(metrics),
             "seed": args.seed,
             "stage2": bundle.stage2.diagnostics(),
         })
     if args.metrics_csv:
         _write_metrics_csv(args.metrics_csv, [("heldout", metrics)])
     print(json.dumps(
-        {"metrics": metrics.to_dict(), "bundle": str(args.out), "seed": args.seed},
+        {"metrics": asdict(metrics), "bundle": str(args.out), "seed": args.seed},
         sort_keys=True,
     ))
     return 0
@@ -315,7 +316,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_synth(args) -> int:
     cfg = synth.SynthConfig.from_file(args.config) if args.config else synth.SynthConfig()
     if args.seed is not None:
-        cfg = synth.SynthConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     summary = synth.write_synthetic(cfg, args.out_events, args.out_ledger)
     print(
         json.dumps(

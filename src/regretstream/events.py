@@ -8,14 +8,15 @@ corpus with response links resolved.
 
 from __future__ import annotations
 
+import functools
 import json
-import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import textkit
-from .errors import DuplicateTweetError, ParseError, SchemaError, ValidationError
+from .errors import DuplicateTweetError, ParseError, RegretstreamError, SchemaError, ValidationError
+from .textkit import _REQUIRED, _decode, _json_int, _Rejected
 
 
 def _utc(value) -> datetime:
@@ -46,10 +47,6 @@ def format_rfc3339(dt: datetime) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-class _Rejected(ValueError):
-    """A converter's own reason for rejecting a value."""
-
-
 def _tweet_id(value) -> int:
     # Feature matrices, bundles and scores store tweet ids as int64.
     ident = int(value)
@@ -63,9 +60,7 @@ def _opt_int(value) -> int | None:
 
 
 def _opt_lag(value) -> int | None:
-    if value is not None and type(value) is not int:
-        raise _Rejected("not a JSON integer")
-    return value
+    return None if value is None else _json_int(value)
 
 
 def _str_tuple(value) -> tuple[str, ...]:
@@ -74,36 +69,6 @@ def _str_tuple(value) -> tuple[str, ...]:
 
 def _int_tuple(value) -> tuple[int, ...]:
     return tuple(map(int, value))
-
-
-_REQUIRED = object()
-
-
-def _decode(raw, fields, line_number=None, prefix: str = "") -> dict:
-    """Keyword arguments built from the JSON object ``raw`` by its format's
-    decode table ``fields`` of (field, converter, default) entries. A field
-    absent from ``raw`` is converted from its default; without one
-    (``_REQUIRED``) it is a SchemaError, as is a value its converter
-    rejects. Each error names the field (behind ``prefix``) and
-    ``line_number``."""
-    if not isinstance(raw, dict):
-        whole = prefix[:-1] or "record"
-        raise SchemaError(whole, f"{whole} must be a JSON object", line_number)
-    kwargs = {}
-    for name, convert, default in fields:
-        value = raw.get(name, default)
-        if value is _REQUIRED:
-            raise SchemaError(prefix + name, line_number=line_number)
-        try:
-            kwargs[name] = convert(value)
-        except SchemaError as exc:  # a nested object names its own field
-            raise SchemaError(exc.field, str(exc), line_number) from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            reason = f" ({exc})" if isinstance(exc, _Rejected) else ""
-            raise SchemaError(
-                prefix + name, f"invalid {prefix}{name}: {reprlib.repr(value)}{reason}", line_number
-            ) from None
-    return kwargs
 
 
 @dataclass(frozen=True)
@@ -260,19 +225,7 @@ class CollectionWindow:
         return (self.post_end - self.post_start).total_seconds() / 86400.0
 
     def to_dict(self) -> dict:
-        return {
-            "post_start": format_rfc3339(self.post_start),
-            "post_end": format_rfc3339(self.post_end),
-            "delete_end": format_rfc3339(self.delete_end),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CollectionWindow":
-        return cls(
-            post_start=parse_rfc3339(raw["post_start"], "post_start"),
-            post_end=parse_rfc3339(raw["post_end"], "post_end"),
-            delete_end=parse_rfc3339(raw["delete_end"], "delete_end"),
-        )
+        return {name: format_rfc3339(value) for name, value in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -374,20 +327,15 @@ class IngestStats:
     late_deletes: int = 0
     clamped_lags: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "tweets_in": self.tweets_in,
-            "retained": self.retained,
-            "outside_window": self.outside_window,
-            "duplicates": self.duplicates,
-            "deletes_in": self.deletes_in,
-            "deletes_applied": self.deletes_applied,
-            "orphan_deletes": self.orphan_deletes,
-            "late_deletes": self.late_deletes,
-            "clamped_lags": self.clamped_lags,
-        }
 
-
+# The corpus file: its header, and the tweet records, decoded one at a time.
+_WINDOW_FIELDS = tuple((name, _utc, _REQUIRED) for name in ("post_start", "post_end", "delete_end"))
+_CORPUS_FIELDS = (
+    ("stats", functools.partial(textkit.decode_record, IngestStats, prefix="stats."), {}),
+    ("window", lambda raw: CollectionWindow(**_decode(raw, _WINDOW_FIELDS, prefix="window.")),
+     _REQUIRED),
+    ("tweets", list, _REQUIRED),
+)
 CORPUS_FORMAT = "regretstream-corpus/1"
 
 
@@ -452,7 +400,7 @@ class Corpus:
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"format":' + encode(CORPUS_FORMAT))
-            fh.write(',"stats":' + encode(self.stats.to_dict()) + ',"tweets":[')
+            fh.write(',"stats":' + encode(asdict(self.stats)) + ',"tweets":[')
             for i, t in enumerate(self.tweets):
                 if i:
                     fh.write(",")
@@ -471,20 +419,18 @@ class Corpus:
         if not isinstance(payload, dict) or payload.get("format") != CORPUS_FORMAT:
             raise ValidationError(f"{path}: not a corpus file")
         try:
-            stats = IngestStats(**payload.get("stats", {}))
-            window = CollectionWindow.from_dict(payload["window"])
-            records = list(payload["tweets"])
-        except (KeyError, TypeError, SchemaError) as exc:
-            raise ValidationError(f"{path}: invalid corpus header: {exc!r}") from None
+            header = _decode(payload, _CORPUS_FIELDS)
+        except RegretstreamError as exc:
+            raise ValidationError(f"{path}: invalid corpus header: {exc}") from None
         tweets = []
         try:
-            for i, raw in enumerate(records):
+            for i, raw in enumerate(header["tweets"]):
                 tweets.append(TweetRecord.from_dict(raw))
         except SchemaError as exc:
             raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}: tweet record {i}: {exc}") from None
-        return cls(tweets, window, stats)
+        return cls(tweets, header["window"], header["stats"])
 
 
 def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpus:

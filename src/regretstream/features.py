@@ -221,38 +221,28 @@ class MeasurementCache:
         return m
 
 
+# The profile fields of dense slots 100-110, in slot order.
+_PROFILE_SLOTS = (
+    "profile_customized", "custom_image", "bio_length", "geo_enabled", "has_location",
+    "has_profile_url", "favourites_count", "followees_count", "followers_count",
+    "listed_count", "statuses_count",
+)
+
+
 def _dense_vector(m: TweetMeasurements, profile: UserProfile, now: datetime) -> np.ndarray:
     tweet = m.tweet
     if profile is None:
         raise ValidationError(f"tweet {tweet.id} has no author profile")
-    vec = np.zeros(DENSE_SIZE, dtype=np.float64)
-    vec[0:64] = m.lexicon_scores()
-    vec[64] = m.sentiment()
-    vec[65:90] = m.pos_counts()
     created = tweet.created_at
-    vec[90] = created.hour
-    vec[91] = created.weekday()
-    vec[92] = profile.timezone_offset_min if profile.timezone_offset_min is not None else 0.0
-    vec[93] = 1.0 if tweet.in_reply_to_id is not None else 0.0
-    vec[94] = 1.0 if tweet.quoted_id is not None else 0.0
-    vec[95] = len(tweet.urls)
-    vec[96] = len(tweet.mentions)
-    vec[97] = len(tweet.hashtags)
-    vec[98] = 1.0 if tweet.has_geo else 0.0
-    vec[99] = (now - profile.account_created_at).total_seconds() / 86400.0
-    vec[100] = 1.0 if profile.profile_customized else 0.0
-    vec[101] = 1.0 if profile.custom_image else 0.0
-    vec[102] = profile.bio_length
-    vec[103] = 1.0 if profile.geo_enabled else 0.0
-    vec[104] = 1.0 if profile.has_location else 0.0
-    vec[105] = 1.0 if profile.has_profile_url else 0.0
-    vec[106] = profile.favourites_count
-    vec[107] = profile.followees_count
-    vec[108] = profile.followers_count
-    vec[109] = profile.listed_count
-    vec[110] = profile.statuses_count
-    vec[DERIVED_SLOT] = np.nan
-    return vec
+    return np.array([
+        *m.lexicon_scores(), m.sentiment(), *m.pos_counts(),  # slots 0-89
+        created.hour, created.weekday(), profile.timezone_offset_min or 0,
+        tweet.in_reply_to_id is not None, tweet.quoted_id is not None,
+        len(tweet.urls), len(tweet.mentions), len(tweet.hashtags), tweet.has_geo,  # 90-98
+        (now - profile.account_created_at).total_seconds() / 86400.0,  # 99
+        *[getattr(profile, name) for name in _PROFILE_SLOTS],  # 100-110
+        math.nan,  # DERIVED_SLOT, filled by stage 1
+    ], dtype=np.float64)
 
 
 def _response_vector(tweet: TweetRecord, responses, records: MeasurementCache) -> np.ndarray:

@@ -8,7 +8,7 @@ the small-sample Mann-Whitney branch enumerates the full permutation null.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ValidationError
@@ -45,9 +45,6 @@ class TestResult:
     effect: float
     significant: bool
     method: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _log_choose(n: int, k: int) -> float:

@@ -122,11 +122,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
-        return cls(**raw)
+        return textkit.decode_config(cls, raw)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":

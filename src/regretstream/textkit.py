@@ -3,20 +3,25 @@
 Everything here is a pure function of its inputs: tokenizing, Levenshtein
 distance, term-frequency cosine, lexicon category scoring, valence
 sentiment, part-of-speech tagging, and lexical-density statistics. The
-JSON readers here are the ones every JSON and JSON Lines input goes through.
+JSON readers here are the ones every JSON and JSON Lines input goes through,
+and ``_decode`` is the one walker that decodes a JSON object by its table:
+events, corpus records and headers, configs and lexicon categories.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
 import re
+import reprlib
+import typing
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ConfigError, ContractError, SchemaError, ValidationError
 
 TOKEN_CLASSES = ("word", "mention", "hashtag", "url", "emoticon", "punct", "number")
 
@@ -178,13 +183,16 @@ def _shaped(decode, value, where: str):
     """``decode(value)``; a value of the wrong shape for ``decode`` (it
     raises AttributeError, KeyError, TypeError or ValueError) raises
     ValidationError naming ``where``, and a ValidationError or ConfigError
-    that ``decode`` raises itself is raised again with ``where`` in front."""
+    that ``decode`` raises itself is raised again with ``where`` in front (a
+    SchemaError, as a ValidationError)."""
     try:
         return decode(value)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: unexpected JSON shape: {exc!r}") from None
     except (ConfigError, ValidationError) as exc:
         raise type(exc)(f"{where}: {exc}") from None
+    except SchemaError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def decode_json(path: str | Path, decode):
@@ -200,6 +208,115 @@ def decode_jsonl(path: str | Path, decode) -> list:
     shape, raises ValidationError naming the file and line."""
     values = [(n, _parse_json(text, path, n)) for n, text in text_lines(path) if text.strip()]
     return [_shaped(decode, value, f"{path}: line {n}") for n, value in values]
+
+
+class _Rejected(ValueError):
+    """A converter's own reason for rejecting a value."""
+
+
+_REQUIRED = object()
+
+
+def _decode(raw, fields, line_number=None, prefix: str = "", closed: bool = False) -> dict:
+    """Keyword arguments built from the JSON object ``raw`` by its format's
+    decode table ``fields`` of (field, converter, default) entries. A field
+    absent from ``raw`` is converted from its default; without one
+    (``_REQUIRED``) it is a SchemaError, as is a value its converter
+    rejects. With ``closed``, a key outside the table is a SchemaError too.
+    Each error names the field (behind ``prefix``) and ``line_number``."""
+    if not isinstance(raw, dict):
+        whole = prefix[:-1] or "record"
+        raise SchemaError(whole, f"{whole} must be a JSON object", line_number)
+    if closed:
+        names = {name for name, _, _ in fields}
+        for name in raw:
+            if name not in names:
+                raise SchemaError(f"{prefix}{name}", f"unknown field: {prefix}{name}", line_number)
+    kwargs = {}
+    for name, convert, default in fields:
+        value = raw.get(name, default)
+        if value is _REQUIRED:
+            raise SchemaError(prefix + name, line_number=line_number)
+        try:
+            kwargs[name] = convert(value)
+        except SchemaError as exc:  # a nested object names its own field
+            raise SchemaError(exc.field, str(exc), line_number) from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            reason = f" ({exc})" if isinstance(exc, _Rejected) else ""
+            raise SchemaError(
+                prefix + name, f"invalid {prefix}{name}: {reprlib.repr(value)}{reason}", line_number
+            ) from None
+    return kwargs
+
+
+def _exactly(kind: type, reason: str):
+    """A converter that passes only values of type ``kind``."""
+    def convert(value):
+        if type(value) is not kind:
+            raise _Rejected(reason)
+        return value
+    return convert
+
+
+def _finite(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise _Rejected("not a finite number")
+    return float(value)
+
+
+def _str_list(value) -> list[str]:
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise _Rejected("not an array of strings")
+    return value
+
+
+_json_int = _exactly(int, "not a JSON integer")
+# The converter for each type a record field is declared with.
+_JSON_TYPES = {bool: _exactly(bool, "not true or false"), int: _json_int, float: _finite,
+               str: _exactly(str, "not a string"),
+               frozenset: lambda value: frozenset(_str_list(value))}
+
+
+@functools.cache
+def _record_fields(cls, prefix: str = "") -> tuple:
+    """The decode table of the dataclass ``cls`` whose fields sit behind
+    ``prefix``: each field converted by the JSON type it is declared with,
+    a dict field as an object holding only its default's keys, each
+    converted by the type of its default value, and defaulting to its
+    default (``_REQUIRED`` without one)."""
+    types = typing.get_type_hints(cls)
+    table = []
+    for f in dataclasses.fields(cls):
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        kind = typing.get_origin(types[f.name]) or types[f.name]
+        if kind is dict:
+            nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
+            convert = functools.partial(
+                _decode, fields=nested, prefix=f"{prefix}{f.name}.", closed=True
+            )
+        else:
+            convert = _JSON_TYPES[kind]
+        table.append((f.name, convert, _REQUIRED if default is dataclasses.MISSING else default))
+    return tuple(table)
+
+
+def decode_record(cls, raw, prefix: str = ""):
+    """The dataclass ``cls`` built from the JSON object ``raw`` by
+    ``_record_fields(cls, prefix)``; a key outside the table is a
+    SchemaError."""
+    return cls(**_decode(raw, _record_fields(cls, prefix), prefix=prefix, closed=True))
+
+
+def decode_config(cls, raw):
+    """``decode_record(cls, raw)``, raising a ConfigError naming the field."""
+    try:
+        return decode_record(cls, raw)
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# One category of the JSON lexicon format.
+_CATEGORY_FIELDS = (("name", _JSON_TYPES[str], _REQUIRED), ("patterns", _str_list, _REQUIRED))
 
 
 class Lexicon:
@@ -250,9 +367,10 @@ class Lexicon:
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load the JSON lexicon format: {"categories": [{"name", "patterns"}]}."""
-        return decode_json(
-            path, lambda raw: cls([(c["name"], list(c["patterns"])) for c in raw["categories"]])
-        )
+        return decode_json(path, lambda raw: cls([
+            (c["name"], c["patterns"])
+            for c in (_decode(c, _CATEGORY_FIELDS, prefix="category.") for c in raw["categories"])
+        ]))
 
 
 def lexicon_counts(words, lex: Lexicon) -> list[int]:

@@ -7,7 +7,7 @@ tests can require the fast kernel to return exactly the same result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -366,7 +366,7 @@ def lambda_group_compare_report(corpus, attrs, cache, alpha=0.05) -> list[dict]:
         try:
             value, test = lambda_ntd(attr, del_tweets, nondel_tweets, cache, alpha)
             row["ntd"] = value
-            row["ntd_test"] = test.to_dict()
+            row["ntd_test"] = asdict(test)
         except (UndefinedDifferenceError, ValidationError) as exc:
             row["ntd"] = None
             row["ntd_error"] = str(exc)

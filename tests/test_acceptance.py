@@ -9,6 +9,7 @@ import json
 import math
 import os
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -164,7 +165,7 @@ def test_criterion_05_cleanup_closure_on_default_stream(whitelist):
     elapsed = time.perf_counter() - start
 
     assert summary["total_tweet_events"] >= 18000
-    assert {k: v.to_dict() for k, v in report.stages.items()} == summary["stages"]
+    assert {k: asdict(v) for k, v in report.stages.items()} == summary["stages"]
     assert report.retained == summary["retained"]["tweets"]
     assert report.retained_deleted == summary["retained"]["deleted"]
     assert report.retained_users == summary["retained"]["users"]

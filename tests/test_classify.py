@@ -580,6 +580,11 @@ class TestSampling:
         with pytest.raises(ValidationError):
             stratified_folds(labels, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_folds_reject_fewer_than_two(self, k):
+        with pytest.raises(ValidationError, match=f"k={k}"):
+            stratified_folds(np.array([0, 1] * 4), k, np.random.default_rng(0))
+
 
 class TestTwoStage:
     def test_end_to_end_on_synth_small(self, synth_small, resources):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -249,7 +250,7 @@ class TestReportAndConfig:
 class TestSynthClosure:
     def test_filter_tallies_match_ledger_exactly(self, synth_small):
         sp = synth_small
-        got = {name: sc.to_dict() for name, sc in sp.report.stages.items()}
+        got = {name: asdict(sc) for name, sc in sp.report.stages.items()}
         assert got == sp.summary["stages"]
         assert sp.report.retained == sp.summary["retained"]["tweets"]
         assert sp.report.retained_deleted == sp.summary["retained"]["deleted"]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -217,6 +218,31 @@ class TestAnalyzeCommand:
         if damage != "truncated":
             assert "tweet record 3" in err
             assert field in err
+
+    # damage -> (edit of the corpus header, the text the error names)
+    HEADER_DAMAGE = {
+        "window_out_of_order": (
+            lambda p: p["window"].update(post_end="2015-09-30T00:00:00Z"),
+            "collection window requires post_start < post_end <= delete_end",
+        ),
+        "text_stats_count": (
+            lambda p: p["stats"].update(tweets_in="many"), "invalid stats.tweets_in: 'many'",
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+    def test_malformed_corpus_header_exits_1(self, workdir, tmp_path, capsys, damage):
+        path = tmp_path / "corpus.json"
+        payload = json.loads((workdir / "cleaned.json").read_text())
+        edit, text = self.HEADER_DAMAGE[damage]
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        code = main(["analyze", "--corpus", str(path), "--metrics", "temporal",
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid corpus header: {text}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("family", ["ntd", "nud"])
     def test_single_family_rows_carry_only_that_family(self, tmp_path, family):
@@ -601,6 +627,66 @@ def test_bad_input_file_exits_1(workdir, tmp_path, capsys, name):
     assert f"error: {bad}: " in err
     if line is not None:
         assert f"{bad}: line {line}: " in err
+
+
+# Config files holding a value of the wrong JSON type, an unknown key or a
+# number that is not finite: (command, config, the error after the file name).
+BAD_CONFIGS = {
+    "train with_responses string": (
+        "train", {"with_responses": "no"}, "invalid with_responses: 'no' (not true or false)"),
+    "train unknown hyperparameter": (
+        "train", {"stage1_hyper": {"svm_cc": 1}}, "unknown field: stage1_hyper.svm_cc"),
+    "train hyperparameter string": (
+        "train", {"stage1_hyper": {"svm_c": "x"}}, "invalid stage1_hyper.svm_c: 'x'"),
+    "train hyperparameter null": (
+        "train", {"stage2_algorithm": "rbf_svm", "stage2_hyper": {"rbf_gamma": None}},
+        "invalid stage2_hyper.rbf_gamma: None"),
+    "train count infinite": ("train", {"n_per_class": math.inf}, "invalid n_per_class: inf"),
+    "clean whitelist string": (
+        "clean", {"client_whitelist": "Twitter Web Client"},
+        "invalid client_whitelist: 'Twitter Web Client' (not an array of strings)"),
+    "clean language number": ("clean", {"language_tag": 5}, "invalid language_tag: 5"),
+    "clean lookahead fraction": (
+        "clean", {"superficial_lookahead": 2.7}, "invalid superficial_lookahead: 2.7"),
+    "clean lookahead infinite": (
+        "clean", {"superficial_lookahead": math.inf}, "invalid superficial_lookahead: inf"),
+    "synth users string": ("synth", {"n_users": "5"}, "invalid n_users: '5'"),
+    "synth users fraction": ("synth", {"n_users": 5.5}, "invalid n_users: 5.5"),
+    "synth seed string": ("synth", {"seed": "x"}, "invalid seed: 'x'"),
+    "synth coupling string": (
+        "synth", {"reply_sentiment_coupling": "no"}, "invalid reply_sentiment_coupling: 'no'"),
+}
+CONFIG_COMMANDS = {
+    "train": ["train", "--corpus", "{work}/cleaned.json", "--config", "{cfg}",
+              "--out", "{tmp}/m.rsb1"],
+    "clean": ["clean", "--corpus", "{work}/corpus.json", "--config", "{cfg}",
+              "--out", "{tmp}/c.json"],
+    "synth": ["synth", "--config", "{cfg}", "--out-events", "{tmp}/e.jsonl",
+              "--out-ledger", "{tmp}/l.jsonl"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_mistyped_config_exits_1_naming_the_field(workdir, tmp_path, capsys, name):
+    command, config, message = BAD_CONFIGS[name]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = [a.format(cfg=cfg, work=workdir, tmp=tmp_path) for a in CONFIG_COMMANDS[command]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("folds", [0, 1])
+def test_derived_feature_folds_below_two_exits_1(workdir, tmp_path, capsys, folds):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_per_class": 50, "derived_feature_folds": folds}))
+    code = main(["train", "--corpus", str(workdir / "cleaned.json"), "--config", str(cfg),
+                 "--out", str(tmp_path / "m.rsb1")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"k >= 2, got k={folds}" in err
 
 
 class TestRemovedTrainFlags:

@@ -1,5 +1,5 @@
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 
 import pytest
 from hypothesis import given, settings
@@ -333,7 +333,7 @@ class TestCorpusContainer:
         payload = {
             "format": "regretstream-corpus/1",
             "window": corpus.window.to_dict(),
-            "stats": corpus.stats.to_dict(),
+            "stats": asdict(corpus.stats),
             "tweets": [t.to_dict() for t in corpus.tweets],
         }
         want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

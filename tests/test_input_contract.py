@@ -285,3 +285,36 @@ def test_predict_with_inconsistent_bundle_exits_1(scratch, damage):
         "--out", str(scratch / "scores.jsonl"),
     ])
     assert code == 1 and err.startswith(f"error: {bundle}: ") and "Traceback" not in err
+
+
+# A manifest value the package itself rejects: (key path, value, the error
+# after "invalid bundle manifest: ").
+REJECTED_MANIFEST_VALUES = {
+    "reference_time": (("reference_time",), "yesterday",
+                       "reference_time is not RFC 3339: 'yesterday'"),
+    "config_field": (("config", "stage1_hyper", "svm_c"), "x",
+                     "invalid config.stage1_hyper.svm_c: 'x' (not a finite number)"),
+    "metrics_field": (("metrics", "tp"), "x", "invalid metrics.tp: 'x' (not a JSON integer)"),
+    "mask_group": (("mask_groups",), ["nonsense"], "unknown feature group 'nonsense'"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(REJECTED_MANIFEST_VALUES))
+def test_predict_with_rejected_manifest_value_names_the_bundle(tmp_path, damage):
+    path, value, message = REJECTED_MANIFEST_VALUES[damage]
+    base = _container_bytes()[1]
+    manifest = json.loads(_manifest(base))
+    parent = manifest
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bundle = tmp_path / f"{damage}.rsb1"
+    bundle.write_bytes(_repacked(base, manifest))
+    events = tmp_path / "predict.jsonl"
+    events.write_bytes(EVENT_LINES[0] + b"\n")
+    code, err = _run_cli([
+        "predict", "--bundle", str(bundle), "--events", str(events),
+        "--out", str(tmp_path / "scores.jsonl"),
+    ])
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {bundle}: invalid bundle manifest: {message}")
