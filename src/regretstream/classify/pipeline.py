@@ -52,6 +52,12 @@ class TrainConfig:
     derived_feature_folds: int = 5
     with_responses: bool = False
 
+    def __post_init__(self):
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if self.n_per_class < 1:
+            raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
+
     def merged(self, overrides: dict) -> "TrainConfig":
         """New config with hyper overrides applied (grid-search cells)."""
         kwargs = {}

@@ -18,13 +18,15 @@ from .events import Corpus, TweetRecord
 
 FILTER_STAGES = ("non_language", "non_whitelisted", "retweets", "superficial")
 
+# Two texts closer than this many character edits are near-duplicates.
+_EDIT_DISTANCE_MAX = 5
+
 
 @dataclass(frozen=True)
 class CleanupConfig:
     language_tag: str = "en"
     client_whitelist: frozenset[str] = frozenset()
     superficial_lookahead: int = 3
-    edit_distance_max: int = 5
     cosine_min: float = 0.6
 
     def __post_init__(self):
@@ -139,11 +141,11 @@ class CleanupReport:
 
 def near_duplicate(a: str, b: str, cfg: CleanupConfig) -> bool:
     """True iff the edit distance of ``a`` and ``b`` is strictly below
-    ``edit_distance_max`` OR their term cosine is strictly above ``cosine_min``."""
+    ``_EDIT_DISTANCE_MAX`` OR their term cosine is strictly above ``cosine_min``."""
     # |len(a)-len(b)| lower-bounds the edit distance, so the expensive
     # DP can be skipped for texts of very different lengths.
-    if abs(len(a) - len(b)) < cfg.edit_distance_max:
-        if textkit.edit_distance(a, b) < cfg.edit_distance_max:
+    if abs(len(a) - len(b)) < _EDIT_DISTANCE_MAX:
+        if textkit.edit_distance(a, b) < _EDIT_DISTANCE_MAX:
             return True
     return textkit.term_cosine(a, b) > cfg.cosine_min
 

@@ -16,7 +16,10 @@ from pathlib import Path
 
 from . import textkit
 from .errors import DuplicateTweetError, ParseError, RegretstreamError, SchemaError, ValidationError
-from .textkit import _REQUIRED, _decode, _json_int, _Rejected
+from .textkit import _JSON_TYPES, _REQUIRED, _Rejected, _decode, _json_int, _str_list
+
+_bool = _JSON_TYPES[bool]
+_str = _JSON_TYPES[str]
 
 
 def _utc(value) -> datetime:
@@ -49,26 +52,24 @@ def format_rfc3339(dt: datetime) -> str:
 
 def _tweet_id(value) -> int:
     # Feature matrices, bundles and scores store tweet ids as int64.
-    ident = int(value)
+    ident = _json_int(value)
     if not 0 < ident < 2 ** 63:
         raise _Rejected("a tweet id lies in 1..2**63-1")
     return ident
 
 
 def _opt_int(value) -> int | None:
-    return None if value is None else int(value)
-
-
-def _opt_lag(value) -> int | None:
     return None if value is None else _json_int(value)
 
 
 def _str_tuple(value) -> tuple[str, ...]:
-    return tuple(map(str, value))
+    return tuple(_str_list(value))
 
 
 def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(map(int, value))
+    if type(value) is not list or not all(type(v) is int for v in value):
+        raise _Rejected("not an array of integers")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,19 @@ class UserProfile:
 
 
 _USER_FIELDS = (
-    ("user_id", int, _REQUIRED),
+    ("user_id", _json_int, _REQUIRED),
     ("account_created_at", _utc, _REQUIRED),
-    ("profile_customized", bool, False),
-    ("custom_image", bool, False),
-    ("bio_length", int, 0),
-    ("geo_enabled", bool, False),
-    ("has_location", bool, False),
-    ("has_profile_url", bool, False),
-    ("favourites_count", int, 0),
-    ("followees_count", int, 0),
-    ("followers_count", int, 0),
-    ("listed_count", int, 0),
-    ("statuses_count", int, 0),
+    ("profile_customized", _bool, False),
+    ("custom_image", _bool, False),
+    ("bio_length", _json_int, 0),
+    ("geo_enabled", _bool, False),
+    ("has_location", _bool, False),
+    ("has_profile_url", _bool, False),
+    ("favourites_count", _json_int, 0),
+    ("followees_count", _json_int, 0),
+    ("followers_count", _json_int, 0),
+    ("listed_count", _json_int, 0),
+    ("statuses_count", _json_int, 0),
     ("timezone_offset_min", _opt_int, None),
 )
 
@@ -148,7 +149,7 @@ class DeletePayload:
 
 _DELETE_FIELDS = (
     ("id", _tweet_id, _REQUIRED),
-    ("user_id", int, _REQUIRED),
+    ("user_id", _json_int, _REQUIRED),
     ("observed_at", _utc, _REQUIRED),
 )
 
@@ -284,21 +285,23 @@ class TweetRecord:
         return cls(**_decode(raw, _RECORD_FIELDS))
 
 
-# The wire tweet format: every TweetRecord field without a default.
+# The wire tweet format: every TweetRecord field without a default. As in a
+# config, each field takes one JSON type only (a count of 5.0 or "5" is
+# rejected), and a default is a JSON value converted like a present one.
 _TWEET_FIELDS = (
     ("id", _tweet_id, _REQUIRED),
-    ("user_id", int, _REQUIRED),
+    ("user_id", _json_int, _REQUIRED),
     ("created_at", _utc, _REQUIRED),
-    ("text", str, _REQUIRED),
-    ("lang", str, "en"),
-    ("source", str, ""),
+    ("text", _str, _REQUIRED),
+    ("lang", _str, "en"),
+    ("source", _str, ""),
     ("in_reply_to_id", _opt_int, None),
     ("quoted_id", _opt_int, None),
     ("retweet_of_id", _opt_int, None),
-    ("hashtags", _str_tuple, ()),
-    ("urls", _str_tuple, ()),
-    ("mentions", _str_tuple, ()),
-    ("has_geo", bool, False),
+    ("hashtags", _str_tuple, []),
+    ("urls", _str_tuple, []),
+    ("mentions", _str_tuple, []),
+    ("has_geo", _bool, False),
     ("user", UserProfile.from_dict, _REQUIRED),
 )
 # The corpus format: the wire fields, lang and source required, plus the label
@@ -307,11 +310,11 @@ _RECORD_FIELDS = tuple(
     (name, convert, _REQUIRED if name in ("lang", "source") else default)
     for name, convert, default in _TWEET_FIELDS
 ) + (
-    ("deleted", bool, _REQUIRED),
-    ("deletion_lag_sec", _opt_lag, None),
-    ("reply_ids", _int_tuple, ()),
-    ("retweet_ids", _int_tuple, ()),
-    ("quote_ids", _int_tuple, ()),
+    ("deleted", _bool, _REQUIRED),
+    ("deletion_lag_sec", _opt_int, None),
+    ("reply_ids", _int_tuple, []),
+    ("retweet_ids", _int_tuple, []),
+    ("quote_ids", _int_tuple, []),
 )
 
 

@@ -49,6 +49,12 @@ _AUTOMATED_SOURCES = (
 )
 _FOREIGN_LANGS = ("es", "fr", "pt", "ja")
 
+# Replies: the chance that a clean base tweet draws any, by its deletion
+# status, and the most it draws (uniform from 1).
+_REPLY_RATE_DELETED = 0.15
+_REPLY_RATE_NON_DELETED = 0.25
+_REPLIES_MAX = 3
+
 
 @dataclass
 class SynthConfig:
@@ -64,33 +70,15 @@ class SynthConfig:
     non_english_fraction: float = 0.12
     automated_fraction: float = 0.08
     retweet_fraction: float = 0.15
-    reply_rate_deleted: float = 0.15
-    reply_rate_non_deleted: float = 0.25
-    replies_max: int = 3
     reply_sentiment_coupling: bool = True
-    reply_coupling_strength: float = 0.85
     user_conditioned_skew: float = 0.92
-    marker_words_per_tweet: int = 2
     lexical_rate_deleted: float = 0.28
     lexical_rate_non_deleted: float = 0.10
     oov_lexical_rate_deleted: float = 0.0
     oov_lexical_rate_non_deleted: float = 0.0
     hashtag_rate_deleted: float = 0.12
     hashtag_rate_non_deleted: float = 0.12
-    url_rate_deleted: float = 0.15
-    url_rate_non_deleted: float = 0.15
-    mention_rate: float = 0.25
-    quote_rate: float = 0.02
-    geo_rate: float = 0.05
-    background_vocab: int = 1500
-    words_per_tweet_min: int = 6
-    words_per_tweet_max: int = 12
     orphan_deletes: int = 5
-    late_delete_fraction: float = 0.02
-    deletion_lag_median_sec: float = 4320.0
-    deletion_lag_sigma: float = 1.2
-    reply_lag_median_sec: float = 120.0
-    reply_lag_sigma: float = 0.9
     nud_attr_skew_fraction: float = 0.0
     nud_attr_reverse_fraction: float = 0.0
     nud_attr_rate_high: float = 0.7
@@ -103,7 +91,6 @@ class SynthConfig:
             "non_english_fraction": self.non_english_fraction,
             "automated_fraction": self.automated_fraction,
             "retweet_fraction": self.retweet_fraction,
-            "late_delete_fraction": self.late_delete_fraction,
         }
         for name, v in fractions.items():
             if not (0.0 <= v <= 1.0):
@@ -116,6 +103,9 @@ class SynthConfig:
             )
         if self.tweet_rate_min <= 0 or self.tweet_rate_max < self.tweet_rate_min:
             raise ConfigError("tweet rate range must be positive and ordered")
+        for name, least in (("window_days", 1), ("delete_extra_days", 0), ("orphan_deletes", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,12 +157,12 @@ class _Tweet:
     text: str = ""
 
 
-def _make_background_vocab(cfg: SynthConfig, rng, reserved: set[str]) -> list[str]:
+def _make_background_vocab(rng, reserved: set[str]) -> list[str]:
     consonants = "bcdfghjklmnpqrstvwz"
     vowels = "aeiou"
     vocab = []
     seen = set(reserved)
-    while len(vocab) < cfg.background_vocab:
+    while len(vocab) < 1500:
         n_syll = int(rng.integers(2, 5))
         word = "".join(
             consonants[int(rng.integers(len(consonants)))]
@@ -205,9 +195,9 @@ def generate_synthetic(cfg: SynthConfig):
     users = _make_users(cfg, rng)
     base = _make_base_tweets(cfg, rng, users, window_sec)
     p_delete = _conditional_delete_prob(cfg, users, base)
-    _assign_deletions(cfg, rng, base, p_delete, delete_end)
+    _assign_deletions(rng, base, p_delete, delete_end)
     replies = _make_replies(cfg, rng, users, base, window_sec)
-    _assign_deletions(cfg, rng, replies, p_delete, delete_end)
+    _assign_deletions(rng, replies, p_delete, delete_end)
     tweets = sorted(base + replies, key=lambda t: (t.created_at, t.id))
     _plant_superficial(cfg, rng, tweets)
     _assign_texts(cfg, rng, tweets, users)
@@ -312,12 +302,12 @@ def _conditional_delete_prob(cfg: SynthConfig, users, base) -> float:
     clean_deleter = sum(1 for t in base if t.user.deleter and t.filter_class == "clean")
     clean_other = sum(1 for t in base if not t.user.deleter and t.filter_class == "clean")
     deleter_user_share = sum(1 for u in users if u.deleter) / max(1, len(users))
-    mean_replies = (1 + cfg.replies_max) / 2.0
+    mean_replies = (1 + _REPLIES_MAX) / 2.0
     p = cfg.deletion_rate
     for _ in range(4):
-        reply_rate_deleter = p * cfg.reply_rate_deleted + (1 - p) * cfg.reply_rate_non_deleted
+        reply_rate_deleter = p * _REPLY_RATE_DELETED + (1 - p) * _REPLY_RATE_NON_DELETED
         exp_replies = (
-            clean_deleter * reply_rate_deleter + clean_other * cfg.reply_rate_non_deleted
+            clean_deleter * reply_rate_deleter + clean_other * _REPLY_RATE_NON_DELETED
         ) * mean_replies
         exp_total = total_base + exp_replies
         exp_deleter_authored = deleter_base + exp_replies * deleter_user_share
@@ -330,18 +320,20 @@ def _conditional_delete_prob(cfg: SynthConfig, users, base) -> float:
     return p
 
 
-def _assign_deletions(cfg: SynthConfig, rng, tweets, p_delete, delete_end) -> None:
+def _assign_deletions(rng, tweets, p_delete, delete_end) -> None:
     for t in tweets:
         if not t.user.deleter:
             continue
         if rng.random() >= p_delete:
             continue
         t.attempted_delete = True
-        if rng.random() < cfg.late_delete_fraction:
+        # 2% of notices arrive after the deletion window; the rest lag the
+        # tweet by a lognormal with a 72-minute median.
+        if rng.random() < 0.02:
             t.observed_at = delete_end + timedelta(seconds=int(rng.integers(3600, 5 * 86400)))
             t.censored = True
             continue
-        lag = rng.lognormal(math.log(cfg.deletion_lag_median_sec), cfg.deletion_lag_sigma)
+        lag = rng.lognormal(math.log(4320.0), 1.2)
         observed = t.created_at + timedelta(seconds=max(1, int(lag)))
         t.observed_at = observed
         if observed > delete_end:
@@ -356,15 +348,15 @@ def _make_replies(cfg: SynthConfig, rng, users, base, window_sec) -> list[_Tweet
     next_id = max(t.id for t in base) + 1 if base else 1001
     targets = [t for t in base if t.filter_class == "clean"]
     for target in targets:
-        rate = cfg.reply_rate_deleted if target.deleted else cfg.reply_rate_non_deleted
+        rate = _REPLY_RATE_DELETED if target.deleted else _REPLY_RATE_NON_DELETED
         if rng.random() >= rate:
             continue
-        count = int(rng.integers(1, cfg.replies_max + 1))
+        count = int(rng.integers(1, _REPLIES_MAX + 1))
         for _ in range(count):
             author = users[int(rng.integers(len(users)))]
             if author.user_id == target.user.user_id:
                 author = users[(users.index(author) + 1) % len(users)]
-            lag = rng.lognormal(math.log(cfg.reply_lag_median_sec), cfg.reply_lag_sigma)
+            lag = rng.lognormal(math.log(120.0), 0.9)
             created = target.created_at + timedelta(seconds=max(1, int(lag)))
             if created > post_end:
                 continue
@@ -437,7 +429,7 @@ def _assign_texts(cfg: SynthConfig, rng, tweets, users) -> None:
     reserved = set(_MARKER_POSITIVE + _MARKER_NEGATIVE + _SWEAR_WORDS)
     reserved |= set(_REPLY_POSITIVE + _REPLY_NEGATIVE)
     reserved |= set(_OOV_SIGNAL_WORDS)
-    vocab = _make_background_vocab(cfg, rng, reserved)
+    vocab = _make_background_vocab(rng, reserved)
     probs = _zipf_probs(len(vocab))
     foreign_vocab = [w + "x" for w in vocab[:400]]
     hashtag_pool = [f"#topic{i}" for i in range(1, 51)]
@@ -456,7 +448,7 @@ def _assign_texts(cfg: SynthConfig, rng, tweets, users) -> None:
         return [src[i % len(src)] for i in idx]
 
     for t in tweets:
-        n_words = int(rng.integers(cfg.words_per_tweet_min, cfg.words_per_tweet_max + 1))
+        n_words = int(rng.integers(6, 13))
         if t.filter_class == "non_english":
             t.lang = _FOREIGN_LANGS[int(rng.integers(len(_FOREIGN_LANGS)))]
             t.words = background_words(n_words, foreign=True)
@@ -484,7 +476,7 @@ def _assign_texts(cfg: SynthConfig, rng, tweets, users) -> None:
                     family = "neg" if family == "pos" else "pos"
                 pool = _MARKER_POSITIVE if family == "pos" else _MARKER_NEGATIVE
                 t.marker = family
-                for _ in range(cfg.marker_words_per_tweet):
+                for _ in range(2):
                     t.words.append(pool[int(rng.integers(len(pool)))])
             # Mild unconditional lexical skew.
             lex_rate = cfg.lexical_rate_deleted if t.deleted else cfg.lexical_rate_non_deleted
@@ -500,7 +492,7 @@ def _assign_texts(cfg: SynthConfig, rng, tweets, users) -> None:
             # Reply sentiment coupling (probabilistically aligned).
             if t.is_response and cfg.reply_sentiment_coupling:
                 negative = t.target_deleted
-                if rng.random() >= cfg.reply_coupling_strength:
+                if rng.random() >= 0.85:
                     negative = not negative
                 pool = _REPLY_NEGATIVE if negative else _REPLY_POSITIVE
                 for _ in range(2):
@@ -517,18 +509,17 @@ def _assign_texts(cfg: SynthConfig, rng, tweets, users) -> None:
             hrate = cfg.nud_attr_rate_high
         if rng.random() < hrate:
             t.hashtags = [hashtag_pool[int(rng.integers(len(hashtag_pool)))]]
-        urate = cfg.url_rate_deleted if t.deleted else cfg.url_rate_non_deleted
-        if rng.random() < urate:
+        if rng.random() < 0.15:
             t.urls = [f"http://t.co/{t.id:08x}"]
-        if not t.is_response and rng.random() < cfg.mention_rate:
+        if not t.is_response and rng.random() < 0.25:
             other = int(rng.integers(1, len(users) + 1))
             if other != t.user.user_id:
                 t.mentions = [f"@user{other}"]
-        if not t.is_response and rng.random() < cfg.quote_rate:
+        if not t.is_response and rng.random() < 0.02:
             quoted = earlier_base_id(t.id)
             if quoted is not None:
                 t.quoted_id = quoted
-        t.has_geo = bool(rng.random() < cfg.geo_rate)
+        t.has_geo = bool(rng.random() < 0.05)
         _render_text(t)
 
     # Corrections copy their source's words with a tiny character edit.

@@ -123,6 +123,32 @@ class TestIngestCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"line {n + 1}" in err and "user.followers_count" in err
 
+    # Wire values of another JSON type than their field's: (path, value).
+    @pytest.mark.parametrize("path,value", [
+        (("user", "followers_count"), "5"),
+        (("user", "bio_length"), 5.7),
+        (("has_geo",), "no"),
+        (("quoted_id",), True),
+        (("hashtags",), "#tag"),
+    ])
+    def test_wire_value_of_another_json_type_exits_1(self, tmp_path, capsys, path, value):
+        event = {
+            "kind": "tweet", "id": 5, "user_id": 3, "created_at": "2015-08-05T10:00:00Z",
+            "text": "hello", "user": {"user_id": 3, "account_created_at": "2014-01-01T00:00:00Z"},
+        }
+        parent = event
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(event) + "\n")
+        code = main(["ingest", "--events", str(events), "--window", *WINDOW,
+                     "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 1: invalid {'.'.join(path)}: ") and "Traceback" not in err
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestCleanCommand:
     def test_report_written(self, workdir):
@@ -655,6 +681,25 @@ BAD_CONFIGS = {
     "synth seed string": ("synth", {"seed": "x"}, "invalid seed: 'x'"),
     "synth coupling string": (
         "synth", {"reply_sentiment_coupling": "no"}, "invalid reply_sentiment_coupling: 'no'"),
+    # Values of the right type outside the field's range.
+    "synth window zero": ("synth", {"window_days": 0}, "window_days must be >= 1, got 0"),
+    "synth window negative": ("synth", {"window_days": -3}, "window_days must be >= 1, got -3"),
+    "synth delete window negative": (
+        "synth", {"delete_extra_days": -20}, "delete_extra_days must be >= 0, got -20"),
+    "synth orphans negative": (
+        "synth", {"orphan_deletes": -1}, "orphan_deletes must be >= 0, got -1"),
+    "train test fraction zero": (
+        "train", {"test_fraction": 0}, "test_fraction must lie in (0, 1), got 0.0"),
+    "train test fraction negative": (
+        "train", {"test_fraction": -1}, "test_fraction must lie in (0, 1), got -1.0"),
+    "train test fraction one": (
+        "train", {"test_fraction": 1}, "test_fraction must lie in (0, 1), got 1.0"),
+    "train test fraction two": (
+        "train", {"test_fraction": 2.0}, "test_fraction must lie in (0, 1), got 2.0"),
+    "train per class zero": ("train", {"n_per_class": 0}, "n_per_class must be >= 1, got 0"),
+    "train per class negative": ("train", {"n_per_class": -1}, "n_per_class must be >= 1, got -1"),
+    "old synth field": ("synth", {"replies_max": 3}, "unknown field: replies_max"),
+    "old clean field": ("clean", {"edit_distance_max": 5}, "unknown field: edit_distance_max"),
 }
 CONFIG_COMMANDS = {
     "train": ["train", "--corpus", "{work}/cleaned.json", "--config", "{cfg}",

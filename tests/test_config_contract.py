@@ -45,7 +45,7 @@ INPUTS = {
     ),
     "clean config": (
         {"language_tag": "en", "client_whitelist": ["Twitter Web Client"],
-         "superficial_lookahead": 3, "edit_distance_max": 5, "cosine_min": 0.6},
+         "superficial_lookahead": 3, "cosine_min": 0.6},
         False, lambda path: textkit.decode_json(path, CleanupConfig.from_dict),
         ["clean", "--corpus", "{corpus}", "--config", "{file}", "--out", "{tmp}/c.json"],
     ),

@@ -100,6 +100,16 @@ class TestParseEvent:
         ("hashtags", 5, None),
         ("followers_count", "many", "user"),
         ("timezone_offset_min", {}, "user"),
+        # A value of another JSON type is rejected, never converted.
+        ("followers_count", "5", "user"),
+        ("bio_length", 5.7, "user"),
+        ("profile_customized", "no", "user"),
+        ("user_id", 3.0, None),
+        ("text", 5, None),
+        ("has_geo", "no", None),
+        ("quoted_id", True, None),
+        ("hashtags", "#tag", None),
+        ("mentions", ["@a", 1], None),
     ])
     def test_non_integer_field_is_schema_error(self, field, value, where):
         obj = tweet_event()
@@ -118,6 +128,12 @@ class TestParseEvent:
         with pytest.raises(SchemaError) as exc:
             parse_event('{"kind":"delete","id":"x","user_id":3,"observed_at":"2015-08-05T10:00:00Z"}', 4)
         assert exc.value.field == "id"
+
+    @pytest.mark.parametrize("field,value", [("id", 1.0), ("user_id", "3")])
+    def test_delete_field_of_another_json_type_is_schema_error(self, field, value):
+        with pytest.raises(SchemaError) as exc:
+            parse_event(json.dumps({**delete_event(), field: value}), line_number=4)
+        assert exc.value.field == field and "line 4" in str(exc.value)
 
     def test_user_not_an_object(self):
         obj = tweet_event()
@@ -376,6 +392,10 @@ class TestCorpusContainer:
         ("id", 2 ** 70),
         ("retweet_ids", [{"a": 1}]),
         ("quote_ids", ["x"]),
+        ("reply_ids", "12"),
+        ("hashtags", "#tag"),
+        ("deleted", 0),
+        ("deletion_lag_sec", 60.0),
     ])
     def test_load_mistyped_field_names_field(self, tmp_path, field, value):
         path = self._saved_record(tmp_path, lambda r: r.update({field: value}))
@@ -384,11 +404,13 @@ class TestCorpusContainer:
         assert exc.value.field == field
         assert "tweet record 1" in str(exc.value) and f"invalid {field}" in str(exc.value)
 
-    def test_load_converts_link_ids(self, tmp_path):
-        path = self._saved_record(tmp_path, lambda r: r.update(reply_ids=[1.0], in_reply_to_id=1.0))
-        record = Corpus.load(path).get(2)
-        assert record.reply_ids == (1,) and record.in_reply_to_id == 1
-        assert all(type(i) is int for i in record.reply_ids + (record.in_reply_to_id,))
+    def test_load_rejects_float_link_ids(self, tmp_path):
+        for field, value in (("reply_ids", [1.0]), ("in_reply_to_id", 1.0)):
+            path = self._saved_record(tmp_path, lambda r: r.update({field: value}))
+            with pytest.raises(SchemaError) as exc:
+                Corpus.load(path)
+            assert exc.value.field == field
+            assert "tweet record 1" in str(exc.value) and f"invalid {field}: " in str(exc.value)
 
     def test_load_truncated_file_names_file(self, tmp_path):
         path = tmp_path / "corpus.json"

@@ -295,6 +295,9 @@ REJECTED_MANIFEST_VALUES = {
     "config_field": (("config", "stage1_hyper", "svm_c"), "x",
                      "invalid config.stage1_hyper.svm_c: 'x' (not a finite number)"),
     "metrics_field": (("metrics", "tp"), "x", "invalid metrics.tp: 'x' (not a JSON integer)"),
+    "config_test_fraction": (("config", "test_fraction"), 0,
+                             "test_fraction must lie in (0, 1), got 0.0"),
+    "config_n_per_class": (("config", "n_per_class"), 0, "n_per_class must be >= 1, got 0"),
     "mask_group": (("mask_groups",), ["nonsense"], "unknown feature group 'nonsense'"),
 }
 

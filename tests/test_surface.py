@@ -1,17 +1,27 @@
-"""Dead-definition guard: every function and class defined in the package
-is used somewhere in the source tree.
+"""Dead-surface guards: every function and class defined in the package
+is used somewhere in the source tree, and every config field has a caller.
 
 A use is a name, an attribute, or a string constant (or one dot-separated
 part of it, as in the benchmark's ``"Lexicon.categories_for"`` probe
 targets) anywhere under ``src/``, ``tests/``, ``demos/`` or ``perfbench/``.
 Imports alone do not count. Dunder methods are called by the language
 itself and are skipped.
+
+A config field (or default hyperparameter key) has a caller when a file
+under ``tests/``, ``demos/`` or ``perfbench/`` names it as above or as a
+keyword argument. The package itself does not count, and neither does the
+config contract test, whose fixtures list every field.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from regretstream.classify import TrainConfig
+from regretstream.cleanup import CleanupConfig
+from regretstream.synth import SynthConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "regretstream"
@@ -21,6 +31,7 @@ SCANNED = ("src", "tests", "demos", "perfbench")
 FRAMEWORK_HOOKS = {
     "_Parser.error",  # argparse.ArgumentParser calls error() on a usage error
 }
+CONFIG_CONTRACT = ROOT / "tests" / "test_config_contract.py"
 
 
 def _trees():
@@ -82,3 +93,22 @@ def test_framework_hooks_are_still_defined():
         for qualified, _ in _definitions(tree)
     }
     assert FRAMEWORK_HOOKS <= defined
+
+
+def uncalled_config_fields() -> list[str]:
+    trees = [
+        (path, tree) for path, tree in _trees()
+        if not path.is_relative_to(ROOT / "src") and path != CONFIG_CONTRACT
+    ]
+    named = _used_names(trees) | {
+        node.arg for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.keyword)
+    }
+    settable = [(cls.__name__, f.name) for cls in (SynthConfig, CleanupConfig, TrainConfig)
+                for f in fields(cls)]
+    settable += [(f"TrainConfig.{hyper}", key) for hyper in ("stage1_hyper", "stage2_hyper")
+                 for key in getattr(TrainConfig(), hyper)]
+    return [f"{owner}.{name}" for owner, name in settable if name not in named]
+
+
+def test_every_config_field_has_a_caller():
+    assert uncalled_config_fields() == []

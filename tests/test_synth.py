@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -47,6 +48,16 @@ class TestDeterminism:
         write_synthetic(cfg, e2, l2)
         assert e1.read_bytes() == e2.read_bytes()
         assert l1.read_bytes() == l2.read_bytes()
+
+    def test_golden_files(self, tmp_path):
+        """The bytes a small config writes, pinned: the fixed reply, lag,
+        text-length and entity draws keep their values."""
+        epath, lpath = tmp_path / "e.jsonl", tmp_path / "l.jsonl"
+        write_synthetic(SynthConfig(seed=5, n_users=40), epath, lpath)
+        assert hashlib.sha256(epath.read_bytes()).hexdigest() == (
+            "3a1254d28b21c2d0c4e2f7fbcf329e2ee791caf3c339a94f5bd0bb10b2e3e3fa")
+        assert hashlib.sha256(lpath.read_bytes()).hexdigest() == (
+            "86405ab994d2cab86d26a095ea73c1f0a9aafaf0674c41a004e34fab6f941796")
 
     def test_different_seed_differs(self, tmp_path):
         e1, l1 = tmp_path / "e1.jsonl", tmp_path / "l1.jsonl"
