@@ -181,13 +181,14 @@ def _parse_json(text: str, path, line: int = 1):
 
 def _shaped(decode, value, where: str):
     """``decode(value)``; a value of the wrong shape for ``decode`` (it
-    raises AttributeError, KeyError, TypeError or ValueError) raises
-    ValidationError naming ``where``, and a ValidationError or ConfigError
-    that ``decode`` raises itself is raised again with ``where`` in front (a
-    SchemaError, as a ValidationError)."""
+    raises AttributeError, KeyError, TypeError, ValueError or OverflowError,
+    as ``int`` does on ``Infinity``) raises ValidationError naming ``where``,
+    and a ValidationError or ConfigError that ``decode`` raises itself is
+    raised again with ``where`` in front (a SchemaError, as a
+    ValidationError)."""
     try:
         return decode(value)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: unexpected JSON shape: {exc!r}") from None
     except (ConfigError, ValidationError) as exc:
         raise type(exc)(f"{where}: {exc}") from None

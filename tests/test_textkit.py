@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretstream import textkit
-from regretstream.errors import ContractError
+from regretstream.errors import ContractError, ValidationError
 from regretstream.textkit import (
     Lexicon,
     RuleTagger,
@@ -384,3 +384,9 @@ class TestPretagged:
         store = textkit.PretaggedStore.from_file(path)
         assert store.get(7) == ["common_noun", "verb"]
         assert store.get(8) is None
+
+    def test_infinite_id_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "tags.jsonl"
+        path.write_text('{"id": Infinity, "tags": ["verb"]}\n')
+        with pytest.raises(ValidationError, match="line 1"):
+            textkit.PretaggedStore.from_file(path)
