@@ -8,8 +8,6 @@ depend on. Serialization is byte-deterministic for identical contents.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
@@ -28,8 +26,10 @@ from ..features import (
     _read_arrays,
     _read_exact,
     _read_header,
+    _write_container,
     featurize_corpus,
 )
+from ..textkit import _JSON_TYPES, _REQUIRED, _decode, _finite, _json_int
 from .pipeline import DenseScaler, EvalMetrics, TrainConfig, mask_slots, stage2_design
 from .smo import RbfSvmModel
 from .stage1 import LinearSvmModel, NaiveBayesModel, SparseRows, derived_feature
@@ -135,7 +135,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
 
     manifest = {
         "format_version": _VERSION,
-        "config": bundle.config.to_dict(),
+        "config": textkit.encode_record(bundle.config),
         "seed": bundle.seed,
         "mask_groups": list(bundle.mask_groups),
         "reference_time": format_rfc3339(bundle.reference_time),
@@ -152,21 +152,8 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
             "valence": {k: res.valence[k] for k in sorted(res.valence)},
         },
         "blobs": {"vocab_terms": len(terms_blob), "wordlist": len(wordlist_blob)},
-        "arrays": [
-            {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-            for name, arr in blocks
-        ],
     }
-    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
-        fh.write(terms_blob)
-        fh.write(wordlist_blob)
-        for _, arr in blocks:
-            fh.write(arr.tobytes())
+    _write_container(path, _MAGIC, _VERSION, manifest, blocks, (terms_blob, wordlist_blob))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
@@ -188,23 +175,31 @@ def load_bundle(path: str | Path) -> ModelBundle:
             raise ValidationError(f"{path}: invalid bundle manifest: {exc!r}") from None
 
 
+def _scalars(raw, prefix: str, **converters) -> dict:
+    """The fields of the JSON object ``raw`` that ``converters`` names, each
+    required and converted by its converter; an error names the field
+    behind ``prefix``."""
+    fields = tuple((name, convert, _REQUIRED) for name, convert in converters.items())
+    return _decode(raw, fields, prefix=prefix)
+
+
 def _decode_bundle(manifest: dict, terms_blob: str, wordlist_blob: str, arrays) -> ModelBundle:
     config = textkit.decode_record(TrainConfig, manifest["config"], "config.")
+    top = _scalars(manifest, "", seed=_json_int, has_scaler=_JSON_TYPES[bool])
 
     terms = terms_blob.split("\n") if terms_blob else []
     df = arrays["vocab_df"].astype(np.int64)
-    vocab = Vocabulary(
-        {t: int(d) for t, d in zip(terms, df)}, int(manifest["vocab"]["n_documents"])
-    )
+    n_documents = _scalars(manifest["vocab"], "vocab.", n_documents=_json_int)["n_documents"]
+    vocab = Vocabulary({t: int(d) for t, d in zip(terms, df)}, n_documents)
 
     s1 = manifest["stage1"]
     if s1["algorithm"] == "multinomial_nb":
-        stage1 = NaiveBayesModel(alpha=float(s1["alpha"]))
+        stage1 = NaiveBayesModel(**_scalars(s1, "stage1.", alpha=_finite))
         stage1.class_log_prior = arrays["nb_class_log_prior"].astype(np.float64)
         stage1.feature_log_prob = arrays["nb_feature_log_prob"].astype(np.float64)
     else:
         stage1 = LinearSvmModel(
-            c=float(s1["c"]), epochs=int(s1["epochs"]), seed=int(s1["seed"])
+            **_scalars(s1, "stage1.", c=_finite, epochs=_json_int, seed=_json_int)
         )
         stage1.weights = arrays["svm_weights"].astype(np.float64)
 
@@ -212,8 +207,7 @@ def _decode_bundle(manifest: dict, terms_blob: str, wordlist_blob: str, arrays) 
     if s2["kind"] == "adaboost":
         stage2 = AdaBoostModel.from_dict(s2["model"])
     else:
-        stage2 = RbfSvmModel(c=float(s2["c"]), gamma=float(s2["gamma"]))
-        stage2.bias = float(s2["bias"])
+        stage2 = RbfSvmModel(**_scalars(s2, "stage2.", c=_finite, gamma=_finite, bias=_finite))
         stage2.support_vectors = arrays["rbf_support_vectors"].astype(np.float64)
         stage2.dual_coef = arrays["rbf_dual_coef"].astype(np.float64)
 
@@ -233,7 +227,7 @@ def _decode_bundle(manifest: dict, terms_blob: str, wordlist_blob: str, arrays) 
         raise ValueError(f"a tree splits on a feature beyond the {width} columns")
 
     scaler = None
-    if manifest["has_scaler"]:
+    if top["has_scaler"]:
         scaler = DenseScaler(
             mean=arrays["scaler_mean"].astype(np.float64),
             scale=arrays["scaler_scale"].astype(np.float64),
@@ -251,7 +245,7 @@ def _decode_bundle(manifest: dict, terms_blob: str, wordlist_blob: str, arrays) 
     mask_slots(manifest["mask_groups"])  # every group must be one predict can mask
     return ModelBundle(
         config=config,
-        seed=int(manifest["seed"]),
+        seed=top["seed"],
         mask_groups=tuple(manifest["mask_groups"]),
         vocab=vocab,
         stage1=stage1,

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .. import textkit
 from ..errors import ConfigError, InsufficientDataError, ValidationError
 from ..features import (
     DERIVED_SLOT,
@@ -73,13 +72,6 @@ class TrainConfig:
             else:
                 raise ConfigError(f"unknown hyperparameter {key!r}")
         return dc_replace(self, stage1_hyper=s1, stage2_hyper=s2, **kwargs)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        return textkit.decode_config(cls, raw)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
+from ..textkit import (
+    _ARRAYS, _JSON_TYPES, _REQUIRED, _decode, _json_int, _optional, _record_fields,
+)
 
 _EPS = 1e-12
 
@@ -144,14 +147,10 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DecisionTree":
-        """The tree ``to_dict`` wrote. ValueError unless each split node's
-        children follow it, as ``fit`` adds them, so ``predict`` ends."""
-        t = cls(max_depth=int(raw["max_depth"]))
-        t.feature = [int(v) for v in raw["feature"]]
-        t.threshold = [float(v) for v in raw["threshold"]]
-        t.left = [int(v) for v in raw["left"]]
-        t.right = [int(v) for v in raw["right"]]
-        t.value = [float(v) for v in raw["value"]]
+        """The tree ``to_dict`` wrote; a field absent or not of its declared
+        JSON type is a SchemaError naming it. ValueError unless each split
+        node's children follow it, as ``fit`` adds them, so ``predict`` ends."""
+        t = cls(**_decode(raw, _TREE_FIELDS))
         n = len(t.feature)
         if not n or any(len(v) != n for v in (t.threshold, t.left, t.right, t.value)):
             raise ValueError("tree node lists are empty or differ in length")
@@ -159,6 +158,12 @@ class DecisionTree:
             if f >= 0 and not (i < t.left[i] < n and i < t.right[i] < n):
                 raise ValueError(f"tree node {i} has a child out of order")
         return t
+
+
+# ``to_dict`` writes every field, so ``from_dict`` requires every one.
+_TREE_FIELDS = tuple(
+    (name, convert, _REQUIRED) for name, convert, _ in _record_fields(DecisionTree)
+)
 
 
 def _best_split(xs: np.ndarray, step: np.ndarray, ws: np.ndarray, ws_pos: np.ndarray):
@@ -293,9 +298,17 @@ class AdaBoostModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AdaBoostModel":
-        m = cls(max_depth=int(raw["max_depth"]), rounds=int(raw["rounds"]))
+        """The model ``to_dict`` wrote; a field absent or not of its JSON
+        type is a SchemaError naming it."""
+        m = cls(**_decode(raw, _MODEL_FIELDS))
         m.trees = [DecisionTree.from_dict(t) for t in raw["trees"]]
-        m.stage_weights = [float(a) for a in raw["stage_weights"]]
-        m.stage_errors = [float(e) for e in raw["stage_errors"]]
-        m.early_stop = raw.get("early_stop")
         return m
+
+
+_MODEL_FIELDS = (
+    ("max_depth", _json_int, _REQUIRED),
+    ("rounds", _json_int, _REQUIRED),
+    ("stage_weights", _ARRAYS[float], _REQUIRED),
+    ("stage_errors", _ARRAYS[float], _REQUIRED),
+    ("early_stop", _optional(_JSON_TYPES[str]), None),
+)

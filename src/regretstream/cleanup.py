@@ -35,13 +35,6 @@ class CleanupConfig:
         if not (0.0 <= self.cosine_min <= 1.0):
             raise ConfigError("cosine_min must be within [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "client_whitelist": sorted(self.client_whitelist)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CleanupConfig":
-        return textkit.decode_config(cls, raw)
-
 
 def load_whitelist(path: str | Path) -> frozenset[str]:
     """Load a client whitelist file: one client name per line, exact match."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -98,7 +99,9 @@ def _cmd_clean(args) -> int:
     if args.config:
         cfg = textkit.decode_json(
             args.config,
-            lambda raw: CleanupConfig.from_dict({"client_whitelist": sorted(whitelist), **raw}),
+            lambda raw: textkit.decode_config(
+                CleanupConfig, {"client_whitelist": sorted(whitelist), **raw}
+            ),
         )
     else:
         cfg = CleanupConfig(client_whitelist=whitelist)
@@ -333,7 +336,9 @@ def _cmd_synth(args) -> int:
 
 def _load_train_config(args) -> "classify.TrainConfig":
     if args.config:
-        return textkit.decode_json(args.config, classify.TrainConfig.from_dict)
+        return textkit.decode_json(
+            args.config, functools.partial(textkit.decode_config, classify.TrainConfig)
+        )
     return classify.TrainConfig()
 
 

@@ -8,31 +8,19 @@ corpus with response links resolved.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
-from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
+from datetime import datetime
 from pathlib import Path
 
 from . import textkit
 from .errors import DuplicateTweetError, ParseError, RegretstreamError, SchemaError, ValidationError
-from .textkit import _JSON_TYPES, _REQUIRED, _Rejected, _decode, _json_int, _str_list
-
-_bool = _JSON_TYPES[bool]
-_str = _JSON_TYPES[str]
-
-
-def _utc(value) -> datetime:
-    """An RFC 3339 timestamp as an aware UTC datetime."""
-    if not isinstance(value, str):
-        raise _Rejected("not a string timestamp")
-    try:
-        dt = datetime.fromisoformat(value.replace("Z", "+00:00").replace("z", "+00:00"))
-    except ValueError:
-        raise _Rejected("not RFC 3339") from None
-    if dt.tzinfo is None:
-        raise _Rejected("missing a timezone offset")
-    return dt.astimezone(timezone.utc)
+from .textkit import (
+    _REQUIRED, TweetId, _decode, _record_fields, _Rejected, _utc, encode_record, json_field,
+)
+from .textkit import format_rfc3339  # noqa: F401  (the wire timestamp format's home for callers)
 
 
 def parse_rfc3339(value: str, field_name: str, line_number=None) -> datetime:
@@ -41,35 +29,6 @@ def parse_rfc3339(value: str, field_name: str, line_number=None) -> datetime:
         return _utc(value)
     except _Rejected as exc:
         raise SchemaError(field_name, f"{field_name} is {exc}: {value!r}", line_number) from None
-
-
-def format_rfc3339(dt: datetime) -> str:
-    dt = dt.astimezone(timezone.utc)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _tweet_id(value) -> int:
-    # Feature matrices, bundles and scores store tweet ids as int64.
-    ident = _json_int(value)
-    if not 0 < ident < 2 ** 63:
-        raise _Rejected("a tweet id lies in 1..2**63-1")
-    return ident
-
-
-def _opt_int(value) -> int | None:
-    return None if value is None else _json_int(value)
-
-
-def _str_tuple(value) -> tuple[str, ...]:
-    return tuple(_str_list(value))
-
-
-def _int_tuple(value) -> tuple[int, ...]:
-    if type(value) is not list or not all(type(v) is int for v in value):
-        raise _Rejected("not an array of integers")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -99,59 +58,12 @@ class UserProfile:
             if getattr(self, name) < 0:
                 raise SchemaError(f"user.{name}", f"user.{name} must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "account_created_at": format_rfc3339(self.account_created_at),
-            "profile_customized": self.profile_customized,
-            "custom_image": self.custom_image,
-            "bio_length": self.bio_length,
-            "geo_enabled": self.geo_enabled,
-            "has_location": self.has_location,
-            "has_profile_url": self.has_profile_url,
-            "favourites_count": self.favourites_count,
-            "followees_count": self.followees_count,
-            "followers_count": self.followers_count,
-            "listed_count": self.listed_count,
-            "statuses_count": self.statuses_count,
-            "timezone_offset_min": self.timezone_offset_min,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "UserProfile":
-        return cls(**_decode(raw, _USER_FIELDS, prefix="user."))
-
-
-_USER_FIELDS = (
-    ("user_id", _json_int, _REQUIRED),
-    ("account_created_at", _utc, _REQUIRED),
-    ("profile_customized", _bool, False),
-    ("custom_image", _bool, False),
-    ("bio_length", _json_int, 0),
-    ("geo_enabled", _bool, False),
-    ("has_location", _bool, False),
-    ("has_profile_url", _bool, False),
-    ("favourites_count", _json_int, 0),
-    ("followees_count", _json_int, 0),
-    ("followers_count", _json_int, 0),
-    ("listed_count", _json_int, 0),
-    ("statuses_count", _json_int, 0),
-    ("timezone_offset_min", _opt_int, None),
-)
-
 
 @dataclass(frozen=True)
 class DeletePayload:
-    id: int
+    id: TweetId
     user_id: int
     observed_at: datetime
-
-
-_DELETE_FIELDS = (
-    ("id", _tweet_id, _REQUIRED),
-    ("user_id", _json_int, _REQUIRED),
-    ("observed_at", _utc, _REQUIRED),
-)
 
 
 @dataclass(frozen=True)
@@ -201,12 +113,18 @@ def parse_event(line: str, line_number: int | None = None) -> Event:
 
 
 def read_events(path: str | Path):
-    """Iterate events from a JSONL file, tracking line numbers for errors."""
+    """Iterate events from a JSONL file; an invalid line raises ParseError or
+    SchemaError naming the file and line."""
     for i, line in textkit.text_lines(path):
         line = line.strip()
         if not line:
             continue
-        yield parse_event(line, line_number=i)
+        try:
+            event = parse_event(line, line_number=i)
+        except (ParseError, SchemaError) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+        yield event
 
 
 @dataclass(frozen=True)
@@ -225,27 +143,24 @@ class CollectionWindow:
     def days(self) -> float:
         return (self.post_end - self.post_start).total_seconds() / 86400.0
 
-    def to_dict(self) -> dict:
-        return {name: format_rfc3339(value) for name, value in asdict(self).items()}
-
 
 @dataclass(frozen=True)
 class TweetRecord:
-    id: int
+    id: TweetId
     user_id: int
     created_at: datetime
     text: str
     lang: str
     source: str
-    in_reply_to_id: int | None
-    quoted_id: int | None
-    retweet_of_id: int | None
-    hashtags: tuple[str, ...]
-    urls: tuple[str, ...]
-    mentions: tuple[str, ...]
-    has_geo: bool
+    in_reply_to_id: int | None = json_field(None)
+    quoted_id: int | None = json_field(None)
+    retweet_of_id: int | None = json_field(None)
+    hashtags: tuple[str, ...] = json_field(())
+    urls: tuple[str, ...] = json_field(())
+    mentions: tuple[str, ...] = json_field(())
+    has_geo: bool = json_field(False)
     user: UserProfile
-    deleted: bool = False
+    deleted: bool = json_field(_REQUIRED, default=False)  # a corpus record is labelled
     deletion_lag_sec: int | None = None
     reply_ids: tuple[int, ...] = ()
     retweet_ids: tuple[int, ...] = ()
@@ -257,64 +172,17 @@ class TweetRecord:
         if self.deletion_lag_sec is not None and self.deletion_lag_sec < 0:
             raise ValidationError("deletion_lag_sec must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "user_id": self.user_id,
-            "created_at": format_rfc3339(self.created_at),
-            "text": self.text,
-            "lang": self.lang,
-            "source": self.source,
-            "in_reply_to_id": self.in_reply_to_id,
-            "quoted_id": self.quoted_id,
-            "retweet_of_id": self.retweet_of_id,
-            "hashtags": list(self.hashtags),
-            "urls": list(self.urls),
-            "mentions": list(self.mentions),
-            "has_geo": self.has_geo,
-            "user": self.user.to_dict(),
-            "deleted": self.deleted,
-            "deletion_lag_sec": self.deletion_lag_sec,
-            "reply_ids": list(self.reply_ids),
-            "retweet_ids": list(self.retweet_ids),
-            "quote_ids": list(self.quote_ids),
-        }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TweetRecord":
-        return cls(**_decode(raw, _RECORD_FIELDS))
-
-
-# The wire tweet format: every TweetRecord field without a default. As in a
-# config, each field takes one JSON type only (a count of 5.0 or "5" is
-# rejected), and a default is a JSON value converted like a present one.
-_TWEET_FIELDS = (
-    ("id", _tweet_id, _REQUIRED),
-    ("user_id", _json_int, _REQUIRED),
-    ("created_at", _utc, _REQUIRED),
-    ("text", _str, _REQUIRED),
-    ("lang", _str, "en"),
-    ("source", _str, ""),
-    ("in_reply_to_id", _opt_int, None),
-    ("quoted_id", _opt_int, None),
-    ("retweet_of_id", _opt_int, None),
-    ("hashtags", _str_tuple, []),
-    ("urls", _str_tuple, []),
-    ("mentions", _str_tuple, []),
-    ("has_geo", _bool, False),
-    ("user", UserProfile.from_dict, _REQUIRED),
-)
-# The corpus format: the wire fields, lang and source required, plus the label
-# and the resolved links.
-_RECORD_FIELDS = tuple(
-    (name, convert, _REQUIRED if name in ("lang", "source") else default)
-    for name, convert, default in _TWEET_FIELDS
-) + (
-    ("deleted", _bool, _REQUIRED),
-    ("deletion_lag_sec", _opt_int, None),
-    ("reply_ids", _int_tuple, []),
-    ("retweet_ids", _int_tuple, []),
-    ("quote_ids", _int_tuple, []),
+# Every record decodes by the table its dataclass declares. The wire tweet
+# format is the corpus record without its label and links, lang and source
+# defaulting to "en" and "".
+_USER_FIELDS = _record_fields(UserProfile, "user.")
+_DELETE_FIELDS = _record_fields(DeletePayload)
+_RECORD_FIELDS = _record_fields(TweetRecord)
+_TWEET_FIELDS = tuple(
+    (name, convert, {"lang": "en", "source": ""}.get(name, default))
+    for (name, convert, default), f in zip(_RECORD_FIELDS, dataclasses.fields(TweetRecord))
+    if f.default is dataclasses.MISSING
 )
 
 
@@ -332,7 +200,7 @@ class IngestStats:
 
 
 # The corpus file: its header, and the tweet records, decoded one at a time.
-_WINDOW_FIELDS = tuple((name, _utc, _REQUIRED) for name in ("post_start", "post_end", "delete_end"))
+_WINDOW_FIELDS = _record_fields(CollectionWindow, "window.")
 _CORPUS_FIELDS = (
     ("stats", functools.partial(textkit.decode_record, IngestStats, prefix="stats."), {}),
     ("window", lambda raw: CollectionWindow(**_decode(raw, _WINDOW_FIELDS, prefix="window.")),
@@ -403,12 +271,12 @@ class Corpus:
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"format":' + encode(CORPUS_FORMAT))
-            fh.write(',"stats":' + encode(asdict(self.stats)) + ',"tweets":[')
+            fh.write(',"stats":' + encode(encode_record(self.stats)) + ',"tweets":[')
             for i, t in enumerate(self.tweets):
                 if i:
                     fh.write(",")
-                fh.write(encode(t.to_dict()))
-            fh.write('],"window":' + encode(self.window.to_dict()) + "}\n")
+                fh.write(encode(encode_record(t)))
+            fh.write('],"window":' + encode(encode_record(self.window)) + "}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Corpus":
@@ -428,7 +296,7 @@ class Corpus:
         tweets = []
         try:
             for i, raw in enumerate(header["tweets"]):
-                tweets.append(TweetRecord.from_dict(raw))
+                tweets.append(TweetRecord(**_decode(raw, _RECORD_FIELDS)))
         except SchemaError as exc:
             raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
         except ValidationError as exc:

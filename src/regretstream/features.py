@@ -391,22 +391,27 @@ def _array_blocks(m: FeatureMatrix) -> list[tuple[str, np.ndarray]]:
 
 
 def save_feature_matrix(m: FeatureMatrix, path: str | Path) -> None:
-    blocks = _array_blocks(m)
-    manifest = {
-        "vocab_size": m.vocab_size,
-        "n_rows": len(m),
-        "arrays": [
-            {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-            for name, arr in blocks
-        ],
-    }
+    manifest = {"vocab_size": m.vocab_size, "n_rows": len(m)}
+    _write_container(path, _MAGIC, _VERSION, manifest, _array_blocks(m))
+
+
+def _write_container(path, magic: bytes, version: int, manifest: dict, arrays, blobs=()) -> None:
+    """Write a container: magic, version, manifest length, the JSON manifest
+    with the name, dtype and shape of each of the (name, array) ``arrays``
+    added as its ``arrays`` entry, each blob, then each array's bytes; the
+    layout ``_read_header`` and ``_read_arrays`` read."""
+    manifest = dict(manifest, arrays=[
+        {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)} for name, arr in arrays
+    ])
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
+        fh.write(magic)
+        fh.write(struct.pack("<I", version))
         fh.write(struct.pack("<Q", len(raw)))
         fh.write(raw)
-        for _, arr in blocks:
+        for blob in blobs:
+            fh.write(blob)
+        for _, arr in arrays:
             fh.write(arr.tobytes())
 
 

@@ -19,10 +19,11 @@ purpose so that the "tweet" feature group is noise.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -31,6 +32,8 @@ import numpy as np
 from . import textkit
 from .cleanup import CleanupConfig, near_duplicate
 from .errors import ConfigError
+from .events import UserProfile
+from .textkit import encode_record, format_rfc3339
 
 POST_START = datetime(2015, 8, 3, tzinfo=timezone.utc)
 
@@ -107,16 +110,9 @@ class SynthConfig:
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SynthConfig":
-        return textkit.decode_config(cls, raw)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
-        return textkit.decode_json(path, cls.from_dict)
+        return textkit.decode_json(path, functools.partial(textkit.decode_config, cls))
 
 
 @dataclass
@@ -126,7 +122,7 @@ class _User:
     user_type: str | None  # "a" | "b" for deleters
     nud_planted: bool
     nud_reverse: bool
-    profile: dict
+    profile: UserProfile
 
 
 @dataclass
@@ -232,26 +228,24 @@ def _make_users(cfg: SynthConfig, rng) -> list[_User]:
             statuses = int(rng.lognormal(math.log(2000.0), 0.9))
         listed_median = 2.0 if deleter else 4.0
         tz_choices = (-480, -420, -360, -300, -240, 0, 60, 120, 330, 540)
-        profile = {
-            "user_id": uid,
-            "account_created_at": (
-                POST_START - timedelta(days=int(rng.integers(100, 2000)))
-            ),
-            "profile_customized": bool(rng.random() < 0.5),
-            "custom_image": bool(rng.random() < 0.6),
-            "bio_length": int(rng.integers(0, 161)),
-            "geo_enabled": bool(rng.random() < 0.3),
-            "has_location": bool(rng.random() < 0.4),
-            "has_profile_url": bool(rng.random() < 0.25),
-            "favourites_count": int(rng.lognormal(math.log(500.0), 1.0)),
-            "followees_count": int(rng.lognormal(math.log(400.0), 0.8)),
-            "followers_count": followers,
-            "listed_count": int(rng.lognormal(math.log(listed_median), 0.8)),
-            "statuses_count": statuses,
-            "timezone_offset_min": (
+        profile = UserProfile(
+            user_id=uid,
+            account_created_at=POST_START - timedelta(days=int(rng.integers(100, 2000))),
+            profile_customized=bool(rng.random() < 0.5),
+            custom_image=bool(rng.random() < 0.6),
+            bio_length=int(rng.integers(0, 161)),
+            geo_enabled=bool(rng.random() < 0.3),
+            has_location=bool(rng.random() < 0.4),
+            has_profile_url=bool(rng.random() < 0.25),
+            favourites_count=int(rng.lognormal(math.log(500.0), 1.0)),
+            followees_count=int(rng.lognormal(math.log(400.0), 0.8)),
+            followers_count=followers,
+            listed_count=int(rng.lognormal(math.log(listed_median), 0.8)),
+            statuses_count=statuses,
+            timezone_offset_min=(
                 None if rng.random() < 0.2 else int(tz_choices[int(rng.integers(len(tz_choices)))])
             ),
-        }
+        )
         users.append(_User(uid, deleter, user_type, nud_planted, nud_reverse, profile))
     return users
 
@@ -588,12 +582,9 @@ def _guard_near_duplicates(tweets) -> None:
 
 
 def _emit_events(cfg: SynthConfig, rng, tweets, users, post_end, delete_end) -> list[dict]:
-    from .events import format_rfc3339
-
+    profiles = {u.user_id: encode_record(u.profile) for u in users}
     events = []
     for t in tweets:
-        profile = dict(t.user.profile)
-        profile["account_created_at"] = format_rfc3339(profile["account_created_at"])
         events.append(
             (
                 t.created_at,
@@ -614,7 +605,7 @@ def _emit_events(cfg: SynthConfig, rng, tweets, users, post_end, delete_end) -> 
                     "urls": t.urls,
                     "mentions": t.mentions,
                     "has_geo": t.has_geo,
-                    "user": profile,
+                    "user": dict(profiles[t.user.user_id]),
                 },
             )
         )

@@ -5,7 +5,9 @@ distance, term-frequency cosine, lexicon category scoring, valence
 sentiment, part-of-speech tagging, and lexical-density statistics. The
 JSON readers here are the ones every JSON and JSON Lines input goes through,
 and ``_decode`` is the one walker that decodes a JSON object by its table:
-events, corpus records and headers, configs and lexicon categories.
+events, corpus records and headers, configs and lexicon categories. A
+dataclass's table is derived from its declared field types, and
+``encode_record`` writes any of them back.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import json
 import math
 import re
 import reprlib
+import types
 import typing
 from collections import Counter
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ConfigError, ContractError, SchemaError, ValidationError
@@ -259,46 +263,161 @@ def _exactly(kind: type, reason: str):
     return convert
 
 
+_json_int = _exactly(int, "not a JSON integer")
+
+
 def _finite(value) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
         raise _Rejected("not a finite number")
     return float(value)
 
 
-def _str_list(value) -> list[str]:
-    if type(value) is not list or not all(type(v) is str for v in value):
-        raise _Rejected("not an array of strings")
-    return value
+def _utc(value) -> datetime:
+    """An RFC 3339 timestamp as an aware UTC datetime."""
+    if not isinstance(value, str):
+        raise _Rejected("not a string timestamp")
+    try:
+        dt = datetime.fromisoformat(value.replace("Z", "+00:00").replace("z", "+00:00"))
+    except ValueError:
+        raise _Rejected("not RFC 3339") from None
+    if dt.tzinfo is None:
+        raise _Rejected("missing a timezone offset")
+    return dt.astimezone(timezone.utc)
 
 
-_json_int = _exactly(int, "not a JSON integer")
+def format_rfc3339(dt: datetime) -> str:
+    dt = dt.astimezone(timezone.utc)
+    if dt.microsecond:
+        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
+    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+# Feature matrices, bundles and scores store tweet ids as int64.
+TweetId = typing.NewType("TweetId", int)
+
+
+def _tweet_id(value) -> int:
+    ident = _json_int(value)
+    if not 0 < ident < 2 ** 63:
+        raise _Rejected("a tweet id lies in 1..2**63-1")
+    return ident
+
+
 # The converter for each type a record field is declared with.
 _JSON_TYPES = {bool: _exactly(bool, "not true or false"), int: _json_int, float: _finite,
-               str: _exactly(str, "not a string"),
+               str: _exactly(str, "not a string"), datetime: _utc, TweetId: _tweet_id,
                frozenset: lambda value: frozenset(_str_list(value))}
+
+
+def _array_of(kind: type, noun: str):
+    """A converter that passes a JSON array whose every item converts as
+    ``kind``, as a list of the converted items."""
+    item = _JSON_TYPES[kind]
+
+    def convert(value) -> list:
+        if type(value) is list:
+            try:
+                return [item(v) for v in value]
+            except _Rejected:
+                pass
+        raise _Rejected(f"not an array of {noun}")
+    return convert
+
+
+_ARRAYS = {str: _array_of(str, "strings"), int: _array_of(int, "integers"),
+           float: _array_of(float, "finite numbers")}
+_str_list = _ARRAYS[str]
+# The JSON form of each declared type that is not its own JSON form.
+_JSON_FORMS = {datetime: format_rfc3339, tuple: list, frozenset: sorted, dict: dict}
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _converter(hint, prefix: str, default):
+    """The converter for a field declared ``hint`` whose own fields, if it
+    has any, sit behind ``prefix``."""
+    kind = typing.get_origin(hint) or hint
+    args = typing.get_args(hint)
+    if kind is types.UnionType:  # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        return _optional(_converter(inner, prefix, default))
+    if kind is list:  # list[X]
+        return _ARRAYS[args[0]]
+    if kind is tuple:  # tuple[X, ...]
+        array = _ARRAYS[args[0]]
+        return lambda value: tuple(array(value))
+    if kind is dict:
+        nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
+        return functools.partial(_decode, fields=nested, prefix=prefix, closed=True)
+    if dataclasses.is_dataclass(kind):
+        fields = _record_fields(kind, prefix)
+        return lambda raw: kind(**_decode(raw, fields, prefix=prefix))
+    return _JSON_TYPES[kind]
+
+
+def json_field(json_default, **kwargs):
+    """A dataclass field that a JSON object leaving it out gives
+    ``json_default``, where that differs from its Python default
+    (``_REQUIRED``: it may not be left out)."""
+    return dataclasses.field(metadata={"json_default": json_default}, **kwargs)
 
 
 @functools.cache
 def _record_fields(cls, prefix: str = "") -> tuple:
     """The decode table of the dataclass ``cls`` whose fields sit behind
-    ``prefix``: each field converted by the JSON type it is declared with,
-    a dict field as an object holding only its default's keys, each
-    converted by the type of its default value, and defaulting to its
-    default (``_REQUIRED`` without one)."""
-    types = typing.get_type_hints(cls)
+    ``prefix``. Each field converts by the type it is declared with: a JSON
+    type, a timestamp, a tweet id, ``X | None``, a list or tuple as an
+    array, a dict as an object holding only its default's keys (each
+    converted by the type of its default value), and a dataclass as an
+    object decoded by its own table, whose unknown keys are ignored. A field
+    defaults to the JSON form of its ``json_field`` default, else of its
+    Python default; without either it is required (``_REQUIRED``)."""
+    hints = typing.get_type_hints(cls)
     table = []
     for f in dataclasses.fields(cls):
         default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        kind = typing.get_origin(types[f.name]) or types[f.name]
-        if kind is dict:
-            nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
-            convert = functools.partial(
-                _decode, fields=nested, prefix=f"{prefix}{f.name}.", closed=True
-            )
-        else:
-            convert = _JSON_TYPES[kind]
-        table.append((f.name, convert, _REQUIRED if default is dataclasses.MISSING else default))
+        hint = hints[f.name]
+        convert = _converter(hint, f"{prefix}{f.name}.", default)
+        default = f.metadata.get("json_default", default)
+        if default is dataclasses.MISSING:
+            default = _REQUIRED
+        elif default is not _REQUIRED and _encoder(hint):
+            default = _encoder(hint)(default)
+        table.append((f.name, convert, default))
     return tuple(table)
+
+
+def _encoder(hint):
+    """The function giving the JSON form of a value declared ``hint``, or
+    None where the value is its own JSON form."""
+    kind = typing.get_origin(hint) or hint
+    return _record_encoder(kind) if dataclasses.is_dataclass(kind) else _JSON_FORMS.get(kind)
+
+
+@functools.cache
+def _record_encoder(cls):
+    """The function giving the JSON object of an instance of the dataclass
+    ``cls``, each field encoded by its declared type."""
+    hints = typing.get_type_hints(cls)
+    table = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls))
+
+    def encode(obj) -> dict:
+        out = {}
+        for name, to_json in table:
+            value = getattr(obj, name)
+            out[name] = value if to_json is None else to_json(value)
+        return out
+    return encode
+
+
+def encode_record(obj) -> dict:
+    """The JSON object of the dataclass ``obj``, field by field: a datetime
+    in RFC 3339, a tuple as an array, a frozenset as a sorted array, a dict
+    copied, a nested dataclass as its own JSON object, and every other
+    value as it is. ``decode_record`` reads it back."""
+    return _record_encoder(type(obj))(obj)
 
 
 def decode_record(cls, raw, prefix: str = ""):

@@ -31,6 +31,7 @@ from regretstream.classify import (
 )
 from regretstream.classify.smo import MAX_TRAIN_ROWS
 from regretstream.errors import ConfigError, InsufficientDataError, ValidationError
+from regretstream.textkit import decode_config, encode_record
 
 from conftest import make_corpus, make_tweet, ts
 from oracles import ReferenceTree, row_pegasos_weights
@@ -787,7 +788,7 @@ class TestTrainConfig:
 
     def test_dict_roundtrip(self):
         cfg = TrainConfig(n_per_class=77, stage1_algorithm="multinomial_nb")
-        again = TrainConfig.from_dict(cfg.to_dict())
+        again = decode_config(TrainConfig, encode_record(cfg))
         assert again == cfg
 
     def test_shipped_default_hyperparameters(self):

@@ -13,7 +13,7 @@ from regretstream.cleanup import (
     run_cleanup,
 )
 from regretstream.errors import ConfigError
-from regretstream.textkit import edit_distance, term_cosine
+from regretstream.textkit import decode_config, edit_distance, encode_record, term_cosine
 
 from conftest import make_corpus, make_profile, make_tweet, ts
 
@@ -142,7 +142,7 @@ class TestRunCleanup:
         corpus = make_corpus(tweets)
         cleaned, report = run_cleanup(corpus, CFG)
         assert report.retained == 5
-        assert [t.to_dict() for t in cleaned] == [t.to_dict() for t in corpus]
+        assert [encode_record(t) for t in cleaned] == [encode_record(t) for t in corpus]
 
     def test_removal_conservation(self):
         corpus = build_mixed_corpus()
@@ -159,7 +159,7 @@ class TestRunCleanup:
         corpus = build_mixed_corpus()
         once, _ = run_cleanup(corpus, CFG)
         twice, report2 = run_cleanup(once, CFG)
-        assert [t.to_dict() for t in twice] == [t.to_dict() for t in once]
+        assert [encode_record(t) for t in twice] == [encode_record(t) for t in once]
         assert sum(sc.removed for sc in report2.stages.values()) == 0
 
     def test_superficial_removed_not_relabeled(self):
@@ -215,7 +215,7 @@ class TestRunCleanup:
         corpus = make_corpus(tweets)
         once, _ = run_cleanup(corpus, CFG)
         twice, report2 = run_cleanup(once, CFG)
-        assert [t.to_dict() for t in twice] == [t.to_dict() for t in once]
+        assert [encode_record(t) for t in twice] == [encode_record(t) for t in once]
         assert report2.stages["superficial"].removed == 0
 
 
@@ -243,7 +243,7 @@ class TestReportAndConfig:
 
     def test_config_roundtrip(self):
         cfg = CleanupConfig(client_whitelist=WL, cosine_min=0.7)
-        again = CleanupConfig.from_dict(cfg.to_dict())
+        again = decode_config(CleanupConfig, encode_record(cfg))
         assert again == cfg
 
 

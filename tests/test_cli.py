@@ -106,7 +106,7 @@ class TestIngestCommand:
                      "--out", str(tmp_path / "c.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1: invalid id") and "Traceback" not in err
+        assert err.startswith(f"error: {events}: line 1: invalid id") and "Traceback" not in err
 
     def test_non_integer_wire_field_exits_1(self, workdir, tmp_path, capsys):
         lines = (workdir / "events.jsonl").read_text().splitlines()
@@ -146,7 +146,8 @@ class TestIngestCommand:
                      "--out", str(tmp_path / "c.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: line 1: invalid {'.'.join(path)}: ") and "Traceback" not in err
+        assert err.startswith(f"error: {events}: line 1: invalid {'.'.join(path)}: ")
+        assert "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
 
 

@@ -5,12 +5,13 @@ map, pre-tagged file or annotation file (a value retyped, ``Infinity`` or
 ``null``; a key dropped or added; the file truncated) makes its decoder
 raise only ``RegretstreamError``; through the CLI it exits 1 with an
 ``error:`` line and no traceback. Each config also survives
-``from_dict(to_dict(c))`` unchanged.
+``decode_config(cls, encode_record(c))`` unchanged.
 """
 
 import json
 import math
 from dataclasses import fields
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -46,14 +47,14 @@ INPUTS = {
     "clean config": (
         {"language_tag": "en", "client_whitelist": ["Twitter Web Client"],
          "superficial_lookahead": 3, "cosine_min": 0.6},
-        False, lambda path: textkit.decode_json(path, CleanupConfig.from_dict),
+        False, lambda path: textkit.decode_json(path, partial(textkit.decode_config, CleanupConfig)),
         ["clean", "--corpus", "{corpus}", "--config", "{file}", "--out", "{tmp}/c.json"],
     ),
     "train config": (
         {"n_per_class": 4, "test_fraction": 0.25, "stage1_algorithm": "linear_svm",
          "stage1_hyper": {"svm_epochs": 2}, "stage2_hyper": {"ada_depth": 2, "ada_rounds": 3},
          "derived_feature_folds": 2, "with_responses": False},
-        False, lambda path: textkit.decode_json(path, TrainConfig.from_dict),
+        False, lambda path: textkit.decode_json(path, partial(textkit.decode_config, TrainConfig)),
         ["train", "--corpus", "{corpus}", "--config", "{file}", "--out", "{tmp}/m.rsb1"],
     ),
     "lexicon": (
@@ -203,5 +204,11 @@ def test_config_round_trip(cls):
     default = cls()
     changed = cls(**{f.name: _changed(getattr(default, f.name)) for f in fields(cls)})
     for cfg in (default, changed):
-        assert cls.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert textkit.decode_config(cls, json.loads(json.dumps(textkit.encode_record(cfg)))) == cfg
     assert all(getattr(changed, f.name) != getattr(default, f.name) for f in fields(cls))
+
+
+@pytest.mark.parametrize("cls", [SynthConfig, CleanupConfig, TrainConfig])
+def test_absent_fields_decode_to_their_defaults(cls):
+    """A config file may leave any field out, a set-valued one included."""
+    assert textkit.decode_config(cls, {}) == cls()

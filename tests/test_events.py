@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import MISSING, asdict, fields
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,12 @@ from regretstream.events import (
     UserProfile,
     build_corpus,
     parse_event,
+    read_events,
 )
+from regretstream.synth import SynthConfig
+from regretstream.textkit import decode_record, encode_record
 
-from conftest import T0, make_corpus, make_tweet, make_window, ts
+from conftest import T0, make_corpus, make_tweet, make_window, run_synth_pipeline, ts
 
 
 def tweet_event(id=1, user_id=3, created="2015-08-05T10:00:00Z", text="hello there", **extra):
@@ -166,6 +171,24 @@ class TestParseEvent:
         assert t.reply_ids == t.retweet_ids == t.quote_ids == ()
 
 
+class TestReadEvents:
+    def test_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(tweet_event()) + "\n\n" + json.dumps(delete_event(id=0)) + "\n")
+        with pytest.raises(SchemaError) as exc:
+            list(read_events(path))
+        assert exc.value.field == "id" and exc.value.line_number == 3
+        assert str(exc.value).startswith(f"{path}: line 3: invalid id: 0")
+
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(tweet_event()) + "\n{nope\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_events(path))
+        assert exc.value.line_number == 2
+        assert str(exc.value).startswith(f"{path}: line 2: malformed JSON")
+
+
 class TestDecodeTables:
     @staticmethod
     def names(table):
@@ -301,7 +324,7 @@ class TestBuildCorpus:
         rnd.shuffle(shuffled)
         a = build_corpus(events, make_window())
         b = build_corpus(shuffled, make_window())
-        assert [t.to_dict() for t in a] == [t.to_dict() for t in b]
+        assert [encode_record(t) for t in a] == [encode_record(t) for t in b]
         assert a.stats == b.stats
 
     def test_earliest_delete_notice_wins(self):
@@ -339,8 +362,20 @@ class TestCorpusContainer:
         path = tmp_path / "corpus.json"
         corpus.save(path)
         loaded = Corpus.load(path)
-        assert [t.to_dict() for t in loaded] == [t.to_dict() for t in corpus]
+        assert [encode_record(t) for t in loaded] == [encode_record(t) for t in corpus]
         assert loaded.window == corpus.window
+
+    def test_golden_corpus_files(self, whitelist, tmp_path):
+        """The ingested and cleaned corpus bytes of a small synthetic stream,
+        pinned: the record encoder writes what the hand-written one wrote."""
+        pipeline = run_synth_pipeline(SynthConfig(seed=5, n_users=40), whitelist)
+        for corpus, digest in (
+            (pipeline.corpus, "0a198c969eb6306caa409c44a5296b3eb2107c5e5cb61c8953d1fa835ee50693"),
+            (pipeline.cleaned, "4283a3ee6008fb1fb8d08e162118bfd82c479d974c00f248ceb48e8a8ab392d7"),
+        ):
+            path = tmp_path / "corpus.json"
+            corpus.save(path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_save_bytes_equal_json_dump(self, synth_small, tmp_path):
         corpus = synth_small.cleaned
@@ -348,9 +383,9 @@ class TestCorpusContainer:
         corpus.save(path)
         payload = {
             "format": "regretstream-corpus/1",
-            "window": corpus.window.to_dict(),
+            "window": encode_record(corpus.window),
             "stats": asdict(corpus.stats),
-            "tweets": [t.to_dict() for t in corpus.tweets],
+            "tweets": [encode_record(t) for t in corpus.tweets],
         }
         want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
@@ -404,6 +439,18 @@ class TestCorpusContainer:
         assert exc.value.field == field
         assert "tweet record 1" in str(exc.value) and f"invalid {field}" in str(exc.value)
 
+    def test_load_without_label_names_deleted(self, tmp_path):
+        path = self._saved_record(tmp_path, lambda r: r.pop("deleted"))
+        with pytest.raises(SchemaError) as exc:
+            Corpus.load(path)
+        assert exc.value.field == "deleted" and "tweet record 1" in str(exc.value)
+
+    def test_load_defaults_absent_links_and_entities(self, tmp_path):
+        absent = ("in_reply_to_id", "quoted_id", "retweet_of_id", "hashtags", "urls", "mentions",
+                  "has_geo", "deletion_lag_sec", "reply_ids", "retweet_ids", "quote_ids")
+        path = self._saved_record(tmp_path, lambda r: [r.pop(name) for name in absent])
+        assert Corpus.load(path).tweets[1] == make_tweet(id=2)
+
     def test_load_rejects_float_link_ids(self, tmp_path):
         for field, value in (("reply_ids", [1.0]), ("in_reply_to_id", 1.0)):
             path = self._saved_record(tmp_path, lambda r: r.update({field: value}))
@@ -438,12 +485,55 @@ class TestCorpusContainer:
             Event(kind="delete")
 
     def test_record_invariants(self):
-        base = make_tweet(id=1).to_dict()
+        base = encode_record(make_tweet(id=1))
         from regretstream.events import TweetRecord
 
         bad = dict(base, deleted=True, deletion_lag_sec=None)
         with pytest.raises(ValidationError):
-            TweetRecord.from_dict(bad)
+            decode_record(TweetRecord, bad)
         bad = dict(base, deleted=False, deletion_lag_sec=10)
         with pytest.raises(ValidationError):
-            TweetRecord.from_dict(bad)
+            decode_record(TweetRecord, bad)
+
+
+_TIMES = st.datetimes(
+    min_value=datetime(2000, 1, 1), max_value=datetime(2030, 1, 1), timezones=st.just(timezone.utc)
+)
+_IDS = st.integers(1, 2 ** 63 - 1)
+PROFILES = st.builds(
+    UserProfile,
+    user_id=_IDS,
+    account_created_at=_TIMES,
+    timezone_offset_min=st.none() | st.integers(-720, 840),
+    **{name: st.booleans() for name in (
+        "profile_customized", "custom_image", "geo_enabled", "has_location", "has_profile_url")},
+    **{name: st.integers(0, 2 ** 40) for name in (
+        "bio_length", "favourites_count", "followees_count", "followers_count", "listed_count",
+        "statuses_count")},
+)
+
+
+@st.composite
+def tweet_records(draw):
+    lag = draw(st.none() | st.integers(0, 10 ** 7))
+    link = st.none() | _IDS
+    words = st.lists(st.text(max_size=6), max_size=3).map(tuple)
+    links = st.lists(_IDS, max_size=3).map(tuple)
+    return TweetRecord(
+        id=draw(_IDS), user_id=draw(_IDS), created_at=draw(_TIMES), text=draw(st.text(max_size=20)),
+        lang=draw(st.text(max_size=3)), source=draw(st.text(max_size=8)),
+        in_reply_to_id=draw(link), quoted_id=draw(link), retweet_of_id=draw(link),
+        hashtags=draw(words), urls=draw(words), mentions=draw(words), has_geo=draw(st.booleans()),
+        user=draw(PROFILES), deleted=lag is not None, deletion_lag_sec=lag,
+        reply_ids=draw(links), retweet_ids=draw(links), quote_ids=draw(links),
+    )
+
+
+@given(st.one_of(PROFILES, tweet_records()))
+@settings(max_examples=150, deadline=None)
+def test_record_codec_round_trip(record):
+    """Each record decodes from its encoding, and from that encoding's JSON
+    text, to itself."""
+    encoded = encode_record(record)
+    assert decode_record(type(record), encoded) == record
+    assert decode_record(type(record), json.loads(json.dumps(encoded))) == record

@@ -299,6 +299,20 @@ REJECTED_MANIFEST_VALUES = {
                              "test_fraction must lie in (0, 1), got 0.0"),
     "config_n_per_class": (("config", "n_per_class"), 0, "n_per_class must be >= 1, got 0"),
     "mask_group": (("mask_groups",), ["nonsense"], "unknown feature group 'nonsense'"),
+    # Model values of another JSON type are rejected, never converted.
+    "tree_threshold": (("stage2", "model", "trees", 0, "threshold", 0), "NaN",
+                       "invalid threshold: ['NaN'"),
+    "tree_feature": (("stage2", "model", "trees", 0, "feature", 0), 3.9,
+                     "invalid feature: [3.9"),
+    "tree_max_depth": (("stage2", "model", "trees", 0, "max_depth"), "5",
+                       "invalid max_depth: '5' (not a JSON integer)"),
+    "stage_weights": (("stage2", "model", "stage_weights", 0), "1e300",
+                      "invalid stage_weights: ['1e300'"),
+    "model_max_depth": (("stage2", "model", "max_depth"), "5",
+                        "invalid max_depth: '5' (not a JSON integer)"),
+    "early_stop": (("stage2", "model", "early_stop"), 1, "invalid early_stop: 1 (not a string)"),
+    "stage1_seed": (("stage1", "seed"), True, "invalid stage1.seed: True (not a JSON integer)"),
+    "bundle_seed": (("seed",), 4.7, "invalid seed: 4.7 (not a JSON integer)"),
 }
 
 

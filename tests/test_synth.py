@@ -5,6 +5,7 @@ import math
 import pytest
 
 from regretstream.errors import ConfigError
+from regretstream.textkit import decode_config, encode_record
 from regretstream.synth import (
     SynthConfig,
     generate_synthetic,
@@ -26,7 +27,7 @@ class TestConfig:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
-            SynthConfig.from_dict({"seed": 1, "mystery_knob": 2})
+            decode_config(SynthConfig, {"seed": 1, "mystery_knob": 2})
 
     def test_rate_range_ordering(self):
         with pytest.raises(ConfigError):
@@ -35,7 +36,7 @@ class TestConfig:
     def test_file_roundtrip(self, tmp_path):
         cfg = SynthConfig(seed=9, n_users=10)
         path = tmp_path / "synth.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(encode_record(cfg)))
         assert SynthConfig.from_file(path) == cfg
 
 
