@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -664,6 +665,39 @@ class TestTwoStage:
         without = report["dropped"]["derived_open_text"]["metrics"]["f1"]
         assert with_derived >= without - 1e-9
         assert with_derived >= 0.75  # the planted signal is strong
+
+
+# (stage 1, stage 2, with_responses) -> sha256 of the bundle a small
+# training run on ``synth_small`` writes; pinned so that the manifest
+# codec writes the bytes its hand-written predecessor wrote.
+GOLDEN_BUNDLES = {
+    ("linear_svm", "adaboost", False):
+        "0f42d3773c925c57ff0e6493c809e24d74068568c3f2bc454db6acd80852e767",
+    ("multinomial_nb", "adaboost", False):
+        "f8e0e672f9d4cca426484b3d32acec8e8302a27045b2dc0466bd73852fe1f5ec",
+    ("linear_svm", "rbf_svm", False):
+        "5ede64a24bb8b4db26521300e68d6a1fa9459392e2adddab37cc1924e2171e83",
+    ("linear_svm", "adaboost", True):
+        "57061ba3e23891086690716e8954bdc27c8a7ddf2c2ffa65d05b8242ec08b573",
+}
+
+
+@pytest.mark.parametrize("stage1, stage2, with_responses", sorted(GOLDEN_BUNDLES))
+def test_golden_bundle_files(synth_small, resources, tmp_path, stage1, stage2, with_responses):
+    cfg = TrainConfig(
+        n_per_class=40, derived_feature_folds=2, with_responses=with_responses,
+        stage1_algorithm=stage1, stage1_hyper={"nb_alpha": 0.5, "svm_c": 1e-6, "svm_epochs": 3},
+        stage2_algorithm=stage2,
+        stage2_hyper={"ada_depth": 2, "ada_rounds": 5, "rbf_c": 10.0, "rbf_gamma": 0.05},
+    )
+    bundle, _ = two_stage_train(synth_small.cleaned, cfg, 6, resources)
+    path = tmp_path / "model.rsb1"
+    save_bundle(bundle, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_BUNDLES[stage1, stage2, with_responses]
+    loaded = load_bundle(path)
+    save_bundle(loaded, tmp_path / "again.rsb1")
+    assert (tmp_path / "again.rsb1").read_bytes() == path.read_bytes()
 
 
 class TestAblate:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -332,6 +333,19 @@ class TestFeaturizeAndSerialize:
         with pytest.raises(ValidationError, match="manifest") as exc:
             load_feature_matrix(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("with_responses, digest", [
+        (False, "57107f140cf26353a4e28403b43b79e1c785279fed998fc02cba1a90f9861c18"),
+        (True, "6037645d5e000c0dc6688be118712f651c25fb164c589d52ddce1d1b1e958319"),
+    ])
+    def test_golden_rsf1_files(self, synth_small, resources, tmp_path, with_responses, digest):
+        """The RSF1 bytes of the featurized ``synth_small`` corpus, pinned:
+        the manifest codec writes what the hand-written one wrote."""
+        corpus = synth_small.cleaned
+        m = featurize_corpus(corpus, build_vocab(corpus), resources, with_responses=with_responses)
+        path = tmp_path / "features.rsf1"
+        save_feature_matrix(m, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_feature_groups_partition_dense_layout(self):
         all_slots = sorted(i for slots in FEATURE_GROUPS.values() for i in slots)
