@@ -8,28 +8,25 @@ depend on. Serialization is byte-deterministic for identical contents.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
 from .. import textkit
-from ..errors import RegretstreamError, ValidationError
-from ..events import format_rfc3339, parse_rfc3339
+from ..errors import ValidationError
 from ..features import (
     DENSE_SIZE,
     DERIVED_SLOT,
     RESPONSE_SIZE,
     FeatureResources,
     Vocabulary,
-    _read_arrays,
-    _read_exact,
-    _read_header,
+    _array_blocks,
+    _load_container,
     _write_container,
     featurize_corpus,
 )
-from ..textkit import _JSON_TYPES, _REQUIRED, _decode, _finite, _json_int
 from .pipeline import DenseScaler, EvalMetrics, TrainConfig, mask_slots, stage2_design
 from .smo import RbfSvmModel
 from .stage1 import LinearSvmModel, NaiveBayesModel, SparseRows, derived_feature
@@ -37,6 +34,15 @@ from .trees import AdaBoostModel
 
 _MAGIC = b"RSB1"
 _VERSION = 1
+
+# The model class of each algorithm a stage names. RSB1 v1 names the stage-2
+# algorithm ``kind`` and nests an AdaBoost model, with its own
+# ``algorithm``, under ``model``.
+_STAGE1 = {m.algorithm: m for m in (NaiveBayesModel, LinearSvmModel)}
+_STAGE2 = {m.algorithm: m for m in (AdaBoostModel, RbfSvmModel)}
+# The prefix of the names of each class's array blocks.
+_BLOCKS = {NaiveBayesModel: "nb_", LinearSvmModel: "svm_", AdaBoostModel: "",
+           RbfSvmModel: "rbf_", DenseScaler: "scaler_"}
 
 
 @dataclass
@@ -78,141 +84,106 @@ class ModelBundle:
         return matrix.tweet_ids, labels, scores
 
 
-def _stage1_manifest(model) -> tuple[dict, list[tuple[str, np.ndarray]]]:
-    if isinstance(model, NaiveBayesModel):
-        manifest = {"algorithm": "multinomial_nb", "alpha": model.alpha}
-        blocks = [
-            ("nb_class_log_prior", model.class_log_prior.astype("<f8")),
-            ("nb_feature_log_prob", model.feature_log_prob.astype("<f8")),
-        ]
-        return manifest, blocks
-    if isinstance(model, LinearSvmModel):
-        manifest = {
-            "algorithm": "linear_svm",
-            "c": model.c,
-            "epochs": model.epochs,
-            "seed": model.seed,
-        }
-        return manifest, [("svm_weights", model.weights.astype("<f8"))]
-    raise ValidationError(f"cannot serialize stage-1 model {type(model).__name__}")
+@dataclass
+class _Manifest:
+    """The fields of an RSB1 manifest besides its stage models, resources
+    and arrays, each decoded by its declared type."""
+
+    format_version: int
+    config: TrainConfig
+    seed: int
+    mask_groups: tuple[str, ...]
+    reference_time: datetime
+    has_scaler: bool
+    metrics: EvalMetrics | None
+    # Each dict default names the keys of its object and their JSON types.
+    vocab: dict = field(default_factory=lambda: {"n_documents": 0, "n_terms": 0})
+    blobs: dict = field(default_factory=lambda: {"vocab_terms": 0, "wordlist": 0})
 
 
-def _stage2_manifest(model) -> tuple[dict, list[tuple[str, np.ndarray]]]:
-    if isinstance(model, AdaBoostModel):
-        return {"kind": "adaboost", "model": model.to_dict()}, []
-    if isinstance(model, RbfSvmModel):
-        manifest = {
-            "kind": "rbf_svm",
-            "c": model.c,
-            "gamma": model.gamma,
-            "bias": model.bias,
-        }
-        blocks = [
-            ("rbf_support_vectors", model.support_vectors.astype("<f8")),
-            ("rbf_dual_coef", model.dual_coef.astype("<f8")),
-        ]
-        return manifest, blocks
-    raise ValidationError(f"cannot serialize stage-2 model {type(model).__name__}")
+def _model_json(model, tag: str, blocks: list) -> dict:
+    """The manifest object of a stage model: its algorithm under ``tag`` and
+    its declared fields; its array fields are appended to ``blocks``."""
+    blocks += _array_blocks(model, _BLOCKS[type(model)])
+    return {tag: model.algorithm, **textkit.encode_record(model)}
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    stage1_manifest, stage1_blocks = _stage1_manifest(bundle.stage1)
-    stage2_manifest, stage2_blocks = _stage2_manifest(bundle.stage2)
-
     res = bundle.resources
     if tuple(res.tagger.tagset) != textkit.DEFAULT_TAGSET:
         raise ValidationError("only the shipped tagger's tagset can be bundled")
 
-    blocks: list[tuple[str, np.ndarray]] = [
-        ("vocab_df", bundle.vocab.df.astype("<i8")),
-    ]
-    blocks += stage1_blocks + stage2_blocks
+    blocks: list[tuple[str, np.ndarray]] = [("vocab_df", bundle.vocab.df.astype("<i8"))]
+    stage1 = _model_json(bundle.stage1, "algorithm", blocks)
+    if isinstance(bundle.stage2, AdaBoostModel):
+        stage2 = {"kind": "adaboost", "model": _model_json(bundle.stage2, "algorithm", blocks)}
+    else:
+        stage2 = _model_json(bundle.stage2, "kind", blocks)
     if bundle.scaler is not None:
-        blocks.append(("scaler_mean", bundle.scaler.mean.astype("<f8")))
-        blocks.append(("scaler_scale", bundle.scaler.scale.astype("<f8")))
+        blocks += _array_blocks(bundle.scaler, _BLOCKS[DenseScaler])
     terms_blob = "\n".join(bundle.vocab.terms).encode("utf-8")
     wordlist_blob = "\n".join(sorted(res.wordlist)).encode("utf-8")
 
-    manifest = {
-        "format_version": _VERSION,
-        "config": textkit.encode_record(bundle.config),
-        "seed": bundle.seed,
-        "mask_groups": list(bundle.mask_groups),
-        "reference_time": format_rfc3339(bundle.reference_time),
-        "vocab": {"n_documents": bundle.vocab.n_documents, "n_terms": len(bundle.vocab)},
-        "stage1": stage1_manifest,
-        "stage2": stage2_manifest,
-        "has_scaler": bundle.scaler is not None,
-        "metrics": asdict(bundle.metrics) if bundle.metrics is not None else None,
-        "resources": {
-            "lexicon": [
-                {"name": name, "patterns": patterns}
-                for name, patterns in res.lexicon.categories
-            ],
-            "valence": {k: res.valence[k] for k in sorted(res.valence)},
-        },
-        "blobs": {"vocab_terms": len(terms_blob), "wordlist": len(wordlist_blob)},
-    }
+    head = _Manifest(
+        _VERSION, bundle.config, bundle.seed, bundle.mask_groups, bundle.reference_time,
+        bundle.scaler is not None, bundle.metrics,
+        vocab={"n_documents": bundle.vocab.n_documents, "n_terms": len(bundle.vocab)},
+        blobs={"vocab_terms": len(terms_blob), "wordlist": len(wordlist_blob)},
+    )
+    lexicon = [{"name": name, "patterns": patterns} for name, patterns in res.lexicon.categories]
+    manifest = {**textkit.encode_record(head), "stage1": stage1, "stage2": stage2,
+                "resources": {"lexicon": lexicon, "valence": res.valence}}
     _write_container(path, _MAGIC, _VERSION, manifest, blocks, (terms_blob, wordlist_blob))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Read an RSB1 file; a short section or a manifest that is not JSON or
-    lacks, mistypes or holds an invalid field raises ValidationError naming
-    the file."""
-    with open(path, "rb") as fh:
-        manifest = _read_header(fh, path, _MAGIC, _VERSION, "bundle")
-        try:
-            blobs = manifest["blobs"]
-            terms_blob = _read_exact(fh, blobs["vocab_terms"], path, "vocab_terms").decode("utf-8")
-            wordlist_blob = _read_exact(fh, blobs["wordlist"], path, "wordlist").decode("utf-8")
-            arrays = _read_arrays(fh, path, manifest["arrays"])
-            try:
-                return _decode_bundle(manifest, terms_blob, wordlist_blob, arrays)
-            except RegretstreamError as exc:  # a value the package itself rejects
-                raise ValidationError(f"{path}: invalid bundle manifest: {exc}") from None
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: invalid bundle manifest: {exc!r}") from None
+    """Read an RSB1 file, as ``features._load_container`` does."""
+    return _load_container(
+        path, _MAGIC, _VERSION, "bundle", _decode_bundle, ("vocab_terms", "wordlist")
+    )
 
 
-def _scalars(raw, prefix: str, **converters) -> dict:
-    """The fields of the JSON object ``raw`` that ``converters`` names, each
-    required and converted by its converter; an error names the field
-    behind ``prefix``."""
-    fields = tuple((name, convert, _REQUIRED) for name, convert in converters.items())
-    return _decode(raw, fields, prefix=prefix)
+def _decode_model(raw, tag: str, classes: dict, prefix: str, arrays: dict):
+    """The stage model the manifest object ``raw`` holds: of the class in
+    ``classes`` that its ``tag`` names, with every declared field (named
+    behind ``prefix``) and every array block."""
+    fields = dict(raw)
+    name = fields.pop(tag, None)
+    cls = classes.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValidationError(f"invalid {prefix}{tag}: {name!r} (not one of {', '.join(classes)})")
+    return textkit.decode_record(cls, fields, prefix, _blocks_of(cls, arrays), strict=True)
 
 
-def _decode_bundle(manifest: dict, terms_blob: str, wordlist_blob: str, arrays) -> ModelBundle:
-    config = textkit.decode_record(TrainConfig, manifest["config"], "config.")
-    top = _scalars(manifest, "", seed=_json_int, has_scaler=_JSON_TYPES[bool])
+def _blocks_of(cls, arrays: dict) -> dict:
+    """The array fields of ``cls`` from their blocks, each in its declared dtype."""
+    prefix = _BLOCKS[cls]
+    return {f: arrays[prefix + f].astype(dtype) for f, dtype in textkit.array_fields(cls).items()}
+
+
+def _decode_bundle(manifest, arrays, terms_blob: str, wordlist_blob: str) -> ModelBundle:
+    s1, s2, res = (manifest.pop(key) for key in ("stage1", "stage2", "resources"))
+    head = textkit.decode_record(_Manifest, manifest, strict=True)
+    if head.format_version != _VERSION:
+        raise ValidationError(
+            f"invalid format_version: {head.format_version} (the header says {_VERSION})")
 
     terms = terms_blob.split("\n") if terms_blob else []
+    if head.vocab["n_terms"] != len(terms):
+        raise ValidationError(f"invalid vocab.n_terms: {head.vocab['n_terms']} "
+                              f"(the terms blob holds {len(terms)})")
     df = arrays["vocab_df"].astype(np.int64)
-    n_documents = _scalars(manifest["vocab"], "vocab.", n_documents=_json_int)["n_documents"]
-    vocab = Vocabulary({t: int(d) for t, d in zip(terms, df)}, n_documents)
+    vocab = Vocabulary({t: int(d) for t, d in zip(terms, df)}, head.vocab["n_documents"])
 
-    s1 = manifest["stage1"]
-    if s1["algorithm"] == "multinomial_nb":
-        stage1 = NaiveBayesModel(**_scalars(s1, "stage1.", alpha=_finite))
-        stage1.class_log_prior = arrays["nb_class_log_prior"].astype(np.float64)
-        stage1.feature_log_prob = arrays["nb_feature_log_prob"].astype(np.float64)
-    else:
-        stage1 = LinearSvmModel(
-            **_scalars(s1, "stage1.", c=_finite, epochs=_json_int, seed=_json_int)
-        )
-        stage1.weights = arrays["svm_weights"].astype(np.float64)
-
-    s2 = manifest["stage2"]
+    stage1 = _decode_model(s1, "algorithm", _STAGE1, "stage1.", arrays)
     if s2["kind"] == "adaboost":
-        stage2 = AdaBoostModel.from_dict(s2["model"])
+        stage2 = _decode_model(s2["model"], "algorithm", {"adaboost": AdaBoostModel},
+                               "stage2.model.", arrays)
     else:
-        stage2 = RbfSvmModel(**_scalars(s2, "stage2.", c=_finite, gamma=_finite, bias=_finite))
-        stage2.support_vectors = arrays["rbf_support_vectors"].astype(np.float64)
-        stage2.dual_coef = arrays["rbf_dual_coef"].astype(np.float64)
+        stage2 = _decode_model(s2, "kind", _STAGE2, "stage2.", arrays)
 
     # Every array and tree must fit the rows predict builds.
-    width = DENSE_SIZE + (RESPONSE_SIZE if config.with_responses else 0)
+    width = DENSE_SIZE + (RESPONSE_SIZE if head.config.with_responses else 0)
     n_sv = len(arrays.get("rbf_dual_coef", ()))
     shapes = {
         "vocab_df": (len(terms),), "svm_weights": (len(terms) + 1,),
@@ -223,35 +194,16 @@ def _decode_bundle(manifest: dict, terms_blob: str, wordlist_blob: str, arrays) 
     for name, arr in arrays.items():
         if arr.shape != shapes.get(name, arr.shape):
             raise ValueError(f"array {name} has shape {arr.shape}, expected {shapes[name]}")
-    if any(f >= width for tree in getattr(stage2, "trees", ()) for f in tree.feature):
-        raise ValueError(f"a tree splits on a feature beyond the {width} columns")
+    for tree in getattr(stage2, "trees", ()):
+        tree.check(width)
 
-    scaler = None
-    if top["has_scaler"]:
-        scaler = DenseScaler(
-            mean=arrays["scaler_mean"].astype(np.float64),
-            scale=arrays["scaler_scale"].astype(np.float64),
-        )
-
-    res_raw = manifest["resources"]
+    scaler = DenseScaler(**_blocks_of(DenseScaler, arrays)) if head.has_scaler else None
     resources = FeatureResources(
-        lexicon=textkit.Lexicon([(c["name"], c["patterns"]) for c in res_raw["lexicon"]
-                                 if not c["name"].startswith("_empty_")]),
-        valence={k: float(v) for k, v in res_raw["valence"].items()},
+        lexicon=textkit.Lexicon.from_categories(res["lexicon"], "resources.lexicon."),
+        valence=textkit.valence_table(res["valence"], "resources.valence."),
         wordlist=frozenset(w for w in wordlist_blob.split("\n") if w),
         tagger=textkit.RuleTagger(),
     )
-    metrics = manifest.get("metrics")
-    mask_slots(manifest["mask_groups"])  # every group must be one predict can mask
-    return ModelBundle(
-        config=config,
-        seed=top["seed"],
-        mask_groups=tuple(manifest["mask_groups"]),
-        vocab=vocab,
-        stage1=stage1,
-        stage2=stage2,
-        scaler=scaler,
-        resources=resources,
-        reference_time=parse_rfc3339(manifest["reference_time"], "reference_time"),
-        metrics=None if metrics is None else textkit.decode_record(EvalMetrics, metrics, "metrics."),
-    )
+    mask_slots(head.mask_groups)  # every group must be one predict can mask
+    return ModelBundle(head.config, head.seed, head.mask_groups, vocab, stage1, stage2, scaler,
+                       resources, head.reference_time, head.metrics)

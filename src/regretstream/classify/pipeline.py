@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..errors import ConfigError, InsufficientDataError, ValidationError
 from ..features import (
@@ -200,8 +201,8 @@ def stratified_folds(labels, k: int, rng) -> np.ndarray:
 class DenseScaler:
     """Column z-scoring; constant (or masked-out) columns pass through."""
 
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
+    mean: NDArray[np.float64] | None = None
+    scale: NDArray[np.float64] | None = None
 
     def fit(self, X: np.ndarray) -> "DenseScaler":
         self.mean = X.mean(axis=0)

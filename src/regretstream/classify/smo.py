@@ -8,24 +8,27 @@ problems; training size is capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..errors import ValidationError
 
 MAX_TRAIN_ROWS = 20_000
+# KKT tolerance and the cap on passes over the points.
+_TOL = 1e-3
+_MAX_PASSES = 200
 
 
 @dataclass
 class RbfSvmModel:
-    algorithm: str = field(default="rbf_svm", init=False)
+    algorithm: ClassVar[str] = "rbf_svm"
     c: float = 0.1
     gamma: float = 0.001
-    tol: float = 1e-3
-    max_passes: int = 200
-    support_vectors: np.ndarray | None = None
-    dual_coef: np.ndarray | None = None  # alpha_i * y_i
+    support_vectors: NDArray[np.float64] | None = None
+    dual_coef: NDArray[np.float64] | None = None  # alpha_i * y_i
     bias: float = 0.0
 
     def _kernel_row(self, X: np.ndarray, i: int) -> np.ndarray:
@@ -104,7 +107,7 @@ class RbfSvmModel:
             a2 = alpha[i2]
             e2 = f(i2) - y2
             r2 = e2 * y2
-            if (r2 < -self.tol and a2 < self.c) or (r2 > self.tol and a2 > 0):
+            if (r2 < -_TOL and a2 < self.c) or (r2 > _TOL and a2 > 0):
                 non_bound = np.nonzero((alpha > 0) & (alpha < self.c))[0]
                 if len(non_bound) > 1:
                     errors = np.array([f(i) - y[i] for i in non_bound])
@@ -121,7 +124,7 @@ class RbfSvmModel:
 
         examine_all = True
         passes = 0
-        while passes < self.max_passes:
+        while passes < _MAX_PASSES:
             passes += 1
             changed = 0
             if examine_all:

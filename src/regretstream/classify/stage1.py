@@ -8,9 +8,11 @@ log-odds) becomes the derived open-text feature for stage 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..errors import ConfigError, ValidationError
 
@@ -63,10 +65,10 @@ def _check_binary_labels(y: np.ndarray) -> np.ndarray:
 class NaiveBayesModel:
     """Multinomial NB with additive smoothing over term weights."""
 
-    algorithm: str = field(default="multinomial_nb", init=False)
+    algorithm: ClassVar[str] = "multinomial_nb"
     alpha: float = 0.1
-    class_log_prior: np.ndarray | None = None
-    feature_log_prob: np.ndarray | None = None  # (2, V)
+    class_log_prior: NDArray[np.float64] | None = None
+    feature_log_prob: NDArray[np.float64] | None = None  # (2, V)
 
     def fit(self, X: SparseRows, y: np.ndarray) -> "NaiveBayesModel":
         if self.alpha <= 0:
@@ -115,11 +117,11 @@ class LinearSvmModel:
     The bias rides along as an augmented always-on coordinate.
     """
 
-    algorithm: str = field(default="linear_svm", init=False)
+    algorithm: ClassVar[str] = "linear_svm"
     c: float = 1e-6
     epochs: int = 30
     seed: int = 0
-    weights: np.ndarray | None = None  # (V+1,), last entry is the bias
+    weights: NDArray[np.float64] | None = None  # (V+1,), last entry is the bias
 
     def fit(self, X: SparseRows, y: np.ndarray) -> "LinearSvmModel":
         if self.c <= 0:

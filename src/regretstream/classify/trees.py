@@ -14,13 +14,11 @@ training-error bound is checked on every fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..textkit import (
-    _ARRAYS, _JSON_TYPES, _REQUIRED, _decode, _json_int, _optional, _record_fields,
-)
 
 _EPS = 1e-12
 
@@ -135,35 +133,18 @@ class DecisionTree:
 
         return walk(0, 0) if self.feature else 0
 
-    def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DecisionTree":
-        """The tree ``to_dict`` wrote; a field absent or not of its declared
-        JSON type is a SchemaError naming it. ValueError unless each split
-        node's children follow it, as ``fit`` adds them, so ``predict`` ends."""
-        t = cls(**_decode(raw, _TREE_FIELDS))
-        n = len(t.feature)
-        if not n or any(len(v) != n for v in (t.threshold, t.left, t.right, t.value)):
+    def check(self, width: int) -> None:
+        """ValueError unless the tree has nodes, each split node's children
+        follow it, as ``fit`` adds them, so ``predict`` ends, and each split
+        is on one of ``width`` columns."""
+        n = len(self.feature)
+        if not n or any(len(v) != n for v in (self.threshold, self.left, self.right, self.value)):
             raise ValueError("tree node lists are empty or differ in length")
-        for i, f in enumerate(t.feature):
-            if f >= 0 and not (i < t.left[i] < n and i < t.right[i] < n):
+        for i, f in enumerate(self.feature):
+            if f >= width:
+                raise ValueError(f"a tree splits on a feature beyond the {width} columns")
+            if f >= 0 and not (i < self.left[i] < n and i < self.right[i] < n):
                 raise ValueError(f"tree node {i} has a child out of order")
-        return t
-
-
-# ``to_dict`` writes every field, so ``from_dict`` requires every one.
-_TREE_FIELDS = tuple(
-    (name, convert, _REQUIRED) for name, convert, _ in _record_fields(DecisionTree)
-)
 
 
 def _best_split(xs: np.ndarray, step: np.ndarray, ws: np.ndarray, ws_pos: np.ndarray):
@@ -205,10 +186,10 @@ def _best_split(xs: np.ndarray, step: np.ndarray, ws: np.ndarray, ws_pos: np.nda
 class AdaBoostModel:
     """Discrete two-class AdaBoost over depth-limited Gini trees."""
 
-    algorithm: str = field(default="adaboost", init=False)
+    algorithm: ClassVar[str] = "adaboost"
     max_depth: int = 5
     rounds: int = 100
-    trees: list = field(default_factory=list)
+    trees: list[DecisionTree] = field(default_factory=list)
     stage_weights: list[float] = field(default_factory=list)
     stage_errors: list[float] = field(default_factory=list)
     early_stop: str | None = None
@@ -285,30 +266,3 @@ class AdaBoostModel:
             "training_error_bound": float(self.training_error_bound()),
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "max_depth": self.max_depth,
-            "rounds": self.rounds,
-            "trees": [t.to_dict() for t in self.trees],
-            "stage_weights": list(self.stage_weights),
-            "stage_errors": list(self.stage_errors),
-            "early_stop": self.early_stop,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AdaBoostModel":
-        """The model ``to_dict`` wrote; a field absent or not of its JSON
-        type is a SchemaError naming it."""
-        m = cls(**_decode(raw, _MODEL_FIELDS))
-        m.trees = [DecisionTree.from_dict(t) for t in raw["trees"]]
-        return m
-
-
-_MODEL_FIELDS = (
-    ("max_depth", _json_int, _REQUIRED),
-    ("rounds", _json_int, _REQUIRED),
-    ("stage_weights", _ARRAYS[float], _REQUIRED),
-    ("stage_errors", _ARRAYS[float], _REQUIRED),
-    ("early_stop", _optional(_JSON_TYPES[str]), None),
-)

@@ -36,9 +36,10 @@ from datetime import datetime
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import textkit
-from .errors import ValidationError
+from .errors import RegretstreamError, ValidationError
 from .events import Corpus, TweetRecord, UserProfile
 
 DENSE_SIZE = 112
@@ -304,14 +305,14 @@ def response_features(
 class FeatureMatrix:
     """Featurized corpus rows plus labels and ids."""
 
-    tweet_ids: np.ndarray          # (n,) int64
-    labels: np.ndarray             # (n,) int8, 1 = deleted
-    sparse_indptr: np.ndarray      # (n+1,) int64
-    sparse_indices: np.ndarray     # (nnz,) int64
-    sparse_data: np.ndarray        # (nnz,) float64
-    dense: np.ndarray              # (n, 112) float64
-    response: np.ndarray | None    # (n, 93) float64 or None
+    tweet_ids: NDArray[np.int64]            # (n,)
+    labels: NDArray[np.int8]                # (n,), 1 = deleted
+    sparse_indptr: NDArray[np.int64]        # (n+1,)
+    sparse_indices: NDArray[np.int64]       # (nnz,)
+    sparse_data: NDArray[np.float64]        # (nnz,)
+    dense: NDArray[np.float64]              # (n, 112)
     vocab_size: int
+    response: NDArray[np.float64] | None = None  # (n, 93)
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
@@ -376,22 +377,18 @@ def featurize_corpus(
 # Versioned binary serialization ("RSF1", little-endian)
 # ---------------------------------------------------------------------------
 
-def _array_blocks(m: FeatureMatrix) -> list[tuple[str, np.ndarray]]:
-    blocks = [
-        ("tweet_ids", m.tweet_ids.astype("<i8")),
-        ("labels", m.labels.astype("<i1")),
-        ("sparse_indptr", m.sparse_indptr.astype("<i8")),
-        ("sparse_indices", m.sparse_indices.astype("<i8")),
-        ("sparse_data", m.sparse_data.astype("<f8")),
-        ("dense", m.dense.astype("<f8")),
+def _array_blocks(obj, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+    """(block name, array) of each set array field of the dataclass ``obj``,
+    in its declared dtype; a block is named ``prefix`` and the field name."""
+    return [
+        (prefix + name, value.astype(dtype))
+        for name, dtype in textkit.array_fields(type(obj)).items()
+        if (value := getattr(obj, name)) is not None
     ]
-    if m.response is not None:
-        blocks.append(("response", m.response.astype("<f8")))
-    return blocks
 
 
 def save_feature_matrix(m: FeatureMatrix, path: str | Path) -> None:
-    manifest = {"vocab_size": m.vocab_size, "n_rows": len(m)}
+    manifest = {**textkit.encode_record(m), "n_rows": len(m)}
     _write_container(path, _MAGIC, _VERSION, manifest, _array_blocks(m))
 
 
@@ -450,22 +447,38 @@ def _read_arrays(fh, path, entries) -> dict[str, np.ndarray]:
     return arrays
 
 
-def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    """Read an RSF1 file; a short section or a manifest that is not JSON or
-    lacks a field raises ValidationError naming the file."""
+def _load_container(path, magic: bytes, version: int, kind: str, decode, blobs=()):
+    """``decode(manifest, arrays, *texts)`` for the container at ``path``: its
+    manifest without the ``arrays`` list, its arrays by name, and each of
+    its ``blobs`` as text. A short section, or a manifest that is not JSON or
+    lacks, mistypes or holds an invalid field, raises ValidationError naming
+    the file."""
     with open(path, "rb") as fh:
-        manifest = _read_header(fh, path, _MAGIC, _VERSION, "feature-matrix")
+        manifest = _read_header(fh, path, magic, version, kind)
         try:
-            arrays = _read_arrays(fh, path, manifest["arrays"])
-            return FeatureMatrix(
-                tweet_ids=arrays["tweet_ids"].astype(np.int64),
-                labels=arrays["labels"].astype(np.int8),
-                sparse_indptr=arrays["sparse_indptr"].astype(np.int64),
-                sparse_indices=arrays["sparse_indices"].astype(np.int64),
-                sparse_data=arrays["sparse_data"].astype(np.float64),
-                dense=arrays["dense"].astype(np.float64),
-                response=arrays["response"].astype(np.float64) if "response" in arrays else None,
-                vocab_size=int(manifest["vocab_size"]),
-            )
+            texts = [_read_exact(fh, manifest["blobs"][b], path, b).decode("utf-8") for b in blobs]
+            arrays = _read_arrays(fh, path, manifest.pop("arrays"))
+            try:
+                return decode(manifest, arrays, *texts)
+            except RegretstreamError as exc:  # a value the package itself rejects
+                raise ValidationError(f"{path}: invalid {kind} manifest: {exc}") from None
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: invalid feature-matrix manifest: {exc!r}") from None
+            raise ValidationError(f"{path}: invalid {kind} manifest: {exc!r}") from None
+
+
+def load_feature_matrix(path: str | Path) -> FeatureMatrix:
+    """Read an RSF1 file, as ``_load_container`` does; an ``n_rows`` other
+    than the matrix's row count is an invalid field too."""
+    return _load_container(path, _MAGIC, _VERSION, "feature-matrix", _decode_matrix)
+
+
+def _decode_matrix(manifest: dict, arrays: dict) -> FeatureMatrix:
+    n_rows = manifest.pop("n_rows")
+    fields = {
+        name: arrays[name].astype(dtype)
+        for name, dtype in textkit.array_fields(FeatureMatrix).items() if name in arrays
+    }
+    m = textkit.decode_record(FeatureMatrix, manifest, arrays=fields, strict=True)
+    if type(n_rows) is not int or n_rows != len(m):
+        raise ValidationError(f"invalid n_rows: {n_rows!r} (the arrays hold {len(m)})")
+    return m

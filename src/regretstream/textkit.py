@@ -5,9 +5,10 @@ distance, term-frequency cosine, lexicon category scoring, valence
 sentiment, part-of-speech tagging, and lexical-density statistics. The
 JSON readers here are the ones every JSON and JSON Lines input goes through,
 and ``_decode`` is the one walker that decodes a JSON object by its table:
-events, corpus records and headers, configs and lexicon categories. A
-dataclass's table is derived from its declared field types, and
-``encode_record`` writes any of them back.
+events, corpus records and headers, configs, container manifests and their
+stage models, and lexicon categories. A dataclass's table is derived from its
+declared field types, and ``encode_record`` writes any of them back; its
+``NDArray`` fields are left to the binary container that holds it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, ContractError, SchemaError, ValidationError
 
@@ -264,6 +267,7 @@ def _exactly(kind: type, reason: str):
 
 
 _json_int = _exactly(int, "not a JSON integer")
+_object_list = _exactly(list, "not an array of objects")
 
 
 def _finite(value) -> float:
@@ -335,14 +339,16 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-def _converter(hint, prefix: str, default):
+def _converter(hint, prefix: str, default, strict: bool):
     """The converter for a field declared ``hint`` whose own fields, if it
     has any, sit behind ``prefix``."""
     kind = typing.get_origin(hint) or hint
     args = typing.get_args(hint)
     if kind is types.UnionType:  # X | None
-        (inner,) = (a for a in args if a is not type(None))
-        return _optional(_converter(inner, prefix, default))
+        return _optional(_converter(_inner(hint), prefix, default, strict))
+    if kind is list and dataclasses.is_dataclass(args[0]):  # list[<dataclass>]
+        item = _converter(args[0], prefix, None, strict)
+        return lambda value: [item(v) for v in _object_list(value)]
     if kind is list:  # list[X]
         return _ARRAYS[args[0]]
     if kind is tuple:  # tuple[X, ...]
@@ -352,9 +358,29 @@ def _converter(hint, prefix: str, default):
         nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
         return functools.partial(_decode, fields=nested, prefix=prefix, closed=True)
     if dataclasses.is_dataclass(kind):
-        fields = _record_fields(kind, prefix)
-        return lambda raw: kind(**_decode(raw, fields, prefix=prefix))
+        fields = _record_fields(kind, prefix, strict)
+        return lambda raw: kind(**_decode(raw, fields, prefix=prefix, closed=strict))
     return _JSON_TYPES[kind]
+
+
+def _inner(hint):
+    """X of a hint declared ``X | None``."""
+    (inner,) = (a for a in typing.get_args(hint) if a is not type(None))
+    return inner
+
+
+@functools.cache
+def array_fields(cls) -> types.MappingProxyType:
+    """The little-endian dtype of each field of the dataclass ``cls`` declared
+    ``NDArray[<scalar>]`` (or that ``| None``), by name: the fields a binary
+    container holds as array blocks, not in its JSON manifest."""
+    arrays = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if typing.get_origin(hint) is types.UnionType:
+            hint = _inner(hint)
+        if typing.get_origin(hint) is np.ndarray:
+            arrays[name] = np.dtype(typing.get_args(typing.get_args(hint)[1])[0]).newbyteorder("<")
+    return types.MappingProxyType(arrays)
 
 
 def json_field(json_default, **kwargs):
@@ -365,23 +391,28 @@ def json_field(json_default, **kwargs):
 
 
 @functools.cache
-def _record_fields(cls, prefix: str = "") -> tuple:
+def _record_fields(cls, prefix: str = "", strict: bool = False) -> tuple:
     """The decode table of the dataclass ``cls`` whose fields sit behind
-    ``prefix``. Each field converts by the type it is declared with: a JSON
-    type, a timestamp, a tweet id, ``X | None``, a list or tuple as an
-    array, a dict as an object holding only its default's keys (each
-    converted by the type of its default value), and a dataclass as an
-    object decoded by its own table, whose unknown keys are ignored. A field
-    defaults to the JSON form of its ``json_field`` default, else of its
-    Python default; without either it is required (``_REQUIRED``)."""
+    ``prefix``; its ``NDArray`` fields are not in it. Each field converts by
+    the type it is declared with: a JSON type, a timestamp, a tweet id,
+    ``X | None``, a list or tuple as an array, a dict as an object holding
+    only its default's keys (each converted by the type of its default
+    value), and a dataclass, or a list of them, as an object decoded by its
+    own table, whose unknown keys are ignored. A field defaults to the JSON
+    form of its ``json_field`` default, else of its Python default; without
+    either it is required (``_REQUIRED``). With ``strict`` every field is
+    required, here and in each nested object, which may hold no unknown key
+    either."""
     hints = typing.get_type_hints(cls)
     table = []
     for f in dataclasses.fields(cls):
-        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if f.name in array_fields(cls):
+            continue
         hint = hints[f.name]
-        convert = _converter(hint, f"{prefix}{f.name}.", default)
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        convert = _converter(hint, f"{prefix}{f.name}.", default, strict)
         default = f.metadata.get("json_default", default)
-        if default is dataclasses.MISSING:
+        if default is dataclasses.MISSING or strict:
             default = _REQUIRED
         elif default is not _REQUIRED and _encoder(hint):
             default = _encoder(hint)(default)
@@ -393,15 +424,22 @@ def _encoder(hint):
     """The function giving the JSON form of a value declared ``hint``, or
     None where the value is its own JSON form."""
     kind = typing.get_origin(hint) or hint
+    if kind is types.UnionType:  # X | None
+        inner = _encoder(_inner(hint))
+        return None if inner is None else _optional(inner)
+    if kind is list and dataclasses.is_dataclass(typing.get_args(hint)[0]):
+        item = _record_encoder(typing.get_args(hint)[0])
+        return lambda items: [item(v) for v in items]
     return _record_encoder(kind) if dataclasses.is_dataclass(kind) else _JSON_FORMS.get(kind)
 
 
 @functools.cache
 def _record_encoder(cls):
     """The function giving the JSON object of an instance of the dataclass
-    ``cls``, each field encoded by its declared type."""
+    ``cls``, each field but its arrays encoded by its declared type."""
     hints = typing.get_type_hints(cls)
-    table = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls))
+    table = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls)
+                  if f.name not in array_fields(cls))
 
     def encode(obj) -> dict:
         out = {}
@@ -415,16 +453,19 @@ def _record_encoder(cls):
 def encode_record(obj) -> dict:
     """The JSON object of the dataclass ``obj``, field by field: a datetime
     in RFC 3339, a tuple as an array, a frozenset as a sorted array, a dict
-    copied, a nested dataclass as its own JSON object, and every other
-    value as it is. ``decode_record`` reads it back."""
+    copied, a nested dataclass (or each of a list of them) as its own JSON
+    object, and every other value as it is. Its ``array_fields`` are left
+    out. ``decode_record`` reads it back."""
     return _record_encoder(type(obj))(obj)
 
 
-def decode_record(cls, raw, prefix: str = ""):
+def decode_record(cls, raw, prefix: str = "", arrays=None, strict: bool = False):
     """The dataclass ``cls`` built from the JSON object ``raw`` by
-    ``_record_fields(cls, prefix)``; a key outside the table is a
+    ``_record_fields(cls, prefix, strict)`` and from ``arrays``, the values
+    of its ``array_fields`` by name; a key outside the table is a
     SchemaError."""
-    return cls(**_decode(raw, _record_fields(cls, prefix), prefix=prefix, closed=True))
+    fields = _decode(raw, _record_fields(cls, prefix, strict), prefix=prefix, closed=True)
+    return cls(**fields, **(arrays or {}))
 
 
 def decode_config(cls, raw):
@@ -485,12 +526,18 @@ class Lexicon:
         return hits
 
     @classmethod
+    def from_categories(cls, raw, prefix: str = "category.") -> "Lexicon":
+        """The lexicon of the JSON array ``raw`` of categories, each
+        {"name", "patterns"}; an error names the field behind ``prefix``."""
+        return cls([
+            (c["name"], c["patterns"])
+            for c in (_decode(c, _CATEGORY_FIELDS, prefix=prefix) for c in raw)
+        ])
+
+    @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load the JSON lexicon format: {"categories": [{"name", "patterns"}]}."""
-        return decode_json(path, lambda raw: cls([
-            (c["name"], c["patterns"])
-            for c in (_decode(c, _CATEGORY_FIELDS, prefix="category.") for c in raw["categories"])
-        ]))
+        return decode_json(path, lambda raw: cls.from_categories(raw["categories"]))
 
 
 def lexicon_counts(words, lex: Lexicon) -> list[int]:
@@ -514,9 +561,17 @@ def lexicon_score(tokens: TokenList, lex: Lexicon) -> list[float]:
     return [100.0 * c / n for c in lexicon_counts(words, lex)]
 
 
+def valence_table(raw, prefix: str = "valence.") -> dict[str, float]:
+    """The word -> valence table of the JSON object ``raw``, each word
+    lowercased; a valence that is not an exact finite number is a
+    SchemaError naming its word behind ``prefix``."""
+    fields = tuple((word, _finite, _REQUIRED) for word in raw)
+    return {word.lower(): v for word, v in _decode(raw, fields, prefix=prefix).items()}
+
+
 def load_valence(path: str | Path) -> dict[str, float]:
     """Load a JSON word -> valence score table."""
-    return decode_json(path, lambda table: {str(k).lower(): float(v) for k, v in table.items()})
+    return decode_json(path, valence_table)
 
 
 def _is_negation(tok: Token) -> bool:
@@ -667,9 +722,11 @@ class PretaggedStore:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PretaggedStore":
-        return cls(dict(decode_jsonl(
-            path, lambda rec: (int(rec["id"]), [str(t) for t in rec["tags"]])
-        )))
+        return cls(dict(decode_jsonl(path, lambda rec: _decode(rec, _TAGGED_FIELDS).values())))
+
+
+# One line of the pre-tagged JSON Lines format.
+_TAGGED_FIELDS = (("id", _tweet_id, _REQUIRED), ("tags", _str_list, _REQUIRED))
 
 
 @functools.cache

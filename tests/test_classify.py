@@ -32,7 +32,7 @@ from regretstream.classify import (
 )
 from regretstream.classify.smo import MAX_TRAIN_ROWS
 from regretstream.errors import ConfigError, InsufficientDataError, ValidationError
-from regretstream.textkit import decode_config, encode_record
+from regretstream.textkit import decode_config, decode_record, encode_record
 
 from conftest import make_corpus, make_tweet, ts
 from oracles import ReferenceTree, row_pegasos_weights
@@ -261,7 +261,8 @@ class TestDecisionTree:
         X, y01 = xor_dense(10, seed=2)
         y = y01 * 2.0 - 1.0
         tree = DecisionTree(max_depth=3).fit(X, y, np.full(len(y), 1 / len(y)))
-        again = DecisionTree.from_dict(tree.to_dict())
+        again = decode_record(DecisionTree, encode_record(tree), strict=True)
+        assert again == tree
         np.testing.assert_array_equal(tree.predict(X), again.predict(X))
 
 
@@ -307,7 +308,9 @@ class TestAdaBoost:
     def test_serialization_roundtrip(self):
         X, y = xor_dense(15, jitter=0.03, seed=4)
         model = AdaBoostModel(max_depth=2, rounds=15).fit(X, y)
-        again = AdaBoostModel.from_dict(model.to_dict())
+        again = decode_record(AdaBoostModel, encode_record(model), strict=True)
+        assert again == model
+        assert all(type(t) is DecisionTree for t in again.trees)
         np.testing.assert_array_equal(model.predict(X), again.predict(X))
         np.testing.assert_allclose(model.decision_values(X), again.decision_values(X), atol=0)
 
@@ -327,8 +330,8 @@ def tree_problems(draw, min_rows=0, max_rows=30, levels=4, weights=None):
 
 
 def _fit_both(X, y, w, depth):
-    tree = DecisionTree(max_depth=depth).fit(X, y, w).to_dict()
-    assert tree == ReferenceTree(max_depth=depth).fit(X, y, w).to_dict()
+    tree = encode_record(DecisionTree(max_depth=depth).fit(X, y, w))
+    assert tree == encode_record(ReferenceTree(max_depth=depth).fit(X, y, w))
     return tree
 
 
@@ -401,7 +404,7 @@ class TestTreeMatchesOracle:
 
         def fit():
             try:
-                return AdaBoostModel(max_depth=depth, rounds=rounds).fit(X, y01).to_dict()
+                return encode_record(AdaBoostModel(max_depth=depth, rounds=rounds).fit(X, y01))
             except ValidationError as exc:
                 return str(exc)
 
@@ -419,7 +422,7 @@ class TestTreeMatchesOracle:
         model = AdaBoostModel(max_depth=3, rounds=25).fit(X, y)
         with mock.patch("regretstream.classify.trees.DecisionTree", ReferenceTree):
             expected = AdaBoostModel(max_depth=3, rounds=25).fit(X, y)
-        assert model.to_dict() == expected.to_dict()
+        assert encode_record(model) == encode_record(expected)
         assert len(model.trees) > 1
 
 

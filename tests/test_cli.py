@@ -656,6 +656,38 @@ def test_bad_input_file_exits_1(workdir, tmp_path, capsys, name):
         assert f"{bad}: line {line}: " in err
 
 
+# Resource files holding a value of another JSON type: (argv, file bytes, the
+# error after the file name).
+VALENCE_ARGV = ["analyze", "--corpus", "{work}/cleaned.json", "--metrics", "temporal",
+                "--valence", "{bad}", "--out", "{tmp}/r"]
+TAGS_ARGV = ["featurize", "--corpus", "{work}/cleaned.json", "--tags", "{bad}",
+             "--out", "{tmp}/f.rsf1"]
+MISTYPED_RESOURCES = {
+    "--valence string": (VALENCE_ARGV, b'{"good": "NaN"}',
+                         "invalid valence.good: 'NaN' (not a finite number)"),
+    "--valence bool": (VALENCE_ARGV, b'{"bad": -1, "good": true}',
+                       "invalid valence.good: True (not a finite number)"),
+    "--tags id string": (TAGS_ARGV, b'{"id": "5", "tags": []}\n',
+                         "line 1: invalid id: '5' (not a JSON integer)"),
+    "--tags id fraction": (TAGS_ARGV, b'{"id": 1, "tags": []}\n{"id": 7.9, "tags": []}\n',
+                           "line 2: invalid id: 7.9 (not a JSON integer)"),
+    "--tags id bool": (TAGS_ARGV, b'{"id": true, "tags": []}\n',
+                       "line 1: invalid id: True (not a JSON integer)"),
+    "--tags tag number": (TAGS_ARGV, b'{"id": 5, "tags": ["url", 1]}\n',
+                          "line 1: invalid tags: ['url', 1] (not an array of strings)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED_RESOURCES))
+def test_mistyped_resource_value_exits_1_naming_the_field(workdir, tmp_path, capsys, name):
+    argv, content, message = MISTYPED_RESOURCES[name]
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(content)
+    assert main([a.format(bad=bad, work=workdir, tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: {message}\n"
+
+
 # Config files holding a value of the wrong JSON type, an unknown key or a
 # number that is not finite: (command, config, the error after the file name).
 BAD_CONFIGS = {

@@ -291,7 +291,7 @@ def test_predict_with_inconsistent_bundle_exits_1(scratch, damage):
 # after "invalid bundle manifest: ").
 REJECTED_MANIFEST_VALUES = {
     "reference_time": (("reference_time",), "yesterday",
-                       "reference_time is not RFC 3339: 'yesterday'"),
+                       "invalid reference_time: 'yesterday' (not RFC 3339)"),
     "config_field": (("config", "stage1_hyper", "svm_c"), "x",
                      "invalid config.stage1_hyper.svm_c: 'x' (not a finite number)"),
     "metrics_field": (("metrics", "tp"), "x", "invalid metrics.tp: 'x' (not a JSON integer)"),
@@ -301,18 +301,38 @@ REJECTED_MANIFEST_VALUES = {
     "mask_group": (("mask_groups",), ["nonsense"], "unknown feature group 'nonsense'"),
     # Model values of another JSON type are rejected, never converted.
     "tree_threshold": (("stage2", "model", "trees", 0, "threshold", 0), "NaN",
-                       "invalid threshold: ['NaN'"),
+                       "invalid stage2.model.trees.threshold: ['NaN', 0.0, 0.0] "
+                       "(not an array of finite numbers)"),
     "tree_feature": (("stage2", "model", "trees", 0, "feature", 0), 3.9,
-                     "invalid feature: [3.9"),
+                     "invalid stage2.model.trees.feature: [3.9, -1, -1] (not an array of integers)"),
     "tree_max_depth": (("stage2", "model", "trees", 0, "max_depth"), "5",
-                       "invalid max_depth: '5' (not a JSON integer)"),
+                       "invalid stage2.model.trees.max_depth: '5' (not a JSON integer)"),
     "stage_weights": (("stage2", "model", "stage_weights", 0), "1e300",
-                      "invalid stage_weights: ['1e300'"),
+                      "invalid stage2.model.stage_weights: ['1e300'] (not an array of finite numbers)"),
     "model_max_depth": (("stage2", "model", "max_depth"), "5",
-                        "invalid max_depth: '5' (not a JSON integer)"),
-    "early_stop": (("stage2", "model", "early_stop"), 1, "invalid early_stop: 1 (not a string)"),
+                        "invalid stage2.model.max_depth: '5' (not a JSON integer)"),
+    "early_stop": (("stage2", "model", "early_stop"), 1,
+                   "invalid stage2.model.early_stop: 1 (not a string)"),
     "stage1_seed": (("stage1", "seed"), True, "invalid stage1.seed: True (not a JSON integer)"),
     "bundle_seed": (("seed",), 4.7, "invalid seed: 4.7 (not a JSON integer)"),
+    # Each model's class comes from one table; an unknown algorithm is no model.
+    "stage1_algorithm": (("stage1", "algorithm"), "nonsense",
+                         "invalid stage1.algorithm: 'nonsense' (not one of multinomial_nb, linear_svm)"),
+    "stage2_kind": (("stage2", "kind"), "zzz",
+                    "invalid stage2.kind: 'zzz' (not one of adaboost, rbf_svm)"),
+    "stage2_algorithm": (("stage2", "model", "algorithm"), "zzz",
+                         "invalid stage2.model.algorithm: 'zzz' (not one of adaboost)"),
+    # Values written but not otherwise read are checked against what they count.
+    "n_terms_type": (("vocab", "n_terms"), "x", "invalid vocab.n_terms: 'x' (not a JSON integer)"),
+    "n_terms_count": (("vocab", "n_terms"), 99, "invalid vocab.n_terms: 99 (the terms blob holds "),
+    "format_version": (("format_version",), 99, "invalid format_version: 99 (the header says 1)"),
+    # Resources decode as their own files do.
+    "valence_nan": (("resources", "valence", "good"), "NaN",
+                    "invalid resources.valence.good: 'NaN' (not a finite number)"),
+    "valence_bool": (("resources", "valence", "good"), True,
+                     "invalid resources.valence.good: True (not a finite number)"),
+    "lexicon_pattern": (("resources", "lexicon", 0, "patterns"), [1],
+                        "invalid resources.lexicon.patterns: [1] (not an array of strings)"),
 }
 
 
@@ -335,3 +355,27 @@ def test_predict_with_rejected_manifest_value_names_the_bundle(tmp_path, damage)
     ])
     assert code == 1 and "Traceback" not in err
     assert err.startswith(f"error: {bundle}: invalid bundle manifest: {message}")
+
+
+# An RSF1 manifest value the package rejects: (key, value, the error after
+# "invalid feature-matrix manifest: ").
+REJECTED_MATRIX_VALUES = {
+    "vocab_size_fraction": ("vocab_size", 5.9, "invalid vocab_size: 5.9 (not a JSON integer)"),
+    "vocab_size_string": ("vocab_size", "5", "invalid vocab_size: '5' (not a JSON integer)"),
+    "n_rows_negative": ("n_rows", -3, "invalid n_rows: -3 (the arrays hold 40)"),
+    "n_rows_fraction": ("n_rows", 40.0, "invalid n_rows: 40.0 (the arrays hold 40)"),
+    "n_rows_off_by_one": ("n_rows", 41, "invalid n_rows: 41 (the arrays hold 40)"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(REJECTED_MATRIX_VALUES))
+def test_rejected_matrix_value_names_the_file(tmp_path, damage):
+    key, value, message = REJECTED_MATRIX_VALUES[damage]
+    base = _container_bytes()[0]
+    manifest = json.loads(_manifest(base))
+    manifest[key] = value
+    path = tmp_path / f"{damage}.rsf1"
+    path.write_bytes(_repacked(base, manifest))
+    with pytest.raises(RegretstreamError) as exc:
+        load_feature_matrix(path)
+    assert str(exc.value) == f"{path}: invalid feature-matrix manifest: {message}"

@@ -1,5 +1,6 @@
 """Dead-surface guards: every function and class defined in the package
-is used somewhere in the source tree, and every config field has a caller.
+is used somewhere in the source tree, every config field has a caller, and
+the decode walker's internals stay inside ``textkit`` and ``events``.
 
 A use is a name, an attribute, or a string constant (or one dot-separated
 part of it, as in the benchmark's ``"Lexicon.categories_for"`` probe
@@ -112,3 +113,31 @@ def uncalled_config_fields() -> list[str]:
 
 def test_every_config_field_has_a_caller():
     assert uncalled_config_fields() == []
+
+
+# The modules that may use textkit's underscore names: textkit itself, and
+# events, whose wire tables are built from the walker's parts.
+WALKER_MODULES = {"textkit.py", "events.py"}
+
+
+def textkit_internals_users() -> list[str]:
+    """Package modules outside ``WALKER_MODULES`` that import an underscore
+    name from textkit or read one off it."""
+    users = set()
+    for path, tree in _trees():
+        if not path.is_relative_to(PACKAGE) or path.name in WALKER_MODULES:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("textkit"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "textkit":
+                names = [node.attr]
+            else:
+                continue
+            if any(name.startswith("_") for name in names):
+                users.add(str(path.relative_to(PACKAGE)))
+    return sorted(users)
+
+
+def test_only_the_walker_modules_use_textkit_internals():
+    assert textkit_internals_users() == []
