@@ -27,19 +27,16 @@ from ..features import (
     _write_container,
     featurize_corpus,
 )
-from .pipeline import DenseScaler, EvalMetrics, TrainConfig, mask_slots, stage2_design
+from .pipeline import (STAGE2_MODELS, DenseScaler, EvalMetrics, TrainConfig, mask_slots,
+                       stage2_design)
 from .smo import RbfSvmModel
-from .stage1 import LinearSvmModel, NaiveBayesModel, SparseRows, derived_feature
+from .stage1 import (STAGE1_MODELS, LinearSvmModel, NaiveBayesModel, SparseRows, derived_feature,
+                     model_class)
 from .trees import AdaBoostModel
 
 _MAGIC = b"RSB1"
 _VERSION = 1
 
-# The model class of each algorithm a stage names. RSB1 v1 names the stage-2
-# algorithm ``kind`` and nests an AdaBoost model, with its own
-# ``algorithm``, under ``model``.
-_STAGE1 = {m.algorithm: m for m in (NaiveBayesModel, LinearSvmModel)}
-_STAGE2 = {m.algorithm: m for m in (AdaBoostModel, RbfSvmModel)}
 # The prefix of the names of each class's array blocks.
 _BLOCKS = {NaiveBayesModel: "nb_", LinearSvmModel: "svm_", AdaBoostModel: "",
            RbfSvmModel: "rbf_", DenseScaler: "scaler_"}
@@ -116,7 +113,8 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     blocks: list[tuple[str, np.ndarray]] = [("vocab_df", bundle.vocab.df.astype("<i8"))]
     stage1 = _model_json(bundle.stage1, "algorithm", blocks)
     if isinstance(bundle.stage2, AdaBoostModel):
-        stage2 = {"kind": "adaboost", "model": _model_json(bundle.stage2, "algorithm", blocks)}
+        stage2 = {"kind": AdaBoostModel.algorithm,
+                  "model": _model_json(bundle.stage2, "algorithm", blocks)}
     else:
         stage2 = _model_json(bundle.stage2, "kind", blocks)
     if bundle.scaler is not None:
@@ -148,10 +146,7 @@ def _decode_model(raw, tag: str, classes: dict, prefix: str, arrays: dict):
     ``classes`` that its ``tag`` names, with every declared field (named
     behind ``prefix``) and every array block."""
     fields = dict(raw)
-    name = fields.pop(tag, None)
-    cls = classes.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise ValidationError(f"invalid {prefix}{tag}: {name!r} (not one of {', '.join(classes)})")
+    cls = model_class(classes, fields.pop(tag, None), prefix + tag)
     return textkit.decode_record(cls, fields, prefix, _blocks_of(cls, arrays), strict=True)
 
 
@@ -173,14 +168,20 @@ def _decode_bundle(manifest, arrays, terms_blob: str, wordlist_blob: str) -> Mod
         raise ValidationError(f"invalid vocab.n_terms: {head.vocab['n_terms']} "
                               f"(the terms blob holds {len(terms)})")
     df = arrays["vocab_df"].astype(np.int64)
+    outside = df[(df < 1) | (df > head.vocab["n_documents"])]
+    if len(outside):
+        raise ValidationError(f"invalid vocab_df: {outside[0]} "
+                              f"(not in 1..{head.vocab['n_documents']}, the vocab.n_documents)")
     vocab = Vocabulary({t: int(d) for t, d in zip(terms, df)}, head.vocab["n_documents"])
 
-    stage1 = _decode_model(s1, "algorithm", _STAGE1, "stage1.", arrays)
-    if s2["kind"] == "adaboost":
-        stage2 = _decode_model(s2["model"], "algorithm", {"adaboost": AdaBoostModel},
+    stage1 = _decode_model(s1, "algorithm", STAGE1_MODELS, "stage1.", arrays)
+    # RSB1 v1 names the stage-2 algorithm ``kind`` and nests an AdaBoost
+    # model, with its own ``algorithm``, under ``model``.
+    if s2["kind"] == AdaBoostModel.algorithm:
+        stage2 = _decode_model(s2["model"], "algorithm", {s2["kind"]: AdaBoostModel},
                                "stage2.model.", arrays)
     else:
-        stage2 = _decode_model(s2, "kind", _STAGE2, "stage2.", arrays)
+        stage2 = _decode_model(s2, "kind", STAGE2_MODELS, "stage2.", arrays)
 
     # Every array and tree must fit the rows predict builds.
     width = DENSE_SIZE + (RESPONSE_SIZE if head.config.with_responses else 0)

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 import numpy as np
 from numpy.typing import NDArray
 
+from .. import textkit
 from ..errors import ConfigError, InsufficientDataError, ValidationError
 from ..features import (
     DERIVED_SLOT,
@@ -23,7 +24,8 @@ from ..features import (
     build_vocab,
     featurize_corpus,
 )
-from .stage1 import SparseRows, derived_feature, train_stage1
+from .stage1 import (STAGE1_MODELS, LinearSvmModel, SparseRows, build_model, derived_feature,
+                     model_class, train_stage1)
 from .smo import RbfSvmModel
 from .trees import AdaBoostModel
 
@@ -35,20 +37,23 @@ def _rng(seed: int, stream: int, extra: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, stream, extra])
 
 
+# The model class of each stage-2 algorithm, in the order messages list them.
+STAGE2_MODELS = {m.algorithm: m for m in (AdaBoostModel, RbfSvmModel)}
+_STAGE_MODELS = {"stage1": STAGE1_MODELS, "stage2": STAGE2_MODELS}
+# Each hyperparameter key of a stage's classes, with the default of the field it sets.
+_HYPER_DEFAULTS = {stage: {key: getattr(cls, name) for cls in models.values()
+                           for key, name in cls.hyper_keys.items()}
+                   for stage, models in _STAGE_MODELS.items()}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     n_per_class: int = 1200
     test_fraction: float = 0.25
-    stage1_algorithm: str = "linear_svm"
-    stage1_hyper: dict = field(
-        default_factory=lambda: {"nb_alpha": 0.1, "svm_c": 1e-6, "svm_epochs": 30}
-    )
-    stage2_algorithm: str = "adaboost"
-    stage2_hyper: dict = field(
-        default_factory=lambda: {
-            "rbf_c": 0.1, "rbf_gamma": 0.001, "ada_depth": 5, "ada_rounds": 100,
-        }
-    )
+    stage1_algorithm: str = LinearSvmModel.algorithm
+    stage1_hyper: dict = field(default_factory=lambda: dict(_HYPER_DEFAULTS["stage1"]))
+    stage2_algorithm: str = AdaBoostModel.algorithm
+    stage2_hyper: dict = field(default_factory=lambda: dict(_HYPER_DEFAULTS["stage2"]))
     derived_feature_folds: int = 5
     with_responses: bool = False
 
@@ -57,22 +62,22 @@ class TrainConfig:
             raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if self.n_per_class < 1:
             raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
+        # Each hyper dict is merged over the defaults, as in a config file.
+        for stage, models in _STAGE_MODELS.items():
+            model_class(models, getattr(self, f"{stage}_algorithm"), f"{stage}_algorithm")
+            hyper = textkit.decode_config(
+                _HYPER_DEFAULTS[stage], getattr(self, f"{stage}_hyper"), f"{stage}_hyper.")
+            object.__setattr__(self, f"{stage}_hyper", hyper)
 
     def merged(self, overrides: dict) -> "TrainConfig":
         """New config with hyper overrides applied (grid-search cells)."""
-        kwargs = {}
-        s1 = dict(self.stage1_hyper)
-        s2 = dict(self.stage2_hyper)
-        for key, value in overrides.items():
-            if key in s1:
-                s1[key] = value
-            elif key in s2:
-                s2[key] = value
-            elif hasattr(self, key):
-                kwargs[key] = value
-            else:
+        s1, s2 = ({k: overrides.get(k, v) for k, v in hyper.items()}
+                  for hyper in (self.stage1_hyper, self.stage2_hyper))
+        kwargs = {key: value for key, value in overrides.items() if key not in s1 and key not in s2}
+        for key in kwargs:
+            if key not in self.__dataclass_fields__:
                 raise ConfigError(f"unknown hyperparameter {key!r}")
-        return dc_replace(self, stage1_hyper=s1, stage2_hyper=s2, **kwargs)
+        return dc_replace(self, **{"stage1_hyper": s1, "stage2_hyper": s2, **kwargs})
 
 
 @dataclass(frozen=True)
@@ -222,21 +227,9 @@ def train_stage2(X_dense: np.ndarray, y, algorithm: str, hyper: dict | None = No
     (trees are scale-invariant). Neither draws random numbers, so the
     stage takes no seed.
     """
-    hyper = hyper or {}
-    if algorithm == "adaboost":
-        model = AdaBoostModel(
-            max_depth=int(hyper.get("ada_depth", 5)),
-            rounds=int(hyper.get("ada_rounds", 100)),
-        ).fit(X_dense, y)
-        return model, None
-    if algorithm == "rbf_svm":
-        scaler = DenseScaler().fit(X_dense)
-        model = RbfSvmModel(
-            c=float(hyper.get("rbf_c", 0.1)),
-            gamma=float(hyper.get("rbf_gamma", 0.001)),
-        ).fit(scaler.transform(X_dense), y)
-        return model, scaler
-    raise ConfigError(f"unknown stage-2 algorithm {algorithm!r}")
+    model = build_model(STAGE2_MODELS, algorithm, hyper, "stage2_algorithm")
+    scaler = DenseScaler().fit(X_dense) if isinstance(model, RbfSvmModel) else None
+    return model.fit(X_dense if scaler is None else scaler.transform(X_dense), y), scaler
 
 
 def mask_slots(groups) -> np.ndarray:
@@ -277,12 +270,12 @@ class PreparedData:
     stage1: object
     train: FeatureMatrix
     test: FeatureMatrix
-    train_tweets: list
-    test_tweets: list
 
 
-def fill_derived(matrix: FeatureMatrix, values: np.ndarray) -> None:
-    matrix.dense[:, DERIVED_SLOT] = values
+def _fit_stage1(X: SparseRows, y, config: TrainConfig, seed: int, extra: int):
+    """The stage-1 model of ``config`` fit on (X, y), seeded by ``extra``."""
+    return train_stage1(X, y, config.stage1_algorithm, config.stage1_hyper,
+                        seed=int(_rng(seed, _RNG_STAGE1, extra=extra).integers(0, 2**31)))
 
 
 def _out_of_fold_derived(train: FeatureMatrix, config: TrainConfig, seed: int) -> np.ndarray:
@@ -295,10 +288,7 @@ def _out_of_fold_derived(train: FeatureMatrix, config: TrainConfig, seed: int) -
     for f in range(k):
         holdout = np.nonzero(folds == f)[0]
         rest = np.nonzero(folds != f)[0]
-        model = train_stage1(
-            X.subset(rest), y[rest], config.stage1_algorithm, config.stage1_hyper,
-            seed=int(_rng(seed, _RNG_STAGE1, extra=f).integers(0, 2**31)),
-        )
+        model = _fit_stage1(X.subset(rest), y[rest], config, seed, f)
         out[holdout] = derived_feature(model, X.subset(holdout))
     return out
 
@@ -341,14 +331,11 @@ def _prepare_split(
         )
         for tweets in (records, eval_tweets)
     )
-    fill_derived(train, _out_of_fold_derived(train, config, seed))
-    stage1 = train_stage1(
-        SparseRows.from_feature_matrix(train), train.labels,
-        config.stage1_algorithm, config.stage1_hyper,
-        seed=int(_rng(seed, _RNG_STAGE1, extra=stage1_extra).integers(0, 2**31)),
-    )
-    fill_derived(test, derived_feature(stage1, SparseRows.from_feature_matrix(test)))
-    return PreparedData(vocab, stage1, train, test, train_tweets, eval_tweets)
+    train.dense[:, DERIVED_SLOT] = _out_of_fold_derived(train, config, seed)
+    stage1 = _fit_stage1(
+        SparseRows.from_feature_matrix(train), train.labels, config, seed, stage1_extra)
+    test.dense[:, DERIVED_SLOT] = derived_feature(stage1, SparseRows.from_feature_matrix(test))
+    return PreparedData(vocab, stage1, train, test)
 
 
 def fit_and_evaluate(prep: PreparedData, config: TrainConfig, mask_groups=()):

@@ -25,6 +25,7 @@ _MAX_PASSES = 200
 @dataclass
 class RbfSvmModel:
     algorithm: ClassVar[str] = "rbf_svm"
+    hyper_keys: ClassVar[dict[str, str]] = {"rbf_c": "c", "rbf_gamma": "gamma"}
     c: float = 0.1
     gamma: float = 0.001
     support_vectors: NDArray[np.float64] | None = None

@@ -66,6 +66,8 @@ class NaiveBayesModel:
     """Multinomial NB with additive smoothing over term weights."""
 
     algorithm: ClassVar[str] = "multinomial_nb"
+    # The field each config hyperparameter key sets, and so its default.
+    hyper_keys: ClassVar[dict[str, str]] = {"nb_alpha": "alpha"}
     alpha: float = 0.1
     class_log_prior: NDArray[np.float64] | None = None
     feature_log_prob: NDArray[np.float64] | None = None  # (2, V)
@@ -118,6 +120,7 @@ class LinearSvmModel:
     """
 
     algorithm: ClassVar[str] = "linear_svm"
+    hyper_keys: ClassVar[dict[str, str]] = {"svm_c": "c", "svm_epochs": "epochs"}
     c: float = 1e-6
     epochs: int = 30
     seed: int = 0
@@ -171,18 +174,29 @@ class LinearSvmModel:
         return (self.decision_values(X) > 0).astype(np.int8)
 
 
+# The model class of each stage-1 algorithm, in the order messages list them.
+STAGE1_MODELS = {m.algorithm: m for m in (NaiveBayesModel, LinearSvmModel)}
+
+
+def model_class(models: dict, algorithm, field: str):
+    """The class ``models`` maps ``algorithm`` to, else a ConfigError naming ``field``."""
+    if not isinstance(algorithm, str) or algorithm not in models:
+        raise ConfigError(f"invalid {field}: {algorithm!r} (not one of {', '.join(models)})")
+    return models[algorithm]
+
+
+def build_model(models: dict, algorithm: str, hyper: dict | None, field: str):
+    """A model of the class ``models`` maps ``algorithm`` to, set from ``hyper``."""
+    cls = model_class(models, algorithm, field)
+    return cls(**{name: hyper[key] for key, name in cls.hyper_keys.items() if key in (hyper or {})})
+
+
 def train_stage1(X: SparseRows, y, algorithm: str, hyper: dict | None = None, seed: int = 0):
     """Train the sparse-text stage; ``hyper`` overrides the defaults."""
-    hyper = hyper or {}
-    if algorithm == "multinomial_nb":
-        return NaiveBayesModel(alpha=float(hyper.get("nb_alpha", 0.1))).fit(X, y)
-    if algorithm == "linear_svm":
-        return LinearSvmModel(
-            c=float(hyper.get("svm_c", 1e-6)),
-            epochs=int(hyper.get("svm_epochs", 30)),
-            seed=seed,
-        ).fit(X, y)
-    raise ConfigError(f"unknown stage-1 algorithm {algorithm!r}")
+    model = build_model(STAGE1_MODELS, algorithm, hyper, "stage1_algorithm")
+    if hasattr(model, "seed"):  # the linear SVM shuffles its rows each epoch
+        model.seed = seed
+    return model.fit(X, y)
 
 
 def derived_feature(model, X: SparseRows) -> np.ndarray:

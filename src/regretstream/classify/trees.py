@@ -187,6 +187,7 @@ class AdaBoostModel:
     """Discrete two-class AdaBoost over depth-limited Gini trees."""
 
     algorithm: ClassVar[str] = "adaboost"
+    hyper_keys: ClassVar[dict[str, str]] = {"ada_depth": "max_depth", "ada_rounds": "rounds"}
     max_depth: int = 5
     rounds: int = 100
     trees: list[DecisionTree] = field(default_factory=list)

@@ -468,10 +468,13 @@ def decode_record(cls, raw, prefix: str = "", arrays=None, strict: bool = False)
     return cls(**fields, **(arrays or {}))
 
 
-def decode_config(cls, raw):
-    """``decode_record(cls, raw)``, raising a ConfigError naming the field."""
+def decode_config(declared, raw, prefix: str = ""):
+    """``decode_record(declared, raw)``, raising a ConfigError naming the field;
+    a dict ``declared`` is the default of an object field behind ``prefix``."""
     try:
-        return decode_record(cls, raw)
+        if isinstance(declared, dict):
+            return _converter(dict, prefix, declared, False)(raw)
+        return decode_record(declared, raw)
     except SchemaError as exc:
         raise ConfigError(str(exc)) from None
 

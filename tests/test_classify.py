@@ -680,6 +680,8 @@ GOLDEN_BUNDLES = {
         "f8e0e672f9d4cca426484b3d32acec8e8302a27045b2dc0466bd73852fe1f5ec",
     ("linear_svm", "rbf_svm", False):
         "5ede64a24bb8b4db26521300e68d6a1fa9459392e2adddab37cc1924e2171e83",
+    ("multinomial_nb", "rbf_svm", False):
+        "44ae41826d9b2e6339f6ceffadce75a40ad8bc0076f0445800d7ffbe4121ba67",
     ("linear_svm", "adaboost", True):
         "57061ba3e23891086690716e8954bdc27c8a7ddf2c2ffa65d05b8242ec08b573",
 }
@@ -701,6 +703,18 @@ def test_golden_bundle_files(synth_small, resources, tmp_path, stage1, stage2, w
     loaded = load_bundle(path)
     save_bundle(loaded, tmp_path / "again.rsb1")
     assert (tmp_path / "again.rsb1").read_bytes() == path.read_bytes()
+
+
+def test_partial_hyper_bundle_round_trips(synth_small, resources, tmp_path):
+    """A bundle from a Python config naming some hyperparameters saves the
+    completed config, so loading and saving it again writes the same bytes."""
+    cfg = TrainConfig(n_per_class=40, derived_feature_folds=2,
+                      stage1_hyper={"nb_alpha": 0.5, "svm_epochs": 3},
+                      stage2_hyper={"ada_depth": 2, "ada_rounds": 5})
+    bundle, _ = two_stage_train(synth_small.cleaned, cfg, 6, resources)
+    save_bundle(bundle, tmp_path / "model.rsb1")
+    save_bundle(load_bundle(tmp_path / "model.rsb1"), tmp_path / "again.rsb1")
+    assert (tmp_path / "again.rsb1").read_bytes() == (tmp_path / "model.rsb1").read_bytes()
 
 
 class TestAblate:
@@ -827,6 +841,29 @@ class TestTrainConfig:
         cfg = TrainConfig(n_per_class=77, stage1_algorithm="multinomial_nb")
         again = decode_config(TrainConfig, encode_record(cfg))
         assert again == cfg
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"stage2_hyper": {"ada_dept": 2}}, "unknown field: stage2_hyper.ada_dept"),
+        ({"stage1_hyper": {"svm_epochs": 2.7}}, "invalid stage1_hyper.svm_epochs: 2.7"),
+        ({"stage1_hyper": {"svm_c": True}}, "invalid stage1_hyper.svm_c: True"),
+        ({"stage2_hyper": None}, "stage2_hyper must be a JSON object"),
+        ({"stage1_algorithm": "perceptron"}, "invalid stage1_algorithm: 'perceptron'"),
+        ({"stage2_algorithm": "mlp"}, "invalid stage2_algorithm: 'mlp'"),
+    ])
+    def test_python_config_follows_the_file_rule(self, kwargs, field):
+        with pytest.raises(ConfigError) as exc:
+            TrainConfig(**kwargs)
+        assert str(exc.value).startswith(field)
+
+    def test_partial_hyper_is_completed(self):
+        cfg = TrainConfig(stage1_hyper={"svm_c": 1}, stage2_hyper={"ada_depth": 2})
+        assert cfg.stage1_hyper == {"nb_alpha": 0.1, "svm_c": 1.0, "svm_epochs": 30}
+        assert cfg.stage2_hyper == {"ada_depth": 2, "ada_rounds": 100, "rbf_c": 0.1,
+                                    "rbf_gamma": 0.001}
+        merged = cfg.merged({"rbf_c": 1.0})
+        assert merged.stage2_hyper["rbf_c"] == 1.0 and merged.stage2_hyper["ada_depth"] == 2
+        with pytest.raises(ConfigError, match="stage1_hyper.svm_epochs"):
+            cfg.merged({"svm_epochs": 2.7})
 
     def test_shipped_default_hyperparameters(self):
         cfg = TrainConfig()

@@ -732,11 +732,26 @@ BAD_CONFIGS = {
     "train per class zero": ("train", {"n_per_class": 0}, "n_per_class must be >= 1, got 0"),
     "train per class negative": ("train", {"n_per_class": -1}, "n_per_class must be >= 1, got -1"),
     "old synth field": ("synth", {"replies_max": 3}, "unknown field: replies_max"),
+    # Each stage names one of its model classes.
+    "train stage-1 algorithm": (
+        "train", {"stage1_algorithm": "zzz"},
+        "invalid stage1_algorithm: 'zzz' (not one of multinomial_nb, linear_svm)"),
+    "train stage-2 algorithm": (
+        "train", {"stage2_algorithm": "mlp"},
+        "invalid stage2_algorithm: 'mlp' (not one of adaboost, rbf_svm)"),
+    "ablate stage-1 algorithm": (
+        "ablate", {"stage1_algorithm": "zzz"},
+        "invalid stage1_algorithm: 'zzz' (not one of multinomial_nb, linear_svm)"),
+    "ablate stage-2 algorithm": (
+        "ablate", {"stage2_algorithm": "mlp"},
+        "invalid stage2_algorithm: 'mlp' (not one of adaboost, rbf_svm)"),
     "old clean field": ("clean", {"edit_distance_max": 5}, "unknown field: edit_distance_max"),
 }
 CONFIG_COMMANDS = {
     "train": ["train", "--corpus", "{work}/cleaned.json", "--config", "{cfg}",
               "--out", "{tmp}/m.rsb1"],
+    "ablate": ["ablate", "--corpus", "{work}/cleaned.json", "--config", "{cfg}",
+               "--out", "{tmp}/a.json"],
     "clean": ["clean", "--corpus", "{work}/corpus.json", "--config", "{cfg}",
               "--out", "{tmp}/c.json"],
     "synth": ["synth", "--config", "{cfg}", "--out-events", "{tmp}/e.jsonl",
@@ -745,7 +760,11 @@ CONFIG_COMMANDS = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
-def test_mistyped_config_exits_1_naming_the_field(workdir, tmp_path, capsys, name):
+def test_mistyped_config_exits_1_naming_the_field(workdir, tmp_path, capsys, monkeypatch, name):
+    def sample(*args):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(classify.pipeline, "balanced_sample", sample)
     command, config, message = BAD_CONFIGS[name]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))

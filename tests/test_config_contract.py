@@ -182,6 +182,11 @@ def test_cli_with_damaged_input_exits_1(files, name, data):
     _assert_exit_contract(*_run_cli(_argv(name, files, path)))
 
 
+# The other choice of each config field that must name one of two
+# algorithms.
+OTHER_CHOICE = {"linear_svm": "multinomial_nb", "adaboost": "rbf_svm"}
+
+
 def _changed(value):
     """A value of the same JSON type as ``value`` that differs from it."""
     if isinstance(value, bool):
@@ -191,7 +196,7 @@ def _changed(value):
     if isinstance(value, float):
         return value / 2 if value else 0.25
     if isinstance(value, str):
-        return value + "x"
+        return OTHER_CHOICE.get(value, value + "x")
     if isinstance(value, dict):
         return {k: _changed(v) for k, v in value.items()}
     return frozenset({"TweetDeck", "Twitter Web Client"})

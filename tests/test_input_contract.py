@@ -298,6 +298,8 @@ REJECTED_MANIFEST_VALUES = {
     "config_test_fraction": (("config", "test_fraction"), 0,
                              "test_fraction must lie in (0, 1), got 0.0"),
     "config_n_per_class": (("config", "n_per_class"), 0, "n_per_class must be >= 1, got 0"),
+    "config_algorithm": (("config", "stage2_algorithm"), "mlp",
+                         "invalid stage2_algorithm: 'mlp' (not one of adaboost, rbf_svm)"),
     "mask_group": (("mask_groups",), ["nonsense"], "unknown feature group 'nonsense'"),
     # Model values of another JSON type are rejected, never converted.
     "tree_threshold": (("stage2", "model", "trees", 0, "threshold", 0), "NaN",
@@ -355,6 +357,28 @@ def test_predict_with_rejected_manifest_value_names_the_bundle(tmp_path, damage)
     ])
     assert code == 1 and "Traceback" not in err
     assert err.startswith(f"error: {bundle}: invalid bundle manifest: {message}")
+
+
+# A document frequency outside 1..n_documents would turn the idf weights
+# negative or NaN.
+@pytest.mark.parametrize("df", [-1, 0, 10 ** 6])
+def test_predict_with_vocab_df_out_of_range_names_the_bundle(tmp_path, df):
+    base = tmp_path / "base.rsb1"
+    base.write_bytes(_container_bytes()[1])
+    bundle = load_bundle(base)
+    bundle.vocab.df[1] = df
+    damaged = tmp_path / "df.rsb1"
+    save_bundle(bundle, damaged)
+    events = tmp_path / "predict.jsonl"
+    events.write_bytes(EVENT_LINES[0] + b"\n")
+    code, err = _run_cli([
+        "predict", "--bundle", str(damaged), "--events", str(events),
+        "--out", str(tmp_path / "scores.jsonl"),
+    ])
+    assert code == 1
+    n = bundle.vocab.n_documents
+    assert err == (f"error: {damaged}: invalid bundle manifest: invalid vocab_df: {df} "
+                   f"(not in 1..{n}, the vocab.n_documents)\n")
 
 
 # An RSF1 manifest value the package rejects: (key, value, the error after
