@@ -12,7 +12,7 @@ from .cleanup import CleanupConfig, detect_superficial, run_cleanup
 from .events import (
     CollectionWindow,
     Corpus,
-    Event,
+    DeletePayload,
     TweetRecord,
     UserProfile,
     build_corpus,
@@ -29,7 +29,7 @@ __all__ = [
     "CollectionWindow",
     "Contingency2x2",
     "Corpus",
-    "Event",
+    "DeletePayload",
     "FeatureResources",
     "SynthConfig",
     "TestResult",

@@ -146,11 +146,8 @@ def linguistic_extractors(resources) -> list[AttributeExtractor]:
     out = [AttributeExtractor(f"pos_{tag}", "token_fraction", f"pos_{tag}", "n_tokens")
            for tag in POS_TAGS]
     out += [AttributeExtractor(name, "scalar", name) for name in SCALAR_COLUMNS]
-    for idx, name in enumerate(resources.lexicon.category_names):
-        if not name.startswith("_empty_"):
-            out.append(AttributeExtractor(
-                f"lexicon_{name}", "token_fraction", f"lexicon[{idx}]", "n_words"
-            ))
+    out += [AttributeExtractor(f"lexicon_{name}", "token_fraction", f"lexicon[{idx}]", "n_words")
+            for idx, name in enumerate(resources.lexicon.category_names)]
     return out
 
 
@@ -433,10 +430,9 @@ def user_category_medians(corpus: Corpus, cache: MeasurementCache, deleters, non
     words, n = sums["n_words"], np.diff(bounds).tolist()
     per_user: dict[str, list[float]] = {}  # attribute -> value per user, users ascending
     for idx, name in enumerate(cache.resources.lexicon.category_names):
-        if not name.startswith("_empty_"):
-            per_user[f"lexicon_{name}"] = [
-                100.0 * c / w if w else 0.0 for c, w in zip(sums[f"lexicon[{idx}]"], words)
-            ]
+        per_user[f"lexicon_{name}"] = [
+            100.0 * c / w if w else 0.0 for c, w in zip(sums[f"lexicon[{idx}]"], words)
+        ]
     for attr in (*SENTIMENT_COLUMNS, "tweets_w_hashtags", "tweets_w_urls"):
         per_user[attr] = [100.0 * c / k for c, k in zip(sums[attr], n)]
     position = {table.user_ids[r]: k for k, r in enumerate(table.user[order[starts]].tolist())}

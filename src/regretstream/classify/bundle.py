@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import textkit
-from ..errors import ValidationError
+from ..errors import SchemaError, ValidationError
 from ..features import (
     DENSE_SIZE,
     DERIVED_SLOT,
@@ -57,14 +57,15 @@ class ModelBundle:
 
     # -- prediction --------------------------------------------------------
 
-    def predict_records(self, corpus_like, tweets=None):
-        """(tweet_ids, labels, scores) for tweet records.
+    def predict_records(self, tweets, lookup):
+        """(tweet_ids, labels, scores) for the tweet records ``tweets``.
 
-        ``corpus_like`` provides response-link lookups (any Corpus); the
-        bundle's stored reference time anchors account-age features.
+        ``lookup`` maps a tweet id to its record for response links (a dict,
+        or a Corpus); the bundle's stored reference time anchors account-age
+        features.
         """
         matrix = featurize_corpus(
-            corpus_like,
+            lookup,
             self.vocab,
             self.resources,
             tweets=tweets,
@@ -178,6 +179,9 @@ def _decode_bundle(manifest, arrays, terms_blob: str, wordlist_blob: str) -> Mod
     # RSB1 v1 names the stage-2 algorithm ``kind`` and nests an AdaBoost
     # model, with its own ``algorithm``, under ``model``.
     if s2["kind"] == AdaBoostModel.algorithm:
+        extra = sorted(set(s2) - {"kind", "model"})
+        if extra:
+            raise SchemaError(f"stage2.{extra[0]}", f"unknown field: stage2.{extra[0]}")
         stage2 = _decode_model(s2["model"], "algorithm", {s2["kind"]: AdaBoostModel},
                                "stage2.model.", arrays)
     else:

@@ -351,16 +351,17 @@ def fit_and_evaluate(prep: PreparedData, config: TrainConfig, mask_groups=()):
     return model, scaler, metrics
 
 
-def two_stage_train(corpus, config: TrainConfig, seed: int, resources, mask_groups=()):
-    """Full pipeline; returns (ModelBundle, held-out EvalMetrics)."""
+def two_stage_train(corpus, config: TrainConfig, seed: int, resources):
+    """Full pipeline over every feature group; returns (ModelBundle,
+    held-out EvalMetrics)."""
     from .bundle import ModelBundle
 
     prep = prepare_training_data(corpus, config, seed, resources)
-    model, scaler, metrics = fit_and_evaluate(prep, config, mask_groups)
+    model, scaler, metrics = fit_and_evaluate(prep, config)
     bundle = ModelBundle(
         config=config,
         seed=seed,
-        mask_groups=tuple(mask_groups),
+        mask_groups=(),
         vocab=prep.vocab,
         stage1=prep.stage1,
         stage2=model,

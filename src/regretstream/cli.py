@@ -20,7 +20,8 @@ from pathlib import Path
 from . import analytics, classify, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
 from .errors import ConfigError, RegretstreamError
-from .events import CollectionWindow, Corpus, build_corpus, link_records, parse_rfc3339, read_events
+from .events import (CollectionWindow, Corpus, TweetRecord, build_corpus, link_records,
+                     parse_rfc3339, read_events)
 from .features import FeatureResources
 from .resources import (
     load_default_resources,
@@ -56,6 +57,14 @@ def _threads(args) -> int:
     if args.threads:
         return max(1, args.threads)
     return os.cpu_count() or 1
+
+
+def _alpha(text: str) -> float:
+    """A significance level: a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
+    return value
 
 
 def _write_json(path: str, payload) -> None:
@@ -261,20 +270,13 @@ def _write_metrics_csv(path: str, rows) -> None:
 
 
 def _cmd_predict(args) -> int:
-    from datetime import timedelta
-
     bundle = classify.load_bundle(args.bundle)
-    # The last occurrence of a tweet id wins.
-    tweets = {ev.tweet.id: ev.tweet for ev in read_events(args.events) if ev.kind == "tweet"}
+    # The last occurrence of a tweet id wins; events from any time range count.
+    tweets = {t.id: t for t in read_events(args.events) if isinstance(t, TweetRecord)}
     if not tweets:
         raise RegretstreamError("no tweet events in input")
-    records = link_records(tweets, {})
-    # A permissive window: prediction accepts events from any time range.
-    start = min(t.created_at for t in records)
-    end = max(t.created_at for t in records) + timedelta(seconds=1)
-    window = CollectionWindow(post_start=start, post_end=end, delete_end=end)
-    lookup = Corpus(records, window)
-    ids, labels, scores = bundle.predict_records(lookup)
+    records = sorted(link_records(tweets, {}), key=lambda t: (t.created_at, t.id))
+    ids, labels, scores = bundle.predict_records(records, {t.id: t for t in records})
     with open(args.out, "w", encoding="utf-8") as fh:
         for i in range(len(ids)):
             fh.write(
@@ -384,7 +386,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="group-difference analytics reports")
     p.add_argument("--corpus", required=True)
     p.add_argument("--metrics", default="ntd,nud,users,temporal,response,traits")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", required=True)
     _add_resource_flags(p)
     p.add_argument("--traits-map", help="trait map JSON (default: shipped)")
@@ -396,7 +398,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("annotate-agg", help="aggregate three-annotator judgments")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_annotate_agg)
 

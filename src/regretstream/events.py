@@ -23,12 +23,12 @@ from .textkit import (
 from .textkit import format_rfc3339  # noqa: F401  (the wire timestamp format's home for callers)
 
 
-def parse_rfc3339(value: str, field_name: str, line_number=None) -> datetime:
+def parse_rfc3339(value: str, field_name: str) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime."""
     try:
         return _utc(value)
     except _Rejected as exc:
-        raise SchemaError(field_name, f"{field_name} is {exc}: {value!r}", line_number) from None
+        raise SchemaError(field_name, f"{field_name} is {exc}: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,6 @@ class DeletePayload:
     observed_at: datetime
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: str  # "tweet" | "delete"
-    tweet: TweetRecord | None = None
-    delete: DeletePayload | None = None
-
-    def __post_init__(self):
-        if self.kind == "tweet" and (self.tweet is None or self.delete is not None):
-            raise ValidationError("tweet event must carry exactly the tweet payload")
-        if self.kind == "delete" and (self.delete is None or self.tweet is not None):
-            raise ValidationError("delete event must carry exactly the delete payload")
-
-
 def _entities_from_text(text: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     tokens = textkit.tokenize(text)
     hashtags = tuple(t.surface for t in tokens if t.cls == "hashtag")
@@ -87,8 +74,10 @@ def _entities_from_text(text: str) -> tuple[tuple[str, ...], tuple[str, ...], tu
     return hashtags, urls, mentions
 
 
-def parse_event(line: str, line_number: int | None = None) -> Event:
-    """Parse one JSON event line; unknown fields are ignored.
+def parse_event(line: str, line_number: int | None = None) -> TweetRecord | DeletePayload:
+    """Parse one JSON event line into the record it carries: an unlabelled
+    TweetRecord for a tweet event, a DeletePayload for a delete event.
+    Unknown fields are ignored.
 
     Raises ParseError for malformed JSON and SchemaError (naming the field)
     when a required field is missing or invalid.
@@ -104,27 +93,31 @@ def parse_event(line: str, line_number: int | None = None) -> Event:
         raise SchemaError("kind", f"kind must be 'tweet' or 'delete', got {kind!r}", line_number)
 
     if kind == "delete":
-        return Event(kind="delete", delete=DeletePayload(**_decode(raw, _DELETE_FIELDS, line_number)))
+        return DeletePayload(**_decode(raw, _DELETE_FIELDS, line_number))
     fields = _decode(raw, _TWEET_FIELDS, line_number)
     if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
         # Sources without entity annotation: recover entities from the text.
         fields["hashtags"], fields["urls"], fields["mentions"] = _entities_from_text(fields["text"])
-    return Event(kind="tweet", tweet=TweetRecord(**fields))
+    try:
+        return TweetRecord(**fields)
+    except SchemaError as exc:
+        raise SchemaError(exc.field, str(exc), line_number) from None
 
 
 def read_events(path: str | Path):
-    """Iterate events from a JSONL file; an invalid line raises ParseError or
-    SchemaError naming the file and line."""
+    """Iterate the records of a JSONL event file, as ``parse_event`` returns
+    them; an invalid line raises ParseError or SchemaError naming the file
+    and line."""
     for i, line in textkit.text_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            event = parse_event(line, line_number=i)
+            record = parse_event(line, line_number=i)
         except (ParseError, SchemaError) as exc:
             exc.args = (f"{path}: {exc}",)
             raise
-        yield event
+        yield record
 
 
 @dataclass(frozen=True)
@@ -167,6 +160,9 @@ class TweetRecord:
     quote_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.user.user_id != self.user_id:
+            raise SchemaError("user.user_id", f"user.user_id {self.user.user_id} "
+                                              f"does not match the tweet's user_id {self.user_id}")
         if self.deleted != (self.deletion_lag_sec is not None):
             raise ValidationError("deleted flag and deletion_lag_sec must agree")
         if self.deletion_lag_sec is not None and self.deletion_lag_sec < 0:
@@ -305,7 +301,8 @@ class Corpus:
 
 
 def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpus:
-    """Join a finite event stream into a labeled corpus.
+    """Join a finite event stream, the records ``parse_event`` returns, into
+    a labeled corpus.
 
     Events may arrive in any order; everything is buffered and joined at the
     end, so the result depends only on the event set. A tweet is labeled
@@ -321,22 +318,20 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
     deletes_in = late = orphans = clamped = applied = 0
 
     for ev in events:
-        if ev.kind == "tweet":
+        if isinstance(ev, TweetRecord):
             tweets_in += 1
-            t = ev.tweet
-            if t.id in tweets:
+            if ev.id in tweets:
                 if strict:
-                    raise DuplicateTweetError(f"duplicate tweet id {t.id}")
+                    raise DuplicateTweetError(f"duplicate tweet id {ev.id}")
                 duplicates += 1
                 continue
-            tweets[t.id] = t
+            tweets[ev.id] = ev
         else:
             deletes_in += 1
-            d = ev.delete
             # Keep the earliest observation per id.
-            prev = deletes.get(d.id)
-            if prev is None or d.observed_at < prev.observed_at:
-                deletes[d.id] = d
+            prev = deletes.get(ev.id)
+            if prev is None or ev.observed_at < prev.observed_at:
+                deletes[ev.id] = ev
 
     in_window: dict[int, TweetRecord] = {}
     for t in tweets.values():

@@ -40,7 +40,7 @@ from numpy.typing import NDArray
 
 from . import textkit
 from .errors import RegretstreamError, ValidationError
-from .events import Corpus, TweetRecord, UserProfile
+from .events import Corpus, TweetRecord
 
 DENSE_SIZE = 112
 RESPONSE_SIZE = 93
@@ -74,9 +74,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def idf(self) -> np.ndarray:
-        return np.log((1.0 + self.n_documents) / (1.0 + self.df)) + 1.0
 
 
 def build_vocab(corpus) -> Vocabulary:
@@ -230,10 +227,8 @@ _PROFILE_SLOTS = (
 )
 
 
-def _dense_vector(m: TweetMeasurements, profile: UserProfile, now: datetime) -> np.ndarray:
-    tweet = m.tweet
-    if profile is None:
-        raise ValidationError(f"tweet {tweet.id} has no author profile")
+def _dense_vector(m: TweetMeasurements, now: datetime) -> np.ndarray:
+    tweet, profile = m.tweet, m.tweet.user
     created = tweet.created_at
     return np.array([
         *m.lexicon_scores(), m.sentiment(), *m.pos_counts(),  # slots 0-89
@@ -265,40 +260,26 @@ def _response_vector(tweet: TweetRecord, responses, records: MeasurementCache) -
     return vec
 
 
-def dense_features(
-    tweet: TweetRecord,
-    profile: UserProfile,
-    lex: textkit.Lexicon,
-    valence: dict[str, float],
-    tagger,
-    now: datetime,
-) -> np.ndarray:
-    """Compute the 112-slot dense vector for one tweet.
+def dense_features(tweet: TweetRecord, resources: FeatureResources, now: datetime) -> np.ndarray:
+    """Compute the 112-slot dense vector for one tweet, its author's
+    profile being ``tweet.user``.
 
     Slots 0..110 are always finite; slot 111 is left NaN as an explicit
     "not yet filled" sentinel for the derived open-text feature. ``now`` is
     the reference timestamp for account age (normally the posting-window
     end).
     """
-    res = FeatureResources(lex, valence, frozenset(), tagger)
-    return _dense_vector(TweetMeasurements(tweet, res), profile, now)
+    return _dense_vector(TweetMeasurements(tweet, resources), now)
 
 
-def response_features(
-    tweet: TweetRecord,
-    responses,
-    lex: textkit.Lexicon,
-    valence: dict[str, float],
-    tagger,
-) -> np.ndarray:
+def response_features(tweet: TweetRecord, responses, resources: FeatureResources) -> np.ndarray:
     """Compute the 93-slot response block for one tweet.
 
     ``responses`` are the TweetRecords whose links target this tweet. Reply
     lexicon/POS/sentiment features are element-wise sums over replies only;
     no responses yields the zero vector.
     """
-    res = FeatureResources(lex, valence, frozenset(), tagger)
-    return _response_vector(tweet, responses, MeasurementCache(res))
+    return _response_vector(tweet, responses, MeasurementCache(resources))
 
 
 @dataclass
@@ -329,8 +310,10 @@ def featurize_corpus(
     """Featurize corpus tweets (or a subset) against a fixed vocabulary.
 
     ``tweets`` may hold TweetMeasurements in place of tweets, as given to
-    ``build_vocab``; their tokens are reused. With responses, a reply's own
-    row and its target's response block share one record.
+    ``build_vocab``; their tokens are reused. Response links are looked up
+    by ``corpus.get``, so with ``tweets`` and ``now`` given ``corpus`` may
+    be a dict of records by id. With responses, a reply's own row and its
+    target's response block share one record.
     """
     tweets = list(corpus if tweets is None else tweets)
     records = MeasurementCache(resources)
@@ -352,7 +335,7 @@ def featurize_corpus(
             indices.append(idx)
             data.append(w)
         indptr.append(len(indices))
-        dense[i] = _dense_vector(m, t.user, now)
+        dense[i] = _dense_vector(m, now)
         if with_responses:
             linked = [
                 corpus.get(rid)

@@ -30,8 +30,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, SchemaError, ValidationError
 
-TOKEN_CLASSES = ("word", "mention", "hashtag", "url", "emoticon", "punct", "number")
-
 # Longest-match-first emoticon inventory. Kept deliberately small; scorers
 # only need the common ASCII forms.
 EMOTICONS = (
@@ -66,7 +64,7 @@ _TOKEN_RE = re.compile(
 @dataclass(frozen=True)
 class Token:
     surface: str
-    cls: str
+    cls: str  # word, mention, hashtag, url, emoticon, punct or number
 
     @property
     def normalized(self) -> str:
@@ -484,10 +482,11 @@ _CATEGORY_FIELDS = (("name", _JSON_TYPES[str], _REQUIRED), ("patterns", _str_lis
 
 
 class Lexicon:
-    """Closed-vocabulary category lexicon (64 categories, prefix wildcards).
+    """Closed-vocabulary category lexicon (at most 64 categories, prefix
+    wildcards).
 
-    Categories are ordered; fewer than 64 loaded categories are padded with
-    empty placeholders so score vectors always have 64 components.
+    Categories are ordered and hold only what was loaded; count and score
+    vectors always have 64 slots, those past the last category zero.
     """
 
     SIZE = 64
@@ -497,15 +496,14 @@ class Lexicon:
             raise ValidationError(
                 f"lexicon has {len(categories)} categories; at most {self.SIZE} allowed"
             )
-        padded = [(name, list(patterns)) for name, patterns in categories]
-        while len(padded) < self.SIZE:
-            padded.append((f"_empty_{len(padded):02d}", []))
-        self.categories: list[tuple[str, list[str]]] = padded
-        self.category_names: list[str] = [name for name, _ in padded]
+        self.categories: list[tuple[str, list[str]]] = [
+            (name, list(patterns)) for name, patterns in categories
+        ]
+        self.category_names: list[str] = [name for name, _ in self.categories]
         self._literal: dict[str, set[int]] = {}
         self._prefixes: list[tuple[str, int]] = []
         self._memo: dict[str, frozenset[int]] = {}
-        for idx, (_, patterns) in enumerate(padded):
+        for idx, (_, patterns) in enumerate(self.categories):
             for pat in patterns:
                 pat = pat.lower()
                 if pat.endswith("*"):

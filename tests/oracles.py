@@ -286,11 +286,10 @@ def lambda_attributes(resources, structural_only: bool = False) -> list[LambdaAt
     out.append(LambdaAttribute("lexical_density", "scalar", lambda t, m: m.stats()[0]))
     out.append(LambdaAttribute("dictionary_words", "scalar", lambda t, m: m.stats()[1]))
     for idx, name in enumerate(resources.lexicon.category_names):
-        if not name.startswith("_empty_"):
-            out.append(LambdaAttribute(
-                f"lexicon_{name}", "token_fraction",
-                lambda t, m, idx=idx: (m.lexicon_counts()[idx], m.n_words),
-            ))
+        out.append(LambdaAttribute(
+            f"lexicon_{name}", "token_fraction",
+            lambda t, m, idx=idx: (m.lexicon_counts()[idx], m.n_words),
+        ))
     return out
 
 
@@ -407,8 +406,7 @@ def loop_user_category_medians(corpus, cache, deleters, non_deleters) -> dict:
         n = len(timeline)
         row = {}
         for i, name in enumerate(names):
-            if not name.startswith("_empty_"):
-                row[f"lexicon_{name}"] = 100.0 * counts[i] / words if words else 0.0
+            row[f"lexicon_{name}"] = 100.0 * counts[i] / words if words else 0.0
         row["tweets_w_positive_sentiment"] = 100.0 * pos / n
         row["tweets_w_negative_sentiment"] = 100.0 * neg / n
         row["tweets_w_hashtags"] = 100.0 * hashtags / n

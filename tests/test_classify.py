@@ -616,8 +616,8 @@ class TestTwoStage:
             assert fh.read(4) == b"RSB1"
         loaded = load_bundle(path)
         probe = list(synth_small.cleaned)[:40]
-        ids1, labels1, scores1 = bundle.predict_records(synth_small.cleaned, tweets=probe)
-        ids2, labels2, scores2 = loaded.predict_records(synth_small.cleaned, tweets=probe)
+        ids1, labels1, scores1 = bundle.predict_records(probe, synth_small.cleaned)
+        ids2, labels2, scores2 = loaded.predict_records(probe, synth_small.cleaned)
         np.testing.assert_array_equal(ids1, ids2)
         np.testing.assert_array_equal(labels1, labels2)
         np.testing.assert_allclose(scores1, scores2, atol=0)

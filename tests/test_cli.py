@@ -11,6 +11,7 @@ from regretstream.cli import main
 from regretstream.events import (
     CollectionWindow,
     Corpus,
+    TweetRecord,
     build_corpus,
     parse_event,
     parse_rfc3339,
@@ -107,6 +108,19 @@ class TestIngestCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {events}: line 1: invalid id") and "Traceback" not in err
+
+    def test_author_id_mismatch_exits_1(self, tmp_path, capsys):
+        event = {
+            "kind": "tweet", "id": 1, "user_id": 30, "created_at": "2015-08-05T10:00:00Z",
+            "text": "hello", "user": {"user_id": 31, "account_created_at": "2014-01-01T00:00:00Z"},
+        }
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(event) + "\n")
+        code = main(["ingest", "--events", str(events), "--window", *WINDOW,
+                     "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {events}: line 1: user.user_id 31") and "Traceback" not in err
 
     def test_non_integer_wire_field_exits_1(self, workdir, tmp_path, capsys):
         lines = (workdir / "events.jsonl").read_text().splitlines()
@@ -211,6 +225,22 @@ class TestAnalyzeCommand:
         assert (out / "traits.json").exists()
         temporal = json.loads((out / "temporal.json").read_text())
         assert sum(temporal["deleted"]) == pytest.approx(100.0, abs=1e-9)
+
+    def test_every_loaded_lexicon_category_is_reported(self, workdir, tmp_path):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"categories": [
+            {"name": "_empty_swear", "patterns": ["damn"]}, {"name": "work", "patterns": ["job*"]},
+        ]}))
+        out = tmp_path / "reports"
+        assert main([
+            "analyze", "--corpus", str(workdir / "cleaned.json"), "--metrics", "ntd,traits",
+            "--lexicon", str(lexicon), "--out", str(out),
+        ]) == 0
+        rows = json.loads((out / "group_comparison.json").read_text())
+        lexicon_rows = [r["attribute"] for r in rows if r["attribute"].startswith("lexicon_")]
+        assert lexicon_rows == ["lexicon__empty_swear", "lexicon_work"]
+        medians = json.loads((out / "traits.json").read_text())["medians"]
+        assert sorted(a for a in medians if a.startswith("lexicon_")) == lexicon_rows
 
     # damage -> (edit of tweet record 3, the field the error names)
     RECORD_DAMAGE = {
@@ -358,6 +388,24 @@ class TestAnnotateAggCommand:
         result = json.loads(out.read_text())
         assert result["regret"]["fisher"]["effect"] == pytest.approx(0.335, abs=0.005)
         assert result["regret"]["fisher"]["p_two_sided"] == pytest.approx(0.04, abs=0.01)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "1.5", "inf", "0", "1"])
+@pytest.mark.parametrize("command", ["analyze", "annotate-agg"])
+def test_alpha_outside_the_open_unit_interval_exits_1(tmp_path, capsys, command, value):
+    """A significance level of 0, 1 or beyond makes every test significant, or none."""
+    corpus = tmp_path / "corpus.json"
+    make_corpus([make_tweet(id=1, deleted=True), make_tweet(id=2, user_id=2)]).save(corpus)
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("".join(
+        json.dumps({"item_id": i, "group": group, "answers": {}, "regret": ["no"] * 3}) + "\n"
+        for i, group in enumerate(("deleted", "non_deleted"))
+    ))
+    inputs = {"analyze": ["--corpus", str(corpus), "--metrics", "temporal"],
+              "annotate-agg": ["--annotations", str(annotations)]}
+    code = main([command, *inputs[command], f"--alpha={value}", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"argument --alpha: {value!r} is not in (0, 1)" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -511,8 +559,9 @@ class TestTrainPredictAblate:
         window = CollectionWindow(*(parse_rfc3339(w, "window") for w in WINDOW))
         parsed = [(line, parse_event(line)) for line in (workdir / "events.jsonl").read_text().splitlines()]
         lines = [
-            line for line, ev in parsed
-            if ev.kind == "tweet" and window.post_start <= ev.tweet.created_at <= window.post_end
+            line for line, rec in parsed
+            if isinstance(rec, TweetRecord)
+            and window.post_start <= rec.created_at <= window.post_end
         ]
         events = tmp_path / "in_window.jsonl"
         events.write_text("\n".join(lines) + "\n")
@@ -521,8 +570,8 @@ class TestTrainPredictAblate:
         seen = []
 
         class RecordingBundle:
-            def predict_records(self, corpus_like):
-                seen.append(corpus_like)
+            def predict_records(self, tweets, lookup):
+                seen.append((tweets, lookup))
                 return [], [], []
 
         monkeypatch.setattr(classify, "load_bundle", lambda path: RecordingBundle())
@@ -534,8 +583,11 @@ class TestTrainPredictAblate:
         def links(corpus):
             return {t.id: (t.reply_ids, t.retweet_ids, t.quote_ids) for t in corpus}
 
+        tweets, lookup = seen[0]
         assert any(t.reply_ids for t in expected)
-        assert links(seen[0]) == links(expected)
+        assert links(tweets) == links(expected)
+        assert [t.id for t in tweets] == [t.id for t in expected]  # the corpus order
+        assert all(lookup[t.id] is t for t in tweets)
 
     def test_ablate_report(self, workdir, train_config_path, tmp_path):
         out = tmp_path / "ablation.json"

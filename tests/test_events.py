@@ -46,14 +46,13 @@ def delete_event(id=1, user_id=3, observed="2015-08-05T11:00:00Z"):
 
 class TestParseEvent:
     def test_delete_direct_mapping(self):
-        ev = parse_event('{"kind":"delete","id":7,"user_id":3,"observed_at":"2015-08-05T10:00:00Z"}')
-        assert ev.kind == "delete"
-        assert ev.delete.id == 7
-        assert ev.delete.user_id == 3
+        d = parse_event('{"kind":"delete","id":7,"user_id":3,"observed_at":"2015-08-05T10:00:00Z"}')
+        assert isinstance(d, DeletePayload)
+        assert d.id == 7
+        assert d.user_id == 3
 
     def test_minimal_tweet_defaults(self):
-        ev = parse_event(json.dumps(tweet_event(text="plain words only")))
-        t = ev.tweet
+        t = parse_event(json.dumps(tweet_event(text="plain words only")))
         assert t.hashtags == () and t.urls == () and t.mentions == ()
         assert t.in_reply_to_id is None and t.retweet_of_id is None
         assert not t.has_geo
@@ -70,20 +69,18 @@ class TestParseEvent:
         assert "17" in str(exc.value)
 
     def test_unknown_fields_ignored(self):
-        ev = parse_event(json.dumps(tweet_event(bogus_field=123)))
-        assert ev.tweet.id == 1
+        assert parse_event(json.dumps(tweet_event(bogus_field=123))).id == 1
 
     def test_entities_from_payload_preferred(self):
         obj = tweet_event(text="x #inline", hashtags=["#given"], urls=[], mentions=[])
-        ev = parse_event(json.dumps(obj))
-        assert ev.tweet.hashtags == ("#given",)
+        assert parse_event(json.dumps(obj)).hashtags == ("#given",)
 
     def test_entities_extracted_when_absent(self):
         obj = tweet_event(text="hi @pal see http://t.co/x #tag")
-        ev = parse_event(json.dumps(obj))
-        assert ev.tweet.hashtags == ("#tag",)
-        assert ev.tweet.urls == ("http://t.co/x",)
-        assert ev.tweet.mentions == ("@pal",)
+        t = parse_event(json.dumps(obj))
+        assert t.hashtags == ("#tag",)
+        assert t.urls == ("http://t.co/x",)
+        assert t.mentions == ("@pal",)
 
     def test_bad_timestamp_is_schema_error(self):
         obj = tweet_event(created="yesterday")
@@ -115,6 +112,8 @@ class TestParseEvent:
         ("quoted_id", True, None),
         ("hashtags", "#tag", None),
         ("mentions", ["@a", 1], None),
+        # The profile's author id must be the tweet's.
+        ("user_id", 31, "user"),
     ])
     def test_non_integer_field_is_schema_error(self, field, value, where):
         obj = tweet_event()
@@ -150,7 +149,7 @@ class TestParseEvent:
     @pytest.mark.parametrize("event", [tweet_event, delete_event])
     def test_id_beyond_int64_names_id_and_line(self, event):
         largest = parse_event(json.dumps(event(id=2 ** 63 - 1)))
-        assert (largest.tweet or largest.delete).id == 2 ** 63 - 1
+        assert largest.id == 2 ** 63 - 1
         with pytest.raises(SchemaError) as exc:
             parse_event(json.dumps(event(id=2 ** 63)), line_number=5)
         assert exc.value.field == "id"
@@ -165,7 +164,7 @@ class TestParseEvent:
         assert "line 6" in str(exc.value)
 
     def test_tweet_parses_to_unlabelled_record(self):
-        t = parse_event(json.dumps(tweet_event(in_reply_to_id=5))).tweet
+        t = parse_event(json.dumps(tweet_event(in_reply_to_id=5)))
         assert isinstance(t, TweetRecord)
         assert not t.deleted and t.deletion_lag_sec is None
         assert t.reply_ids == t.retweet_ids == t.quote_ids == ()
@@ -423,6 +422,14 @@ class TestCorpusContainer:
         msg = str(exc.value)
         assert str(path) in msg and "tweet record 1" in msg and "user.followers_count" in msg
 
+    def test_load_author_id_mismatch_names_file_record_and_field(self, tmp_path):
+        path = self._saved_record(tmp_path, lambda r: r["user"].update(user_id=5))
+        with pytest.raises(SchemaError) as exc:
+            Corpus.load(path)
+        assert exc.value.field == "user.user_id"
+        msg = str(exc.value)
+        assert str(path) in msg and "tweet record 1" in msg and "user.user_id 5" in msg
+
     @pytest.mark.parametrize("field,value", [
         ("id", 2 ** 70),
         ("retweet_ids", [{"a": 1}]),
@@ -475,15 +482,6 @@ class TestCorpusContainer:
         with pytest.raises(ValidationError):
             Corpus([stray], make_window())
 
-    def test_event_payload_exclusivity(self):
-        from regretstream.events import DeletePayload, Event
-
-        payload = DeletePayload(id=1, user_id=2, observed_at=ts(hours=1))
-        with pytest.raises(ValidationError):
-            Event(kind="tweet", delete=payload)
-        with pytest.raises(ValidationError):
-            Event(kind="delete")
-
     def test_record_invariants(self):
         base = encode_record(make_tweet(id=1))
         from regretstream.events import TweetRecord
@@ -519,12 +517,13 @@ def tweet_records(draw):
     link = st.none() | _IDS
     words = st.lists(st.text(max_size=6), max_size=3).map(tuple)
     links = st.lists(_IDS, max_size=3).map(tuple)
+    user = draw(PROFILES)
     return TweetRecord(
-        id=draw(_IDS), user_id=draw(_IDS), created_at=draw(_TIMES), text=draw(st.text(max_size=20)),
+        id=draw(_IDS), user_id=user.user_id, created_at=draw(_TIMES), text=draw(st.text(max_size=20)),
         lang=draw(st.text(max_size=3)), source=draw(st.text(max_size=8)),
         in_reply_to_id=draw(link), quoted_id=draw(link), retweet_of_id=draw(link),
         hashtags=draw(words), urls=draw(words), mentions=draw(words), has_geo=draw(st.booleans()),
-        user=draw(PROFILES), deleted=lag is not None, deletion_lag_sec=lag,
+        user=user, deleted=lag is not None, deletion_lag_sec=lag,
         reply_ids=draw(links), retweet_ids=draw(links), quote_ids=draw(links),
     )
 

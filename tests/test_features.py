@@ -156,8 +156,7 @@ class TestDenseFeatures:
             mentions=("@pal",),
         )
         now = make_window().post_end
-        vec = dense_features(tweet, profile, small_resources.lexicon,
-                             small_resources.valence, small_resources.tagger, now)
+        vec = dense_features(tweet, small_resources, now)
         assert len(vec) == DENSE_SIZE
         # 4 word tokens: good good bad stuff -> posemo 50%, negemo 25%
         assert vec[0] == pytest.approx(50.0)
@@ -189,35 +188,18 @@ class TestDenseFeatures:
 
     def test_slots_finite_except_derived(self, small_resources):
         tweet = make_tweet(id=1, text="whatever words")
-        vec = dense_features(
-            tweet, tweet.user, small_resources.lexicon,
-            small_resources.valence, small_resources.tagger, make_window().post_end,
-        )
+        vec = dense_features(tweet, small_resources, make_window().post_end)
         assert np.isfinite(vec[:DERIVED_SLOT]).all()
 
     def test_missing_timezone_encodes_zero(self, small_resources):
         profile = make_profile(1, timezone_offset_min=None)
         tweet = make_tweet(id=1, profile=profile)
-        vec = dense_features(
-            tweet, profile, small_resources.lexicon,
-            small_resources.valence, small_resources.tagger, make_window().post_end,
-        )
+        vec = dense_features(tweet, small_resources, make_window().post_end)
         assert vec[92] == 0.0
-
-    def test_missing_profile_rejected(self, small_resources):
-        tweet = make_tweet(id=1)
-        with pytest.raises(ValidationError):
-            dense_features(
-                tweet, None, small_resources.lexicon,
-                small_resources.valence, small_resources.tagger, make_window().post_end,
-            )
 
     def test_determinism(self, small_resources):
         tweet = make_tweet(id=1, text="some words #tag")
-        args = (
-            tweet, tweet.user, small_resources.lexicon,
-            small_resources.valence, small_resources.tagger, make_window().post_end,
-        )
+        args = (tweet, small_resources, make_window().post_end)
         a = dense_features(*args)
         b = dense_features(*args)
         np.testing.assert_array_equal(np.nan_to_num(a), np.nan_to_num(b))
@@ -241,10 +223,7 @@ class TestResponseFeatures:
 
     def test_counts_and_sums(self, small_resources):
         target, replies, others = self._tweet_with_responses()
-        vec = response_features(
-            target, replies + others,
-            small_resources.lexicon, small_resources.valence, small_resources.tagger,
-        )
+        vec = response_features(target, replies + others, small_resources)
         assert vec[0] == 1.0 and vec[1] == 1.0 and vec[2] == 2.0
         # reply lexicon sums: "good stuff" -> posemo 50; "bad" -> negemo 100
         assert vec[3] == pytest.approx(50.0)
@@ -254,16 +233,14 @@ class TestResponseFeatures:
 
     def test_empty_responses_zero_vector(self, small_resources):
         target = make_tweet(id=1)
-        vec = response_features(target, [], small_resources.lexicon,
-                                small_resources.valence, small_resources.tagger)
+        vec = response_features(target, [], small_resources)
         assert np.count_nonzero(vec) == 0 and len(vec) == 93
 
     def test_aggregation_linearity(self, small_resources):
         target, replies, others = self._tweet_with_responses()
-        args = (small_resources.lexicon, small_resources.valence, small_resources.tagger)
-        full = response_features(target, replies + others, *args)
-        part_a = response_features(target, replies, *args)
-        part_b = response_features(target, others, *args)
+        full = response_features(target, replies + others, small_resources)
+        part_a = response_features(target, replies, small_resources)
+        part_b = response_features(target, others, small_resources)
         np.testing.assert_allclose(full, part_a + part_b, atol=1e-12)
 
 
@@ -464,10 +441,9 @@ class TestOneTextPass:
         m = featurize_corpus(
             corpus, build_vocab(tweets), resources, tweets=tweets, with_responses=True
         )
-        args = (resources.lexicon, resources.valence, resources.tagger)
         for i, t in enumerate(tweets):
-            dense = dense_features(t, t.user, *args, now)
+            dense = dense_features(t, resources, now)
             np.testing.assert_array_equal(m.dense[i], dense)
             ids = sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
             linked = [corpus.get(r) for r in ids if corpus.get(r) is not None]
-            np.testing.assert_array_equal(m.response[i], response_features(t, linked, *args))
+            np.testing.assert_array_equal(m.response[i], response_features(t, linked, resources))

@@ -324,6 +324,7 @@ REJECTED_MANIFEST_VALUES = {
                     "invalid stage2.kind: 'zzz' (not one of adaboost, rbf_svm)"),
     "stage2_algorithm": (("stage2", "model", "algorithm"), "zzz",
                          "invalid stage2.model.algorithm: 'zzz' (not one of adaboost)"),
+    "stage2_unknown_key": (("stage2", "junk"), 1, "unknown field: stage2.junk"),
     # Values written but not otherwise read are checked against what they count.
     "n_terms_type": (("vocab", "n_terms"), "x", "invalid vocab.n_terms: 'x' (not a JSON integer)"),
     "n_terms_count": (("vocab", "n_terms"), 99, "invalid vocab.n_terms: 99 (the terms blob holds "),

@@ -1,12 +1,15 @@
-"""Dead-surface guards: every function and class defined in the package
-is used somewhere in the source tree, every config field has a caller, and
-the decode walker's internals stay inside ``textkit`` and ``events``.
+"""Dead-surface guards: every function, class and module constant defined
+in the package is used somewhere in the source tree, every config field has
+a caller, and the decode walker's internals stay inside ``textkit`` and
+``events``.
 
-A use is a name, an attribute, or a string constant (or one dot-separated
-part of it, as in the benchmark's ``"Lexicon.categories_for"`` probe
-targets) anywhere under ``src/``, ``tests/``, ``demos/`` or ``perfbench/``.
-Imports alone do not count. Dunder methods are called by the language
-itself and are skipped.
+A use is a name read, an attribute, or a string constant (or one
+dot-separated part of it, as in the benchmark's
+``"Lexicon.categories_for"`` probe targets) anywhere under ``src/``,
+``tests/``, ``demos/`` or ``perfbench/``. A method is reached through its
+object, so only an attribute or a string counts as its use; a local
+variable of the same name does not. Imports and assignments alone do not
+count. Dunder names are used by the language itself and are skipped.
 
 A config field (or default hyperparameter key) has a caller when a file
 under ``tests/``, ``demos/`` or ``perfbench/`` names it as above or as a
@@ -41,42 +44,67 @@ def _trees():
             yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _used_names(trees) -> set[str]:
-    used: set[str] = set()
+def _reached_names(trees) -> tuple[set[str], set[str]]:
+    """The names read, and the attributes and string constants (with their
+    dot-separated parts), in ``trees``."""
+    names: set[str] = set()
+    reached: set[str] = set()
     for _, tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                reached.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
-                used.update(node.value.split("."))
-    return used
+                reached.add(node.value)
+                reached.update(node.value.split("."))
+    return names, reached
 
 
-def _definitions(tree, prefix=""):
-    """(qualified name, name) of every function and class, nested ones too."""
+def _used_names(trees) -> set[str]:
+    names, reached = _reached_names(trees)
+    return names | reached
+
+
+def _definitions(tree, prefix="", in_class=False):
+    """(qualified name, name, is a method) of every function and class,
+    nested ones too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qualified = prefix + node.name
-            yield qualified, node.name
-            yield from _definitions(node, qualified + ".")
+            yield qualified, node.name, in_class
+            yield from _definitions(node, qualified + ".", isinstance(node, ast.ClassDef))
         else:
-            yield from _definitions(node, prefix)
+            yield from _definitions(node, prefix, in_class)
+
+
+def _module_constants(tree):
+    """The names a module binds by a top-level assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id
 
 
 def unused_definitions() -> list[str]:
     trees = list(_trees())
-    used = _used_names(trees)
+    names, reached = _reached_names(trees)
     unused = []
     for path, tree in trees:
         if not path.is_relative_to(PACKAGE):
             continue
-        for qualified, name in _definitions(tree):
+        defined = list(_definitions(tree))
+        defined += [(name, name, False) for name in _module_constants(tree)]
+        for qualified, name, is_method in defined:
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if qualified in FRAMEWORK_HOOKS or name in used:
+            if qualified in FRAMEWORK_HOOKS or name in reached or (not is_method and name in names):
                 continue
             unused.append(f"{path.relative_to(ROOT)}: {qualified}")
     return unused
@@ -91,7 +119,7 @@ def test_framework_hooks_are_still_defined():
         qualified
         for path, tree in _trees()
         if path.is_relative_to(PACKAGE)
-        for qualified, _ in _definitions(tree)
+        for qualified, _, _ in _definitions(tree)
     }
     assert FRAMEWORK_HOOKS <= defined
 

@@ -193,7 +193,10 @@ class TestLexicon:
         assert lexicon_score(toks, tiny_lexicon) == [0.0] * 64
 
     def test_padded_to_64(self, tiny_lexicon):
-        assert len(tiny_lexicon.category_names) == 64
+        # Count vectors have 64 slots; the categories are the loaded ones only.
+        assert len(textkit.lexicon_counts(["happy"], tiny_lexicon)) == 64
+        assert tiny_lexicon.category_names == ["posemo", "negemo"]
+        assert [name for name, _ in tiny_lexicon.categories] == ["posemo", "negemo"]
 
     def test_word_basis_excludes_structural_tokens(self, tiny_lexicon):
         # percentages are over word tokens only
