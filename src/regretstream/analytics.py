@@ -19,7 +19,7 @@ import numpy as np
 from . import textkit
 from .errors import UndefinedDifferenceError, ValidationError
 from .events import Corpus, TweetRecord
-from .features import MeasurementCache
+from .features import MeasurementCache, measure
 from .stats import Contingency2x2, TestResult, fisher_exact, mann_whitney_u, median
 
 NUD_MIN_TWEETS = 10  # per class, for a user to be NUD-eligible
@@ -33,8 +33,8 @@ TRAIT_SYMBOLS = ("O+", "O-", "C+", "C-", "E+", "E-", "A+", "A-", "N+", "N-")
 
 POS_TAGS = ("proper_noun", "common_noun", "verb", "adjective", "adverb", "emoticon")
 
-# Integer column groups, by the record work they need: none, the valence
-# table, tokens, and tags (the float columns come with the last).
+# The standard columns, by their fill group (``features.measure``): none,
+# sentiment, words, tags and stats.
 STRUCTURAL_COLUMNS = ("tweets_w_hashtags", "tweets_w_urls", "tweets_w_mentions", "replies")
 SENTIMENT_COLUMNS = ("tweets_w_positive_sentiment", "tweets_w_negative_sentiment")
 WORD_COLUMNS = (*(f"lexicon[{i}]" for i in range(textkit.Lexicon.SIZE)), "n_words")
@@ -54,51 +54,43 @@ def _segments(*keys) -> tuple[np.ndarray, np.ndarray]:
 class MeasurementTable:
     """Per-tweet measurement columns, one row per tweet in the order given.
 
-    The structural flags, plus the column group of each standard column
-    named, from one read of each tweet's record. ``columns`` maps a name to
-    int32 counts or float64 scalars; callers may add their own. ``user``
-    holds each row's index into ``user_ids``, the sorted distinct user ids
-    (which need not fit 64 bits). The rows are held sorted by deleted flag
-    (``by_deleted``) and by user, then deleted flag (``by_user``);
-    ``nud_users`` holds (user id, kept segment, deleted segment) of
-    ``by_user`` for each NUD-eligible user, ascending.
+    The structural flags, plus the fill group (``features.measure``) of each
+    standard column named, from one read of each tweet's record. ``columns``
+    maps a name to flags, counts or float scalars; callers may add their own.
+    ``user`` holds each row's index into ``user_ids``, the sorted distinct
+    user ids (which need not fit 64 bits). The rows are held sorted by
+    deleted flag (``by_deleted``) and by user, then deleted flag
+    (``by_user``); ``nud_users`` holds (user id, kept segment, deleted
+    segment) of ``by_user`` for each NUD-eligible user, ascending.
     """
 
     def __init__(self, tweets, cache: MeasurementCache, columns=()):
-        names = set(columns)
-        sentiment = bool(names & set(SENTIMENT_COLUMNS))
-        words = bool(names & set(WORD_COLUMNS))
-        tagged = bool(names & {*TAG_COLUMNS, *SCALAR_COLUMNS})
-        layout = (
-            STRUCTURAL_COLUMNS + SENTIMENT_COLUMNS * sentiment
-            + WORD_COLUMNS * words + TAG_COLUMNS * tagged
-        )
         n = len(tweets)
-        counts = np.zeros((n, len(layout)), dtype=np.int32)
-        scalars = np.zeros((n, len(SCALAR_COLUMNS) * tagged), dtype=np.float64)
+        groups = [group for group, names in (
+            ("sentiment", SENTIMENT_COLUMNS), ("words", WORD_COLUMNS), ("tags", TAG_COLUMNS),
+            ("stats", SCALAR_COLUMNS),
+        ) if set(columns) & set(names)]
+        cols = measure((cache.get(t) for t in tweets), n, cache.resources, groups) if groups else {}
         self.user_ids = sorted({t.user_id for t in tweets})
         rank = {u: k for k, u in enumerate(self.user_ids)}
         self.user = np.array([rank[t.user_id] for t in tweets], dtype=np.int64)
         self.deleted = np.array([t.deleted for t in tweets], dtype=bool)
-        for i, t in enumerate(tweets):
-            row = [bool(t.hashtags), bool(t.urls), bool(t.mentions), t.in_reply_to_id is not None]
-            if len(layout) > len(row):
-                m = cache.get(t)
-                if sentiment:
-                    s = m.sentiment()
-                    row += (s > 0, s < 0)
-                if words:
-                    row += m.lexicon_counts()
-                    row.append(m.n_words)
-                if tagged:
-                    tags = m.tags
-                    row += [tags.count(tag) for tag in POS_TAGS]
-                    row.append(m.n_tokens)
-                    scalars[i] = m.stats()
-            counts[i] = row
-        self.columns = {name: counts[:, j] for j, name in enumerate(layout)}
-        if tagged:
-            self.columns.update((name, scalars[:, j]) for j, name in enumerate(SCALAR_COLUMNS))
+        flags = np.array([
+            (bool(t.hashtags), bool(t.urls), bool(t.mentions), t.in_reply_to_id is not None)
+            for t in tweets
+        ], dtype=bool).reshape(n, len(STRUCTURAL_COLUMNS))
+        self.columns = {name: flags[:, j] for j, name in enumerate(STRUCTURAL_COLUMNS)}
+        if "sentiment" in groups:
+            self.columns.update(tweets_w_positive_sentiment=cols["sentiment"] > 0,
+                                tweets_w_negative_sentiment=cols["sentiment"] < 0)
+        if "words" in groups:  # the 64 lexicon columns, then n_words
+            self.columns.update(zip(WORD_COLUMNS, [*cols["lexicon"].T, cols["n_words"]]))
+        if "tags" in groups:
+            index = cache.resources.tagger.tagset.index
+            self.columns.update((f"pos_{tag}", cols["pos"][:, index(tag)]) for tag in POS_TAGS)
+            self.columns["n_tokens"] = cols["n_tokens"]
+        if "stats" in groups:
+            self.columns.update(zip(SCALAR_COLUMNS, cols["stats"].T))
         self.by_deleted = _segments(self.deleted)
         self.by_user = order, bounds = _segments(self.user, self.deleted)
         # A user's kept and deleted segments are adjacent, kept first.

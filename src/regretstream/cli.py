@@ -20,8 +20,8 @@ from pathlib import Path
 from . import analytics, classify, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
 from .errors import ConfigError, RegretstreamError
-from .events import (CollectionWindow, Corpus, TweetRecord, build_corpus, link_records,
-                     parse_rfc3339, read_events)
+from .events import (CollectionWindow, Corpus, TweetRecord, build_corpus, keep_first,
+                     link_records, parse_rfc3339, read_events)
 from .features import FeatureResources
 from .resources import (
     load_default_resources,
@@ -271,11 +271,15 @@ def _write_metrics_csv(path: str, rows) -> None:
 
 def _cmd_predict(args) -> int:
     bundle = classify.load_bundle(args.bundle)
-    # The last occurrence of a tweet id wins; events from any time range count.
-    tweets = {t.id: t for t in read_events(args.events) if isinstance(t, TweetRecord)}
+    tweets: dict[int, TweetRecord] = {}  # events from any time range count
+    for ev in read_events(args.events):
+        if isinstance(ev, TweetRecord):
+            keep_first(tweets, ev)
     if not tweets:
         raise RegretstreamError("no tweet events in input")
-    records = sorted(link_records(tweets, {}), key=lambda t: (t.created_at, t.id))
+    # Only response features read the links.
+    linked = link_records(tweets, {}) if bundle.config.with_responses else tweets.values()
+    records = sorted(linked, key=lambda t: (t.created_at, t.id))
     ids, labels, scores = bundle.predict_records(records, {t.id: t for t in records})
     with open(args.out, "w", encoding="utf-8") as fh:
         for i in range(len(ids)):

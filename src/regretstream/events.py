@@ -308,9 +308,9 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
     end, so the result depends only on the event set. A tweet is labeled
     deleted iff a matching notice was observed no later than
     ``window.delete_end``; notices after that are counted as late, notices
-    without a matching in-window tweet as orphans. With ``strict`` a
-    duplicate tweet id raises; otherwise the first occurrence wins and the
-    duplicate is counted.
+    without a matching in-window tweet as orphans. A duplicate tweet id is
+    resolved by ``keep_first``: with ``strict`` it raises; otherwise the
+    first occurrence wins and the duplicate is counted.
     """
     tweets: dict[int, TweetRecord] = {}
     deletes: dict[int, DeletePayload] = {}
@@ -320,12 +320,7 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
     for ev in events:
         if isinstance(ev, TweetRecord):
             tweets_in += 1
-            if ev.id in tweets:
-                if strict:
-                    raise DuplicateTweetError(f"duplicate tweet id {ev.id}")
-                duplicates += 1
-                continue
-            tweets[ev.id] = ev
+            duplicates += not keep_first(tweets, ev, strict)
         else:
             deletes_in += 1
             # Keep the earliest observation per id.
@@ -371,6 +366,18 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
         clamped_lags=clamped,
     )
     return Corpus(records, window, stats)
+
+
+def keep_first(tweets: dict[int, TweetRecord], tweet: TweetRecord, strict: bool = False) -> bool:
+    """Add ``tweet`` to ``tweets`` by id unless its id is there already, and
+    say whether it was added: the first occurrence of a tweet id wins. With
+    ``strict`` a repeated id raises DuplicateTweetError."""
+    if tweet.id in tweets:
+        if strict:
+            raise DuplicateTweetError(f"duplicate tweet id {tweet.id}")
+        return False
+    tweets[tweet.id] = tweet
+    return True
 
 
 def link_records(tweets: dict[int, TweetRecord], deletion_lags: dict[int, int]) -> list[TweetRecord]:

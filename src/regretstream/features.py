@@ -30,7 +30,6 @@ import json
 import math
 import os
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -148,7 +147,6 @@ class TweetMeasurements:
         self._tokens = None
         self._tags = None
         self._lex_counts = None
-        self._n_words = None
 
     @property
     def tokens(self) -> textkit.TokenList:
@@ -168,30 +166,13 @@ class TweetMeasurements:
 
     @property
     def n_words(self) -> int:
-        if self._n_words is None:
-            self._n_words = self.tokens.count_class("word")
-        return self._n_words
+        return self.tokens.count_class("word")
 
     def lexicon_counts(self) -> list[int]:
         """Matching word-token counts per lexicon category."""
         if self._lex_counts is None:
-            words = self.tokens.words()
-            self._n_words = len(words)
-            self._lex_counts = textkit.lexicon_counts(words, self._res.lexicon)
+            self._lex_counts = textkit.lexicon_counts(self.tokens.words(), self._res.lexicon)
         return self._lex_counts
-
-    def lexicon_scores(self) -> list[float]:
-        """Per-category percentages of word tokens, as ``textkit.lexicon_score``."""
-        counts = self.lexicon_counts()
-        n = self.n_words
-        if not n:
-            return [0.0] * textkit.Lexicon.SIZE
-        return [100.0 * c / n for c in counts]
-
-    def pos_counts(self) -> list[int]:
-        """Tag counts in the order of the tagger's tagset."""
-        counts = Counter(self.tags)
-        return [counts.get(t, 0) for t in self._res.tagger.tagset]
 
     def sentiment(self) -> float:
         return textkit.sentiment_score(self.tokens, self._res.valence)
@@ -207,17 +188,55 @@ class MeasurementCache:
         self.resources = resources
         self._cache: dict[int, TweetMeasurements] = {}
 
-    def get(self, tweet) -> TweetMeasurements:
-        """The record for ``tweet``. A TweetMeasurements passed in place of
-        a tweet becomes that tweet's record unless it already has one."""
-        if isinstance(tweet, TweetMeasurements):
-            return self._cache.setdefault(tweet.tweet.id, tweet)
+    def get(self, tweet: TweetRecord) -> TweetMeasurements:
+        """The record for ``tweet``, made on first use."""
         m = self._cache.get(tweet.id)
         if m is None:
             m = TweetMeasurements(tweet, self.resources)
             self._cache[tweet.id] = m
         return m
 
+
+def measure(records, n: int, resources: FeatureResources, groups) -> dict[str, np.ndarray]:
+    """Measurement columns of the ``n`` TweetMeasurements ``records``, one
+    row each in the order given. Each record is read once, as it comes, and
+    not kept, so ``records`` may be a generator. Each of ``groups`` adds its
+    columns:
+
+    - "words": ``lexicon``, (n, 64) word-token counts per lexicon category,
+      and ``n_words``;
+    - "tags": ``pos``, (n, 25) tag counts in tagset order, and ``n_tokens``;
+    - "sentiment": ``sentiment``, the score;
+    - "stats": ``stats``, (n, 2) lexical density and dictionary fraction.
+    """
+    code = {tag: k for k, tag in enumerate(resources.tagger.tagset)}
+    cols = {name: np.zeros(shape, dtype) for group, name, shape, dtype in (
+        ("words", "lexicon", (n, textkit.Lexicon.SIZE), np.int32),
+        ("words", "n_words", n, np.int32),
+        ("tags", "pos", (n, len(code)), np.int32),
+        ("sentiment", "sentiment", n, np.float64),
+        ("stats", "stats", (n, 2), np.float64),
+    ) if group in groups}
+    for i, m in enumerate(records):
+        if "words" in groups:
+            cols["lexicon"][i] = m.lexicon_counts()
+            cols["n_words"][i] = m.n_words
+        if "tags" in groups:
+            cols["pos"][i] = np.bincount([code[t] for t in m.tags], minlength=len(code))
+        if "sentiment" in groups:
+            cols["sentiment"][i] = m.sentiment()
+        if "stats" in groups:
+            cols["stats"][i] = m.stats()
+    if "tags" in groups:
+        cols["n_tokens"] = cols["pos"].sum(axis=1)  # one tag per token
+    return cols
+
+
+# The dense slots of the response block's reply sums ([3..92]), in order.
+_REPLY_SLOTS = np.r_[0:64, 65:90, 64]
+
+# A vocabulary without terms, for rows whose text vector is not wanted.
+_NO_TERMS = Vocabulary({}, 1)
 
 # The profile fields of dense slots 100-110, in slot order.
 _PROFILE_SLOTS = (
@@ -227,37 +246,28 @@ _PROFILE_SLOTS = (
 )
 
 
-def _dense_vector(m: TweetMeasurements, now: datetime) -> np.ndarray:
-    tweet, profile = m.tweet, m.tweet.user
-    created = tweet.created_at
-    return np.array([
-        *m.lexicon_scores(), m.sentiment(), *m.pos_counts(),  # slots 0-89
-        created.hour, created.weekday(), profile.timezone_offset_min or 0,
-        tweet.in_reply_to_id is not None, tweet.quoted_id is not None,
-        len(tweet.urls), len(tweet.mentions), len(tweet.hashtags), tweet.has_geo,  # 90-98
-        (now - profile.account_created_at).total_seconds() / 86400.0,  # 99
-        *[getattr(profile, name) for name in _PROFILE_SLOTS],  # 100-110
-        math.nan,  # DERIVED_SLOT, filled by stage 1
-    ], dtype=np.float64)
-
-
-def _response_vector(tweet: TweetRecord, responses, records: MeasurementCache) -> np.ndarray:
-    vec = np.zeros(RESPONSE_SIZE, dtype=np.float64)
-    reply_ids = set(tweet.reply_ids)
-    retweet_ids = set(tweet.retweet_ids)
-    quote_ids = set(tweet.quote_ids)
-    for r in responses:
-        if r.id in retweet_ids:
-            vec[0] += 1.0
-        if r.id in quote_ids:
-            vec[1] += 1.0
-        if r.id in reply_ids:
-            vec[2] += 1.0
-            m = records.get(r)
-            vec[3:67] += m.lexicon_scores()
-            vec[67:92] += m.pos_counts()
-            vec[92] += m.sentiment()
-    return vec
+def _response_block(tweets, lookup, resources: FeatureResources, dense, now) -> np.ndarray:
+    """The (n, 93) response rows of the tweet records ``tweets``, whose dense
+    rows are ``dense``, links resolved through ``lookup.get``. A reply among
+    ``tweets`` reuses its row; any other is featurized here, once. A row sums
+    its replies' text slots in reply-id order."""
+    response = np.zeros((len(tweets), RESPONSE_SIZE), dtype=np.float64)
+    row = {t.id: i for i, t in enumerate(tweets)}
+    replies = {r for t in tweets for r in t.reply_ids if lookup.get(r) is not None}
+    extra = sorted(replies - row.keys())
+    if extra:
+        row.update((r, len(tweets) + k) for k, r in enumerate(extra))
+        more = featurize_corpus(lookup, _NO_TERMS, resources, list(map(lookup.get, extra)), now=now)
+        dense = np.concatenate([dense, more.dense])
+    for i, t in enumerate(tweets):
+        linked = [
+            sorted(r for r in set(ids) if lookup.get(r) is not None)
+            for ids in (t.retweet_ids, t.quote_ids, t.reply_ids)
+        ]
+        response[i, :3] = [len(ids) for ids in linked]
+        for r in linked[2]:
+            response[i, 3:] += dense[row[r], _REPLY_SLOTS]
+    return response
 
 
 def dense_features(tweet: TweetRecord, resources: FeatureResources, now: datetime) -> np.ndarray:
@@ -269,17 +279,21 @@ def dense_features(tweet: TweetRecord, resources: FeatureResources, now: datetim
     the reference timestamp for account age (normally the posting-window
     end).
     """
-    return _dense_vector(TweetMeasurements(tweet, resources), now)
+    return featurize_corpus({}, _NO_TERMS, resources, [tweet], now=now).dense[0]
 
 
 def response_features(tweet: TweetRecord, responses, resources: FeatureResources) -> np.ndarray:
     """Compute the 93-slot response block for one tweet.
 
     ``responses`` are the TweetRecords whose links target this tweet. Reply
-    lexicon/POS/sentiment features are element-wise sums over replies only;
-    no responses yields the zero vector.
+    lexicon/POS/sentiment features are element-wise sums over replies only,
+    in reply-id order; no responses yields the zero vector.
     """
-    return _response_vector(tweet, responses, MeasurementCache(resources))
+    lookup = {r.id: r for r in responses}
+    # Any reference time does: the tweet's own dense row is not returned.
+    matrix = featurize_corpus(lookup, _NO_TERMS, resources, [tweet], with_responses=True,
+                              now=tweet.created_at)
+    return matrix.response[0]
 
 
 @dataclass
@@ -310,48 +324,52 @@ def featurize_corpus(
     """Featurize corpus tweets (or a subset) against a fixed vocabulary.
 
     ``tweets`` may hold TweetMeasurements in place of tweets, as given to
-    ``build_vocab``; their tokens are reused. Response links are looked up
-    by ``corpus.get``, so with ``tweets`` and ``now`` given ``corpus`` may
-    be a dict of records by id. With responses, a reply's own row and its
-    target's response block share one record.
+    ``build_vocab``; their tokens are reused. Each tweet's record is read
+    once, by one measurement fill for all rows, and a record made here is
+    dropped once read. Response links are looked up by ``corpus.get``, so
+    with ``tweets`` and ``now`` given ``corpus`` may be a dict of records by
+    id. With responses, a reply among the rows reuses its own row.
     """
     tweets = list(corpus if tweets is None else tweets)
-    records = MeasurementCache(resources)
-    if with_responses:
-        tweets = [records.get(t) for t in tweets]
     now = now or corpus.window.post_end
-    n = len(tweets)
+    dense = np.empty((len(tweets), DENSE_SIZE), dtype=np.float64)
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
-    dense = np.zeros((n, DENSE_SIZE), dtype=np.float64)
-    response = np.zeros((n, RESPONSE_SIZE), dtype=np.float64) if with_responses else None
-    ids = np.zeros(n, dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int8)
-    for i, t in enumerate(tweets):
-        m = t if isinstance(t, TweetMeasurements) else TweetMeasurements(t, resources)
-        t = m.tweet
-        for idx, w in open_text_vector(m.tokens, vocab):
-            indices.append(idx)
-            data.append(w)
-        indptr.append(len(indices))
-        dense[i] = _dense_vector(m, now)
-        if with_responses:
-            linked = [
-                corpus.get(rid)
-                for rid in sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
-            ]
-            response[i] = _response_vector(t, [r for r in linked if r is not None], records)
-        ids[i] = t.id
-        labels[i] = 1 if t.deleted else 0
+
+    def records():
+        for i, t in enumerate(tweets):
+            m = t if isinstance(t, TweetMeasurements) else TweetMeasurements(t, resources)
+            tweets[i] = tweet = m.tweet  # then ``tweets`` holds the plain records
+            for idx, w in open_text_vector(m.tokens, vocab):
+                indices.append(idx)
+                data.append(w)
+            indptr.append(len(indices))
+            profile, created = tweet.user, tweet.created_at
+            dense[i, 90:DERIVED_SLOT] = (
+                created.hour, created.weekday(), profile.timezone_offset_min or 0,
+                tweet.in_reply_to_id is not None, tweet.quoted_id is not None,
+                len(tweet.urls), len(tweet.mentions), len(tweet.hashtags), tweet.has_geo,  # 90-98
+                (now - profile.account_created_at).total_seconds() / 86400.0,  # 99
+                *[getattr(profile, name) for name in _PROFILE_SLOTS],  # 100-110
+            )
+            yield m
+
+    cols = measure(records(), len(tweets), resources, ("words", "tags", "sentiment"))
+    n_words, pct = cols["n_words"][:, None], dense[:, :64]
+    np.multiply(cols["lexicon"], 100.0, out=pct)  # a tweet without words has no hit: 0.0
+    np.divide(pct, n_words, out=pct, where=n_words > 0)
+    dense[:, 64] = cols["sentiment"]
+    dense[:, 65:90] = cols["pos"]
+    dense[:, DERIVED_SLOT] = math.nan  # filled by stage 1
     return FeatureMatrix(
-        tweet_ids=ids,
-        labels=labels,
+        tweet_ids=np.array([t.id for t in tweets], dtype=np.int64),
+        labels=np.array([t.deleted for t in tweets], dtype=np.int8),
         sparse_indptr=np.array(indptr, dtype=np.int64),
         sparse_indices=np.array(indices, dtype=np.int64),
         sparse_data=np.array(data, dtype=np.float64),
         dense=dense,
-        response=response,
+        response=_response_block(tweets, corpus, resources, dense, now) if with_responses else None,
         vocab_size=len(vocab),
     )
 

@@ -1,7 +1,7 @@
 """Tokenization and per-tweet linguistic measurements.
 
 Everything here is a pure function of its inputs: tokenizing, Levenshtein
-distance, term-frequency cosine, lexicon category scoring, valence
+distance, term-frequency cosine, lexicon category counts, valence
 sentiment, part-of-speech tagging, and lexical-density statistics. The
 JSON readers here are the ones every JSON and JSON Lines input goes through,
 and ``_decode`` is the one walker that decodes a JSON object by its table:
@@ -485,8 +485,8 @@ class Lexicon:
     """Closed-vocabulary category lexicon (at most 64 categories, prefix
     wildcards).
 
-    Categories are ordered and hold only what was loaded; count and score
-    vectors always have 64 slots, those past the last category zero.
+    Categories are ordered and hold only what was loaded; count vectors
+    always have 64 slots, those past the last category zero.
     """
 
     SIZE = 64
@@ -548,18 +548,6 @@ def lexicon_counts(words, lex: Lexicon) -> list[int]:
         for idx in lex.categories_for(w):
             counts[idx] += 1
     return counts
-
-
-def lexicon_score(tokens: TokenList, lex: Lexicon) -> list[float]:
-    """Per-category percentages of word tokens matching the category.
-
-    The basis is word-class tokens only; all-zero when there are none.
-    """
-    words = tokens.words()
-    if not words:
-        return [0.0] * Lexicon.SIZE
-    n = len(words)
-    return [100.0 * c / n for c in lexicon_counts(words, lex)]
 
 
 def valence_table(raw, prefix: str = "valence.") -> dict[str, float]:

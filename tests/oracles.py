@@ -7,15 +7,18 @@ tests can require the fast kernel to return exactly the same result.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
 from regretstream import textkit
+from regretstream import analytics
 from regretstream.analytics import NUD_MIN_TWEETS, NudDetail, ntd_value, nud_value, partition_users
 from regretstream.classify.trees import _EPS, DecisionTree
 from regretstream.errors import UndefinedDifferenceError, ValidationError
+from regretstream.features import _PROFILE_SLOTS, RESPONSE_SIZE
 from regretstream.stats import Contingency2x2, fisher_exact, mann_whitney_u, median
 
 
@@ -157,6 +160,80 @@ def index_pos_counts(tags, tagset) -> np.ndarray:
     for t in tags:
         counts[tagset.index(t)] += 1.0
     return counts
+
+
+def lexicon_score(tokens, lex) -> list[float]:
+    """Per-category percentages of word tokens matching the category.
+
+    The basis is word-class tokens only; all-zero when there are none.
+    """
+    words = tokens.words()
+    if not words:
+        return [0.0] * textkit.Lexicon.SIZE
+    n = len(words)
+    return [100.0 * c / n for c in textkit.lexicon_counts(words, lex)]
+
+
+def pos_counts(tags, tagset) -> list[int]:
+    """Tag counts in tagset order, through one Counter."""
+    counts = Counter(tags)
+    return [counts.get(t, 0) for t in tagset]
+
+
+def dense_vector(m, resources, now) -> np.ndarray:
+    """The former dense row of the record ``m``: one list, one ``np.array``."""
+    tweet, profile = m.tweet, m.tweet.user
+    created = tweet.created_at
+    return np.array([
+        *lexicon_score(m.tokens, resources.lexicon), m.sentiment(),
+        *pos_counts(m.tags, resources.tagger.tagset),  # slots 0-89
+        created.hour, created.weekday(), profile.timezone_offset_min or 0,
+        tweet.in_reply_to_id is not None, tweet.quoted_id is not None,
+        len(tweet.urls), len(tweet.mentions), len(tweet.hashtags), tweet.has_geo,  # 90-98
+        (now - profile.account_created_at).total_seconds() / 86400.0,  # 99
+        *[getattr(profile, name) for name in _PROFILE_SLOTS],  # 100-110
+        math.nan,  # the derived slot
+    ], dtype=np.float64)
+
+
+def response_vector(tweet, responses, cache) -> np.ndarray:
+    """The former response row: each of ``responses`` in the order given,
+    a reply's rows added to the sums one reply at a time."""
+    vec = np.zeros(RESPONSE_SIZE, dtype=np.float64)
+    lexicon, tagset = cache.resources.lexicon, cache.resources.tagger.tagset
+    for r in responses:
+        if r.id in set(tweet.retweet_ids):
+            vec[0] += 1.0
+        if r.id in set(tweet.quote_ids):
+            vec[1] += 1.0
+        if r.id in set(tweet.reply_ids):
+            vec[2] += 1.0
+            m = cache.get(r)
+            vec[3:67] += lexicon_score(m.tokens, lexicon)
+            vec[67:92] += pos_counts(m.tags, tagset)
+            vec[92] += m.sentiment()
+    return vec
+
+
+def loop_table_columns(tweets, cache) -> dict[str, list]:
+    """Every standard ``MeasurementTable`` column by the former row loop:
+    one list per tweet, the POS columns by one ``tags.count`` per tag."""
+    names = (
+        analytics.STRUCTURAL_COLUMNS + analytics.SENTIMENT_COLUMNS + analytics.WORD_COLUMNS
+        + analytics.TAG_COLUMNS + analytics.SCALAR_COLUMNS
+    )
+    columns = {name: [] for name in names}
+    for t in tweets:
+        m = cache.get(t)
+        s = m.sentiment()
+        row = [
+            bool(t.hashtags), bool(t.urls), bool(t.mentions), t.in_reply_to_id is not None,
+            s > 0, s < 0, *m.lexicon_counts(), m.n_words,
+            *[m.tags.count(tag) for tag in analytics.POS_TAGS], m.n_tokens, *m.stats(),
+        ]
+        for name, value in zip(names, row):
+            columns[name].append(value)
+    return columns
 
 
 def row_pegasos_weights(X, y, c: float, epochs: int, seed: int) -> np.ndarray:

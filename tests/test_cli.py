@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import make_corpus, make_tweet
-from regretstream import analytics, classify
+from regretstream import analytics, classify, cli
 from regretstream.cli import main
 from regretstream.events import (
     CollectionWindow,
@@ -570,6 +570,8 @@ class TestTrainPredictAblate:
         seen = []
 
         class RecordingBundle:
+            config = classify.TrainConfig(with_responses=True)
+
             def predict_records(self, tweets, lookup):
                 seen.append((tweets, lookup))
                 return [], [], []
@@ -588,6 +590,57 @@ class TestTrainPredictAblate:
         assert links(tweets) == links(expected)
         assert [t.id for t in tweets] == [t.id for t in expected]  # the corpus order
         assert all(lookup[t.id] is t for t in tweets)
+
+    @pytest.mark.parametrize("with_responses", [False, True])
+    def test_predict_scores_the_first_of_a_repeated_id(self, tmp_path, monkeypatch,
+                                                       with_responses):
+        user = {"user_id": 3, "account_created_at": "2014-01-01T00:00:00Z"}
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(json.dumps({
+            "kind": "tweet", "id": 5, "user_id": 3, "created_at": "2015-08-05T10:00:00Z",
+            "text": text, "user": user,
+        }) + "\n" for text in ("first text", "second text")))
+        window = CollectionWindow(*(parse_rfc3339(w, "window") for w in WINDOW))
+        assert [t.text for t in build_corpus(read_events(events), window, strict=False)] == [
+            "first text"
+        ]
+        seen = []
+
+        class RecordingBundle:
+            config = classify.TrainConfig(with_responses=with_responses)
+
+            def predict_records(self, tweets, lookup):
+                seen.append([t.text for t in tweets])
+                return [5], [0], [0.5]
+
+        monkeypatch.setattr(classify, "load_bundle", lambda path: RecordingBundle())
+        assert main([
+            "predict", "--bundle", "unused.rsb1",
+            "--events", str(events), "--out", str(tmp_path / "p.jsonl"),
+        ]) == 0
+        assert seen == [["first text"]]
+
+    def test_predict_without_response_features_links_nothing(self, workdir, tmp_path,
+                                                              monkeypatch):
+        seen = []
+
+        class RecordingBundle:
+            config = classify.TrainConfig()
+
+            def predict_records(self, tweets, lookup):
+                seen.append(tweets)
+                return [], [], []
+
+        def no_links(*args):
+            raise AssertionError("link_records called")
+
+        monkeypatch.setattr(classify, "load_bundle", lambda path: RecordingBundle())
+        monkeypatch.setattr(cli, "link_records", no_links)
+        assert main([
+            "predict", "--bundle", "unused.rsb1",
+            "--events", str(workdir / "events.jsonl"), "--out", str(tmp_path / "p.jsonl"),
+        ]) == 0
+        assert seen[0] and not any(t.reply_ids for t in seen[0])
 
     def test_ablate_report(self, workdir, train_config_path, tmp_path):
         out = tmp_path / "ablation.json"

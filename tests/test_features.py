@@ -1,20 +1,24 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from regretstream.analytics import MeasurementTable
 from regretstream.errors import ValidationError
 from regretstream.features import (
     DENSE_SIZE,
     DERIVED_SLOT,
     FEATURE_GROUPS,
     FeatureResources,
+    MeasurementCache,
     TweetMeasurements,
     build_vocab,
     dense_features,
     featurize_corpus,
     load_feature_matrix,
+    measure,
     open_text_vector,
     response_features,
     save_feature_matrix,
@@ -23,6 +27,7 @@ from regretstream import textkit
 from regretstream.textkit import Lexicon, RuleTagger, tokenize
 
 from conftest import make_corpus, make_profile, make_tweet, make_window, ts
+import oracles
 from oracles import index_pos_counts
 
 
@@ -426,11 +431,14 @@ class TestOneTextPass:
 
     def test_measurements_match_former_per_tag_and_per_word_paths(self, synth_small, resources):
         tagset = resources.tagger.tagset
-        for t in synth_small.cleaned:
+        corpus = synth_small.cleaned
+        dense = featurize_corpus(corpus, build_vocab(corpus), resources).dense
+        for i, t in enumerate(corpus):
             m = TweetMeasurements(t, resources)
-            counts = np.array(m.pos_counts(), dtype=np.float64)
+            counts = np.array(oracles.pos_counts(m.tags, tagset), dtype=np.float64)
             assert counts.tobytes() == index_pos_counts(m.tags, tagset).tobytes()
-            assert m.lexicon_scores() == textkit.lexicon_score(m.tokens, resources.lexicon)
+            assert dense[i, 65:90].tobytes() == counts.tobytes()
+            assert dense[i, :64].tolist() == oracles.lexicon_score(m.tokens, resources.lexicon)
 
     def test_rows_match_single_tweet_features(self, synth_small, resources):
         corpus = synth_small.cleaned
@@ -447,3 +455,62 @@ class TestOneTextPass:
             ids = sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
             linked = [corpus.get(r) for r in ids if corpus.get(r) is not None]
             np.testing.assert_array_equal(m.response[i], response_features(t, linked, resources))
+
+
+class TestOneFill:
+    def test_rows_and_columns_equal_former_per_tweet_paths(self, synth_small, resources):
+        corpus = synth_small.cleaned
+        m = featurize_corpus(corpus, build_vocab(corpus), resources, with_responses=True)
+        cache = MeasurementCache(resources)
+        assert any(t.reply_ids for t in corpus)
+        for i, t in enumerate(corpus):
+            want = oracles.dense_vector(cache.get(t), resources, corpus.window.post_end)
+            assert m.dense[i].tobytes() == want.tobytes()
+            ids = sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
+            linked = [corpus.get(r) for r in ids if corpus.get(r) is not None]
+            assert m.response[i].tobytes() == oracles.response_vector(t, linked, cache).tobytes()
+        want = oracles.loop_table_columns(corpus, cache)
+        table = MeasurementTable(list(corpus), cache, want)
+        for name, values in want.items():
+            got = np.asarray(table.columns[name], dtype=np.float64)
+            assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes(), name
+
+    def test_zero_rows(self, small_resources):
+        corpus = make_corpus([make_tweet(id=1, text="good day")])
+        m = featurize_corpus(corpus, build_vocab(corpus), small_resources, tweets=[],
+                             with_responses=True)
+        assert m.dense.shape == (0, DENSE_SIZE) and m.response.shape == (0, 93)
+        assert len(m) == 0 and m.sparse_indptr.tolist() == [0]
+        cols = measure(iter(()), 0, small_resources, ("words", "tags", "sentiment", "stats"))
+        assert {name: c.shape for name, c in cols.items()} == {
+            "lexicon": (0, 64), "n_words": (0,), "pos": (0, 25), "n_tokens": (0,),
+            "sentiment": (0,), "stats": (0, 2),
+        }
+
+    def test_tweet_without_word_tokens(self, small_resources):
+        tweets = [make_tweet(id=1, text="123 !! @pal #tag"), make_tweet(id=2, text="good day"),
+                  make_tweet(id=3, text="")]
+        corpus = make_corpus(tweets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = featurize_corpus(corpus, build_vocab(corpus), small_resources)
+        assert np.isfinite(m.dense[:, :DERIVED_SLOT]).all()
+        assert m.dense[[0, 2], :64].tolist() == [[0.0] * 64] * 2
+        assert m.dense[1, 0] == 50.0
+
+    def test_reply_outside_the_featurized_rows(self, small_resources, tokenize_calls):
+        target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), text="good day",
+                            reply_ids=(2, 3))
+        replies = [
+            make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="bad reply", in_reply_to_id=1),
+            make_tweet(id=3, user_id=3, created_at=ts(hours=3), text="good", in_reply_to_id=1),
+        ]
+        corpus = make_corpus([target, *replies])
+        vocab = build_vocab(corpus)
+        tokenize_calls.clear()
+        m = featurize_corpus(corpus, vocab, small_resources, tweets=[target, replies[1]],
+                             with_responses=True)
+        assert sorted(tokenize_calls) == sorted(t.text for t in corpus)  # each text once
+        want = oracles.response_vector(target, replies, MeasurementCache(small_resources))
+        assert m.response[0].tobytes() == want.tobytes()
+        assert m.response[0, 2] == 2.0 and m.response[0, 3:5].tolist() == [100.0, 50.0]

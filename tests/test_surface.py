@@ -1,7 +1,7 @@
 """Dead-surface guards: every function, class and module constant defined
 in the package is used somewhere in the source tree, every config field has
-a caller, and the decode walker's internals stay inside ``textkit`` and
-``events``.
+a caller, the decode walker's internals stay inside ``textkit`` and
+``events``, and every benchmark probe target still resolves.
 
 A use is a name read, an attribute, or a string constant (or one
 dot-separated part of it, as in the benchmark's
@@ -20,12 +20,19 @@ config contract test, whose fixtures list every field.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
+import sys
 from dataclasses import fields
 from pathlib import Path
 
+from regretstream import textkit
 from regretstream.classify import TrainConfig
 from regretstream.cleanup import CleanupConfig
+from regretstream.features import build_vocab, featurize_corpus
 from regretstream.synth import SynthConfig
+
+from conftest import make_corpus, make_tweet
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "regretstream"
@@ -169,3 +176,38 @@ def textkit_internals_users() -> list[str]:
 
 def test_only_the_walker_modules_use_textkit_internals():
     assert textkit_internals_users() == []
+
+
+def benchmark_probes(monkeypatch) -> tuple:
+    """``PROBES`` of ``perfbench/probes.py``, loaded without installing any."""
+    path = ROOT / "perfbench" / "probes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.PROBES
+
+
+def test_every_benchmark_probe_target_resolves(monkeypatch):
+    # ``probes.install`` raises on a missing target, so a rename would
+    # otherwise break only traced benchmark runs.
+    missing = []
+    for probe in benchmark_probes(monkeypatch):
+        owner, _, attr = probe.attr.rpartition(".")
+        home = importlib.import_module(probe.module)
+        if attr not in vars(getattr(home, owner) if owner else home):
+            missing.append(f"{probe.module}.{probe.attr}")
+    assert missing == []
+
+
+def test_featurize_reaches_the_probed_text_kernels(monkeypatch, resources):
+    corpus = make_corpus([make_tweet(id=1, text="good day #fun")])
+    vocab = build_vocab(corpus)
+    called = set()
+    for owner, name in ((textkit, "tokenize"), (textkit, "pos_tag"),
+                        (textkit.Lexicon, "categories_for")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, real=real, name=name: called.add(name) or real(*args))
+    featurize_corpus(corpus, vocab, resources)
+    assert called == {"tokenize", "pos_tag", "categories_for"}

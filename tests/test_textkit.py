@@ -11,15 +11,16 @@ from regretstream.textkit import (
     RuleTagger,
     TokenList,
     edit_distance,
-    lexicon_score,
     pos_tag,
     sentiment_score,
     term_cosine,
     text_stats,
     tokenize,
 )
+from regretstream.features import FeatureResources, dense_features
 
-from oracles import dp_edit_distance, scan_categories, uncached_tags
+from conftest import make_tweet, make_window
+from oracles import dp_edit_distance, lexicon_score, scan_categories, uncached_tags
 
 
 class TestTokenize:
@@ -176,21 +177,27 @@ def tiny_lexicon():
     return Lexicon([("posemo", ["happy", "happi*"]), ("negemo", ["sad"])])
 
 
+def lexicon_percentages(text: str, lex: Lexicon) -> list[float]:
+    """Dense slots 0-63 of a tweet with ``text``: featurization's lexicon
+    percentages, which must equal the reference rule's."""
+    res = FeatureResources(lexicon=lex, valence={}, wordlist=frozenset(), tagger=RuleTagger())
+    got = dense_features(make_tweet(id=1, text=text), res, make_window().post_end)[:64].tolist()
+    assert got == lexicon_score(tokenize(text), lex)
+    return got
+
+
 class TestLexicon:
     def test_direct_count(self, tiny_lexicon):
-        toks = tokenize("happy sad happy car")
-        scores = lexicon_score(toks, tiny_lexicon)
+        scores = lexicon_percentages("happy sad happy car", tiny_lexicon)
         assert scores[0] == pytest.approx(50.0)
         assert scores[1] == pytest.approx(25.0)
 
     def test_wildcard_prefix(self, tiny_lexicon):
-        toks = tokenize("happiness wins")
-        scores = lexicon_score(toks, tiny_lexicon)
+        scores = lexicon_percentages("happiness wins", tiny_lexicon)
         assert scores[0] == pytest.approx(50.0)
 
     def test_no_word_tokens(self, tiny_lexicon):
-        toks = tokenize("@a #b :)")
-        assert lexicon_score(toks, tiny_lexicon) == [0.0] * 64
+        assert lexicon_percentages("@a #b :)", tiny_lexicon) == [0.0] * 64
 
     def test_padded_to_64(self, tiny_lexicon):
         # Count vectors have 64 slots; the categories are the loaded ones only.
@@ -200,12 +207,12 @@ class TestLexicon:
 
     def test_word_basis_excludes_structural_tokens(self, tiny_lexicon):
         # percentages are over word tokens only
-        toks = tokenize("happy @someone http://x.co")
-        assert lexicon_score(toks, tiny_lexicon)[0] == pytest.approx(100.0)
+        scores = lexicon_percentages("happy @someone http://x.co", tiny_lexicon)
+        assert scores[0] == pytest.approx(100.0)
 
     def test_monotone_in_matching_words(self, tiny_lexicon):
-        base = lexicon_score(tokenize("happy car car car"), tiny_lexicon)[0]
-        more = lexicon_score(tokenize("happy happy car car"), tiny_lexicon)[0]
+        base = lexicon_percentages("happy car car car", tiny_lexicon)[0]
+        more = lexicon_percentages("happy happy car car", tiny_lexicon)[0]
         assert more >= base
 
     def test_memo_equals_scan_on_mixed_case(self, resources, tiny_lexicon):
@@ -223,8 +230,8 @@ class TestLexicon:
         assert tiny_lexicon.categories_for("happiness") == {0}
 
     def test_scores_within_bounds(self, resources):
-        toks = tokenize("happy sad the a and I you think know win damn")
-        for v in lexicon_score(toks, resources.lexicon):
+        text = "happy sad the a and I you think know win damn"
+        for v in lexicon_percentages(text, resources.lexicon):
             assert 0.0 <= v <= 100.0
 
 
