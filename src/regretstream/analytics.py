@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import textkit
+from . import codec, textkit
 from .errors import UndefinedDifferenceError, ValidationError
 from .events import Corpus, TweetRecord
 from .features import MeasurementCache, measure
@@ -363,7 +363,7 @@ def load_trait_map(path: str | Path) -> dict[str, list[str]]:
     The mapped symbols describe the trait direction associated with a HIGHER
     attribute value; the tally flips them when the deleter median is lower.
     """
-    return textkit.decode_json(path, _trait_map)
+    return codec.decode_json(path, _trait_map)
 
 
 def _trait_map(raw: dict) -> dict[str, list[str]]:

@@ -1,4 +1,4 @@
-"""Versioned model-bundle container ("RSB1", little-endian).
+"""Versioned model bundle ("RSB1", a ``codec`` container).
 
 A bundle is self-contained for prediction: it embeds the vocabulary, both
 stage models, the dense scaler, the feature-group mask, the training config
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import textkit
+from .. import codec, textkit
 from ..errors import SchemaError, ValidationError
 from ..features import (
     DENSE_SIZE,
@@ -22,9 +22,6 @@ from ..features import (
     RESPONSE_SIZE,
     FeatureResources,
     Vocabulary,
-    _array_blocks,
-    _load_container,
-    _write_container,
     featurize_corpus,
 )
 from .pipeline import (STAGE2_MODELS, DenseScaler, EvalMetrics, TrainConfig, mask_slots,
@@ -102,8 +99,8 @@ class _Manifest:
 def _model_json(model, tag: str, blocks: list) -> dict:
     """The manifest object of a stage model: its algorithm under ``tag`` and
     its declared fields; its array fields are appended to ``blocks``."""
-    blocks += _array_blocks(model, _BLOCKS[type(model)])
-    return {tag: model.algorithm, **textkit.encode_record(model)}
+    blocks += codec.to_blocks(model, _BLOCKS[type(model)])
+    return {tag: model.algorithm, **codec.encode_record(model)}
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
@@ -119,7 +116,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     else:
         stage2 = _model_json(bundle.stage2, "kind", blocks)
     if bundle.scaler is not None:
-        blocks += _array_blocks(bundle.scaler, _BLOCKS[DenseScaler])
+        blocks += codec.to_blocks(bundle.scaler, _BLOCKS[DenseScaler])
     terms_blob = "\n".join(bundle.vocab.terms).encode("utf-8")
     wordlist_blob = "\n".join(sorted(res.wordlist)).encode("utf-8")
 
@@ -130,14 +127,14 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         blobs={"vocab_terms": len(terms_blob), "wordlist": len(wordlist_blob)},
     )
     lexicon = [{"name": name, "patterns": patterns} for name, patterns in res.lexicon.categories]
-    manifest = {**textkit.encode_record(head), "stage1": stage1, "stage2": stage2,
+    manifest = {**codec.encode_record(head), "stage1": stage1, "stage2": stage2,
                 "resources": {"lexicon": lexicon, "valence": res.valence}}
-    _write_container(path, _MAGIC, _VERSION, manifest, blocks, (terms_blob, wordlist_blob))
+    codec.write_container(path, _MAGIC, _VERSION, manifest, blocks, (terms_blob, wordlist_blob))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Read an RSB1 file, as ``features._load_container`` does."""
-    return _load_container(
+    """Read an RSB1 file, as ``codec.load_container`` does."""
+    return codec.load_container(
         path, _MAGIC, _VERSION, "bundle", _decode_bundle, ("vocab_terms", "wordlist")
     )
 
@@ -148,18 +145,13 @@ def _decode_model(raw, tag: str, classes: dict, prefix: str, arrays: dict):
     behind ``prefix``) and every array block."""
     fields = dict(raw)
     cls = model_class(classes, fields.pop(tag, None), prefix + tag)
-    return textkit.decode_record(cls, fields, prefix, _blocks_of(cls, arrays), strict=True)
-
-
-def _blocks_of(cls, arrays: dict) -> dict:
-    """The array fields of ``cls`` from their blocks, each in its declared dtype."""
-    prefix = _BLOCKS[cls]
-    return {f: arrays[prefix + f].astype(dtype) for f, dtype in textkit.array_fields(cls).items()}
+    blocks = codec.from_blocks(cls, arrays, _BLOCKS[cls])
+    return codec.decode_record(cls, fields, prefix, blocks, strict=True)
 
 
 def _decode_bundle(manifest, arrays, terms_blob: str, wordlist_blob: str) -> ModelBundle:
     s1, s2, res = (manifest.pop(key) for key in ("stage1", "stage2", "resources"))
-    head = textkit.decode_record(_Manifest, manifest, strict=True)
+    head = codec.decode_record(_Manifest, manifest, strict=True)
     if head.format_version != _VERSION:
         raise ValidationError(
             f"invalid format_version: {head.format_version} (the header says {_VERSION})")
@@ -202,7 +194,8 @@ def _decode_bundle(manifest, arrays, terms_blob: str, wordlist_blob: str) -> Mod
     for tree in getattr(stage2, "trees", ()):
         tree.check(width)
 
-    scaler = DenseScaler(**_blocks_of(DenseScaler, arrays)) if head.has_scaler else None
+    scaler = (DenseScaler(**codec.from_blocks(DenseScaler, arrays, _BLOCKS[DenseScaler]))
+              if head.has_scaler else None)
     resources = FeatureResources(
         lexicon=textkit.Lexicon.from_categories(res["lexicon"], "resources.lexicon."),
         valence=textkit.valence_table(res["valence"], "resources.valence."),

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .. import textkit
+from .. import codec
 from ..errors import ConfigError, InsufficientDataError, ValidationError
 from ..features import (
     DERIVED_SLOT,
@@ -65,7 +65,7 @@ class TrainConfig:
         # Each hyper dict is merged over the defaults, as in a config file.
         for stage, models in _STAGE_MODELS.items():
             model_class(models, getattr(self, f"{stage}_algorithm"), f"{stage}_algorithm")
-            hyper = textkit.decode_config(
+            hyper = codec.decode_config(
                 _HYPER_DEFAULTS[stage], getattr(self, f"{stage}_hyper"), f"{stage}_hyper.")
             object.__setattr__(self, f"{stage}_hyper", hyper)
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from . import textkit
+from . import codec, textkit
 from .errors import ConfigError
 from .events import Corpus, TweetRecord
 
@@ -39,7 +39,7 @@ class CleanupConfig:
 def load_whitelist(path: str | Path) -> frozenset[str]:
     """Load a client whitelist file: one client name per line, exact match."""
     names = set()
-    for _, line in textkit.text_lines(path):
+    for _, line in codec.text_lines(path):
         name = line.strip()
         if name and not name.startswith("#"):
             names.add(name)

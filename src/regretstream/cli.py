@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import analytics, classify, features, synth, textkit
+from . import analytics, classify, codec, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
 from .errors import ConfigError, RegretstreamError
 from .events import (CollectionWindow, Corpus, TweetRecord, build_corpus, keep_first,
@@ -106,9 +106,9 @@ def _cmd_clean(args) -> int:
     corpus = Corpus.load(args.corpus)
     whitelist = load_whitelist(args.whitelist) if args.whitelist else load_default_whitelist()
     if args.config:
-        cfg = textkit.decode_json(
+        cfg = codec.decode_json(
             args.config,
-            lambda raw: textkit.decode_config(
+            lambda raw: codec.decode_config(
                 CleanupConfig, {"client_whitelist": sorted(whitelist), **raw}
             ),
         )
@@ -233,7 +233,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_annotate_agg(args) -> int:
-    items = textkit.decode_jsonl(args.annotations, analytics.annotation_item)
+    items = codec.decode_jsonl(args.annotations, analytics.annotation_item)
     result = analytics.aggregate_annotations(items, alpha=args.alpha)
     _write_json(args.out, result)
     print(json.dumps(result["regret"], sort_keys=True))
@@ -342,8 +342,8 @@ def _cmd_synth(args) -> int:
 
 def _load_train_config(args) -> "classify.TrainConfig":
     if args.config:
-        return textkit.decode_json(
-            args.config, functools.partial(textkit.decode_config, classify.TrainConfig)
+        return codec.decode_json(
+            args.config, functools.partial(codec.decode_config, classify.TrainConfig)
         )
     return classify.TrainConfig()
 

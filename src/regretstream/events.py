@@ -15,19 +15,17 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 
-from . import textkit
+from . import codec, textkit
+from .codec import REQUIRED, TweetId, decode_fields, encode_record, json_field, record_fields
+from .codec import format_rfc3339  # noqa: F401  (the wire timestamp format's home for callers)
 from .errors import DuplicateTweetError, ParseError, RegretstreamError, SchemaError, ValidationError
-from .textkit import (
-    _REQUIRED, TweetId, _decode, _record_fields, _Rejected, _utc, encode_record, json_field,
-)
-from .textkit import format_rfc3339  # noqa: F401  (the wire timestamp format's home for callers)
 
 
 def parse_rfc3339(value: str, field_name: str) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime."""
     try:
-        return _utc(value)
-    except _Rejected as exc:
+        return codec.converter(datetime)(value)
+    except codec.Rejected as exc:
         raise SchemaError(field_name, f"{field_name} is {exc}: {value!r}") from None
 
 
@@ -93,8 +91,8 @@ def parse_event(line: str, line_number: int | None = None) -> TweetRecord | Dele
         raise SchemaError("kind", f"kind must be 'tweet' or 'delete', got {kind!r}", line_number)
 
     if kind == "delete":
-        return DeletePayload(**_decode(raw, _DELETE_FIELDS, line_number))
-    fields = _decode(raw, _TWEET_FIELDS, line_number)
+        return DeletePayload(**decode_fields(raw, _DELETE_FIELDS, line_number))
+    fields = decode_fields(raw, _TWEET_FIELDS, line_number)
     if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
         # Sources without entity annotation: recover entities from the text.
         fields["hashtags"], fields["urls"], fields["mentions"] = _entities_from_text(fields["text"])
@@ -108,7 +106,7 @@ def read_events(path: str | Path):
     """Iterate the records of a JSONL event file, as ``parse_event`` returns
     them; an invalid line raises ParseError or SchemaError naming the file
     and line."""
-    for i, line in textkit.text_lines(path):
+    for i, line in codec.text_lines(path):
         line = line.strip()
         if not line:
             continue
@@ -153,7 +151,7 @@ class TweetRecord:
     mentions: tuple[str, ...] = json_field(())
     has_geo: bool = json_field(False)
     user: UserProfile
-    deleted: bool = json_field(_REQUIRED, default=False)  # a corpus record is labelled
+    deleted: bool = json_field(REQUIRED, default=False)  # a corpus record is labelled
     deletion_lag_sec: int | None = None
     reply_ids: tuple[int, ...] = ()
     retweet_ids: tuple[int, ...] = ()
@@ -172,9 +170,8 @@ class TweetRecord:
 # Every record decodes by the table its dataclass declares. The wire tweet
 # format is the corpus record without its label and links, lang and source
 # defaulting to "en" and "".
-_USER_FIELDS = _record_fields(UserProfile, "user.")
-_DELETE_FIELDS = _record_fields(DeletePayload)
-_RECORD_FIELDS = _record_fields(TweetRecord)
+_DELETE_FIELDS = record_fields(DeletePayload)
+_RECORD_FIELDS = record_fields(TweetRecord)
 _TWEET_FIELDS = tuple(
     (name, convert, {"lang": "en", "source": ""}.get(name, default))
     for (name, convert, default), f in zip(_RECORD_FIELDS, dataclasses.fields(TweetRecord))
@@ -196,12 +193,10 @@ class IngestStats:
 
 
 # The corpus file: its header, and the tweet records, decoded one at a time.
-_WINDOW_FIELDS = _record_fields(CollectionWindow, "window.")
 _CORPUS_FIELDS = (
-    ("stats", functools.partial(textkit.decode_record, IngestStats, prefix="stats."), {}),
-    ("window", lambda raw: CollectionWindow(**_decode(raw, _WINDOW_FIELDS, prefix="window.")),
-     _REQUIRED),
-    ("tweets", list, _REQUIRED),
+    ("stats", functools.partial(codec.decode_record, IngestStats, prefix="stats."), {}),
+    ("window", codec.converter(CollectionWindow, "window."), REQUIRED),
+    ("tweets", list, REQUIRED),
 )
 CORPUS_FORMAT = "regretstream-corpus/1"
 
@@ -286,13 +281,13 @@ class Corpus:
         if not isinstance(payload, dict) or payload.get("format") != CORPUS_FORMAT:
             raise ValidationError(f"{path}: not a corpus file")
         try:
-            header = _decode(payload, _CORPUS_FIELDS)
+            header = decode_fields(payload, _CORPUS_FIELDS)
         except RegretstreamError as exc:
             raise ValidationError(f"{path}: invalid corpus header: {exc}") from None
         tweets = []
         try:
             for i, raw in enumerate(header["tweets"]):
-                tweets.append(TweetRecord(**_decode(raw, _RECORD_FIELDS)))
+                tweets.append(TweetRecord(**decode_fields(raw, _RECORD_FIELDS)))
         except SchemaError as exc:
             raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
         except ValidationError as exc:

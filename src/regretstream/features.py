@@ -1,6 +1,6 @@
 """Feature assembly: the per-tweet text record (also used by analytics),
-sparse TF-IDF text vectors, the 112-slot dense post-time block, and the
-93-slot response-time block.
+sparse TF-IDF text vectors, the 112-slot dense post-time block, the
+93-slot response-time block, and their RSF1 file (a ``codec`` container).
 
 Dense layout (fixed slot indices):
   [0..63]   lexicon category percentages
@@ -26,10 +26,7 @@ Response layout: [0] retweet count, [1] quote count, [2] reply count,
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -37,8 +34,8 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from . import textkit
-from .errors import RegretstreamError, ValidationError
+from . import codec, textkit
+from .errors import ValidationError
 from .events import Corpus, TweetRecord
 
 DENSE_SIZE = 112
@@ -325,12 +322,13 @@ def featurize_corpus(
 
     ``tweets`` may hold TweetMeasurements in place of tweets, as given to
     ``build_vocab``; their tokens are reused. Each tweet's record is read
-    once, by one measurement fill for all rows, and a record made here is
-    dropped once read. Response links are looked up by ``corpus.get``, so
+    once, by one measurement fill for all rows, and dropped once read: a
+    list ``tweets`` is worked on in place, each record in it replaced by its
+    tweet. Response links are looked up by ``corpus.get``, so
     with ``tweets`` and ``now`` given ``corpus`` may be a dict of records by
     id. With responses, a reply among the rows reuses its own row.
     """
-    tweets = list(corpus if tweets is None else tweets)
+    tweets = tweets if isinstance(tweets, list) else list(corpus if tweets is None else tweets)
     now = now or corpus.window.post_end
     dense = np.empty((len(tweets), DENSE_SIZE), dtype=np.float64)
     indptr = [0]
@@ -374,112 +372,21 @@ def featurize_corpus(
     )
 
 
-# ---------------------------------------------------------------------------
-# Versioned binary serialization ("RSF1", little-endian)
-# ---------------------------------------------------------------------------
-
-def _array_blocks(obj, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-    """(block name, array) of each set array field of the dataclass ``obj``,
-    in its declared dtype; a block is named ``prefix`` and the field name."""
-    return [
-        (prefix + name, value.astype(dtype))
-        for name, dtype in textkit.array_fields(type(obj)).items()
-        if (value := getattr(obj, name)) is not None
-    ]
-
-
 def save_feature_matrix(m: FeatureMatrix, path: str | Path) -> None:
-    manifest = {**textkit.encode_record(m), "n_rows": len(m)}
-    _write_container(path, _MAGIC, _VERSION, manifest, _array_blocks(m))
-
-
-def _write_container(path, magic: bytes, version: int, manifest: dict, arrays, blobs=()) -> None:
-    """Write a container: magic, version, manifest length, the JSON manifest
-    with the name, dtype and shape of each of the (name, array) ``arrays``
-    added as its ``arrays`` entry, each blob, then each array's bytes; the
-    layout ``_read_header`` and ``_read_arrays`` read."""
-    manifest = dict(manifest, arrays=[
-        {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)} for name, arr in arrays
-    ])
-    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", version))
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
-        for blob in blobs:
-            fh.write(blob)
-        for _, arr in arrays:
-            fh.write(arr.tobytes())
-
-
-def _read_exact(fh, size: int, path, section: str) -> bytes:
-    # Checked before reading: a damaged size must not allocate its buffer.
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if not 0 <= size <= left:
-        raise ValidationError(f"{path}: truncated file: {section} needs {size} bytes, found {left}")
-    return fh.read(size)
-
-
-def _read_header(fh, path, magic: bytes, version: int, kind: str) -> dict:
-    """Check a container's magic and version and return its JSON manifest."""
-    found = fh.read(len(magic))
-    if found != magic:
-        raise ValidationError(f"{path}: bad magic {found!r}, expected {magic!r}")
-    (found_version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
-    if found_version != version:
-        raise ValidationError(f"{path}: unsupported {kind} version {found_version}")
-    (mlen,) = struct.unpack("<Q", _read_exact(fh, 8, path, "manifest length"))
-    raw = _read_exact(fh, mlen, path, "manifest")
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ValidationError(f"{path}: {kind} manifest is not valid JSON: {exc}") from None
-
-
-def _read_arrays(fh, path, entries) -> dict[str, np.ndarray]:
-    """The arrays the manifest ``entries`` describe, read in order."""
-    arrays = {}
-    for entry in entries:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        buf = _read_exact(fh, dtype.itemsize * count, path, f"array {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"]).copy()
-    return arrays
-
-
-def _load_container(path, magic: bytes, version: int, kind: str, decode, blobs=()):
-    """``decode(manifest, arrays, *texts)`` for the container at ``path``: its
-    manifest without the ``arrays`` list, its arrays by name, and each of
-    its ``blobs`` as text. A short section, or a manifest that is not JSON or
-    lacks, mistypes or holds an invalid field, raises ValidationError naming
-    the file."""
-    with open(path, "rb") as fh:
-        manifest = _read_header(fh, path, magic, version, kind)
-        try:
-            texts = [_read_exact(fh, manifest["blobs"][b], path, b).decode("utf-8") for b in blobs]
-            arrays = _read_arrays(fh, path, manifest.pop("arrays"))
-            try:
-                return decode(manifest, arrays, *texts)
-            except RegretstreamError as exc:  # a value the package itself rejects
-                raise ValidationError(f"{path}: invalid {kind} manifest: {exc}") from None
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: invalid {kind} manifest: {exc!r}") from None
+    manifest = {**codec.encode_record(m), "n_rows": len(m)}
+    codec.write_container(path, _MAGIC, _VERSION, manifest, codec.to_blocks(m))
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    """Read an RSF1 file, as ``_load_container`` does; an ``n_rows`` other
-    than the matrix's row count is an invalid field too."""
-    return _load_container(path, _MAGIC, _VERSION, "feature-matrix", _decode_matrix)
+    """Read an RSF1 file, as ``codec.load_container`` does; an ``n_rows``
+    other than the matrix's row count is an invalid field too."""
+    return codec.load_container(path, _MAGIC, _VERSION, "feature-matrix", _decode_matrix)
 
 
 def _decode_matrix(manifest: dict, arrays: dict) -> FeatureMatrix:
     n_rows = manifest.pop("n_rows")
-    fields = {
-        name: arrays[name].astype(dtype)
-        for name, dtype in textkit.array_fields(FeatureMatrix).items() if name in arrays
-    }
-    m = textkit.decode_record(FeatureMatrix, manifest, arrays=fields, strict=True)
+    fields = codec.from_blocks(FeatureMatrix, arrays, optional=("response",))
+    m = codec.decode_record(FeatureMatrix, manifest, arrays=fields, strict=True)
     if type(n_rows) is not int or n_rows != len(m):
         raise ValidationError(f"invalid n_rows: {n_rows!r} (the arrays hold {len(m)})")
     return m

@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import textkit
+from . import codec
 from .cleanup import CleanupConfig, near_duplicate
+from .codec import encode_record, format_rfc3339
 from .errors import ConfigError
 from .events import UserProfile
-from .textkit import encode_record, format_rfc3339
 
 POST_START = datetime(2015, 8, 3, tzinfo=timezone.utc)
 
@@ -112,7 +112,7 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
-        return textkit.decode_json(path, functools.partial(textkit.decode_config, cls))
+        return codec.decode_json(path, functools.partial(codec.decode_config, cls))
 
 
 @dataclass
@@ -715,22 +715,16 @@ def _build_ledger(cfg: SynthConfig, tweets, users, events) -> list[dict]:
 def write_synthetic(cfg: SynthConfig, events_path: str | Path, ledger_path: str | Path) -> dict:
     """Generate and write the stream plus ledger; returns the summary."""
     events, ledger = generate_synthetic(cfg)
-    with open(events_path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-    with open(ledger_path, "w", encoding="utf-8") as fh:
-        for rec in ledger:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    for path, records in ((events_path, events), (ledger_path, ledger)):
+        with open(path, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     return ledger[-1]
 
 
 def load_ledger_summary(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec.get("kind") == "summary":
-                return rec
+    for kind, rec in codec.decode_jsonl(path, lambda rec: (rec.get("kind"), rec)):
+        if kind == "summary":
+            return rec
     raise ConfigError(f"{path}: no summary record found")
 

@@ -3,32 +3,20 @@
 Everything here is a pure function of its inputs: tokenizing, Levenshtein
 distance, term-frequency cosine, lexicon category counts, valence
 sentiment, part-of-speech tagging, and lexical-density statistics. The
-JSON readers here are the ones every JSON and JSON Lines input goes through,
-and ``_decode`` is the one walker that decodes a JSON object by its table:
-events, corpus records and headers, configs, container manifests and their
-stage models, and lexicon categories. A dataclass's table is derived from its
-declared field types, and ``encode_record`` writes any of them back; its
-``NDArray`` fields are left to the binary container that holds it.
+lexicon, valence and pre-tagged resources are read through ``codec``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 import math
 import re
-import reprlib
-import types
-import typing
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ConfigError, ContractError, SchemaError, ValidationError
+from . import codec
+from .errors import ContractError, ValidationError
 
 # Longest-match-first emoticon inventory. Kept deliberately small; scorers
 # only need the common ASCII forms.
@@ -153,332 +141,9 @@ def term_cosine(a: str, b: str) -> float:
     return dot / (na * nb)
 
 
-def _not_utf8(path) -> ValidationError:
-    """The error for a file that failed to decode as UTF-8, naming the line
-    of its first invalid byte."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return ValidationError(f"{path}: line {line}: not valid UTF-8: {exc.reason}")
-    return ValidationError(f"{path}: not valid UTF-8")
-
-
-def text_lines(path: str | Path):
-    """(line number, line) for each line of a UTF-8 text file; a file that
-    is not UTF-8 raises ValidationError naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, 1)
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-
-
-def _parse_json(text: str, path, line: int = 1):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: line {line + exc.lineno - 1}: not valid JSON: {exc.msg}"
-        ) from None
-
-
-def _shaped(decode, value, where: str):
-    """``decode(value)``; a value of the wrong shape for ``decode`` (it
-    raises AttributeError, KeyError, TypeError, ValueError or OverflowError,
-    as ``int`` does on ``Infinity``) raises ValidationError naming ``where``,
-    and a ValidationError or ConfigError that ``decode`` raises itself is
-    raised again with ``where`` in front (a SchemaError, as a
-    ValidationError)."""
-    try:
-        return decode(value)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}: unexpected JSON shape: {exc!r}") from None
-    except (ConfigError, ValidationError) as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-    except SchemaError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-
-
-def decode_json(path: str | Path, decode):
-    """``decode`` applied to the value in a JSON file. Malformed JSON raises
-    ValidationError naming the file and line; a value of the wrong shape, one
-    naming the file."""
-    return _shaped(decode, _parse_json("".join(text for _, text in text_lines(path)), path), path)
-
-
-def decode_jsonl(path: str | Path, decode) -> list:
-    """``decode`` applied to the value on each non-blank line of a JSON Lines
-    file, once every line has parsed. Malformed JSON, or a value of the wrong
-    shape, raises ValidationError naming the file and line."""
-    values = [(n, _parse_json(text, path, n)) for n, text in text_lines(path) if text.strip()]
-    return [_shaped(decode, value, f"{path}: line {n}") for n, value in values]
-
-
-class _Rejected(ValueError):
-    """A converter's own reason for rejecting a value."""
-
-
-_REQUIRED = object()
-
-
-def _decode(raw, fields, line_number=None, prefix: str = "", closed: bool = False) -> dict:
-    """Keyword arguments built from the JSON object ``raw`` by its format's
-    decode table ``fields`` of (field, converter, default) entries. A field
-    absent from ``raw`` is converted from its default; without one
-    (``_REQUIRED``) it is a SchemaError, as is a value its converter
-    rejects. With ``closed``, a key outside the table is a SchemaError too.
-    Each error names the field (behind ``prefix``) and ``line_number``."""
-    if not isinstance(raw, dict):
-        whole = prefix[:-1] or "record"
-        raise SchemaError(whole, f"{whole} must be a JSON object", line_number)
-    if closed:
-        names = {name for name, _, _ in fields}
-        for name in raw:
-            if name not in names:
-                raise SchemaError(f"{prefix}{name}", f"unknown field: {prefix}{name}", line_number)
-    kwargs = {}
-    for name, convert, default in fields:
-        value = raw.get(name, default)
-        if value is _REQUIRED:
-            raise SchemaError(prefix + name, line_number=line_number)
-        try:
-            kwargs[name] = convert(value)
-        except SchemaError as exc:  # a nested object names its own field
-            raise SchemaError(exc.field, str(exc), line_number) from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            reason = f" ({exc})" if isinstance(exc, _Rejected) else ""
-            raise SchemaError(
-                prefix + name, f"invalid {prefix}{name}: {reprlib.repr(value)}{reason}", line_number
-            ) from None
-    return kwargs
-
-
-def _exactly(kind: type, reason: str):
-    """A converter that passes only values of type ``kind``."""
-    def convert(value):
-        if type(value) is not kind:
-            raise _Rejected(reason)
-        return value
-    return convert
-
-
-_json_int = _exactly(int, "not a JSON integer")
-_object_list = _exactly(list, "not an array of objects")
-
-
-def _finite(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise _Rejected("not a finite number")
-    return float(value)
-
-
-def _utc(value) -> datetime:
-    """An RFC 3339 timestamp as an aware UTC datetime."""
-    if not isinstance(value, str):
-        raise _Rejected("not a string timestamp")
-    try:
-        dt = datetime.fromisoformat(value.replace("Z", "+00:00").replace("z", "+00:00"))
-    except ValueError:
-        raise _Rejected("not RFC 3339") from None
-    if dt.tzinfo is None:
-        raise _Rejected("missing a timezone offset")
-    return dt.astimezone(timezone.utc)
-
-
-def format_rfc3339(dt: datetime) -> str:
-    dt = dt.astimezone(timezone.utc)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-# Feature matrices, bundles and scores store tweet ids as int64.
-TweetId = typing.NewType("TweetId", int)
-
-
-def _tweet_id(value) -> int:
-    ident = _json_int(value)
-    if not 0 < ident < 2 ** 63:
-        raise _Rejected("a tweet id lies in 1..2**63-1")
-    return ident
-
-
-# The converter for each type a record field is declared with.
-_JSON_TYPES = {bool: _exactly(bool, "not true or false"), int: _json_int, float: _finite,
-               str: _exactly(str, "not a string"), datetime: _utc, TweetId: _tweet_id,
-               frozenset: lambda value: frozenset(_str_list(value))}
-
-
-def _array_of(kind: type, noun: str):
-    """A converter that passes a JSON array whose every item converts as
-    ``kind``, as a list of the converted items."""
-    item = _JSON_TYPES[kind]
-
-    def convert(value) -> list:
-        if type(value) is list:
-            try:
-                return [item(v) for v in value]
-            except _Rejected:
-                pass
-        raise _Rejected(f"not an array of {noun}")
-    return convert
-
-
-_ARRAYS = {str: _array_of(str, "strings"), int: _array_of(int, "integers"),
-           float: _array_of(float, "finite numbers")}
-_str_list = _ARRAYS[str]
-# The JSON form of each declared type that is not its own JSON form.
-_JSON_FORMS = {datetime: format_rfc3339, tuple: list, frozenset: sorted, dict: dict}
-
-
-def _optional(convert):
-    return lambda value: None if value is None else convert(value)
-
-
-def _converter(hint, prefix: str, default, strict: bool):
-    """The converter for a field declared ``hint`` whose own fields, if it
-    has any, sit behind ``prefix``."""
-    kind = typing.get_origin(hint) or hint
-    args = typing.get_args(hint)
-    if kind is types.UnionType:  # X | None
-        return _optional(_converter(_inner(hint), prefix, default, strict))
-    if kind is list and dataclasses.is_dataclass(args[0]):  # list[<dataclass>]
-        item = _converter(args[0], prefix, None, strict)
-        return lambda value: [item(v) for v in _object_list(value)]
-    if kind is list:  # list[X]
-        return _ARRAYS[args[0]]
-    if kind is tuple:  # tuple[X, ...]
-        array = _ARRAYS[args[0]]
-        return lambda value: tuple(array(value))
-    if kind is dict:
-        nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
-        return functools.partial(_decode, fields=nested, prefix=prefix, closed=True)
-    if dataclasses.is_dataclass(kind):
-        fields = _record_fields(kind, prefix, strict)
-        return lambda raw: kind(**_decode(raw, fields, prefix=prefix, closed=strict))
-    return _JSON_TYPES[kind]
-
-
-def _inner(hint):
-    """X of a hint declared ``X | None``."""
-    (inner,) = (a for a in typing.get_args(hint) if a is not type(None))
-    return inner
-
-
-@functools.cache
-def array_fields(cls) -> types.MappingProxyType:
-    """The little-endian dtype of each field of the dataclass ``cls`` declared
-    ``NDArray[<scalar>]`` (or that ``| None``), by name: the fields a binary
-    container holds as array blocks, not in its JSON manifest."""
-    arrays = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        if typing.get_origin(hint) is types.UnionType:
-            hint = _inner(hint)
-        if typing.get_origin(hint) is np.ndarray:
-            arrays[name] = np.dtype(typing.get_args(typing.get_args(hint)[1])[0]).newbyteorder("<")
-    return types.MappingProxyType(arrays)
-
-
-def json_field(json_default, **kwargs):
-    """A dataclass field that a JSON object leaving it out gives
-    ``json_default``, where that differs from its Python default
-    (``_REQUIRED``: it may not be left out)."""
-    return dataclasses.field(metadata={"json_default": json_default}, **kwargs)
-
-
-@functools.cache
-def _record_fields(cls, prefix: str = "", strict: bool = False) -> tuple:
-    """The decode table of the dataclass ``cls`` whose fields sit behind
-    ``prefix``; its ``NDArray`` fields are not in it. Each field converts by
-    the type it is declared with: a JSON type, a timestamp, a tweet id,
-    ``X | None``, a list or tuple as an array, a dict as an object holding
-    only its default's keys (each converted by the type of its default
-    value), and a dataclass, or a list of them, as an object decoded by its
-    own table, whose unknown keys are ignored. A field defaults to the JSON
-    form of its ``json_field`` default, else of its Python default; without
-    either it is required (``_REQUIRED``). With ``strict`` every field is
-    required, here and in each nested object, which may hold no unknown key
-    either."""
-    hints = typing.get_type_hints(cls)
-    table = []
-    for f in dataclasses.fields(cls):
-        if f.name in array_fields(cls):
-            continue
-        hint = hints[f.name]
-        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        convert = _converter(hint, f"{prefix}{f.name}.", default, strict)
-        default = f.metadata.get("json_default", default)
-        if default is dataclasses.MISSING or strict:
-            default = _REQUIRED
-        elif default is not _REQUIRED and _encoder(hint):
-            default = _encoder(hint)(default)
-        table.append((f.name, convert, default))
-    return tuple(table)
-
-
-def _encoder(hint):
-    """The function giving the JSON form of a value declared ``hint``, or
-    None where the value is its own JSON form."""
-    kind = typing.get_origin(hint) or hint
-    if kind is types.UnionType:  # X | None
-        inner = _encoder(_inner(hint))
-        return None if inner is None else _optional(inner)
-    if kind is list and dataclasses.is_dataclass(typing.get_args(hint)[0]):
-        item = _record_encoder(typing.get_args(hint)[0])
-        return lambda items: [item(v) for v in items]
-    return _record_encoder(kind) if dataclasses.is_dataclass(kind) else _JSON_FORMS.get(kind)
-
-
-@functools.cache
-def _record_encoder(cls):
-    """The function giving the JSON object of an instance of the dataclass
-    ``cls``, each field but its arrays encoded by its declared type."""
-    hints = typing.get_type_hints(cls)
-    table = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls)
-                  if f.name not in array_fields(cls))
-
-    def encode(obj) -> dict:
-        out = {}
-        for name, to_json in table:
-            value = getattr(obj, name)
-            out[name] = value if to_json is None else to_json(value)
-        return out
-    return encode
-
-
-def encode_record(obj) -> dict:
-    """The JSON object of the dataclass ``obj``, field by field: a datetime
-    in RFC 3339, a tuple as an array, a frozenset as a sorted array, a dict
-    copied, a nested dataclass (or each of a list of them) as its own JSON
-    object, and every other value as it is. Its ``array_fields`` are left
-    out. ``decode_record`` reads it back."""
-    return _record_encoder(type(obj))(obj)
-
-
-def decode_record(cls, raw, prefix: str = "", arrays=None, strict: bool = False):
-    """The dataclass ``cls`` built from the JSON object ``raw`` by
-    ``_record_fields(cls, prefix, strict)`` and from ``arrays``, the values
-    of its ``array_fields`` by name; a key outside the table is a
-    SchemaError."""
-    fields = _decode(raw, _record_fields(cls, prefix, strict), prefix=prefix, closed=True)
-    return cls(**fields, **(arrays or {}))
-
-
-def decode_config(declared, raw, prefix: str = ""):
-    """``decode_record(declared, raw)``, raising a ConfigError naming the field;
-    a dict ``declared`` is the default of an object field behind ``prefix``."""
-    try:
-        if isinstance(declared, dict):
-            return _converter(dict, prefix, declared, False)(raw)
-        return decode_record(declared, raw)
-    except SchemaError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 # One category of the JSON lexicon format.
-_CATEGORY_FIELDS = (("name", _JSON_TYPES[str], _REQUIRED), ("patterns", _str_list, _REQUIRED))
+_CATEGORY_FIELDS = (("name", codec.converter(str), codec.REQUIRED),
+                    ("patterns", codec.converter(list[str]), codec.REQUIRED))
 
 
 class Lexicon:
@@ -532,13 +197,13 @@ class Lexicon:
         {"name", "patterns"}; an error names the field behind ``prefix``."""
         return cls([
             (c["name"], c["patterns"])
-            for c in (_decode(c, _CATEGORY_FIELDS, prefix=prefix) for c in raw)
+            for c in (codec.decode_fields(c, _CATEGORY_FIELDS, prefix=prefix) for c in raw)
         ])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load the JSON lexicon format: {"categories": [{"name", "patterns"}]}."""
-        return decode_json(path, lambda raw: cls.from_categories(raw["categories"]))
+        return codec.decode_json(path, lambda raw: cls.from_categories(raw["categories"]))
 
 
 def lexicon_counts(words, lex: Lexicon) -> list[int]:
@@ -554,13 +219,14 @@ def valence_table(raw, prefix: str = "valence.") -> dict[str, float]:
     """The word -> valence table of the JSON object ``raw``, each word
     lowercased; a valence that is not an exact finite number is a
     SchemaError naming its word behind ``prefix``."""
-    fields = tuple((word, _finite, _REQUIRED) for word in raw)
-    return {word.lower(): v for word, v in _decode(raw, fields, prefix=prefix).items()}
+    finite = codec.converter(float)
+    fields = tuple((word, finite, codec.REQUIRED) for word in raw)
+    return {word.lower(): v for word, v in codec.decode_fields(raw, fields, prefix=prefix).items()}
 
 
 def load_valence(path: str | Path) -> dict[str, float]:
     """Load a JSON word -> valence score table."""
-    return decode_json(path, valence_table)
+    return codec.decode_json(path, valence_table)
 
 
 def _is_negation(tok: Token) -> bool:
@@ -711,11 +377,13 @@ class PretaggedStore:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PretaggedStore":
-        return cls(dict(decode_jsonl(path, lambda rec: _decode(rec, _TAGGED_FIELDS).values())))
+        return cls(dict(codec.decode_jsonl(
+            path, lambda rec: codec.decode_fields(rec, _TAGGED_FIELDS).values())))
 
 
 # One line of the pre-tagged JSON Lines format.
-_TAGGED_FIELDS = (("id", _tweet_id, _REQUIRED), ("tags", _str_list, _REQUIRED))
+_TAGGED_FIELDS = (("id", codec.converter(codec.TweetId), codec.REQUIRED),
+                  ("tags", codec.converter(list[str]), codec.REQUIRED))
 
 
 @functools.cache
@@ -746,7 +414,7 @@ def pos_tag(tokens: TokenList, tagger) -> list[str]:
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line dictionary wordlist (lowercased)."""
     words = set()
-    for _, line in text_lines(path):
+    for _, line in codec.text_lines(path):
         w = line.strip().lower()
         if w:
             words.add(w)

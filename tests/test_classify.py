@@ -31,8 +31,8 @@ from regretstream.classify import (
     two_stage_train,
 )
 from regretstream.classify.smo import MAX_TRAIN_ROWS
+from regretstream.codec import decode_config, decode_record, encode_record
 from regretstream.errors import ConfigError, InsufficientDataError, ValidationError
-from regretstream.textkit import decode_config, decode_record, encode_record
 
 from conftest import make_corpus, make_tweet, ts
 from oracles import ReferenceTree, row_pegasos_weights

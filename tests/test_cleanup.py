@@ -12,8 +12,9 @@ from regretstream.cleanup import (
     load_whitelist,
     run_cleanup,
 )
+from regretstream.codec import decode_config, encode_record
 from regretstream.errors import ConfigError
-from regretstream.textkit import decode_config, edit_distance, encode_record, term_cosine
+from regretstream.textkit import edit_distance, term_cosine
 
 from conftest import make_corpus, make_profile, make_tweet, ts
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretstream import analytics, textkit
+from regretstream import analytics, codec, textkit
 from regretstream.classify import TrainConfig
 from regretstream.cleanup import CleanupConfig
 from regretstream.errors import RegretstreamError
@@ -47,14 +47,14 @@ INPUTS = {
     "clean config": (
         {"language_tag": "en", "client_whitelist": ["Twitter Web Client"],
          "superficial_lookahead": 3, "cosine_min": 0.6},
-        False, lambda path: textkit.decode_json(path, partial(textkit.decode_config, CleanupConfig)),
+        False, lambda path: codec.decode_json(path, partial(codec.decode_config, CleanupConfig)),
         ["clean", "--corpus", "{corpus}", "--config", "{file}", "--out", "{tmp}/c.json"],
     ),
     "train config": (
         {"n_per_class": 4, "test_fraction": 0.25, "stage1_algorithm": "linear_svm",
          "stage1_hyper": {"svm_epochs": 2}, "stage2_hyper": {"ada_depth": 2, "ada_rounds": 3},
          "derived_feature_folds": 2, "with_responses": False},
-        False, lambda path: textkit.decode_json(path, partial(textkit.decode_config, TrainConfig)),
+        False, lambda path: codec.decode_json(path, partial(codec.decode_config, TrainConfig)),
         ["train", "--corpus", "{corpus}", "--config", "{file}", "--out", "{tmp}/m.rsb1"],
     ),
     "lexicon": (
@@ -87,7 +87,7 @@ INPUTS = {
          for i in range(4)],
         True,
         lambda path: analytics.aggregate_annotations(
-            textkit.decode_jsonl(path, analytics.annotation_item)),
+            codec.decode_jsonl(path, analytics.annotation_item)),
         ["annotate-agg", "--annotations", "{file}", "--out", "{tmp}/a.json"],
     ),
 }
@@ -209,11 +209,11 @@ def test_config_round_trip(cls):
     default = cls()
     changed = cls(**{f.name: _changed(getattr(default, f.name)) for f in fields(cls)})
     for cfg in (default, changed):
-        assert textkit.decode_config(cls, json.loads(json.dumps(textkit.encode_record(cfg)))) == cfg
+        assert codec.decode_config(cls, json.loads(json.dumps(codec.encode_record(cfg)))) == cfg
     assert all(getattr(changed, f.name) != getattr(default, f.name) for f in fields(cls))
 
 
 @pytest.mark.parametrize("cls", [SynthConfig, CleanupConfig, TrainConfig])
 def test_absent_fields_decode_to_their_defaults(cls):
     """A config file may leave any field out, a set-valued one included."""
-    assert textkit.decode_config(cls, {}) == cls()
+    assert codec.decode_config(cls, {}) == cls()

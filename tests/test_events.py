@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretstream import events
+from regretstream import codec, events
+from regretstream.codec import decode_record, encode_record
 from regretstream.errors import DuplicateTweetError, ParseError, SchemaError, ValidationError
 from regretstream.events import (
     CollectionWindow,
@@ -20,7 +21,6 @@ from regretstream.events import (
     read_events,
 )
 from regretstream.synth import SynthConfig
-from regretstream.textkit import decode_record, encode_record
 
 from conftest import T0, make_corpus, make_tweet, make_window, run_synth_pipeline, ts
 
@@ -194,7 +194,7 @@ class TestDecodeTables:
         return [name for name, _, _ in table]
 
     def test_each_table_names_its_dataclass_fields(self):
-        assert self.names(events._USER_FIELDS) == [f.name for f in fields(UserProfile)]
+        assert self.names(codec.record_fields(UserProfile, "user.")) == [f.name for f in fields(UserProfile)]
         assert self.names(events._DELETE_FIELDS) == [f.name for f in fields(DeletePayload)]
         assert self.names(events._RECORD_FIELDS) == [f.name for f in fields(TweetRecord)]
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -412,6 +413,15 @@ class TestOneTextPass:
         plain = featurize_corpus(corpus, build_vocab(tweets), resources, tweets=tweets)
         for name in ("sparse_indptr", "sparse_indices", "sparse_data", "dense", "tweet_ids"):
             assert getattr(m, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_each_record_released_once_read(self, synth_small, resources):
+        corpus = synth_small.cleaned
+        tweets = list(corpus)[:50]
+        records = [TweetMeasurements(t, resources) for t in tweets]
+        read = [weakref.ref(m) for m in records]
+        featurize_corpus(corpus, build_vocab(records), resources, tweets=records)
+        assert records == tweets  # the caller's list now holds the tweets
+        assert all(ref() is None for ref in read)
 
     def test_reply_measured_once_with_responses(self, synth_small, resources, tokenize_calls):
         corpus = synth_small.cleaned

@@ -15,6 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,15 +66,19 @@ def _corpus_bytes() -> bytes:
 WORDS = ["good", "bad", "day", "work", "#fun", "@pal", "http://t.co/x", "hate", "love", "lol"]
 
 
-@functools.cache
-def _container_bytes() -> tuple[bytes, bytes]:
-    """An RSF1 feature matrix and an RSB1 bundle of a 40-tweet corpus."""
-    corpus = make_corpus([
+def _forty_tweets():
+    return make_corpus([
         make_tweet(id=i, user_id=(i // 2) % 4 + 1, created_at=ts(hours=i), deleted=i % 2 == 0,
                    text=" ".join(WORDS[i * k % len(WORDS)] for k in (1, 3, 7)),
                    in_reply_to_id=i - 1 if i % 5 == 0 else None)
         for i in range(1, 41)
     ])
+
+
+@functools.cache
+def _container_bytes() -> tuple[bytes, bytes]:
+    """An RSF1 feature matrix and an RSB1 bundle of a 40-tweet corpus."""
+    corpus = _forty_tweets()
     resources = load_default_resources()
     config = TrainConfig(n_per_class=8, derived_feature_folds=2, stage1_hyper={"svm_epochs": 2},
                          stage2_hyper={"ada_depth": 2, "ada_rounds": 3})
@@ -83,6 +88,17 @@ def _container_bytes() -> tuple[bytes, bytes]:
         save_feature_matrix(matrix, Path(tmp) / "m.rsf1")
         save_bundle(bundle, Path(tmp) / "b.rsb1")
         return (Path(tmp) / "m.rsf1").read_bytes(), (Path(tmp) / "b.rsb1").read_bytes()
+
+
+@functools.cache
+def _rbf_bundle_bytes() -> bytes:
+    """An RSB1 bundle of the same corpus with an RBF-SVM stage 2 and its scaler."""
+    config = TrainConfig(n_per_class=8, derived_feature_folds=2, stage1_hyper={"svm_epochs": 2},
+                         stage2_algorithm="rbf_svm")
+    bundle, _ = two_stage_train(_forty_tweets(), config, 0, load_default_resources())
+    with tempfile.TemporaryDirectory() as tmp:
+        save_bundle(bundle, Path(tmp) / "b.rsb1")
+        return (Path(tmp) / "b.rsb1").read_bytes()
 
 
 WRONG_VALUES = st.one_of(
@@ -404,3 +420,56 @@ def test_rejected_matrix_value_names_the_file(tmp_path, damage):
     with pytest.raises(RegretstreamError) as exc:
         load_feature_matrix(path)
     assert str(exc.value) == f"{path}: invalid feature-matrix manifest: {message}"
+
+
+def _without_block(container: bytes, name: str) -> bytes:
+    """``container`` without the array block ``name``: its manifest entry
+    and its bytes."""
+    manifest = json.loads(_manifest(container))
+    start = 16 + len(_manifest(container)) + sum(manifest.get("blobs", {}).values())
+    for entry in manifest["arrays"]:
+        size = np.dtype(entry["dtype"]).itemsize * int(np.prod(entry["shape"]))
+        if entry["name"] == name:
+            break
+        start += size
+    manifest["arrays"].remove(entry)
+    return _repacked(container[:start] + container[start + size:], manifest)
+
+
+# The array blocks of each container, in file order.
+CONTAINER_BLOCKS = {
+    "default.rsb1": (lambda: _container_bytes()[1], ("vocab_df", "svm_weights")),
+    "rbf.rsb1": (_rbf_bundle_bytes, ("vocab_df", "svm_weights", "rbf_support_vectors",
+                                     "rbf_dual_coef", "scaler_mean", "scaler_scale")),
+    "responses.rsf1": (lambda: _container_bytes()[0], (
+        "tweet_ids", "labels", "sparse_indptr", "sparse_indices", "sparse_data", "dense",
+        "response")),
+}
+
+
+@pytest.mark.parametrize("kind, block", [
+    (kind, block) for kind, (_, blocks) in CONTAINER_BLOCKS.items() for block in blocks
+])
+def test_missing_array_block_is_named(tmp_path, kind, block):
+    make, blocks = CONTAINER_BLOCKS[kind]
+    base = make()
+    assert tuple(a["name"] for a in json.loads(_manifest(base))["arrays"]) == blocks
+    path = tmp_path / kind
+    path.write_bytes(_without_block(base, block))
+    if kind.endswith(".rsf1"):
+        if block == "response":  # a valid matrix without responses
+            assert load_feature_matrix(path).response is None
+            return
+        with pytest.raises(RegretstreamError) as exc:
+            load_feature_matrix(path)
+        assert str(exc.value).startswith(f"{path}: invalid feature-matrix manifest: ")
+        assert repr(block) in str(exc.value)
+        return
+    events = tmp_path / "predict.jsonl"
+    events.write_bytes(EVENT_LINES[0] + b"\n")
+    code, err = _run_cli([
+        "predict", "--bundle", str(path), "--events", str(events),
+        "--out", str(tmp_path / "scores.jsonl"),
+    ])
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and repr(block) in err

@@ -1,7 +1,7 @@
 """Dead-surface guards: every function, class and module constant defined
 in the package is used somewhere in the source tree, every config field has
-a caller, the decode walker's internals stay inside ``textkit`` and
-``events``, and every benchmark probe target still resolves.
+a caller, no package module reads another's underscore names, and every
+benchmark probe target still resolves.
 
 A use is a name read, an attribute, or a string constant (or one
 dot-separated part of it, as in the benchmark's
@@ -150,32 +150,32 @@ def test_every_config_field_has_a_caller():
     assert uncalled_config_fields() == []
 
 
-# The modules that may use textkit's underscore names: textkit itself, and
-# events, whose wire tables are built from the walker's parts.
-WALKER_MODULES = {"textkit.py", "events.py"}
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def textkit_internals_users() -> list[str]:
-    """Package modules outside ``WALKER_MODULES`` that import an underscore
-    name from textkit or read one off it."""
+def foreign_private_reads() -> list[str]:
+    """Package modules that import an underscore name from another package
+    module, or read one off a name they imported from one."""
     users = set()
     for path, tree in _trees():
-        if not path.is_relative_to(PACKAGE) or path.name in WALKER_MODULES:
+        if not path.is_relative_to(PACKAGE):
             continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("textkit"):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "textkit":
-                names = [node.attr]
-            else:
-                continue
-            if any(name.startswith("_") for name in names):
-                users.add(str(path.relative_to(PACKAGE)))
+        imports = [alias for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").startswith("regretstream"))
+                   for alias in node.names]
+        bound = {alias.asname or alias.name for alias in imports}
+        names = [alias.name for alias in imports] + [
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound
+        ]
+        if any(_private(name) for name in names):
+            users.add(str(path.relative_to(PACKAGE)))
     return sorted(users)
 
 
-def test_only_the_walker_modules_use_textkit_internals():
-    assert textkit_internals_users() == []
+def test_no_module_reads_another_modules_private_names():
+    assert foreign_private_reads() == []
 
 
 def benchmark_probes(monkeypatch) -> tuple:

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from regretstream.errors import ConfigError
-from regretstream.textkit import decode_config, encode_record
+from regretstream.codec import decode_config, encode_record
+from regretstream.errors import ConfigError, ValidationError
 from regretstream.synth import (
     SynthConfig,
     generate_synthetic,
@@ -72,6 +72,24 @@ class TestDeterminism:
         epath, lpath = tmp_path / "e.jsonl", tmp_path / "l.jsonl"
         summary = write_synthetic(cfg, epath, lpath)
         assert load_ledger_summary(lpath) == summary
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"{bad", "not valid JSON"),
+        (b"[1, 2]", "unexpected JSON shape"),
+        (b'{"kind": "\xff"}', "not valid UTF-8"),
+    ])
+    def test_summary_loader_names_a_bad_line(self, tmp_path, line, reason):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b'{"kind": "user"}\n' + line + b'\n{"kind": "summary"}\n')
+        with pytest.raises(ValidationError) as exc:
+            load_ledger_summary(path)
+        assert str(exc.value).startswith(f"{path}: line 2: {reason}")
+
+    def test_summary_loader_without_a_summary(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text('{"kind": "user"}\n')
+        with pytest.raises(ConfigError, match="no summary record found"):
+            load_ledger_summary(path)
 
 
 class TestLedger:
