@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -365,6 +366,44 @@ def test_analyze_degenerate_corpus_matches_oracle(tmp_path, resources, kind):
     tally, unmapped = analytics.trait_tally(medians, load_default_trait_map())
     traits = {"tally": tally, "unmapped": unmapped, "medians": medians}
     assert (out / "traits.json").read_text() == _json_file_bytes(traits)
+
+
+# --metrics value -> {report file: sha256} that ``analyze`` writes for the
+# cleaned ``synth_small`` corpus; pinned so that a change to how the
+# measurements are computed cannot move a report byte unnoticed.
+GOLDEN_ANALYZE = {
+    "ntd,nud,users,temporal,response,traits": {
+        "ccdf_followees.csv": "b3992cf9636267c1240a97875fb35bdef93e3a16cc08cf12e14c5dd6a6194918",
+        "ccdf_followers.csv": "a0773ade16e8fc3c1ad62f17b1f133f34598cb3382aa0bb6daf6067ac9e23bbd",
+        "ccdf_listed.csv": "5cdb62acbc0108ebe2082af6850fc40515f0a5c4199e42632b1e83e3bb7c342e",
+        "ccdf_tweet_rate.csv": "ef5c0e58fa4460d1390c0ba95e9ca05c1ab71ba1a176c21952136072c82e5343",
+        "group_comparison.csv": "d9609bc20792ab726e146f2e40e6e00035b7857d584338992d02aa9068d60da1",
+        "group_comparison.json": "06c0ec6bf08dfec700ca93b815b22ada3c4513930ea774cb8ad1beab65bd9de5",
+        "response.json": "afe69f0c5d4824a5b9d27c82539fb8515a3418fff3ca96950f8a47daa458e886",
+        "temporal.csv": "2b35445e65d1fc54d8635994dea3cc973f6515f6a4ff21e8f3d7b87527136ab8",
+        "temporal.json": "bb2af4da9a8c65227b94fb21163e48df937ab8cfd59de76b7e95ce28f10681fb",
+        "traits.json": "d128235085ce6a18deb1fc99237e769973d35e84e3d434d9075f7a20fba4acb1",
+        "user_groups.json": "8d68a0f5753f2d6cc4738ba7c83abfa2ea0375c72993a9e634154fcee91efea3",
+    },
+    "ntd": {
+        "group_comparison.csv": "d9609bc20792ab726e146f2e40e6e00035b7857d584338992d02aa9068d60da1",
+        "group_comparison.json": "9e4884a9b1a6dc068f5f967249d67dbddfd834a96ed8196e6a7ccdfe43f3da52",
+    },
+    "nud": {
+        "group_comparison.csv": "d553d7d91e60a535e8f71b8419b702ac71343e4e7465458fb9e15879736ec1b5",
+        "group_comparison.json": "5447dd5bd5c6b1bb190544682206bddb76fd119e9fb8067ed4c5c17dba339deb",
+    },
+}
+
+
+@pytest.mark.parametrize("metrics", sorted(GOLDEN_ANALYZE))
+def test_golden_analyze_files(synth_small, tmp_path, metrics):
+    path = tmp_path / "cleaned.json"
+    synth_small.cleaned.save(path)
+    out = tmp_path / "r"
+    assert main(["analyze", "--corpus", str(path), "--metrics", metrics, "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN_ANALYZE[metrics]
 
 
 class TestAnnotateAggCommand:
