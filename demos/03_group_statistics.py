@@ -38,13 +38,15 @@ window = CollectionWindow(
 )
 corpus = build_corpus([parse_event(json.dumps(e)) for e in events], window)
 cleaned, _ = run_cleanup(corpus, CleanupConfig(client_whitelist=load_default_whitelist()))
-cache = analytics.MeasurementCache(load_default_resources())
-
 deleters, non_deleters = analytics.partition_users(cleaned)
 print(f"deleters: {len(deleters)}  non-deleters: {len(non_deleters)}")
 
-# Structural NTD/NUD rows (hashtags, urls, mentions, replies).
-rows = analytics.group_compare_report(cleaned, analytics.structural_extractors(), cache)
+# One measurement table serves the NTD/NUD rows (structural: hashtags,
+# urls, mentions, replies) and the first-reply tone below.
+attrs = analytics.structural_extractors()
+firsts = analytics.first_replies(cleaned)
+table = analytics.analysis_table(cleaned, load_default_resources(), attrs, firsts=firsts)
+rows = analytics.group_compare_report(table, attrs)
 for row in rows:
     ntd = f"{row['ntd']:+7.2f}%" if row["ntd"] is not None else "   n/a "
     nud = f"{row['nud']:+7.2f}%" if row.get("nud") is not None else "   n/a "
@@ -64,11 +66,10 @@ print(f"tweets posted 20:00-06:00 UTC: deleted {late_night(deleted_hist):.1f}% "
       f"vs kept {late_night(kept_hist):.1f}%")
 
 # Response behavior and first-reply tone, from one first-reply lookup.
-firsts = analytics.first_replies(cleaned)
 report = analytics.response_report(cleaned, firsts)
 print(f"replied-to: deleted {report.deleted.pct_with_replies:.1f}% "
       f"vs kept {report.non_deleted.pct_with_replies:.1f}%")
-split = analytics.reply_sentiment_split(cleaned, cache, firsts)
+split = analytics.reply_sentiment_split(cleaned, table, firsts)
 print(f"negative first replies: deleted {split['deleted']['pct_negative']:.1f}% "
       f"vs kept {split['non_deleted']['pct_negative']:.1f}%")
 

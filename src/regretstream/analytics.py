@@ -4,9 +4,11 @@ Covers deleter/non-deleter partitioning, normalized tweet/user differences
 (NTD/NUD), user-attribute distribution comparison, the personality trait
 tally, temporal histograms, response statistics, and annotation aggregation.
 
-NTD, NUD and the trait medians read a columnar ``MeasurementTable``: NTD
-sums its columns over deleted and kept rows, NUD and the trait medians over
-per-user segments of the rows sorted once.
+An ``analyze`` run reads one columnar ``MeasurementTable`` over the corpus
+(``analysis_table``): NTD sums its columns over the deleted and kept rows of
+deleter-set users, NUD and the trait medians over per-user segments of the
+rows sorted once, and the reply-tone split reads the sentiment flags at each
+first reply's row.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import codec, textkit
 from .errors import UndefinedDifferenceError, ValidationError
 from .events import Corpus, TweetRecord
-from .features import MeasurementCache, measure
+from .features import TweetMeasurements, measure
 from .stats import Contingency2x2, TestResult, fisher_exact, mann_whitney_u, median
 
 NUD_MIN_TWEETS = 10  # per class, for a user to be NUD-eligible
@@ -40,13 +42,21 @@ SENTIMENT_COLUMNS = ("tweets_w_positive_sentiment", "tweets_w_negative_sentiment
 WORD_COLUMNS = (*(f"lexicon[{i}]" for i in range(textkit.Lexicon.SIZE)), "n_words")
 TAG_COLUMNS = (*(f"pos_{tag}" for tag in POS_TAGS), "n_tokens")
 SCALAR_COLUMNS = ("lexical_density", "dictionary_words")
+_FILL_GROUPS = (
+    ("sentiment", SENTIMENT_COLUMNS), ("words", WORD_COLUMNS), ("tags", TAG_COLUMNS),
+    ("stats", SCALAR_COLUMNS),
+)
+# The columns the trait medians read, at every row.
+TRAIT_COLUMNS = (*WORD_COLUMNS, *SENTIMENT_COLUMNS, "tweets_w_hashtags", "tweets_w_urls")
 
 
-def _segments(*keys) -> tuple[np.ndarray, np.ndarray]:
-    """(order, bounds): a stable sort of the rows by ``keys``, the first key
-    primary, and the offset where each run of equal keys starts in it,
-    followed by the row count."""
-    order = np.lexsort(keys[::-1])
+def _segments(*keys, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): a stable sort by ``keys``, the first key primary, of
+    the rows the boolean mask ``rows`` marks (default: every row), and the
+    offset where each run of equal keys starts in it, followed by its
+    length."""
+    marked = np.arange(len(keys[0])) if rows is None else np.flatnonzero(rows)
+    order = marked[np.lexsort([key[marked] for key in keys[::-1]])]
     _, starts = np.unique(np.stack(keys)[:, order], axis=1, return_index=True)
     return order, np.append(starts, len(order))
 
@@ -55,22 +65,25 @@ class MeasurementTable:
     """Per-tweet measurement columns, one row per tweet in the order given.
 
     The structural flags, plus the fill group (``features.measure``) of each
-    standard column named, from one read of each tweet's record. ``columns``
-    maps a name to flags, counts or float scalars; callers may add their own.
-    ``user`` holds each row's index into ``user_ids``, the sorted distinct
-    user ids (which need not fit 64 bits). The rows are held sorted by
-    deleted flag (``by_deleted``) and by user, then deleted flag
-    (``by_user``); ``nud_users`` holds (user id, kept segment, deleted
+    standard column named, from one read of each tweet's record (made here,
+    not kept), at every row or at the rows of its boolean mask in ``at``.
+    ``columns`` maps a name to flags, counts or float scalars; callers may
+    add their own. ``user`` holds each row's index into ``user_ids``, the
+    sorted distinct user ids (which need not fit 64 bits). NTD and NUD
+    compare the rows of the boolean mask ``pool`` (default: every row),
+    held sorted by deleted flag (``by_deleted``) and by user, then deleted
+    flag (``by_user``); ``nud_users`` holds (user id, kept segment, deleted
     segment) of ``by_user`` for each NUD-eligible user, ascending.
     """
 
-    def __init__(self, tweets, cache: MeasurementCache, columns=()):
-        n = len(tweets)
-        groups = [group for group, names in (
-            ("sentiment", SENTIMENT_COLUMNS), ("words", WORD_COLUMNS), ("tags", TAG_COLUMNS),
-            ("stats", SCALAR_COLUMNS),
-        ) if set(columns) & set(names)]
-        cols = measure((cache.get(t) for t in tweets), n, cache.resources, groups) if groups else {}
+    def __init__(self, tweets, resources, columns=(), at=None, pool=None):
+        n, at = len(tweets), at or {}
+        need = {}  # fill group -> the rows it is measured at
+        for group, names in _FILL_GROUPS:
+            for name in set(columns).intersection(names):
+                need[group] = need.get(group, False) | np.broadcast_to(at.get(name, True), n)
+        records = (TweetMeasurements(t, resources) for t in tweets)
+        cols = measure(records, n, resources, need, at=need) if need else {}
         self.user_ids = sorted({t.user_id for t in tweets})
         rank = {u: k for k, u in enumerate(self.user_ids)}
         self.user = np.array([rank[t.user_id] for t in tweets], dtype=np.int64)
@@ -80,19 +93,19 @@ class MeasurementTable:
             for t in tweets
         ], dtype=bool).reshape(n, len(STRUCTURAL_COLUMNS))
         self.columns = {name: flags[:, j] for j, name in enumerate(STRUCTURAL_COLUMNS)}
-        if "sentiment" in groups:
+        if "sentiment" in need:
             self.columns.update(tweets_w_positive_sentiment=cols["sentiment"] > 0,
                                 tweets_w_negative_sentiment=cols["sentiment"] < 0)
-        if "words" in groups:  # the 64 lexicon columns, then n_words
+        if "words" in need:  # the 64 lexicon columns, then n_words
             self.columns.update(zip(WORD_COLUMNS, [*cols["lexicon"].T, cols["n_words"]]))
-        if "tags" in groups:
-            index = cache.resources.tagger.tagset.index
+        if "tags" in need:
+            index = resources.tagger.tagset.index
             self.columns.update((f"pos_{tag}", cols["pos"][:, index(tag)]) for tag in POS_TAGS)
             self.columns["n_tokens"] = cols["n_tokens"]
-        if "stats" in groups:
+        if "stats" in need:
             self.columns.update(zip(SCALAR_COLUMNS, cols["stats"].T))
-        self.by_deleted = _segments(self.deleted)
-        self.by_user = order, bounds = _segments(self.user, self.deleted)
+        self.by_deleted = _segments(self.deleted, rows=pool)
+        self.by_user = order, bounds = _segments(self.user, self.deleted, rows=pool)
         # A user's kept and deleted segments are adjacent, kept first.
         users = self.user[order[bounds[:-1]]]
         sizes = np.diff(bounds)
@@ -100,6 +113,26 @@ class MeasurementTable:
         self.nud_users = [
             (self.user_ids[users[i]], i, i + 1) for i in np.flatnonzero(pair).tolist()
         ]
+
+
+def analysis_table(corpus: Corpus, resources, attrs=(), traits=False, firsts=None):
+    """The one measurement table of an ``analyze`` run: a row per corpus
+    tweet in corpus order, its pool the rows of deleter-set users (every
+    NUD-eligible user is one). It holds the columns ``attrs`` read at the
+    pool rows, the TRAIT_COLUMNS at every row when ``traits``, and the
+    sentiment flags at the rows of the replies ``firsts`` (from
+    ``first_replies(corpus)``) when given."""
+    tweets = list(corpus)
+    deleters, _ = partition_users(corpus)
+    pool = np.array([t.user_id in deleters for t in tweets], dtype=bool)
+    at = {c: pool for attr in attrs for c in (attr.column, attr.total) if c is not None}
+    if firsts is not None:
+        replies = {r.id for r in firsts.values()}
+        replied = np.array([t.id in replies for t in tweets], dtype=bool)
+        at.update((c, at.get(c, False) | replied) for c in SENTIMENT_COLUMNS)
+    if traits:
+        at.update(dict.fromkeys(TRAIT_COLUMNS, True))
+    return MeasurementTable(tweets, resources, at, at=at, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +234,9 @@ def _compare(attr: AttributeExtractor, del_side, nondel_side, alpha):
 def ntd(
     attr: AttributeExtractor, table: MeasurementTable, alpha: float = 0.05
 ) -> tuple[float, TestResult]:
-    """Aggregate normalized tweet difference between the table's deleted and
-    kept rows, plus the attached test."""
-    if table.deleted.all() or not table.deleted.any():
+    """Aggregate normalized tweet difference between the deleted and kept
+    rows of the table's pool, plus the attached test."""
+    if len(table.by_deleted[1]) != 3:  # two segments: kept, then deleted
         raise ValidationError("both tweet sets must be non-empty")
     nondel_side, del_side = _sides(attr, table, table.by_deleted)
     dval, nval, test = _compare(attr, del_side, nondel_side, alpha)
@@ -252,42 +285,33 @@ def nud(
 
 
 def group_compare_report(
-    corpus: Corpus,
-    attrs,
-    cache: MeasurementCache,
-    alpha: float = 0.05,
+    table: MeasurementTable, attrs, alpha: float = 0.05, families=("ntd", "nud")
 ) -> list[dict]:
-    """NTD and NUD rows for each attribute.
-
-    Both comparisons read one measurement table over the tweets posted by
-    deleter-set users (every NUD-eligible user is one). NUD rows that are
-    undefined for an attribute carry ``nud: null`` plus the reason instead
-    of failing.
+    """The ``families`` ("ntd", "nud" or both) of each attribute's row, read
+    from ``table`` (``analysis_table``: its pool is the deleter-set users'
+    rows). NUD rows that are undefined for an attribute carry ``nud: null``
+    plus the reason instead of failing.
     """
-    deleters, _ = partition_users(corpus)
-    pool = [t for t in corpus if t.user_id in deleters]
-    table = MeasurementTable(pool, cache, {c for attr in attrs for c in (attr.column, attr.total)})
     rows = []
     for attr in attrs:
         row = {"attribute": attr.name, "kind": attr.kind}
-        try:
-            value, test = ntd(attr, table, alpha)
-            row["ntd"] = value
-            row["ntd_test"] = asdict(test)
-        except (UndefinedDifferenceError, ValidationError) as exc:
-            row["ntd"] = None
-            row["ntd_error"] = str(exc)
-        try:
-            value, detail = nud(attr, table, alpha)
-            row["nud"] = value
-            row["eligible_users"] = len(detail.eligible_users)
-            row["del_sig_users"] = len(detail.higher_in_deleted)
-            row["nondel_sig_users"] = len(detail.higher_in_nondeleted)
-            row["del_user_frac"] = detail.del_user_frac
-            row["nondel_user_frac"] = detail.nondel_user_frac
-        except UndefinedDifferenceError as exc:
-            row["nud"] = None
-            row["nud_error"] = str(exc)
+        if "ntd" in families:
+            try:
+                value, test = ntd(attr, table, alpha)
+                row.update(ntd=value, ntd_test=asdict(test))
+            except (UndefinedDifferenceError, ValidationError) as exc:
+                row.update(ntd=None, ntd_error=str(exc))
+        if "nud" in families:
+            try:
+                value, d = nud(attr, table, alpha)
+                row.update(
+                    nud=value, eligible_users=len(d.eligible_users),
+                    del_sig_users=len(d.higher_in_deleted),
+                    nondel_sig_users=len(d.higher_in_nondeleted),
+                    del_user_frac=d.del_user_frac, nondel_user_frac=d.nondel_user_frac,
+                )
+            except UndefinedDifferenceError as exc:
+                row.update(nud=None, nud_error=str(exc))
         rows.append(row)
     return rows
 
@@ -405,23 +429,23 @@ def trait_tally(
     return tally, unmapped
 
 
-def user_category_medians(corpus: Corpus, cache: MeasurementCache, deleters, non_deleters) -> dict:
-    """Per-group medians of per-user linguistic usage (trait-tally input).
+def user_category_medians(table: MeasurementTable, lexicon, deleters, non_deleters) -> dict:
+    """Per-group medians of per-user linguistic usage (trait-tally input),
+    from the TRAIT_COLUMNS of every row of ``table``.
 
-    For each user: percentage of their word tokens in each lexicon category,
-    plus percentages of their tweets with positive/negative sentiment and
-    with hashtags/urls. Medians are taken per group.
+    For each user: percentage of their word tokens in each ``lexicon``
+    category, plus percentages of their tweets with positive/negative
+    sentiment and with hashtags/urls. Medians are taken per group.
     """
-    table = MeasurementTable(corpus, cache, WORD_COLUMNS + SENTIMENT_COLUMNS)
     order, bounds = _segments(table.user)
     starts = bounds[:-1]
     sums = {
         col: np.add.reduceat(table.columns[col][order], starts, dtype=np.int64).tolist()
-        for col in table.columns
+        for col in TRAIT_COLUMNS
     }
     words, n = sums["n_words"], np.diff(bounds).tolist()
     per_user: dict[str, list[float]] = {}  # attribute -> value per user, users ascending
-    for idx, name in enumerate(cache.resources.lexicon.category_names):
+    for idx, name in enumerate(lexicon.category_names):
         per_user[f"lexicon_{name}"] = [
             100.0 * c / w if w else 0.0 for c, w in zip(sums[f"lexicon[{idx}]"], words)
         ]
@@ -522,23 +546,22 @@ def response_report(corpus: Corpus, firsts: dict[int, TweetRecord]) -> ResponseR
 
 
 def reply_sentiment_split(
-    corpus: Corpus, cache: MeasurementCache, firsts: dict[int, TweetRecord]
+    corpus: Corpus, table: MeasurementTable, firsts: dict[int, TweetRecord]
 ) -> dict:
-    """Per-group percentages of first replies with positive/negative tone.
+    """Per-group percentages of first replies with positive/negative tone:
+    the sentiment flags of ``table`` (rows in corpus order) at their rows.
 
     Only tweets with at least one reply count (``firsts`` is
     ``first_replies(corpus)``); a first reply scoring exactly zero is
     counted in neither bucket and reported separately.
     """
+    row = {t.id: i for i, t in enumerate(corpus)}
+    signs = [table.columns[c] for c in SENTIMENT_COLUMNS]
     out = {}
     for group, deleted in (("deleted", True), ("non_deleted", False)):
-        scores = [
-            cache.get(first).sentiment()
-            for tid, first in firsts.items() if corpus.get(tid).deleted == deleted
-        ]
-        n = len(scores)
-        pos = sum(1 for s in scores if s > 0)
-        neg = sum(1 for s in scores if s < 0)
+        rows = [row[first.id] for tid, first in firsts.items() if corpus.get(tid).deleted == deleted]
+        n = len(rows)
+        pos, neg = (int(sign[rows].sum()) for sign in signs)
         out[group] = {
             "n_replied": n,
             "pct_positive": 100.0 * pos / n if n else 0.0,

@@ -151,25 +151,15 @@ def _cmd_analyze(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     deleters, non_deleters = analytics.partition_users(corpus)
-    cache = features.MeasurementCache(res)  # one record per tweet for the whole run
+    families = [m for m in ("ntd", "nud") if m in metrics]
+    attrs = analytics.structural_extractors() if families else []
+    if families and not args.structural_only:
+        attrs += analytics.linguistic_extractors(res)
+    firsts = analytics.first_replies(corpus) if "response" in metrics else None
+    table = analytics.analysis_table(corpus, res, attrs, "traits" in metrics, firsts)
 
-    if "ntd" in metrics or "nud" in metrics:
-        attrs = analytics.structural_extractors()
-        if not args.structural_only:
-            attrs += analytics.linguistic_extractors(res)
-        rows = analytics.group_compare_report(corpus, attrs, cache, alpha=args.alpha)
-        dropped = {
-            "ntd": ("ntd", "ntd_test", "ntd_error"),
-            "nud": (
-                "nud", "eligible_users", "del_sig_users", "nondel_sig_users",
-                "del_user_frac", "nondel_user_frac", "nud_error",
-            ),
-        }
-        for family, keys in dropped.items():
-            if family not in metrics:
-                for row in rows:
-                    for key in keys:
-                        row.pop(key, None)
+    if families:
+        rows = analytics.group_compare_report(table, attrs, args.alpha, families)
         _write_json(outdir / "group_comparison.json", rows)
         with open(outdir / "group_comparison.csv", "w", newline="", encoding="utf-8") as fh:
             keys = ["attribute", "kind", "ntd", "nud", "eligible_users"]
@@ -210,9 +200,8 @@ def _cmd_analyze(args) -> int:
                 writer.writerow([h, histo["deleted"][h], histo["non_deleted"][h]])
 
     if "response" in metrics:
-        firsts = analytics.first_replies(corpus)
         report = asdict(analytics.response_report(corpus, firsts))
-        report["reply_sentiment"] = analytics.reply_sentiment_split(corpus, cache, firsts)
+        report["reply_sentiment"] = analytics.reply_sentiment_split(corpus, table, firsts)
         _write_json(outdir / "response.json", report)
 
     if "traits" in metrics:
@@ -221,7 +210,7 @@ def _cmd_analyze(args) -> int:
             if args.traits_map
             else load_default_trait_map()
         )
-        medians = analytics.user_category_medians(corpus, cache, deleters, non_deleters)
+        medians = analytics.user_category_medians(table, res.lexicon, deleters, non_deleters)
         # Keep only attributes the map knows plus the non-lexicon rows.
         tally, unmapped = analytics.trait_tally(medians, trait_map)
         _write_json(

@@ -135,15 +135,14 @@ class FeatureResources:
 
 
 class TweetMeasurements:
-    """The per-tweet text record: tokenized once, tagged once through
-    ``resources.tags_for``, every measurement computed on first use."""
+    """The per-tweet text record: tokenized once and tagged once through
+    ``resources.tags_for``, on first use; other measurements on each call."""
 
     def __init__(self, tweet: TweetRecord, resources: FeatureResources):
         self.tweet = tweet
         self._res = resources
         self._tokens = None
         self._tags = None
-        self._lex_counts = None
 
     @property
     def tokens(self) -> textkit.TokenList:
@@ -158,18 +157,12 @@ class TweetMeasurements:
         return self._tags
 
     @property
-    def n_tokens(self) -> int:
-        return len(self.tokens)
-
-    @property
     def n_words(self) -> int:
         return self.tokens.count_class("word")
 
     def lexicon_counts(self) -> list[int]:
         """Matching word-token counts per lexicon category."""
-        if self._lex_counts is None:
-            self._lex_counts = textkit.lexicon_counts(self.tokens.words(), self._res.lexicon)
-        return self._lex_counts
+        return textkit.lexicon_counts(self.tokens.words(), self._res.lexicon)
 
     def sentiment(self) -> float:
         return textkit.sentiment_score(self.tokens, self._res.valence)
@@ -178,27 +171,14 @@ class TweetMeasurements:
         return textkit.text_stats(self.tokens, self.tags, self._res.wordlist)
 
 
-class MeasurementCache:
-    """Per-tweet records kept by tweet id, for analytics that revisit tweets."""
-
-    def __init__(self, resources: FeatureResources):
-        self.resources = resources
-        self._cache: dict[int, TweetMeasurements] = {}
-
-    def get(self, tweet: TweetRecord) -> TweetMeasurements:
-        """The record for ``tweet``, made on first use."""
-        m = self._cache.get(tweet.id)
-        if m is None:
-            m = TweetMeasurements(tweet, self.resources)
-            self._cache[tweet.id] = m
-        return m
-
-
-def measure(records, n: int, resources: FeatureResources, groups) -> dict[str, np.ndarray]:
+def measure(
+    records, n: int, resources: FeatureResources, groups, at=None
+) -> dict[str, np.ndarray]:
     """Measurement columns of the ``n`` TweetMeasurements ``records``, one
     row each in the order given. Each record is read once, as it comes, and
     not kept, so ``records`` may be a generator. Each of ``groups`` adds its
-    columns:
+    columns, measured at every row or, where ``at`` maps the group to a
+    boolean mask, at the rows it marks (its other rows read zero):
 
     - "words": ``lexicon``, (n, 64) word-token counts per lexicon category,
       and ``n_words``;
@@ -206,6 +186,7 @@ def measure(records, n: int, resources: FeatureResources, groups) -> dict[str, n
     - "sentiment": ``sentiment``, the score;
     - "stats": ``stats``, (n, 2) lexical density and dictionary fraction.
     """
+    at = at or {}
     code = {tag: k for k, tag in enumerate(resources.tagger.tagset)}
     cols = {name: np.zeros(shape, dtype) for group, name, shape, dtype in (
         ("words", "lexicon", (n, textkit.Lexicon.SIZE), np.int32),
@@ -214,15 +195,19 @@ def measure(records, n: int, resources: FeatureResources, groups) -> dict[str, n
         ("sentiment", "sentiment", n, np.float64),
         ("stats", "stats", (n, 2), np.float64),
     ) if group in groups}
+    words, tags, sentiment, stats = (
+        np.broadcast_to(at.get(group, group in groups), n).tolist()
+        for group in ("words", "tags", "sentiment", "stats")
+    )
     for i, m in enumerate(records):
-        if "words" in groups:
+        if words[i]:
             cols["lexicon"][i] = m.lexicon_counts()
             cols["n_words"][i] = m.n_words
-        if "tags" in groups:
+        if tags[i]:
             cols["pos"][i] = np.bincount([code[t] for t in m.tags], minlength=len(code))
-        if "sentiment" in groups:
+        if sentiment[i]:
             cols["sentiment"][i] = m.sentiment()
-        if "stats" in groups:
+        if stats[i]:
             cols["stats"][i] = m.stats()
     if "tags" in groups:
         cols["n_tokens"] = cols["pos"].sum(axis=1)  # one tag per token

@@ -373,9 +373,9 @@ def _plant_superficial(cfg: SynthConfig, rng, tweets) -> None:
     """Mark clean deleted base tweets as superficial deletions.
 
     The correction (a near-duplicate repost) must be a non-deleted base
-    tweet among the user's next three clean-timeline slots. The planted
-    count targets superficial_fraction of all clean deletions exactly,
-    candidate supply permitting.
+    tweet among the user's next ``superficial_lookahead`` clean-timeline
+    slots. The planted count targets superficial_fraction of all clean
+    deletions exactly, candidate supply permitting.
     """
     by_user: dict[int, list[_Tweet]] = {}
     clean_deleted = 0
@@ -388,12 +388,13 @@ def _plant_superficial(cfg: SynthConfig, rng, tweets) -> None:
     if target == 0:
         return
 
+    lookahead = CleanupConfig().superficial_lookahead
     candidates: list[tuple[_Tweet, list[_Tweet]]] = []
     for uid in sorted(by_user):
         timeline = by_user[uid]
         for i, t in enumerate(timeline):
             if t.deleted and not t.is_response:
-                candidates.append((t, timeline[i + 1 : i + 1 + 3]))
+                candidates.append((t, timeline[i + 1 : i + 1 + lookahead]))
 
     claimed: set[int] = set()
     planted = 0
@@ -545,8 +546,8 @@ def _guard_near_duplicates(tweets) -> None:
         if t.filter_class == "clean":
             by_user.setdefault(t.user.user_id, []).append(t)
 
-    def followups(timeline, i, k=3):
-        return timeline[i + 1 : i + 1 + k]
+    def followups(timeline, i):
+        return timeline[i + 1 : i + 1 + cleanup_cfg.superficial_lookahead]
 
     for uid in sorted(by_user):
         timeline = by_user[uid]

@@ -12,8 +12,8 @@ import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import codec
 from .errors import ContractError, ValidationError
@@ -49,15 +49,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     cls: str  # word, mention, hashtag, url, emoticon, punct or number
-
-    @property
-    def normalized(self) -> str:
-        """Lowercased surface for words; surface unchanged otherwise."""
-        return self.surface.lower() if self.cls == "word" else self.surface
+    normalized: str  # lowercased surface for words; surface unchanged otherwise
 
 
 class TokenList(list):
@@ -80,8 +75,8 @@ def tokenize(text: str) -> TokenList:
     """
     tokens = TokenList()
     for m in _TOKEN_RE.finditer(text):
-        cls = m.lastgroup
-        tokens.append(Token(m.group(), cls))
+        surface, cls = m.group(), m.lastgroup
+        tokens.append(Token(surface, cls, surface.lower() if cls == "word" else surface))
     return tokens
 
 

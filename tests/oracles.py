@@ -18,8 +18,31 @@ from regretstream import analytics
 from regretstream.analytics import NUD_MIN_TWEETS, NudDetail, ntd_value, nud_value, partition_users
 from regretstream.classify.trees import _EPS, DecisionTree
 from regretstream.errors import UndefinedDifferenceError, ValidationError
-from regretstream.features import _PROFILE_SLOTS, RESPONSE_SIZE
+from regretstream.features import _PROFILE_SLOTS, RESPONSE_SIZE, TweetMeasurements
 from regretstream.stats import Contingency2x2, fisher_exact, mann_whitney_u, median
+
+
+class RecordMemo:
+    """Per-tweet records kept by tweet id, for the oracles, which revisit
+    tweets: each record is made on first use, and its lexicon counts are
+    computed once."""
+
+    def __init__(self, resources):
+        self.resources = resources
+        self._records: dict[int, TweetMeasurements] = {}
+
+    def get(self, tweet) -> TweetMeasurements:
+        m = self._records.get(tweet.id)
+        if m is None:
+            m = self._records[tweet.id] = _MemoRecord(tweet, self.resources)
+        return m
+
+
+class _MemoRecord(TweetMeasurements):
+    def lexicon_counts(self) -> list[int]:
+        if not hasattr(self, "_counts"):
+            self._counts = super().lexicon_counts()
+        return self._counts
 
 
 def dp_edit_distance(a: str, b: str) -> int:
@@ -229,7 +252,7 @@ def loop_table_columns(tweets, cache) -> dict[str, list]:
         row = [
             bool(t.hashtags), bool(t.urls), bool(t.mentions), t.in_reply_to_id is not None,
             s > 0, s < 0, *m.lexicon_counts(), m.n_words,
-            *[m.tags.count(tag) for tag in analytics.POS_TAGS], m.n_tokens, *m.stats(),
+            *[m.tags.count(tag) for tag in analytics.POS_TAGS], len(m.tokens), *m.stats(),
         ]
         for name, value in zip(names, row):
             columns[name].append(value)
@@ -358,7 +381,7 @@ def lambda_attributes(resources, structural_only: bool = False) -> list[LambdaAt
     for tag in ("proper_noun", "common_noun", "verb", "adjective", "adverb", "emoticon"):
         out.append(LambdaAttribute(
             f"pos_{tag}", "token_fraction",
-            lambda t, m, tag=tag: (sum(1 for x in m.tags if x == tag), m.n_tokens),
+            lambda t, m, tag=tag: (sum(1 for x in m.tags if x == tag), len(m.tokens)),
         ))
     out.append(LambdaAttribute("lexical_density", "scalar", lambda t, m: m.stats()[0]))
     out.append(LambdaAttribute("dictionary_words", "scalar", lambda t, m: m.stats()[1]))
@@ -459,6 +482,26 @@ def lambda_group_compare_report(corpus, attrs, cache, alpha=0.05) -> list[dict]:
             row["nud_error"] = str(exc)
         rows.append(row)
     return rows
+
+
+def loop_reply_sentiment_split(corpus, cache, firsts) -> dict:
+    """``analytics.reply_sentiment_split`` by scoring each first reply."""
+    out = {}
+    for group, deleted in (("deleted", True), ("non_deleted", False)):
+        scores = [
+            cache.get(first).sentiment()
+            for tid, first in firsts.items() if corpus.get(tid).deleted == deleted
+        ]
+        n = len(scores)
+        pos = sum(1 for s in scores if s > 0)
+        neg = sum(1 for s in scores if s < 0)
+        out[group] = {
+            "n_replied": n,
+            "pct_positive": 100.0 * pos / n if n else 0.0,
+            "pct_negative": 100.0 * neg / n if n else 0.0,
+            "pct_zero": 100.0 * (n - pos - neg) / n if n else 0.0,
+        }
+    return out
 
 
 def loop_user_category_medians(corpus, cache, deleters, non_deleters) -> dict:

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from regretstream import analytics
 from regretstream.analytics import (
     AttributeExtractor,
-    MeasurementCache,
     MeasurementTable,
     aggregate_annotations,
+    analysis_table,
     first_replies,
     nud,
     nud_value,
@@ -29,11 +30,27 @@ from regretstream.resources import (
     trait_reference_medians_path,
 )
 from regretstream.synth import SynthConfig
+from regretstream.textkit import tokenize
 
 import oracles
 from conftest import make_corpus, make_profile, make_tweet, run_synth_pipeline, ts
 
 HASHTAG_ATTR = AttributeExtractor("tweets_w_hashtags", "binary", "tweets_w_hashtags")
+
+
+def category_medians(corpus, resources, deleters, non_deleters):
+    table = analysis_table(corpus, resources, traits=True)
+    return analytics.user_category_medians(table, resources.lexicon, deleters, non_deleters)
+
+
+def sentiment_split(corpus, resources):
+    firsts = first_replies(corpus)
+    table = analysis_table(corpus, resources, firsts=firsts)
+    return reply_sentiment_split(corpus, table, firsts)
+
+
+def compare_report(corpus, resources, attrs):
+    return analytics.group_compare_report(analysis_table(corpus, resources, attrs), attrs)
 
 
 class TestPartitionUsers:
@@ -100,7 +117,6 @@ class TestNormalizedDifferenceFormulas:
 
 class TestNtdOnCorpora:
     def test_binary_attribute_fixture(self, resources):
-        cache = MeasurementCache(resources)
         del_tweets = [
             make_tweet(id=1, deleted=True, hashtags=("#a",)),
             make_tweet(id=2, deleted=True),
@@ -111,27 +127,25 @@ class TestNtdOnCorpora:
             make_tweet(id=5),
             make_tweet(id=6),
         ]
-        value, test = ntd(HASHTAG_ATTR, MeasurementTable(del_tweets + nondel, cache))
+        value, test = ntd(HASHTAG_ATTR, MeasurementTable(del_tweets + nondel, resources))
         assert value == pytest.approx(0.0)  # 1/2 vs 2/4
         assert test.method == "fisher_exact"
 
     def test_scalar_attribute_uses_medians_and_mwu(self, resources):
-        cache = MeasurementCache(resources)
         attr = AttributeExtractor("text_len", "scalar", "text_len")
         del_tweets = [make_tweet(id=i, deleted=True, text="x" * (10 + i)) for i in range(1, 5)]
         nondel = [make_tweet(id=i + 10, text="x" * (5 + i)) for i in range(1, 5)]
-        table = MeasurementTable(del_tweets + nondel, cache)
+        table = MeasurementTable(del_tweets + nondel, resources)
         table.columns["text_len"] = np.array([float(len(t.text)) for t in del_tweets + nondel])
         value, test = ntd(attr, table)
         assert value > 0
         assert test.method.startswith("mann_whitney")
 
     def test_zero_nondeleted_prevalence_errors(self, resources):
-        cache = MeasurementCache(resources)
         del_tweets = [make_tweet(id=1, deleted=True, hashtags=("#a",))]
         nondel = [make_tweet(id=2)]
         with pytest.raises(UndefinedDifferenceError):
-            ntd(HASHTAG_ATTR, MeasurementTable(del_tweets + nondel, cache))
+            ntd(HASHTAG_ATTR, MeasurementTable(del_tweets + nondel, resources))
 
     def test_planted_sign_on_generator_corpus(self, resources, whitelist):
         cfg = SynthConfig(
@@ -140,10 +154,9 @@ class TestNtdOnCorpora:
             orphan_deletes=0,
         )
         sp = run_synth_pipeline(cfg, whitelist)
-        cache = MeasurementCache(resources)
         deleters, _ = partition_users(sp.cleaned)
         pool = [t for t in sp.cleaned if t.user_id in deleters]
-        value, test = ntd(HASHTAG_ATTR, MeasurementTable(pool, cache))
+        value, test = ntd(HASHTAG_ATTR, MeasurementTable(pool, resources))
         assert value > 0
         assert test.significant
 
@@ -183,8 +196,7 @@ class TestNud:
             tweets += self._user_tweets(u, tid, 15, 2, 15, 2)
             tid += 30
         corpus = make_corpus(tweets)
-        cache = MeasurementCache(resources)
-        value, detail = nud(HASHTAG_ATTR, MeasurementTable(corpus, cache))
+        value, detail = nud(HASHTAG_ATTR, MeasurementTable(corpus, resources))
         assert set(detail.higher_in_deleted) == {1, 2, 3, 4}
         assert set(detail.higher_in_nondeleted) == {5}
         assert len(detail.eligible_users) == 8
@@ -196,15 +208,14 @@ class TestNud:
         tweets += self._user_tweets(2, 100, 15, 13, 15, 1)
         tweets += self._user_tweets(3, 200, 15, 1, 15, 13)
         corpus = make_corpus(tweets)
-        cache = MeasurementCache(resources)
-        _, detail = nud(HASHTAG_ATTR, MeasurementTable(corpus, cache))
+        _, detail = nud(HASHTAG_ATTR, MeasurementTable(corpus, resources))
         assert 1 not in detail.eligible_users
         assert set(detail.eligible_users) == {2, 3}
 
     def test_no_eligible_users_errors(self, resources):
         corpus = make_corpus([make_tweet(id=1, deleted=True), make_tweet(id=2)])
         with pytest.raises(UndefinedDifferenceError):
-            nud(HASHTAG_ATTR, MeasurementTable(corpus, MeasurementCache(resources)))
+            nud(HASHTAG_ATTR, MeasurementTable(corpus, resources))
 
     def test_planted_users_flagged_on_generator_corpus(self, resources, whitelist):
         cfg = SynthConfig(
@@ -218,8 +229,7 @@ class TestNud:
         sp = run_synth_pipeline(cfg, whitelist)
         planted = {r["user_id"] for r in sp.ledger if r.get("kind") == "user" and r.get("nud_planted")}
         reverse = {r["user_id"] for r in sp.ledger if r.get("kind") == "user" and r.get("nud_reverse")}
-        cache = MeasurementCache(resources)
-        value, detail = nud(HASHTAG_ATTR, MeasurementTable(sp.cleaned, cache))
+        value, detail = nud(HASHTAG_ATTR, MeasurementTable(sp.cleaned, resources))
         eligible = set(detail.eligible_users)
         assert planted & eligible, "generator must produce eligible planted users"
         assert planted & eligible <= set(detail.higher_in_deleted)
@@ -358,9 +368,7 @@ class TestUserCategoryMedians:
         corpus = self._corpus()
         deleters, non_deleters = partition_users(corpus)
         assert (deleters, non_deleters) == ({1, 2}, {3, 4})
-        medians = analytics.user_category_medians(
-            corpus, MeasurementCache(resources), deleters, non_deleters
-        )
+        medians = category_medians(corpus, resources, deleters, non_deleters)
         # (non-deleter median, deleter median); a median of two users is
         # their mean. Per-user values in the order (3, 4) and (1, 2).
         expected = {
@@ -384,12 +392,8 @@ class TestUserCategoryMedians:
     def test_pair_order_is_non_deleter_first(self, resources):
         corpus = self._corpus()
         deleters, non_deleters = partition_users(corpus)
-        swapped = analytics.user_category_medians(
-            corpus, MeasurementCache(resources), non_deleters, deleters
-        )
-        medians = analytics.user_category_medians(
-            corpus, MeasurementCache(resources), deleters, non_deleters
-        )
+        swapped = category_medians(corpus, resources, non_deleters, deleters)
+        medians = category_medians(corpus, resources, deleters, non_deleters)
         assert medians["lexicon_money"] == (0.0, 25.0)
         assert swapped == {attr: (d, n) for attr, (n, d) in medians.items()}
 
@@ -476,7 +480,7 @@ class TestReplySentimentSplit:
         target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), deleted=True, reply_ids=(2,))
         reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="good stuff", in_reply_to_id=1)
         corpus = make_corpus([target, reply])
-        split = reply_sentiment_split(corpus, MeasurementCache(resources), first_replies(corpus))
+        split = sentiment_split(corpus, resources)
         assert split["deleted"]["pct_positive"] == pytest.approx(100.0)
         assert split["deleted"]["pct_negative"] == 0.0
 
@@ -490,7 +494,7 @@ class TestReplySentimentSplit:
             make_tweet(id=13, user_id=2, created_at=ts(hours=6), text="awful", in_reply_to_id=3),
         ]
         corpus = make_corpus(tweets)
-        split = reply_sentiment_split(corpus, MeasurementCache(resources), first_replies(corpus))
+        split = sentiment_split(corpus, resources)
         assert split["deleted"]["pct_positive"] == pytest.approx(200 / 3, abs=0.01)
         assert split["deleted"]["pct_negative"] == pytest.approx(100 / 3, abs=0.01)
 
@@ -498,7 +502,7 @@ class TestReplySentimentSplit:
         target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), reply_ids=(2,))
         reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="neutral words", in_reply_to_id=1)
         corpus = make_corpus([target, reply])
-        split = reply_sentiment_split(corpus, MeasurementCache(resources), first_replies(corpus))
+        split = sentiment_split(corpus, resources)
         g = split["non_deleted"]
         assert g["pct_zero"] == pytest.approx(100.0)
         assert g["pct_positive"] == 0.0 and g["pct_negative"] == 0.0
@@ -572,7 +576,7 @@ class TestAggregateAnnotations:
 class TestGroupCompareReport:
     def test_rows_shape_on_synth(self, synth_small, resources):
         attrs = analytics.structural_extractors()
-        rows = analytics.group_compare_report(synth_small.cleaned, attrs, MeasurementCache(resources))
+        rows = compare_report(synth_small.cleaned, resources, attrs)
         names = [r["attribute"] for r in rows]
         assert "tweets_w_hashtags" in names and "replies" in names
         for row in rows:
@@ -614,9 +618,7 @@ class TestSharedMeasurements:
             make_tweet(id=2, deleted=True, text="42"),
             make_tweet(id=3, text="good words here"),
         ]
-        (row,) = analytics.group_compare_report(
-            make_corpus(tweets), [words_attr], MeasurementCache(resources)
-        )
+        (row,) = compare_report(make_corpus(tweets), resources, [words_attr])
         assert row["ntd"] is None
         assert row["ntd_error"] == "each row of the contingency table must be nonempty"
 
@@ -630,9 +632,9 @@ class TestSharedMeasurements:
             # user 2: "good" only in kept tweets, so flagged on the kept side
             tweets.append(make_tweet(id=300 + i, user_id=2, deleted=True, text="bad day"))
             tweets.append(make_tweet(id=400 + i, user_id=2, text="good good"))
-        corpus, cache = make_corpus(tweets), MeasurementCache(resources)
-        table = MeasurementTable(corpus, cache, ["n_words"])
-        table.columns["good"] = np.array([cache.get(t).tokens.words().count("good") for t in corpus])
+        corpus = make_corpus(tweets)
+        table = MeasurementTable(corpus, resources, ["n_words"])
+        table.columns["good"] = np.array([tokenize(t.text).words().count("good") for t in corpus])
         value, detail = nud(good, table)
         assert set(detail.eligible_users) == {1, 2}
         assert detail.higher_in_nondeleted == [2]
@@ -688,22 +690,44 @@ class TestColumnarOracle:
     def test_reports_equal_lambda_path(self, resources, corpus):
         deleters, non_deleters = partition_users(corpus)
         attrs = analytics.structural_extractors() + analytics.linguistic_extractors(resources)
-        got = analytics.group_compare_report(corpus, attrs, MeasurementCache(resources))
+        table = analysis_table(corpus, resources, attrs, traits=True)
+        memo = oracles.RecordMemo(resources)
+        got = analytics.group_compare_report(table, attrs)
         want = oracles.lambda_group_compare_report(
-            corpus, oracles.lambda_attributes(resources), MeasurementCache(resources)
+            corpus, oracles.lambda_attributes(resources), memo
         )
         assert json.dumps(got) == json.dumps(want)
         assert all(row.get("nud_error") != "NUD undefined: no eligible users" for row in got)
-        got = analytics.user_category_medians(
-            corpus, MeasurementCache(resources), deleters, non_deleters
-        )
-        want = oracles.loop_user_category_medians(
-            corpus, MeasurementCache(resources), deleters, non_deleters
-        )
+        got = analytics.user_category_medians(table, resources.lexicon, deleters, non_deleters)
+        want = oracles.loop_user_category_medians(corpus, memo, deleters, non_deleters)
         assert json.dumps(got) == json.dumps(want)
 
+    def test_one_table_serves_every_family(self, synth_small, resources):
+        """The table of a run with every family gives each family the report
+        that a table of that family alone gives, and the oracles' report."""
+        corpus = synth_small.cleaned
+        deleters, non_deleters = partition_users(corpus)
+        attrs = analytics.structural_extractors() + analytics.linguistic_extractors(resources)
+        firsts = first_replies(corpus)
+        assert firsts
+        memo = oracles.RecordMemo(resources)
+        both = analysis_table(corpus, resources, attrs, traits=True, firsts=firsts)
+        for table in (both, analysis_table(corpus, resources, attrs)):
+            got = analytics.group_compare_report(table, attrs)
+            want = oracles.lambda_group_compare_report(
+                corpus, oracles.lambda_attributes(resources), memo
+            )
+            assert json.dumps(got) == json.dumps(want)
+        for table in (both, analysis_table(corpus, resources, traits=True)):
+            got = analytics.user_category_medians(table, resources.lexicon, deleters, non_deleters)
+            want = oracles.loop_user_category_medians(corpus, memo, deleters, non_deleters)
+            assert json.dumps(got) == json.dumps(want)
+        for table in (both, analysis_table(corpus, resources, firsts=firsts)):
+            got = reply_sentiment_split(corpus, table, firsts)
+            assert got == oracles.loop_reply_sentiment_split(corpus, memo, firsts)
+
     def test_zero_row_table(self, resources):
-        table = MeasurementTable([], MeasurementCache(resources), analytics.WORD_COLUMNS)
+        table = MeasurementTable([], resources, analytics.WORD_COLUMNS)
         assert table.columns["n_words"].shape == (0,)
         assert table.nud_users == []
         with pytest.raises(ValidationError):
@@ -740,3 +764,53 @@ class TestAnalyzeWorkCounts:
             out = str(tmp_path / family)
             assert main(["analyze", "--corpus", str(path), "--metrics", family, "--out", out]) == 0
             assert len(timelines) <= n_users, family
+
+    @pytest.mark.parametrize(
+        "metrics", ["ntd", "nud", "users", "temporal", "response", "traits", "ntd,traits,response"]
+    )
+    def test_each_family_measures_only_the_rows_it_reads(
+        self, synth_small, tmp_path, monkeypatch, metrics
+    ):
+        """NTD/NUD tokenize and tag the pool rows (deleter-set users), the
+        trait medians tokenize every row, the reply tone each first reply;
+        no text is tokenized or tagged twice."""
+        from regretstream import textkit
+        from regretstream.cli import main
+
+        corpus = synth_small.cleaned
+        path = tmp_path / "cleaned.json"
+        corpus.save(path)
+        deleters, _ = partition_users(corpus)
+        pool = {t.id for t in corpus if t.user_id in deleters}
+        replies = {r.id for r in first_replies(corpus).values()}
+        family = metrics.split(",")
+        tokenized = {t.id for t in corpus if "traits" in family
+                     or ("response" in family and t.id in replies)
+                     or ({"ntd", "nud"} & set(family) and t.id in pool)}
+        tagged = pool if {"ntd", "nud"} & set(family) else set()
+        calls = {"tokenize": [], "pos_tag": []}
+        for name in calls:
+            real = getattr(textkit, name)
+            monkeypatch.setattr(textkit, name, lambda first, *rest, real=real, name=name: (
+                calls[name].append(first) or real(first, *rest)))
+        assert main(["analyze", "--corpus", str(path), "--metrics", metrics,
+                     "--out", str(tmp_path / "r")]) == 0
+        by_id = {t.id: t for t in corpus}
+        assert sorted(calls["tokenize"]) == sorted(by_id[i].text for i in tokenized)
+        assert len(calls["pos_tag"]) == len(tagged)
+
+    def test_each_record_made_once_and_released(self, synth_small, resources, monkeypatch):
+        made = []
+        real = analytics.TweetMeasurements
+
+        def record(tweet, res):
+            m = real(tweet, res)
+            made.append(weakref.ref(m))
+            return m
+
+        monkeypatch.setattr(analytics, "TweetMeasurements", record)
+        corpus = synth_small.cleaned
+        attrs = analytics.structural_extractors() + analytics.linguistic_extractors(resources)
+        table = analysis_table(corpus, resources, attrs, traits=True, firsts=first_replies(corpus))
+        assert len(made) == len(corpus) == len(table.deleted)
+        assert all(ref() is None for ref in made)

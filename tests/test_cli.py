@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from regretstream.events import (
     parse_rfc3339,
     read_events,
 )
-from regretstream.features import MeasurementCache, load_feature_matrix
+from regretstream.features import load_feature_matrix
 from regretstream.resources import load_default_trait_map
 from regretstream.synth import POST_START, SynthConfig
 
@@ -137,6 +138,28 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"line {n + 1}" in err and "user.followers_count" in err
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_repeated_id_under_strict_exits_1(self, tmp_path, capsys, strict):
+        user = {"user_id": 3, "account_created_at": "2014-01-01T00:00:00Z"}
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(json.dumps({
+            "kind": "tweet", "id": tid, "user_id": 3, "created_at": "2015-08-05T10:00:00Z",
+            "text": f"text {k}", "user": user,
+        }) + "\n" for k, tid in enumerate((4, 5, 5))))
+        out = tmp_path / "c.json"
+        flags = ["--strict"] if strict else []
+        code = main(["ingest", "--events", str(events), "--window", *WINDOW, "--out", str(out),
+                     *flags])
+        captured = capsys.readouterr()
+        if not strict:  # the first occurrence wins
+            assert code == 0
+            assert [t.text for t in Corpus.load(out)] == ["text 0", "text 1"]
+            return
+        assert code == 1
+        assert captured.err == "error: duplicate tweet id 5\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     # Wire values of another JSON type than their field's: (path, value).
     @pytest.mark.parametrize("path,value", [
@@ -354,15 +377,12 @@ def test_analyze_degenerate_corpus_matches_oracle(tmp_path, resources, kind):
     corpus.save(path)
     out = tmp_path / "r"
     assert main(["analyze", "--corpus", str(path), "--metrics", "ntd,nud", "--out", str(out)]) == 0
-    rows = oracles.lambda_group_compare_report(
-        corpus, oracles.lambda_attributes(resources), MeasurementCache(resources)
-    )
+    memo = oracles.RecordMemo(resources)
+    rows = oracles.lambda_group_compare_report(corpus, oracles.lambda_attributes(resources), memo)
     assert (out / "group_comparison.json").read_text() == _json_file_bytes(rows)
     assert main(["analyze", "--corpus", str(path), "--metrics", "traits", "--out", str(out)]) == 0
     deleters, non_deleters = analytics.partition_users(corpus)
-    medians = oracles.loop_user_category_medians(
-        corpus, MeasurementCache(resources), deleters, non_deleters
-    )
+    medians = oracles.loop_user_category_medians(corpus, memo, deleters, non_deleters)
     tally, unmapped = analytics.trait_tally(medians, load_default_trait_map())
     traits = {"tally": tally, "unmapped": unmapped, "medians": medians}
     assert (out / "traits.json").read_text() == _json_file_bytes(traits)
@@ -481,6 +501,21 @@ class TestTrainPredictAblate:
         }
         assert 1 <= stage2["rounds_used"] <= 8
         assert all(0.0 <= e < 0.5 for e in stage2["stage_errors"])
+
+    def test_metrics_csv_equals_metrics_json(self, workdir, train_config_path, tmp_path):
+        metrics, table = tmp_path / "metrics.json", tmp_path / "metrics.csv"
+        assert main([
+            "train", "--corpus", str(workdir / "cleaned.json"),
+            "--config", str(train_config_path), "--seed", "7", "--out", str(tmp_path / "m.rsb1"),
+            "--metrics-out", str(metrics), "--metrics-csv", str(table),
+        ]) == 0
+        want = json.loads(metrics.read_text())["metrics"]
+        with open(table, newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row.pop("name") == "heldout"
+        assert set(row) == set(want)
+        for key, value in row.items():
+            assert type(want[key])(value) == want[key], key
 
     def test_truncated_bundle_exits_1(self, workdir, train_config_path, tmp_path, capsys):
         bundle = tmp_path / "model.rsb1"
@@ -690,6 +725,28 @@ class TestTrainPredictAblate:
         ]) == 0
         report = json.loads(out.read_text())
         assert set(report["dropped"]) == {"user", "tweet"}
+
+    def test_ablate_csv_equals_report(self, workdir, train_config_path, tmp_path):
+        out, table = tmp_path / "ablation.json", tmp_path / "ablation.csv"
+        assert main([
+            "ablate", "--corpus", str(workdir / "cleaned.json"),
+            "--config", str(train_config_path), "--seed", "7",
+            "--groups", "tweet,user", "--out", str(out), "--csv", str(table),
+        ]) == 0
+        report = json.loads(out.read_text())
+        with open(table, newline="", encoding="utf-8") as fh:
+            rows = [{k: v if k == "group" else float(v) for k, v in row.items()}
+                    for row in csv.DictReader(fh)]
+        b = report["baseline"]
+        want = [{"group": "baseline", "precision": b["precision"], "recall": b["recall"],
+                 "f1": b["f1"], "relative_f1": 1.0, "delta_f1": 0.0}]
+        for group in ("tweet", "user"):
+            cell = report["dropped"][group]
+            m = cell["metrics"]
+            want.append({"group": group, "precision": m["precision"], "recall": m["recall"],
+                         "f1": m["f1"], "relative_f1": cell["relative"]["f1"],
+                         "delta_f1": cell["delta_f1"]})
+        assert rows == want
 
     def test_ablate_unknown_group(self, workdir, train_config_path, tmp_path):
         code = main([

@@ -13,7 +13,6 @@ from regretstream.features import (
     DERIVED_SLOT,
     FEATURE_GROUPS,
     FeatureResources,
-    MeasurementCache,
     TweetMeasurements,
     build_vocab,
     dense_features,
@@ -471,19 +470,41 @@ class TestOneFill:
     def test_rows_and_columns_equal_former_per_tweet_paths(self, synth_small, resources):
         corpus = synth_small.cleaned
         m = featurize_corpus(corpus, build_vocab(corpus), resources, with_responses=True)
-        cache = MeasurementCache(resources)
+        memo = oracles.RecordMemo(resources)
         assert any(t.reply_ids for t in corpus)
         for i, t in enumerate(corpus):
-            want = oracles.dense_vector(cache.get(t), resources, corpus.window.post_end)
+            want = oracles.dense_vector(memo.get(t), resources, corpus.window.post_end)
             assert m.dense[i].tobytes() == want.tobytes()
             ids = sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
             linked = [corpus.get(r) for r in ids if corpus.get(r) is not None]
-            assert m.response[i].tobytes() == oracles.response_vector(t, linked, cache).tobytes()
-        want = oracles.loop_table_columns(corpus, cache)
-        table = MeasurementTable(list(corpus), cache, want)
+            assert m.response[i].tobytes() == oracles.response_vector(t, linked, memo).tobytes()
+        want = oracles.loop_table_columns(corpus, memo)
+        table = MeasurementTable(list(corpus), resources, want)
         for name, values in want.items():
             got = np.asarray(table.columns[name], dtype=np.float64)
             assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes(), name
+
+    def test_masked_groups_read_only_their_rows(self, synth_small, resources, tokenize_calls):
+        """A group measured at some rows reads zero elsewhere and equals the
+        unmasked fill where it is measured; a row no group marks is never
+        tokenized."""
+        tweets = list(synth_small.cleaned)[:60]
+        groups = ("words", "tags", "sentiment", "stats")
+        full = measure((TweetMeasurements(t, resources) for t in tweets), 60, resources, groups)
+        rows = np.arange(60)
+        at = {"words": rows % 2 == 0, "tags": rows % 3 == 0, "stats": rows % 3 == 0,
+              "sentiment": rows < 10}
+        tokenize_calls.clear()
+        got = measure((TweetMeasurements(t, resources) for t in tweets), 60, resources, groups,
+                      at=at)
+        marked = at["words"] | at["tags"] | at["sentiment"]
+        assert sorted(tokenize_calls) == sorted(t.text for t, m in zip(tweets, marked) if m)
+        for group, names in (("words", ("lexicon", "n_words")), ("tags", ("pos", "n_tokens")),
+                             ("sentiment", ("sentiment",)), ("stats", ("stats",))):
+            for name in names:
+                mask = at[group]
+                assert got[name][mask].tobytes() == full[name][mask].tobytes(), name
+                assert not got[name][~mask].any(), name
 
     def test_zero_rows(self, small_resources):
         corpus = make_corpus([make_tweet(id=1, text="good day")])
@@ -521,6 +542,6 @@ class TestOneFill:
         m = featurize_corpus(corpus, vocab, small_resources, tweets=[target, replies[1]],
                              with_responses=True)
         assert sorted(tokenize_calls) == sorted(t.text for t in corpus)  # each text once
-        want = oracles.response_vector(target, replies, MeasurementCache(small_resources))
+        want = oracles.response_vector(target, replies, oracles.RecordMemo(small_resources))
         assert m.response[0].tobytes() == want.tobytes()
         assert m.response[0, 2] == 2.0 and m.response[0, 3:5].tolist() == [100.0, 50.0]

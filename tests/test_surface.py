@@ -1,7 +1,7 @@
 """Dead-surface guards: every function, class and module constant defined
-in the package is used somewhere in the source tree, every config field has
-a caller, no package module reads another's underscore names, and every
-benchmark probe target still resolves.
+in the package is used somewhere in the source tree, every config field and
+every command-line option has a caller, no package module reads another's
+underscore names, and every benchmark probe target still resolves.
 
 A use is a name read, an attribute, or a string constant (or one
 dot-separated part of it, as in the benchmark's
@@ -14,11 +14,14 @@ count. Dunder names are used by the language itself and are skipped.
 A config field (or default hyperparameter key) has a caller when a file
 under ``tests/``, ``demos/`` or ``perfbench/`` names it as above or as a
 keyword argument. The package itself does not count, and neither does the
-config contract test, whose fixtures list every field.
+config contract test, whose fixtures list every field. A command-line
+option has a caller when a file under ``tests/``, ``demos/`` or
+``perfbench/`` names it in a string, alone or as ``--option=value``.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -26,7 +29,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from regretstream import textkit
+from regretstream import cli, textkit
 from regretstream.classify import TrainConfig
 from regretstream.cleanup import CleanupConfig
 from regretstream.features import build_vocab, featurize_corpus
@@ -148,6 +151,26 @@ def uncalled_config_fields() -> list[str]:
 
 def test_every_config_field_has_a_caller():
     assert uncalled_config_fields() == []
+
+
+def uncalled_cli_options() -> list[str]:
+    strings = {
+        node.value for path, tree in _trees() if not path.is_relative_to(ROOT / "src")
+        for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    named = strings | {s.split("=", 1)[0] for s in strings}
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return [
+        f"{command} {option}"
+        for command, parser in commands.items()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings if option not in named
+    ]
+
+
+def test_every_cli_option_has_a_caller():
+    assert uncalled_cli_options() == []
 
 
 def _private(name: str) -> bool:
