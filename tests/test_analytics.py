@@ -783,11 +783,10 @@ class TestAnalyzeWorkCounts:
         deleters, _ = partition_users(corpus)
         pool = {t.id for t in corpus if t.user_id in deleters}
         replies = {r.id for r in first_replies(corpus).values()}
-        family = metrics.split(",")
-        tokenized = {t.id for t in corpus if "traits" in family
-                     or ("response" in family and t.id in replies)
-                     or ({"ntd", "nud"} & set(family) and t.id in pool)}
-        tagged = pool if {"ntd", "nud"} & set(family) else set()
+        family = set(metrics.split(","))
+        compared = bool(family & {"ntd", "nud"})
+        tokenized = [t.text for t in corpus if "traits" in family
+                     or (compared and t.id in pool) or ("response" in family and t.id in replies)]
         calls = {"tokenize": [], "pos_tag": []}
         for name in calls:
             real = getattr(textkit, name)
@@ -795,9 +794,8 @@ class TestAnalyzeWorkCounts:
                 calls[name].append(first) or real(first, *rest)))
         assert main(["analyze", "--corpus", str(path), "--metrics", metrics,
                      "--out", str(tmp_path / "r")]) == 0
-        by_id = {t.id: t for t in corpus}
-        assert sorted(calls["tokenize"]) == sorted(by_id[i].text for i in tokenized)
-        assert len(calls["pos_tag"]) == len(tagged)
+        assert sorted(calls["tokenize"]) == sorted(tokenized)
+        assert len(calls["pos_tag"]) == (len(pool) if compared else 0)
 
     def test_each_record_made_once_and_released(self, synth_small, resources, monkeypatch):
         made = []

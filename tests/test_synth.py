@@ -1,9 +1,14 @@
+import functools
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
+import conftest
+from regretstream import synth
+from regretstream.cleanup import CleanupConfig
 from regretstream.codec import decode_config, encode_record
 from regretstream.errors import ConfigError, ValidationError
 from regretstream.synth import (
@@ -126,6 +131,16 @@ class TestLedger:
             if r.get("kind") == "tweet" and r["superficial"]:
                 assert r["filter_class"] == "clean"
                 assert r["deleted"]
+
+    def test_closure_holds_for_the_cleanup_lookahead(self, whitelist, monkeypatch):
+        """Planting and the near-duplicate guard read the cleanup's
+        followup window, so a one-slot window still closes the ledger."""
+        one_slot = functools.partial(CleanupConfig, superficial_lookahead=1)
+        monkeypatch.setattr(synth, "CleanupConfig", one_slot)
+        monkeypatch.setattr(conftest, "CleanupConfig", one_slot)
+        sp = run_synth_pipeline(SynthConfig(n_users=80), whitelist)
+        assert sp.summary["stages"]["superficial"]["removed"] > 0
+        assert {k: asdict(v) for k, v in sp.report.stages.items()} == sp.summary["stages"]
 
     def test_zero_superficial_config(self, whitelist):
         cfg = SynthConfig(seed=4, n_users=40, superficial_fraction=0.0)
