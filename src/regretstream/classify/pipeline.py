@@ -9,6 +9,7 @@ rows.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -373,13 +374,13 @@ def two_stage_train(corpus, config: TrainConfig, seed: int, resources):
     return bundle, metrics
 
 
-def ablate(corpus, config: TrainConfig, groups, seed: int, resources, threads: int = 1) -> dict:
+def ablate(corpus, config: TrainConfig, groups, seed: int, resources) -> dict:
     """Retrain with each feature group masked and compare to the baseline.
 
     Group names must come from the dense layout groups. Results carry
     absolute metrics, metric ratios relative to baseline, and the F1 delta.
-    The cells run on ``threads`` workers; results come back in group order,
-    so the report does not depend on the worker count.
+    The cells run on one worker per core; results come back in group order,
+    so the report does not depend on the core count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -391,7 +392,7 @@ def ablate(corpus, config: TrainConfig, groups, seed: int, resources, threads: i
     def run_cell(group: str) -> EvalMetrics:
         return fit_and_evaluate(prep, config, (group,))[2]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         results = dict(zip(groups, pool.map(run_cell, groups)))
 
     def rel(x, base):

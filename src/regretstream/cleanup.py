@@ -176,8 +176,10 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
 
     def split(pred):
         nonlocal kept
-        removed = [t for t in kept if pred(t)]
-        kept = [t for t in kept if not pred(t)]
+        removed, rest = [], []
+        for t in kept:
+            (removed if pred(t) else rest).append(t)
+        kept = rest
         return removed
 
     stages["non_language"] = _count_stage(split(lambda t: t.lang != cfg.language_tag))
@@ -187,11 +189,11 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
     # Superficial pass, iterated to a fixpoint: removing a near-duplicate
     # source shifts later followup windows, which can expose new matches.
     superficial_removed: list[TweetRecord] = []
+    # ``kept`` is a subsequence of the corpus, so each timeline is already
+    # in (created_at, id) order.
     timelines: dict[int, list[TweetRecord]] = {}
     for t in kept:
         timelines.setdefault(t.user_id, []).append(t)
-    for tl in timelines.values():
-        tl.sort(key=lambda t: (t.created_at, t.id))
 
     for user_id in sorted(timelines):
         tl = timelines[user_id]

@@ -3,7 +3,6 @@
 One subcommand per stage, composable through files:
 ingest, clean, featurize, analyze, annotate-agg, train, predict, ablate,
 synth. Exit code 0 on success, 1 on validation errors, 2 on I/O errors.
-REGRETSTREAM_THREADS overrides ablate's --threads.
 """
 
 from __future__ import annotations
@@ -12,14 +11,13 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import analytics, classify, codec, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
-from .errors import ConfigError, RegretstreamError
+from .errors import DuplicateTweetError, RegretstreamError
 from .events import (CollectionWindow, Corpus, TweetRecord, build_corpus, keep_first,
                      link_records, parse_rfc3339, read_events)
 from .features import FeatureResources
@@ -45,26 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(1, f"{self.prog}: error: {message}")
 
 
-def _threads(args) -> int:
-    env = os.environ.get("REGRETSTREAM_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"REGRETSTREAM_THREADS={env!r} is not an integer thread count"
-            ) from None
-    if args.threads:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
-
-
 def _alpha(text: str) -> float:
     """A significance level: a number strictly between 0 and 1."""
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
     return value
+
+
+def _seed(text: str) -> int:
+    """A random seed: a non-negative integer, as numpy takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _write_json(path: str, payload) -> None:
@@ -96,7 +87,12 @@ def _cmd_ingest(args) -> int:
         post_end=parse_rfc3339(args.window[1], "post_end"),
         delete_end=parse_rfc3339(args.window[2], "delete_end"),
     )
-    corpus = build_corpus(read_events(args.events), window, strict=args.strict)
+    try:
+        corpus = build_corpus(read_events(args.events), window, strict=args.strict)
+    except DuplicateTweetError as exc:
+        # Named like read_events' errors; the id stands in for the line.
+        exc.args = (f"{args.events}: {exc}",)
+        raise
     corpus.save(args.out)
     print(json.dumps(asdict(corpus.stats), sort_keys=True))
     return 0
@@ -292,7 +288,7 @@ def _cmd_ablate(args) -> int:
     res = _load_resources(args)
     config = _load_train_config(args)
     groups = [g.strip() for g in args.groups.split(",") if g.strip()]
-    report = classify.ablate(corpus, config, groups, args.seed, res, threads=_threads(args))
+    report = classify.ablate(corpus, config, groups, args.seed, res)
     _write_json(args.out, report)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -398,7 +394,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the two-stage deletion classifier")
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", help="training config JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="model bundle output (RSB1)")
     p.add_argument("--metrics-out", help="also write metrics JSON here")
     p.add_argument("--metrics-csv", help="also write metrics CSV here")
@@ -418,16 +414,15 @@ def build_parser() -> _Parser:
         "--groups",
         default="user,derived_open_text,tweet,sentiment,pos,lexicon",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also write a per-group CSV here")
-    p.add_argument("--threads", type=int)
     _add_resource_flags(p)
     p.set_defaults(fn=_cmd_ablate)
 
     p = sub.add_parser("synth", help="generate a synthetic stream plus ledger")
     p.add_argument("--config", help="synth config JSON (default: shipped defaults)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-ledger", required=True)
     p.set_defaults(fn=_cmd_synth)

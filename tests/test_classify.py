@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -738,11 +740,17 @@ class TestAblate:
                 cell["metrics"]["f1"] - report["baseline"]["f1"], abs=1e-12
             )
 
-    def test_threads_do_not_change_results(self, synth_small, resources):
+    def test_threads_do_not_change_results(self, synth_small, resources, monkeypatch):
+        # The pool has one worker per core, so the core count sets its size.
         cfg = TrainConfig(n_per_class=50, stage2_hyper={"ada_depth": 2, "ada_rounds": 6})
-        r1 = ablate(synth_small.cleaned, cfg, ["user", "pos"], 1, resources, threads=1)
-        r2 = ablate(synth_small.cleaned, cfg, ["user", "pos"], 1, resources, threads=4)
-        assert r1 == r2
+        real_pool, sizes, reports = futures.ThreadPoolExecutor, [], []
+        monkeypatch.setattr(futures, "ThreadPoolExecutor",
+                            lambda max_workers: sizes.append(max_workers) or real_pool(max_workers))
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+            reports.append(ablate(synth_small.cleaned, cfg, ["user", "pos"], 1, resources))
+        assert sizes == [1, 4]
+        assert reports[0] == reports[1]
 
     def test_noise_group_delta_near_zero(self, whitelist, resources):
         # tweet attributes and POS counts are unplanted; with a clean signal

@@ -157,7 +157,7 @@ class TestIngestCommand:
             assert [t.text for t in Corpus.load(out)] == ["text 0", "text 1"]
             return
         assert code == 1
-        assert captured.err == "error: duplicate tweet id 5\n"
+        assert captured.err == f"error: {events}: duplicate tweet id 5\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -467,6 +467,26 @@ def test_alpha_outside_the_open_unit_interval_exits_1(tmp_path, capsys, command,
     assert f"argument --alpha: {value!r} is not in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--seed", "-1"], "argument --seed: '-1' is not a non-negative integer"),
+    (["train", "--seed", "-3"], "argument --seed: '-3' is not a non-negative integer"),
+    (["ablate", "--seed", "-2"], "argument --seed: '-2' is not a non-negative integer"),
+    (["train", "--seed", "1.5"], "argument --seed: '1.5' is not a non-negative integer"),
+    (["synth", "--config", "seed.json"], "error: seed.json: seed must be >= 0, got -4"),
+])
+def test_negative_seed_exits_1(workdir, tmp_path, capsys, monkeypatch, argv, message):
+    """numpy takes only non-negative seeds."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": -4}))
+    outputs = {"synth": ["--out-events", "e.jsonl", "--out-ledger", "l.jsonl"],
+               "train": ["--corpus", str(workdir / "cleaned.json"), "--out", "m.rsb1"],
+               "ablate": ["--corpus", str(workdir / "cleaned.json"), "--out", "a.json"]}
+    assert main([*argv, *outputs[argv[0]]]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["seed.json"]
+
+
 @pytest.fixture(scope="module")
 def train_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "train.json"
@@ -575,19 +595,6 @@ class TestTrainPredictAblate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{cfg}: line 3" in err
-
-    def test_non_integer_threads_env_exits_1(self, workdir, train_config_path, tmp_path,
-                                             capsys, monkeypatch):
-        monkeypatch.setenv("REGRETSTREAM_THREADS", "abc")
-        code = main([
-            "ablate", "--corpus", str(workdir / "cleaned.json"),
-            "--config", str(train_config_path),
-            "--groups", "user", "--out", str(tmp_path / "x.json"),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert "REGRETSTREAM_THREADS='abc'" in err
 
     def test_train_deterministic_across_threads(self, workdir, train_config_path, tmp_path):
         outs = []
@@ -721,7 +728,7 @@ class TestTrainPredictAblate:
         assert main([
             "ablate", "--corpus", str(workdir / "cleaned.json"),
             "--config", str(train_config_path), "--seed", "7",
-            "--groups", "user,tweet", "--out", str(out), "--threads", "2",
+            "--groups", "user,tweet", "--out", str(out),
         ]) == 0
         report = json.loads(out.read_text())
         assert set(report["dropped"]) == {"user", "tweet"}
@@ -990,14 +997,14 @@ def test_derived_feature_folds_below_two_exits_1(workdir, tmp_path, capsys, fold
 class TestRemovedTrainFlags:
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--with-responses"]])
     def test_flag_is_a_usage_error(self, workdir, tmp_path, capsys, flag):
-        code = main([
-            "train", "--corpus", str(workdir / "cleaned.json"),
-            "--out", str(tmp_path / "m.rsb1"), *flag,
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"unrecognized arguments: {' '.join(flag)}" in err
-        assert not (tmp_path / "m.rsb1").exists()
+        for command in ("train", "ablate"):
+            out = tmp_path / f"{command}.out"
+            code = main([command, "--corpus", str(workdir / "cleaned.json"),
+                         "--out", str(out), *flag])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
+            assert not out.exists()
 
 
 class TestPretaggedContractThroughCli:

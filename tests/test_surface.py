@@ -1,7 +1,8 @@
 """Dead-surface guards: every function, class and module constant defined
 in the package is used somewhere in the source tree, every config field and
 every command-line option has a caller, no package module reads another's
-underscore names, and every benchmark probe target still resolves.
+underscore names or an environment variable, and every benchmark probe
+target still resolves.
 
 A use is a name read, an attribute, or a string constant (or one
 dot-separated part of it, as in the benchmark's
@@ -199,6 +200,29 @@ def foreign_private_reads() -> list[str]:
 
 def test_no_module_reads_another_modules_private_names():
     assert foreign_private_reads() == []
+
+
+ENVIRONMENT_READERS = {"environ", "getenv"}
+
+
+def environment_reads() -> list[str]:
+    """Package modules that name ``os.environ`` or ``os.getenv``, as an
+    attribute or an import: what the package does may depend only on its
+    arguments and input files."""
+    readers = set()
+    for path, tree in _trees():
+        if not path.is_relative_to(PACKAGE):
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(alias.name in ENVIRONMENT_READERS for alias in node.names)):
+                readers.add(str(path.relative_to(PACKAGE)))
+    return sorted(readers)
+
+
+def test_no_module_reads_an_environment_variable():
+    assert environment_reads() == []
 
 
 def benchmark_probes(monkeypatch) -> tuple:
