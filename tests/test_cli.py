@@ -426,6 +426,35 @@ def test_golden_analyze_files(synth_small, tmp_path, metrics):
     assert digests == GOLDEN_ANALYZE[metrics]
 
 
+# with_responses -> sha256 of the score file ``predict`` writes for the
+# ``synth_small`` event stream, scored by a small bundle trained on its
+# cleaned corpus; pinned so that a change to how events are parsed, linked
+# or scored cannot move a score byte unnoticed.
+GOLDEN_PREDICT = {
+    False: "1ec969f2693dce2fb7e3d8b8340d7ae7c0a6b73c136453fbef303e6f05d780bb",
+    True: "bcd770c11d79e00fa4308c4070c9e477da607007e4f63941a93097d0497e33c5",
+}
+
+
+@pytest.mark.parametrize("with_responses", sorted(GOLDEN_PREDICT))
+def test_golden_predict_file(synth_small, resources, tmp_path, with_responses):
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(
+        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in synth_small.events
+    ))
+    cfg = classify.TrainConfig(
+        n_per_class=40, derived_feature_folds=2, with_responses=with_responses,
+        stage1_hyper={"svm_c": 1e-6, "svm_epochs": 3},
+        stage2_hyper={"ada_depth": 2, "ada_rounds": 5},
+    )
+    bundle, _ = classify.two_stage_train(synth_small.cleaned, cfg, 6, resources)
+    classify.save_bundle(bundle, tmp_path / "model.rsb1")
+    out = tmp_path / "predictions.jsonl"
+    assert main(["predict", "--bundle", str(tmp_path / "model.rsb1"),
+                 "--events", str(events), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PREDICT[with_responses]
+
+
 class TestAnnotateAggCommand:
     def test_regret_reference_counts(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
