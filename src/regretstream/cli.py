@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -45,7 +46,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _alpha(text: str) -> float:
     """A significance level: a number strictly between 0 and 1."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:  # not a number: outside (0, 1) like NaN
+        value = math.nan
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
     return value

