@@ -5,14 +5,24 @@ Every JSON and JSON Lines input is read by ``decode_json`` or
 JSON object by its table. A dataclass's table is derived from its declared
 field types, and ``encode_record`` writes it back; its ``NDArray`` fields
 are array blocks of the RSF1/RSB1 container (``write_container``).
+
+Records are decoded and encoded by per-class functions, built once from the
+class's table in the manner of cattrs (https://catt.rs/): ``fields_decoder``
+calls each field's converter in turn, with no per-field dispatch, and hands
+any object it cannot decode that way back to the walker, which raises the
+error; ``record_encoder`` reads every field in one call. The walker is the
+error path and the reference the per-class functions are tested against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import math
+import operator
 import os
 import reprlib
 import struct
@@ -55,6 +65,24 @@ def _parse_json(text: str, path, line: int = 1):
         raise ValidationError(
             f"{path}: line {line + exc.lineno - 1}: not valid JSON: {exc.msg}"
         ) from None
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector, if it runs, for the block (or
+    the decorated function). Parsing a large JSON document and decoding its
+    records creates no reference cycles, yet each container allocated
+    counts towards the collector's thresholds, and its collections then
+    traverse everything built so far: about half the time ``json.load``
+    takes on a corpus file. Paused over the whole load, the parsed document
+    is freed before the collector runs again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _shaped(decode, value, where: str):
@@ -128,6 +156,29 @@ def decode_fields(raw, fields, line_number=None, prefix: str = "", closed: bool 
     return kwargs
 
 
+def fields_decoder(fields, prefix: str = "", closed: bool = False):
+    """``decode(raw, line_number=None)``, which returns what
+    ``decode_fields(raw, fields, line_number, prefix, closed)`` returns: the
+    keyword arguments, one converter call per field. A ``raw`` that fails
+    any step, whatever it raises, is walked by ``decode_fields`` again,
+    which raises the error that names its field."""
+    required = tuple((name, convert) for name, convert, default in fields if default is REQUIRED)
+    defaulted = tuple(entry for entry in fields if entry[2] is not REQUIRED)
+    names = frozenset(name for name, _, _ in fields)
+
+    def decode(raw, line_number=None) -> dict:
+        if isinstance(raw, dict) and not (closed and not names.issuperset(raw)):
+            try:
+                kwargs = {name: convert(raw[name]) for name, convert in required}
+                for name, convert, default in defaulted:
+                    kwargs[name] = convert(raw.get(name, default))
+                return kwargs
+            except Exception:
+                pass
+        return decode_fields(raw, fields, line_number, prefix, closed)
+    return decode
+
+
 def _exactly(kind: type, reason: str):
     """A converter that passes only values of type ``kind``."""
     def convert(value):
@@ -161,10 +212,10 @@ def _utc(value) -> datetime:
 
 
 def format_rfc3339(dt: datetime) -> str:
-    dt = dt.astimezone(timezone.utc)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``dt`` in UTC as RFC 3339, with a four-digit year, ``Z`` for the
+    offset, and the fraction of a second only as long as it needs."""
+    text = dt.astimezone(timezone.utc).isoformat()[:-len("+00:00")]
+    return (text.rstrip("0") if dt.microsecond else text) + "Z"
 
 
 # Feature matrices, bundles and scores store tweet ids as int64.
@@ -184,23 +235,25 @@ _JSON_TYPES = {bool: _exactly(bool, "not true or false"), int: _json_int, float:
                frozenset: lambda value: frozenset(_str_list(value))}
 
 
-def _array_of(kind: type, noun: str):
-    """A converter that passes a JSON array whose every item converts as
-    ``kind``, as a list of the converted items."""
-    item = _JSON_TYPES[kind]
+_NOUNS = {str: "strings", int: "integers", float: "finite numbers"}
 
-    def convert(value) -> list:
+
+def _array_of(kind: type, into=list):
+    """A converter that passes a JSON array whose every item converts as
+    ``kind``, as an ``into`` of the converted items."""
+    item, noun = _JSON_TYPES[kind], _NOUNS[kind]
+
+    def convert(value):
         if type(value) is list:
             try:
-                return [item(v) for v in value]
+                return into(map(item, value))
             except Rejected:
                 pass
         raise Rejected(f"not an array of {noun}")
     return convert
 
 
-_ARRAYS = {str: _array_of(str, "strings"), int: _array_of(int, "integers"),
-           float: _array_of(float, "finite numbers")}
+_ARRAYS = {kind: _array_of(kind) for kind in _NOUNS}
 _str_list = _ARRAYS[str]
 # The JSON form of each declared type that is not its own JSON form.
 _JSON_FORMS = {datetime: format_rfc3339, tuple: list, frozenset: sorted, dict: dict}
@@ -224,14 +277,13 @@ def converter(hint, prefix: str = "", default=None, strict: bool = False):
     if kind is list:  # list[X]
         return _ARRAYS[args[0]]
     if kind is tuple:  # tuple[X, ...]
-        array = _ARRAYS[args[0]]
-        return lambda value: tuple(array(value))
+        return _array_of(args[0], tuple)
     if kind is dict:
         nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
         return functools.partial(decode_fields, fields=nested, prefix=prefix, closed=True)
     if dataclasses.is_dataclass(kind):
-        fields = record_fields(kind, prefix, strict)
-        return lambda raw: kind(**decode_fields(raw, fields, prefix=prefix, closed=strict))
+        decode = _record_decoder(kind, prefix, strict, strict)
+        return lambda raw: kind(**decode(raw))
     return _JSON_TYPES[kind]
 
 
@@ -292,6 +344,12 @@ def record_fields(cls, prefix: str = "", strict: bool = False) -> tuple:
     return tuple(table)
 
 
+@functools.cache
+def _record_decoder(cls, prefix: str, strict: bool, closed: bool):
+    """The ``fields_decoder`` of ``record_fields(cls, prefix, strict)``."""
+    return fields_decoder(record_fields(cls, prefix, strict), prefix, closed)
+
+
 def _encoder(hint):
     """The function giving the JSON form of a value declared ``hint``, or
     None where the value is its own JSON form."""
@@ -300,24 +358,28 @@ def _encoder(hint):
         inner = _encoder(_inner(hint))
         return None if inner is None else _optional(inner)
     if kind is list and dataclasses.is_dataclass(typing.get_args(hint)[0]):
-        item = _record_encoder(typing.get_args(hint)[0])
+        item = record_encoder(typing.get_args(hint)[0])
         return lambda items: [item(v) for v in items]
-    return _record_encoder(kind) if dataclasses.is_dataclass(kind) else _JSON_FORMS.get(kind)
+    return record_encoder(kind) if dataclasses.is_dataclass(kind) else _JSON_FORMS.get(kind)
 
 
 @functools.cache
-def _record_encoder(cls):
+def record_encoder(cls, omit: tuple = ()):
     """The function giving the JSON object of an instance of the dataclass
-    ``cls``, each field but its arrays encoded by its declared type."""
+    ``cls`` that ``encode_record`` gives, without the fields named in
+    ``omit``: its field values read in one call, and those not their own
+    JSON form encoded by their declared type."""
     hints = typing.get_type_hints(cls)
-    table = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls)
-                  if f.name not in _array_fields(cls))
+    names = tuple(f.name for f in dataclasses.fields(cls)
+                  if f.name not in _array_fields(cls) and f.name not in omit)
+    encoded = tuple((name, to_json) for name in names if (to_json := _encoder(hints[name])))
+    values = (operator.attrgetter(*names) if len(names) > 1
+              else lambda obj: tuple(getattr(obj, name) for name in names))
 
     def encode(obj) -> dict:
-        out = {}
-        for name, to_json in table:
-            value = getattr(obj, name)
-            out[name] = value if to_json is None else to_json(value)
+        out = dict(zip(names, values(obj)))
+        for name, to_json in encoded:
+            out[name] = to_json(out[name])
         return out
     return encode
 
@@ -328,7 +390,7 @@ def encode_record(obj) -> dict:
     copied, a nested dataclass (or each of a list of them) as its own JSON
     object, and every other value as it is. Its ``NDArray`` fields are left
     out. ``decode_record`` reads it back."""
-    return _record_encoder(type(obj))(obj)
+    return record_encoder(type(obj))(obj)
 
 
 def decode_record(cls, raw, prefix: str = "", arrays=None, strict: bool = False):
@@ -336,8 +398,7 @@ def decode_record(cls, raw, prefix: str = "", arrays=None, strict: bool = False)
     ``record_fields(cls, prefix, strict)`` and from ``arrays``, the values
     of its ``NDArray`` fields by name; a key outside the table is a
     SchemaError."""
-    fields = decode_fields(raw, record_fields(cls, prefix, strict), prefix=prefix, closed=True)
-    return cls(**fields, **(arrays or {}))
+    return cls(**_record_decoder(cls, prefix, strict, True)(raw), **(arrays or {}))
 
 
 def decode_config(declared, raw, prefix: str = ""):

@@ -72,10 +72,13 @@ def _entities_from_text(text: str) -> tuple[tuple[str, ...], tuple[str, ...], tu
     return hashtags, urls, mentions
 
 
-def parse_event(line: str, line_number: int | None = None) -> TweetRecord | DeletePayload:
+def parse_event(line: str, line_number: int | None = None,
+                decode_tweet=None) -> TweetRecord | DeletePayload:
     """Parse one JSON event line into the record it carries: an unlabelled
     TweetRecord for a tweet event, a DeletePayload for a delete event.
-    Unknown fields are ignored.
+    Unknown fields are ignored. ``decode_tweet`` decodes a tweet event's
+    fields; ``read_events`` passes one per file that decodes each distinct
+    user profile in the file once.
 
     Raises ParseError for malformed JSON and SchemaError (naming the field)
     when a required field is missing or invalid.
@@ -91,8 +94,8 @@ def parse_event(line: str, line_number: int | None = None) -> TweetRecord | Dele
         raise SchemaError("kind", f"kind must be 'tweet' or 'delete', got {kind!r}", line_number)
 
     if kind == "delete":
-        return DeletePayload(**decode_fields(raw, _DELETE_FIELDS, line_number))
-    fields = decode_fields(raw, _TWEET_FIELDS, line_number)
+        return DeletePayload(**_decode_delete(raw, line_number))
+    fields = (decode_tweet or _decode_tweet)(raw, line_number)
     if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
         # Sources without entity annotation: recover entities from the text.
         fields["hashtags"], fields["urls"], fields["mentions"] = _entities_from_text(fields["text"])
@@ -106,12 +109,13 @@ def read_events(path: str | Path):
     """Iterate the records of a JSONL event file, as ``parse_event`` returns
     them; an invalid line raises ParseError or SchemaError naming the file
     and line."""
+    decode_tweet = _profiles_once(_TWEET_FIELDS)
     for i, line in codec.text_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            record = parse_event(line, line_number=i)
+            record = parse_event(line, line_number=i, decode_tweet=decode_tweet)
         except (ParseError, SchemaError) as exc:
             exc.args = (f"{path}: {exc}",)
             raise
@@ -177,6 +181,34 @@ _TWEET_FIELDS = tuple(
     for (name, convert, default), f in zip(_RECORD_FIELDS, dataclasses.fields(TweetRecord))
     if f.default is dataclasses.MISSING
 )
+_decode_delete = codec.fields_decoder(_DELETE_FIELDS)
+_decode_tweet = codec.fields_decoder(_TWEET_FIELDS)
+
+
+def _profiles_once(fields):
+    """``codec.fields_decoder(fields)`` for the records of one file, whose
+    ``user`` converter decodes each distinct raw user object once. Two
+    objects are the same when they hold the same keys in the same order,
+    with values of the same type that compare equal: under plain dict
+    equality ``1``, ``1.0`` and ``True`` would stand for one another, and
+    the converters tell them apart. An object holding an unhashable value
+    is decoded anew."""
+    profiles: dict[tuple, UserProfile] = {}
+    convert = next(convert for name, convert, _ in fields if name == "user")
+
+    def user(raw) -> UserProfile:
+        try:
+            values = tuple(raw.values())
+            key = (tuple(raw), tuple(map(type, values)), values)
+            profile = profiles.get(key)
+        except (AttributeError, TypeError):  # not an object, or an unhashable value
+            return convert(raw)
+        if profile is None:
+            profile = profiles[key] = convert(raw)
+        return profile
+    return codec.fields_decoder(tuple(
+        (name, user if name == "user" else convert, default) for name, convert, default in fields
+    ))
 
 
 @dataclass(frozen=True)
@@ -199,6 +231,7 @@ _CORPUS_FIELDS = (
     ("tweets", list, REQUIRED),
 )
 CORPUS_FORMAT = "regretstream-corpus/1"
+_encode_without_user = codec.record_encoder(TweetRecord, ("user",))
 
 
 class Corpus:
@@ -258,21 +291,33 @@ class Corpus:
         """Write the bytes of ``json.dump(payload, sort_keys=True,
         separators=(",", ":"))`` plus a newline, where payload holds the
         format, stats, tweets and window. Each part is encoded on its own by
-        the C encoder (``json.dump`` never uses it), one tweet at a time."""
+        the C encoder (``json.dump`` never uses it), one tweet at a time.
+        Each distinct profile object is encoded once, and its text spliced
+        into every record that holds it."""
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        profiles: dict[int, str] = {}  # by id(); self.tweets keeps each profile alive
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"format":' + encode(CORPUS_FORMAT))
             fh.write(',"stats":' + encode(encode_record(self.stats)) + ',"tweets":[')
             for i, t in enumerate(self.tweets):
-                if i:
-                    fh.write(",")
-                fh.write(encode(encode_record(t)))
+                user = profiles.get(id(t.user))
+                if user is None:
+                    user = profiles[id(t.user)] = encode(encode_record(t.user))
+                text = encode(_encode_without_user(t))
+                # "user" sorts just before "user_id", the last key, which
+                # holds a number: the last ',"user_id":' is that key.
+                cut = text.rindex(',"user_id":')
+                fh.write(("," if i else "") + text[:cut] + ',"user":' + user + text[cut:])
             fh.write('],"window":' + encode(encode_record(self.window)) + "}\n")
 
     @classmethod
+    @codec.gc_paused()
     def load(cls, path: str | Path) -> "Corpus":
         """Read a corpus file; malformed content raises ValidationError or
-        SchemaError naming the file, and the tweet record and field at fault."""
+        SchemaError naming the file, and the tweet record and field at fault.
+        Each distinct raw user object in the file is decoded once, so the
+        records of one author share one profile object while it is
+        unchanged."""
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
@@ -284,10 +329,11 @@ class Corpus:
             header = decode_fields(payload, _CORPUS_FIELDS)
         except RegretstreamError as exc:
             raise ValidationError(f"{path}: invalid corpus header: {exc}") from None
+        decode = _profiles_once(_RECORD_FIELDS)
         tweets = []
         try:
             for i, raw in enumerate(header["tweets"]):
-                tweets.append(TweetRecord(**decode_fields(raw, _RECORD_FIELDS)))
+                tweets.append(TweetRecord(**decode(raw)))
         except SchemaError as exc:
             raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
         except ValidationError as exc:

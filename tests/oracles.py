@@ -6,6 +6,7 @@ tests can require the fast kernel to return exactly the same result.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -13,11 +14,11 @@ from itertools import combinations
 
 import numpy as np
 
-from regretstream import textkit
-from regretstream import analytics
+from regretstream import analytics, codec, events, textkit
 from regretstream.analytics import NUD_MIN_TWEETS, NudDetail, ntd_value, nud_value, partition_users
 from regretstream.classify.trees import _EPS, DecisionTree
-from regretstream.errors import UndefinedDifferenceError, ValidationError
+from regretstream.errors import SchemaError, UndefinedDifferenceError, ValidationError
+from regretstream.events import DeletePayload, TweetRecord, UserProfile
 from regretstream.features import _PROFILE_SLOTS, RESPONSE_SIZE, TweetMeasurements
 from regretstream.stats import Contingency2x2, fisher_exact, mann_whitney_u, median
 
@@ -540,3 +541,47 @@ def loop_user_category_medians(corpus, cache, deleters, non_deleters) -> dict:
         if dv and nv:
             out[attr] = (median(nv), median(dv))
     return out
+
+
+def walker_fields(fields, strict: bool = False) -> tuple:
+    """The decode table ``fields`` with its ``user`` converter decoding by
+    the ``codec.decode_fields`` walker alone, every profile anew, as each
+    table decoded before the per-class decoders."""
+    table = codec.record_fields(UserProfile, "user.", strict)
+
+    def user(raw) -> UserProfile:
+        return UserProfile(**codec.decode_fields(raw, table, prefix="user.", closed=strict))
+    return tuple((name, user if name == "user" else convert, default)
+                 for name, convert, default in fields)
+
+
+def walker_parse_event(line: str, line_number=None):
+    """``events.parse_event`` of a JSON object line by the walker alone."""
+    raw = json.loads(line)
+    if raw["kind"] == "delete":
+        return DeletePayload(**codec.decode_fields(raw, events._DELETE_FIELDS, line_number))
+    fields = codec.decode_fields(raw, walker_fields(events._TWEET_FIELDS), line_number)
+    if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
+        fields["hashtags"], fields["urls"], fields["mentions"] = \
+            events._entities_from_text(fields["text"])
+    try:
+        return TweetRecord(**fields)
+    except SchemaError as exc:
+        raise SchemaError(exc.field, str(exc), line_number) from None
+
+
+def walker_corpus_tweets(path) -> list[TweetRecord]:
+    """The tweet records of the corpus file at ``path`` as ``Corpus.load``
+    decodes them, by the walker alone, with its errors."""
+    with open(path, encoding="utf-8") as fh:
+        raws = json.load(fh)["tweets"]
+    table = walker_fields(events._RECORD_FIELDS)
+    tweets = []
+    try:
+        for i, raw in enumerate(raws):
+            tweets.append(TweetRecord(**codec.decode_fields(raw, table)))
+    except SchemaError as exc:
+        raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: tweet record {i}: {exc}") from None
+    return tweets

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from regretstream import codec, events
 from regretstream.codec import decode_record, encode_record
-from regretstream.errors import DuplicateTweetError, ParseError, SchemaError, ValidationError
+from regretstream.errors import (
+    DuplicateTweetError,
+    ParseError,
+    RegretstreamError,
+    SchemaError,
+    ValidationError,
+)
 from regretstream.events import (
     CollectionWindow,
     Corpus,
@@ -22,6 +28,7 @@ from regretstream.events import (
 )
 from regretstream.synth import SynthConfig
 
+import oracles
 from conftest import T0, make_corpus, make_tweet, make_window, run_synth_pipeline, ts
 
 
@@ -208,6 +215,127 @@ class TestDecodeTables:
         assert all(wire[name] is convert for name, convert, _ in events._RECORD_FIELDS if name in wire)
 
 
+def _outcome(decode):
+    """What ``decode()`` gives: ("ok", its value), or the type and message
+    of the package error it raises."""
+    try:
+        return "ok", decode()
+    except RegretstreamError as exc:
+        return type(exc), str(exc)
+
+
+# A profile whose bio_length is 1 and geo_enabled true, so that 1.0, True
+# and 1 in their place compare equal to it as plain dicts.
+PROFILE = {"user_id": 3, "account_created_at": "2014-01-01T00:00:00Z", "bio_length": 1,
+           "geo_enabled": True, "followers_count": 5}
+DROP = object()
+# Each change to a raw tweet object: the path of the value it sets (DROP
+# deletes the key), and that value.
+MUTATIONS = {
+    "valid": ((), None),
+    "missing created_at": (("created_at",), DROP),
+    "missing user.account_created_at": (("user", "account_created_at"), DROP),
+    "id a string": (("id",), "17"),
+    "user.bio_length 1.0": (("user", "bio_length"), 1.0),
+    "user.bio_length true": (("user", "bio_length"), True),
+    "user.geo_enabled 1": (("user", "geo_enabled"), 1),
+    "user.followers_count negative": (("user", "followers_count"), -1),
+    "unknown user key": (("user", "shoe_size"), 9),
+    "unhashable user value": (("user", "badges"), ["a"]),
+    "user not an object": (("user",), [1]),
+    "author id mismatch": (("user_id",), 4),
+    "deleted without a lag": (("deleted",), True),
+}
+
+
+def mutated(raw: dict, name: str) -> dict:
+    raw = json.loads(json.dumps(raw))
+    path, value = MUTATIONS[name]
+    if path:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return raw
+
+
+class TestDecoderMatchesWalker:
+    """The per-class decoders, and the profile memo, against the
+    ``decode_fields`` walker: the same records, or the same error, line
+    and tweet record included. The changed record follows three that hold
+    its author's profile unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_read_events(self, tmp_path, name):
+        raws = [tweet_event(id=i, user=PROFILE) for i in (1, 2, 3)]
+        lines = [json.dumps(raw) for raw in raws + [mutated(tweet_event(id=4, user=PROFILE), name)]]
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        got = _outcome(lambda: list(read_events(path)))
+        kind, want = _outcome(lambda: [oracles.walker_parse_event(line, n)
+                                       for n, line in enumerate(lines, 1)])
+        assert got == (kind, want if kind == "ok" else f"{path}: {want}")
+        if kind != "ok":
+            assert got[1].startswith(f"{path}: line 4: ")
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_corpus_load(self, tmp_path, name):
+        from conftest import make_profile
+
+        profile = make_profile(3, bio_length=1, geo_enabled=True)
+        path = tmp_path / "corpus.json"
+        make_corpus([make_tweet(id=i, user_id=3, profile=profile) for i in (1, 2, 3, 4)]).save(path)
+        payload = json.loads(path.read_text())
+        payload["tweets"][3] = mutated(payload["tweets"][3], name)
+        path.write_text(json.dumps(payload))
+        got = _outcome(lambda: Corpus.load(path).tweets)
+        kind, want = _outcome(lambda: tuple(oracles.walker_corpus_tweets(path)))
+        assert got == (kind, want)
+        if kind != "ok":
+            assert want.startswith(f"{path}: tweet record 3: ")
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_strict_decode_record(self, name):
+        from conftest import make_profile
+
+        raw = mutated(encode_record(make_tweet(id=4, user_id=3, profile=make_profile(3))), name)
+        table = oracles.walker_fields(codec.record_fields(TweetRecord, strict=True), strict=True)
+        got = _outcome(lambda: decode_record(TweetRecord, raw, strict=True))
+        want = _outcome(lambda: TweetRecord(**codec.decode_fields(raw, table, closed=True)))
+        assert got == want
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("bio_length", 1.0, "not a JSON integer"),
+    ("bio_length", True, "not a JSON integer"),
+    ("geo_enabled", 1, "not true or false"),
+])
+def test_a_repeated_profile_with_a_value_of_another_type_is_rejected(tmp_path, field, value,
+                                                                     reason):
+    """The profile memo tells 1, 1.0 and True apart, as the converters do."""
+    from conftest import make_profile
+
+    message = f"invalid user.{field}: {value!r} ({reason})"
+    stream = tmp_path / "events.jsonl"
+    stream.write_text(json.dumps(tweet_event(id=1, user=PROFILE)) + "\n" + json.dumps(
+        tweet_event(id=2, user=dict(PROFILE, **{field: value}))) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        list(read_events(stream))
+    assert str(exc.value) == f"{stream}: line 2: {message}"
+    corpus = tmp_path / "corpus.json"
+    profile = make_profile(3, bio_length=1, geo_enabled=True)
+    make_corpus([make_tweet(id=i, user_id=3, profile=profile) for i in (1, 2)]).save(corpus)
+    payload = json.loads(corpus.read_text())
+    payload["tweets"][1]["user"][field] = value
+    corpus.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as exc:
+        Corpus.load(corpus)
+    assert str(exc.value) == f"{corpus}: tweet record 1: {message}"
+
+
 class TestWindow:
     def test_ordering_enforced(self):
         with pytest.raises(ValidationError):
@@ -375,6 +503,8 @@ class TestCorpusContainer:
             path = tmp_path / "corpus.json"
             corpus.save(path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+            Corpus.load(path).save(tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_save_bytes_equal_json_dump(self, synth_small, tmp_path):
         corpus = synth_small.cleaned
@@ -536,3 +666,16 @@ def test_record_codec_round_trip(record):
     encoded = encode_record(record)
     assert decode_record(type(record), encoded) == record
     assert decode_record(type(record), json.loads(json.dumps(encoded))) == record
+
+
+@pytest.mark.parametrize("dt", [
+    datetime(999, 3, 4, 5, 6, 7, tzinfo=timezone.utc),
+    datetime(2015, 8, 3, 1, 2, 3, 120000, tzinfo=timezone.utc),
+    datetime(2015, 8, 3, 1, 2, 3, tzinfo=timezone.utc),
+])
+def test_timestamp_round_trip(dt):
+    """A timestamp is written with a four-digit year, so that every year
+    reads back."""
+    text = codec.format_rfc3339(dt)
+    assert text[:4] == f"{dt.year:04d}"
+    assert codec.converter(datetime)(text) == dt
