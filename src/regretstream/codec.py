@@ -167,7 +167,7 @@ def fields_decoder(fields, prefix: str = "", closed: bool = False):
     names = frozenset(name for name, _, _ in fields)
 
     def decode(raw, line_number=None) -> dict:
-        if isinstance(raw, dict) and not (closed and not names.issuperset(raw)):
+        if isinstance(raw, dict) and (not closed or names.issuperset(raw)):
             try:
                 kwargs = {name: convert(raw[name]) for name, convert in required}
                 for name, convert, default in defaulted:

@@ -29,7 +29,15 @@ from regretstream.events import (
 from regretstream.synth import SynthConfig
 
 import oracles
-from conftest import T0, make_corpus, make_tweet, make_window, run_synth_pipeline, ts
+from conftest import (
+    T0,
+    make_corpus,
+    make_profile,
+    make_tweet,
+    make_window,
+    run_synth_pipeline,
+    ts,
+)
 
 
 def tweet_event(id=1, user_id=3, created="2015-08-05T10:00:00Z", text="hello there", **extra):
@@ -283,8 +291,6 @@ class TestDecoderMatchesWalker:
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_corpus_load(self, tmp_path, name):
-        from conftest import make_profile
-
         profile = make_profile(3, bio_length=1, geo_enabled=True)
         path = tmp_path / "corpus.json"
         make_corpus([make_tweet(id=i, user_id=3, profile=profile) for i in (1, 2, 3, 4)]).save(path)
@@ -299,8 +305,6 @@ class TestDecoderMatchesWalker:
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_strict_decode_record(self, name):
-        from conftest import make_profile
-
         raw = mutated(encode_record(make_tweet(id=4, user_id=3, profile=make_profile(3))), name)
         table = oracles.walker_fields(codec.record_fields(TweetRecord, strict=True), strict=True)
         got = _outcome(lambda: decode_record(TweetRecord, raw, strict=True))
@@ -316,8 +320,6 @@ class TestDecoderMatchesWalker:
 def test_a_repeated_profile_with_a_value_of_another_type_is_rejected(tmp_path, field, value,
                                                                      reason):
     """The profile memo tells 1, 1.0 and True apart, as the converters do."""
-    from conftest import make_profile
-
     message = f"invalid user.{field}: {value!r} ({reason})"
     stream = tmp_path / "events.jsonl"
     stream.write_text(json.dumps(tweet_event(id=1, user=PROFILE)) + "\n" + json.dumps(
