@@ -6,23 +6,18 @@ JSON object by its table. A dataclass's table is derived from its declared
 field types, and ``encode_record`` writes it back; its ``NDArray`` fields
 are array blocks of the RSF1/RSB1 container (``write_container``).
 
-Records are decoded and encoded by per-class functions, built once from the
-class's table in the manner of cattrs (https://catt.rs/): ``fields_decoder``
-calls each field's converter in turn, with no per-field dispatch, and hands
-any object it cannot decode that way back to the walker, which raises the
-error; ``record_encoder`` reads every field in one call. The walker is the
-error path and the reference the per-class functions are tested against.
+A record is encoded by a per-class function, ``record_encoder``, built
+once from the class's declared field types in the manner of cattrs
+(https://catt.rs/); it can leave fields out, so that a caller may encode a
+shared nested record once and splice its text in (``Corpus.save``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
-import gc
 import json
 import math
-import operator
 import os
 import reprlib
 import struct
@@ -65,24 +60,6 @@ def _parse_json(text: str, path, line: int = 1):
         raise ValidationError(
             f"{path}: line {line + exc.lineno - 1}: not valid JSON: {exc.msg}"
         ) from None
-
-
-@contextlib.contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector, if it runs, for the block (or
-    the decorated function). Parsing a large JSON document and decoding its
-    records creates no reference cycles, yet each container allocated
-    counts towards the collector's thresholds, and its collections then
-    traverse everything built so far: about half the time ``json.load``
-    takes on a corpus file. Paused over the whole load, the parsed document
-    is freed before the collector runs again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _shaped(decode, value, where: str):
@@ -156,29 +133,6 @@ def decode_fields(raw, fields, line_number=None, prefix: str = "", closed: bool 
     return kwargs
 
 
-def fields_decoder(fields, prefix: str = "", closed: bool = False):
-    """``decode(raw, line_number=None)``, which returns what
-    ``decode_fields(raw, fields, line_number, prefix, closed)`` returns: the
-    keyword arguments, one converter call per field. A ``raw`` that fails
-    any step, whatever it raises, is walked by ``decode_fields`` again,
-    which raises the error that names its field."""
-    required = tuple((name, convert) for name, convert, default in fields if default is REQUIRED)
-    defaulted = tuple(entry for entry in fields if entry[2] is not REQUIRED)
-    names = frozenset(name for name, _, _ in fields)
-
-    def decode(raw, line_number=None) -> dict:
-        if isinstance(raw, dict) and (not closed or names.issuperset(raw)):
-            try:
-                kwargs = {name: convert(raw[name]) for name, convert in required}
-                for name, convert, default in defaulted:
-                    kwargs[name] = convert(raw.get(name, default))
-                return kwargs
-            except Exception:
-                pass
-        return decode_fields(raw, fields, line_number, prefix, closed)
-    return decode
-
-
 def _exactly(kind: type, reason: str):
     """A converter that passes only values of type ``kind``."""
     def convert(value):
@@ -212,10 +166,10 @@ def _utc(value) -> datetime:
 
 
 def format_rfc3339(dt: datetime) -> str:
-    """``dt`` in UTC as RFC 3339, with a four-digit year, ``Z`` for the
-    offset, and the fraction of a second only as long as it needs."""
-    text = dt.astimezone(timezone.utc).isoformat()[:-len("+00:00")]
-    return (text.rstrip("0") if dt.microsecond else text) + "Z"
+    dt = dt.astimezone(timezone.utc)
+    if dt.microsecond:
+        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
+    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # Feature matrices, bundles and scores store tweet ids as int64.
@@ -282,8 +236,8 @@ def converter(hint, prefix: str = "", default=None, strict: bool = False):
         nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
         return functools.partial(decode_fields, fields=nested, prefix=prefix, closed=True)
     if dataclasses.is_dataclass(kind):
-        decode = _record_decoder(kind, prefix, strict, strict)
-        return lambda raw: kind(**decode(raw))
+        fields = record_fields(kind, prefix, strict)
+        return lambda raw: kind(**decode_fields(raw, fields, prefix=prefix, closed=strict))
     return _JSON_TYPES[kind]
 
 
@@ -344,12 +298,6 @@ def record_fields(cls, prefix: str = "", strict: bool = False) -> tuple:
     return tuple(table)
 
 
-@functools.cache
-def _record_decoder(cls, prefix: str, strict: bool, closed: bool):
-    """The ``fields_decoder`` of ``record_fields(cls, prefix, strict)``."""
-    return fields_decoder(record_fields(cls, prefix, strict), prefix, closed)
-
-
 def _encoder(hint):
     """The function giving the JSON form of a value declared ``hint``, or
     None where the value is its own JSON form."""
@@ -367,19 +315,16 @@ def _encoder(hint):
 def record_encoder(cls, omit: tuple = ()):
     """The function giving the JSON object of an instance of the dataclass
     ``cls`` that ``encode_record`` gives, without the fields named in
-    ``omit``: its field values read in one call, and those not their own
-    JSON form encoded by their declared type."""
+    ``omit``: each field but its arrays encoded by its declared type."""
     hints = typing.get_type_hints(cls)
-    names = tuple(f.name for f in dataclasses.fields(cls)
+    table = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls)
                   if f.name not in _array_fields(cls) and f.name not in omit)
-    encoded = tuple((name, to_json) for name in names if (to_json := _encoder(hints[name])))
-    values = (operator.attrgetter(*names) if len(names) > 1
-              else lambda obj: tuple(getattr(obj, name) for name in names))
 
     def encode(obj) -> dict:
-        out = dict(zip(names, values(obj)))
-        for name, to_json in encoded:
-            out[name] = to_json(out[name])
+        out = {}
+        for name, to_json in table:
+            value = getattr(obj, name)
+            out[name] = value if to_json is None else to_json(value)
         return out
     return encode
 
@@ -398,7 +343,8 @@ def decode_record(cls, raw, prefix: str = "", arrays=None, strict: bool = False)
     ``record_fields(cls, prefix, strict)`` and from ``arrays``, the values
     of its ``NDArray`` fields by name; a key outside the table is a
     SchemaError."""
-    return cls(**_record_decoder(cls, prefix, strict, True)(raw), **(arrays or {}))
+    fields = decode_fields(raw, record_fields(cls, prefix, strict), prefix=prefix, closed=True)
+    return cls(**fields, **(arrays or {}))
 
 
 def decode_config(declared, raw, prefix: str = ""):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -73,12 +74,11 @@ def _entities_from_text(text: str) -> tuple[tuple[str, ...], tuple[str, ...], tu
 
 
 def parse_event(line: str, line_number: int | None = None,
-                decode_tweet=None) -> TweetRecord | DeletePayload:
+                _tweet_fields=None) -> TweetRecord | DeletePayload:
     """Parse one JSON event line into the record it carries: an unlabelled
     TweetRecord for a tweet event, a DeletePayload for a delete event.
-    Unknown fields are ignored. ``decode_tweet`` decodes a tweet event's
-    fields; ``read_events`` passes one per file that decodes each distinct
-    user profile in the file once.
+    Unknown fields are ignored. (``read_events`` passes the decode table of
+    its file as ``_tweet_fields``.)
 
     Raises ParseError for malformed JSON and SchemaError (naming the field)
     when a required field is missing or invalid.
@@ -94,8 +94,8 @@ def parse_event(line: str, line_number: int | None = None,
         raise SchemaError("kind", f"kind must be 'tweet' or 'delete', got {kind!r}", line_number)
 
     if kind == "delete":
-        return DeletePayload(**_decode_delete(raw, line_number))
-    fields = (decode_tweet or _decode_tweet)(raw, line_number)
+        return DeletePayload(**decode_fields(raw, _DELETE_FIELDS, line_number))
+    fields = decode_fields(raw, _tweet_fields or _TWEET_FIELDS, line_number)
     if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
         # Sources without entity annotation: recover entities from the text.
         fields["hashtags"], fields["urls"], fields["mentions"] = _entities_from_text(fields["text"])
@@ -109,13 +109,13 @@ def read_events(path: str | Path):
     """Iterate the records of a JSONL event file, as ``parse_event`` returns
     them; an invalid line raises ParseError or SchemaError naming the file
     and line."""
-    decode_tweet = _profiles_once(_TWEET_FIELDS)
+    tweet_fields = _profiles_once(_TWEET_FIELDS)
     for i, line in codec.text_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            record = parse_event(line, line_number=i, decode_tweet=decode_tweet)
+            record = parse_event(line, line_number=i, _tweet_fields=tweet_fields)
         except (ParseError, SchemaError) as exc:
             exc.args = (f"{path}: {exc}",)
             raise
@@ -181,34 +181,62 @@ _TWEET_FIELDS = tuple(
     for (name, convert, default), f in zip(_RECORD_FIELDS, dataclasses.fields(TweetRecord))
     if f.default is dataclasses.MISSING
 )
-_decode_delete = codec.fields_decoder(_DELETE_FIELDS)
-_decode_tweet = codec.fields_decoder(_TWEET_FIELDS)
 
 
-def _profiles_once(fields):
-    """``codec.fields_decoder(fields)`` for the records of one file, whose
-    ``user`` converter decodes each distinct raw user object once. Two
-    objects are the same when they hold the same keys in the same order,
-    with values of the same type that compare equal: under plain dict
-    equality ``1``, ``1.0`` and ``True`` would stand for one another, and
-    the converters tell them apart. An object holding an unhashable value
-    is decoded anew."""
-    profiles: dict[tuple, UserProfile] = {}
-    convert = next(convert for name, convert, _ in fields if name == "user")
+# A memo gives up once it has made this many values and they outnumber its hits.
+_MEMO_TRIAL = 1024
 
-    def user(raw) -> UserProfile:
+
+class _Memo:
+    """``make``, for the objects of one file, keeping what it made under
+    ``key(obj)`` and giving that again for a later object of the same key.
+    That pays where objects repeat, as an author's profile does while it
+    holds still; where nearly every object is new, as when each tweet
+    carries a fresh snapshot of its author's counts, it only costs. So once
+    ``_MEMO_TRIAL`` objects were new and they outnumber the repeats, the
+    memo is dropped (``kept`` becomes None) and every later object is made
+    anew. An object whose key cannot be built or hashed is made anew too."""
+
+    def __init__(self, make, key):
+        self.make, self.key = make, key
+        self.kept: dict | None = {}
+        self.hits = 0
+
+    def __call__(self, obj):
+        kept = self.kept
+        if kept is None:
+            return self.make(obj)
         try:
-            values = tuple(raw.values())
-            key = (tuple(raw), tuple(map(type, values)), values)
-            profile = profiles.get(key)
+            key = self.key(obj)
+            value = kept.get(key)
         except (AttributeError, TypeError):  # not an object, or an unhashable value
-            return convert(raw)
-        if profile is None:
-            profile = profiles[key] = convert(raw)
-        return profile
-    return codec.fields_decoder(tuple(
-        (name, user if name == "user" else convert, default) for name, convert, default in fields
-    ))
+            return self.make(obj)
+        if value is not None:
+            self.hits += 1
+            return value
+        if len(kept) >= _MEMO_TRIAL and len(kept) > self.hits:
+            self.kept = None
+            return self.make(obj)
+        value = kept[key] = self.make(obj)
+        return value
+
+
+def _profile_key(raw) -> tuple:
+    """The memo key of a raw user object: its keys in order, the types of
+    its values, and its values. Under plain dict equality ``1``, ``1.0``
+    and ``True`` would stand for one another, and the converters tell them
+    apart."""
+    values = tuple(raw.values())
+    return tuple(raw), tuple(map(type, values)), values
+
+
+def _profiles_once(fields) -> tuple:
+    """The decode table ``fields`` for the records of one file: its ``user``
+    converter decodes each distinct raw user object once (``_Memo``), and
+    the records of one author share one profile object while it is
+    unchanged."""
+    return tuple((name, _Memo(convert, _profile_key) if name == "user" else convert, default)
+                 for name, convert, default in fields)
 
 
 @dataclass(frozen=True)
@@ -292,32 +320,49 @@ class Corpus:
         separators=(",", ":"))`` plus a newline, where payload holds the
         format, stats, tweets and window. Each part is encoded on its own by
         the C encoder (``json.dump`` never uses it), one tweet at a time.
-        Each distinct profile object is encoded once, and its text spliced
-        into every record that holds it."""
+        Each distinct profile object is encoded once (by identity, through
+        ``_Memo``), and its text spliced into every record that holds it;
+        once the memo is dropped, each record is encoded whole."""
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        profiles: dict[int, str] = {}  # by id(); self.tweets keeps each profile alive
+        # Keyed by id(): self.tweets keeps every profile alive meanwhile.
+        encode_user = _Memo(lambda user: encode(encode_record(user)), id)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"format":' + encode(CORPUS_FORMAT))
             fh.write(',"stats":' + encode(encode_record(self.stats)) + ',"tweets":[')
             for i, t in enumerate(self.tweets):
-                user = profiles.get(id(t.user))
-                if user is None:
-                    user = profiles[id(t.user)] = encode(encode_record(t.user))
-                text = encode(_encode_without_user(t))
-                # "user" sorts just before "user_id", the last key, which
-                # holds a number: the last ',"user_id":' is that key.
-                cut = text.rindex(',"user_id":')
-                fh.write(("," if i else "") + text[:cut] + ',"user":' + user + text[cut:])
+                if encode_user.kept is None:
+                    text = encode(encode_record(t))
+                else:
+                    text = encode(_encode_without_user(t))
+                    # "user" sorts just before "user_id", the last key, which
+                    # holds a number: the last ',"user_id":' is that key.
+                    cut = text.rindex(',"user_id":')
+                    text = text[:cut] + ',"user":' + encode_user(t.user) + text[cut:]
+                fh.write(("," if i else "") + text)
             fh.write('],"window":' + encode(encode_record(self.window)) + "}\n")
 
     @classmethod
-    @codec.gc_paused()
     def load(cls, path: str | Path) -> "Corpus":
         """Read a corpus file; malformed content raises ValidationError or
         SchemaError naming the file, and the tweet record and field at fault.
-        Each distinct raw user object in the file is decoded once, so the
-        records of one author share one profile object while it is
-        unchanged."""
+        Each distinct raw user object in the file is decoded once
+        (``_profiles_once``).
+
+        The cyclic garbage collector, if it runs, is paused meanwhile.
+        Parsing and decoding make no reference cycles, yet every container
+        they allocate counts towards its thresholds, and its collections
+        traverse all that was built so far: about half of what ``json.load``
+        takes on a corpus file."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._load(path)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _load(cls, path: str | Path) -> "Corpus":
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
@@ -329,11 +374,11 @@ class Corpus:
             header = decode_fields(payload, _CORPUS_FIELDS)
         except RegretstreamError as exc:
             raise ValidationError(f"{path}: invalid corpus header: {exc}") from None
-        decode = _profiles_once(_RECORD_FIELDS)
+        table = _profiles_once(_RECORD_FIELDS)
         tweets = []
         try:
             for i, raw in enumerate(header["tweets"]):
-                tweets.append(TweetRecord(**decode(raw)))
+                tweets.append(TweetRecord(**decode_fields(raw, table)))
         except SchemaError as exc:
             raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
         except ValidationError as exc:

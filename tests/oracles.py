@@ -546,7 +546,7 @@ def loop_user_category_medians(corpus, cache, deleters, non_deleters) -> dict:
 def walker_fields(fields, strict: bool = False) -> tuple:
     """The decode table ``fields`` with its ``user`` converter decoding by
     the ``codec.decode_fields`` walker alone, every profile anew, as each
-    table decoded before the per-class decoders."""
+    table decoded before the profile memo."""
     table = codec.record_fields(UserProfile, "user.", strict)
 
     def user(raw) -> UserProfile:

@@ -271,9 +271,8 @@ def mutated(raw: dict, name: str) -> dict:
 
 
 class TestDecoderMatchesWalker:
-    """The per-class decoders, and the profile memo, against the
-    ``decode_fields`` walker: the same records, or the same error, line
-    and tweet record included. The changed record follows three that hold
+    """The profile memo against the ``decode_fields`` walker alone: the
+    same records, or the same error, line and tweet record included. The changed record follows three that hold
     its author's profile unchanged."""
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
@@ -303,14 +302,6 @@ class TestDecoderMatchesWalker:
         if kind != "ok":
             assert want.startswith(f"{path}: tweet record 3: ")
 
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
-    def test_strict_decode_record(self, name):
-        raw = mutated(encode_record(make_tweet(id=4, user_id=3, profile=make_profile(3))), name)
-        table = oracles.walker_fields(codec.record_fields(TweetRecord, strict=True), strict=True)
-        got = _outcome(lambda: decode_record(TweetRecord, raw, strict=True))
-        want = _outcome(lambda: TweetRecord(**codec.decode_fields(raw, table, closed=True)))
-        assert got == want
-
 
 @pytest.mark.parametrize("field,value,reason", [
     ("bio_length", 1.0, "not a JSON integer"),
@@ -336,6 +327,53 @@ def test_a_repeated_profile_with_a_value_of_another_type_is_rejected(tmp_path, f
     with pytest.raises(SchemaError) as exc:
         Corpus.load(corpus)
     assert str(exc.value) == f"{corpus}: tweet record 1: {message}"
+
+
+def test_the_records_of_one_author_share_one_profile_per_file(tmp_path):
+    stream = tmp_path / "events.jsonl"
+    stream.write_text("".join(json.dumps(tweet_event(id=i, user=PROFILE)) + "\n" for i in (1, 2)))
+    first, second = read_events(stream)
+    assert first.user is second.user
+    corpus = tmp_path / "corpus.json"
+    make_corpus([make_tweet(id=1, user_id=3, profile=make_profile(3)),
+                 make_tweet(id=2, user_id=3, profile=make_profile(3)),
+                 make_tweet(id=3, user_id=3, profile=make_profile(3, bio_length=40))]).save(corpus)
+    first, second, third = Corpus.load(corpus).tweets
+    assert first.user is second.user
+    assert third.user is not first.user and third.user.bio_length == 40
+
+
+def test_memo_gives_up_where_objects_seldom_repeat(monkeypatch):
+    monkeypatch.setattr(events, "_MEMO_TRIAL", 4)
+    made = []
+    lookup = events._Memo(lambda x: made.append(x) or 10 * x, lambda x: x)
+    # Four new objects and four repeats: the memo still pays, and keeps a fifth.
+    assert [lookup(x) for x in (1, 1, 2, 2, 3, 3, 4, 4, 5)] == [10, 10, 20, 20, 30, 30, 40, 40,
+                                                               50]
+    assert made == [1, 2, 3, 4, 5]
+    # A sixth new object: the five new ones outnumber the four repeats.
+    assert [lookup(x) for x in (6, 1, 1)] == [60, 10, 10]
+    assert made == [1, 2, 3, 4, 5, 6, 1, 1]
+    assert lookup.kept is None
+
+
+def test_records_equal_the_walkers_once_the_memo_gives_up(tmp_path, monkeypatch):
+    """Every profile differs, as where each tweet carries a fresh snapshot
+    of its author's counts; later ones repeat the first."""
+    monkeypatch.setattr(events, "_MEMO_TRIAL", 2)
+    lines = [json.dumps(tweet_event(id=i, user=dict(PROFILE, followers_count=i)))
+             for i in range(1, 6)]
+    lines.append(json.dumps(tweet_event(id=6, user=dict(PROFILE, followers_count=1))))
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert list(read_events(path)) == [oracles.walker_parse_event(line, n)
+                                       for n, line in enumerate(lines, 1)]
+    lines.append(json.dumps(tweet_event(id=7, user=dict(PROFILE, followers_count=1,
+                                                        bio_length=1.0))))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        list(read_events(path))
+    assert str(exc.value) == f"{path}: line 7: invalid user.bio_length: 1.0 (not a JSON integer)"
 
 
 class TestWindow:
@@ -521,6 +559,18 @@ class TestCorpusContainer:
         want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
 
+    def test_save_bytes_unchanged_once_the_memo_gives_up(self, synth_small, tmp_path,
+                                                        monkeypatch):
+        """A loaded corpus shares each author's profile, so each record
+        splices its profile's text; with no trial, the memo gives up at the
+        second author, and the records after it are encoded whole."""
+        path = tmp_path / "corpus.json"
+        synth_small.cleaned.save(path)
+        corpus = Corpus.load(path)
+        monkeypatch.setattr(events, "_MEMO_TRIAL", 0)
+        corpus.save(tmp_path / "whole.json")
+        assert (tmp_path / "whole.json").read_bytes() == path.read_bytes()
+
     def test_save_escapes_non_ascii_like_json_dump(self, tmp_path):
         corpus = make_corpus([make_tweet(id=1, text="caf\u00e9 \U0001F600 \ud800 \"q\"")])
         path = tmp_path / "corpus.json"
@@ -668,16 +718,3 @@ def test_record_codec_round_trip(record):
     encoded = encode_record(record)
     assert decode_record(type(record), encoded) == record
     assert decode_record(type(record), json.loads(json.dumps(encoded))) == record
-
-
-@pytest.mark.parametrize("dt", [
-    datetime(999, 3, 4, 5, 6, 7, tzinfo=timezone.utc),
-    datetime(2015, 8, 3, 1, 2, 3, 120000, tzinfo=timezone.utc),
-    datetime(2015, 8, 3, 1, 2, 3, tzinfo=timezone.utc),
-])
-def test_timestamp_round_trip(dt):
-    """A timestamp is written with a four-digit year, so that every year
-    reads back."""
-    text = codec.format_rfc3339(dt)
-    assert text[:4] == f"{dt.year:04d}"
-    assert codec.converter(datetime)(text) == dt
