@@ -189,25 +189,23 @@ _JSON_TYPES = {bool: _exactly(bool, "not true or false"), int: _json_int, float:
                frozenset: lambda value: frozenset(_str_list(value))}
 
 
-_NOUNS = {str: "strings", int: "integers", float: "finite numbers"}
-
-
-def _array_of(kind: type, into=list):
+def _array_of(kind: type, noun: str):
     """A converter that passes a JSON array whose every item converts as
-    ``kind``, as an ``into`` of the converted items."""
-    item, noun = _JSON_TYPES[kind], _NOUNS[kind]
+    ``kind``, as a list of the converted items."""
+    item = _JSON_TYPES[kind]
 
-    def convert(value):
+    def convert(value) -> list:
         if type(value) is list:
             try:
-                return into(map(item, value))
+                return [item(v) for v in value]
             except Rejected:
                 pass
         raise Rejected(f"not an array of {noun}")
     return convert
 
 
-_ARRAYS = {kind: _array_of(kind) for kind in _NOUNS}
+_ARRAYS = {str: _array_of(str, "strings"), int: _array_of(int, "integers"),
+           float: _array_of(float, "finite numbers")}
 _str_list = _ARRAYS[str]
 # The JSON form of each declared type that is not its own JSON form.
 _JSON_FORMS = {datetime: format_rfc3339, tuple: list, frozenset: sorted, dict: dict}
@@ -231,7 +229,8 @@ def converter(hint, prefix: str = "", default=None, strict: bool = False):
     if kind is list:  # list[X]
         return _ARRAYS[args[0]]
     if kind is tuple:  # tuple[X, ...]
-        return _array_of(args[0], tuple)
+        array = _ARRAYS[args[0]]
+        return lambda value: tuple(array(value))
     if kind is dict:
         nested = tuple((k, _JSON_TYPES[type(v)], v) for k, v in default.items())
         return functools.partial(decode_fields, fields=nested, prefix=prefix, closed=True)

@@ -352,7 +352,8 @@ class Corpus:
         Parsing and decoding make no reference cycles, yet every container
         they allocate counts towards its thresholds, and its collections
         traverse all that was built so far: about half of what ``json.load``
-        takes on a corpus file."""
+        takes on a corpus file. The pause is process-wide: a thread that
+        disables the collector during a load finds it enabled after it."""
         enabled = gc.isenabled()
         gc.disable()
         try:
