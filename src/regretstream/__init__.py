@@ -18,7 +18,7 @@ from .events import (
     build_corpus,
     parse_event,
 )
-from .features import FeatureResources, build_vocab, dense_features, open_text_vector, response_features
+from .features import FeatureResources, build_vocab, open_text_vector
 from .stats import Contingency2x2, TestResult, fisher_exact, mann_whitney_u
 from .synth import SynthConfig, generate_synthetic, write_synthetic
 
@@ -41,7 +41,6 @@ __all__ = [
     "build_vocab",
     "classify",
     "cleanup",
-    "dense_features",
     "detect_superficial",
     "events",
     "features",
@@ -50,7 +49,6 @@ __all__ = [
     "mann_whitney_u",
     "open_text_vector",
     "parse_event",
-    "response_features",
     "run_cleanup",
     "stats",
     "synth",

@@ -1,5 +1,5 @@
 """Two-stage deletion classifier: sparse text stage, derived open-text
-feature, dense stage, cross-validated grid search, and ablation."""
+feature, dense stage, and ablation."""
 
 from .bundle import ModelBundle, load_bundle, save_bundle
 from .pipeline import (
@@ -10,7 +10,6 @@ from .pipeline import (
     balanced_sample,
     evaluate,
     fit_and_evaluate,
-    grid_search_cv,
     prepare_training_data,
     replied_sample,
     stage2_design,
@@ -45,7 +44,6 @@ __all__ = [
     "derived_feature",
     "evaluate",
     "fit_and_evaluate",
-    "grid_search_cv",
     "load_bundle",
     "prepare_training_data",
     "replied_sample",

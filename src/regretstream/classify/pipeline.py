@@ -1,5 +1,5 @@
 """Two-stage training pipeline: balanced sampling, out-of-fold derived
-feature, stage-2 fitting, grid-search cross-validation, and ablation.
+feature, stage-2 fitting, and ablation.
 
 The derived open-text feature for training rows always comes from
 fold-nested stage-1 models (no row is scored by a model that saw it), while
@@ -10,7 +10,7 @@ rows.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,7 +31,7 @@ from .smo import RbfSvmModel
 from .trees import AdaBoostModel
 
 # Sub-stream ids for deriving independent RNGs from one seed.
-_RNG_SAMPLE, _RNG_SPLIT, _RNG_FOLDS, _RNG_STAGE1, _RNG_CV = 1, 2, 3, 4, 5
+_RNG_SAMPLE, _RNG_SPLIT, _RNG_FOLDS, _RNG_STAGE1 = 1, 2, 3, 4
 
 
 def _rng(seed: int, stream: int, extra: int = 0) -> np.random.Generator:
@@ -69,16 +69,6 @@ class TrainConfig:
             hyper = codec.decode_config(
                 _HYPER_DEFAULTS[stage], getattr(self, f"{stage}_hyper"), f"{stage}_hyper.")
             object.__setattr__(self, f"{stage}_hyper", hyper)
-
-    def merged(self, overrides: dict) -> "TrainConfig":
-        """New config with hyper overrides applied (grid-search cells)."""
-        s1, s2 = ({k: overrides.get(k, v) for k, v in hyper.items()}
-                  for hyper in (self.stage1_hyper, self.stage2_hyper))
-        kwargs = {key: value for key, value in overrides.items() if key not in s1 and key not in s2}
-        for key in kwargs:
-            if key not in self.__dataclass_fields__:
-                raise ConfigError(f"unknown hyperparameter {key!r}")
-        return dc_replace(self, **{"stage1_hyper": s1, "stage2_hyper": s2, **kwargs})
 
 
 @dataclass(frozen=True)
@@ -309,32 +299,18 @@ def prepare_training_data(corpus, config: TrainConfig, seed: int, resources) -> 
         sample = balanced_sample(corpus, config.n_per_class, seed)
     labels = [1 if t.deleted else 0 for t in sample]
     train_idx, test_idx = stratified_split(labels, config.test_fraction, _rng(seed, _RNG_SPLIT))
-    train_tweets = [sample[i] for i in train_idx]
-    test_tweets = [sample[i] for i in test_idx]
-
-    return _prepare_split(
-        corpus, train_tweets, test_tweets, config, seed, resources,
-        stage1_extra=config.derived_feature_folds,
-    )
-
-
-def _prepare_split(
-    corpus, train_tweets, eval_tweets, config: TrainConfig, seed: int, resources, stage1_extra: int
-) -> PreparedData:
-    """Vocabulary from the training tweets, featurized rows for both
-    splits, the out-of-fold derived feature on training rows, and the final
-    stage-1 model (seeded from ``stage1_extra``) scoring the evaluation rows."""
-    records = [TweetMeasurements(t, resources) for t in train_tweets]  # tokenized once
+    records = [TweetMeasurements(sample[i], resources) for i in train_idx]  # tokenized once
     vocab = build_vocab(records)
     train, test = (
         featurize_corpus(
             corpus, vocab, resources, tweets=tweets, with_responses=config.with_responses
         )
-        for tweets in (records, eval_tweets)
+        for tweets in (records, [sample[i] for i in test_idx])
     )
     train.dense[:, DERIVED_SLOT] = _out_of_fold_derived(train, config, seed)
-    stage1 = _fit_stage1(
-        SparseRows.from_feature_matrix(train), train.labels, config, seed, stage1_extra)
+    # The final fit's stream follows those of the k fold fits, 0..k-1.
+    stage1 = _fit_stage1(SparseRows.from_feature_matrix(train), train.labels, config, seed,
+                         config.derived_feature_folds)
     test.dense[:, DERIVED_SLOT] = derived_feature(stage1, SparseRows.from_feature_matrix(test))
     return PreparedData(vocab, stage1, train, test)
 
@@ -414,46 +390,3 @@ def ablate(corpus, config: TrainConfig, groups, seed: int, resources) -> dict:
             "delta_f1": m.f1 - baseline.f1,
         }
     return report
-
-
-def grid_search_cv(grid, tweets, corpus, resources, config: TrainConfig, k: int = 10, seed: int = 0):
-    """Stratified k-fold grid search maximizing mean F1.
-
-    Each cell re-runs the full pipeline per fold: vocabulary and stage-1
-    (including the nested out-of-fold derived feature) are fit inside the
-    training folds only. Returns (best_hyper, results).
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValidationError("empty hyperparameter grid")
-    tweets = list(tweets)
-    labels = np.array([1 if t.deleted else 0 for t in tweets], dtype=np.int8)
-    for cls in (0, 1):
-        if int((labels == cls).sum()) < k:
-            raise ValidationError(f"class {cls} has fewer rows than k={k}")
-    folds = stratified_folds(labels, k, _rng(seed, _RNG_CV))
-
-    results = []
-    best = None
-    for cell_index, cell in enumerate(grid):
-        cfg = config.merged(cell)
-        fold_metrics = []
-        for f in range(k):
-            train_tweets = [t for t, fid in zip(tweets, folds) if fid != f]
-            val_tweets = [t for t, fid in zip(tweets, folds) if fid == f]
-            prep = _prepare_split(
-                corpus, train_tweets, val_tweets, cfg, seed + f, resources, stage1_extra=99
-            )
-            fold_metrics.append(fit_and_evaluate(prep, cfg)[2])
-        mean_f1 = float(np.mean([m.f1 for m in fold_metrics]))
-        entry = {
-            "hyper": dict(cell),
-            "mean_f1": mean_f1,
-            "mean_precision": float(np.mean([m.precision for m in fold_metrics])),
-            "mean_recall": float(np.mean([m.recall for m in fold_metrics])),
-            "per_fold_f1": [m.f1 for m in fold_metrics],
-        }
-        results.append(entry)
-        if best is None or mean_f1 > results[best]["mean_f1"]:
-            best = cell_index
-    return grid[best], results

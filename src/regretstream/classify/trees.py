@@ -124,15 +124,6 @@ class DecisionTree:
             active = feature[node] >= 0
         return value[node]
 
-    @property
-    def depth(self) -> int:
-        def walk(i, d):
-            if self.feature[i] < 0:
-                return d
-            return max(walk(self.left[i], d + 1), walk(self.right[i], d + 1))
-
-        return walk(0, 0) if self.feature else 0
-
     def check(self, width: int) -> None:
         """ValueError unless the tree has nodes, each split node's children
         follow it, as ``fit`` adds them, so ``predict`` ends, and each split

@@ -8,7 +8,6 @@ fixpoint so that cleaning an already-clean corpus changes nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -81,9 +80,6 @@ class CleanupReport:
                 "deleting_users": self.retained_deleting_users,
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         """Render the report as a dataset-accounting table."""

@@ -166,10 +166,11 @@ def _utc(value) -> datetime:
 
 
 def format_rfc3339(dt: datetime) -> str:
-    dt = dt.astimezone(timezone.utc)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``dt`` in UTC as RFC 3339 text, its year always four digits and its
+    fractional seconds without trailing zeros."""
+    dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    text = dt.isoformat()  # strftime's %Y does not pad a year before 1000
+    return (text.rstrip("0") if dt.microsecond else text) + "Z"
 
 
 # Feature matrices, bundles and scores store tweet ids as int64.

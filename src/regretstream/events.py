@@ -18,7 +18,9 @@ from pathlib import Path
 
 from . import codec, textkit
 from .codec import REQUIRED, TweetId, decode_fields, encode_record, json_field, record_fields
-from .codec import format_rfc3339  # noqa: F401  (the wire timestamp format's home for callers)
+# Re-exported for its one reader, perfbench/run.py; it goes when a benchmark
+# change moves that import to ``codec``.
+from .codec import format_rfc3339  # noqa: F401
 from .errors import DuplicateTweetError, ParseError, RegretstreamError, SchemaError, ValidationError
 
 

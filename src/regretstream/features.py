@@ -252,32 +252,6 @@ def _response_block(tweets, lookup, resources: FeatureResources, dense, now) -> 
     return response
 
 
-def dense_features(tweet: TweetRecord, resources: FeatureResources, now: datetime) -> np.ndarray:
-    """Compute the 112-slot dense vector for one tweet, its author's
-    profile being ``tweet.user``.
-
-    Slots 0..110 are always finite; slot 111 is left NaN as an explicit
-    "not yet filled" sentinel for the derived open-text feature. ``now`` is
-    the reference timestamp for account age (normally the posting-window
-    end).
-    """
-    return featurize_corpus({}, _NO_TERMS, resources, [tweet], now=now).dense[0]
-
-
-def response_features(tweet: TweetRecord, responses, resources: FeatureResources) -> np.ndarray:
-    """Compute the 93-slot response block for one tweet.
-
-    ``responses`` are the TweetRecords whose links target this tweet. Reply
-    lexicon/POS/sentiment features are element-wise sums over replies only,
-    in reply-id order; no responses yields the zero vector.
-    """
-    lookup = {r.id: r for r in responses}
-    # Any reference time does: the tweet's own dense row is not returned.
-    matrix = featurize_corpus(lookup, _NO_TERMS, resources, [tweet], with_responses=True,
-                              now=tweet.created_at)
-    return matrix.response[0]
-
-
 @dataclass
 class FeatureMatrix:
     """Featurized corpus rows plus labels and ids."""

@@ -22,7 +22,6 @@ from regretstream.classify import (
     balanced_sample,
     derived_feature,
     evaluate,
-    grid_search_cv,
     load_bundle,
     replied_sample,
     save_bundle,
@@ -236,6 +235,16 @@ def xor_dense(n_per_corner=25, jitter=0.0, seed=0):
     return np.array(X), np.array(y)
 
 
+def tree_depth(tree) -> int:
+    """The longest root-to-leaf path of a fitted ``DecisionTree``."""
+    def walk(i, d):
+        if tree.feature[i] < 0:
+            return d
+        return max(walk(tree.left[i], d + 1), walk(tree.right[i], d + 1))
+
+    return walk(0, 0) if tree.feature else 0
+
+
 class TestDecisionTree:
     def test_single_split(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -250,7 +259,7 @@ class TestDecisionTree:
         w = np.full(len(y), 1.0 / len(y))
         for depth in (1, 2, 3, 5):
             tree = DecisionTree(max_depth=depth).fit(X, y, w)
-            assert tree.depth <= depth
+            assert tree_depth(tree) <= depth
 
     def test_weighted_fit_prefers_heavy_samples(self):
         X = np.array([[0.0], [1.0]])
@@ -773,78 +782,7 @@ class TestAblate:
         assert abs(report["dropped"]["pos"]["delta_f1"]) <= 0.02
 
 
-class TestGridSearch:
-    def test_single_cell_degenerate(self, synth_small, resources):
-        sample = balanced_sample(synth_small.cleaned, 30, seed=0)
-        cfg = TrainConfig(stage2_hyper={"ada_depth": 2, "ada_rounds": 6})
-        best, results = grid_search_cv(
-            [{"ada_rounds": 6}], sample, synth_small.cleaned, resources, cfg, k=2, seed=0
-        )
-        assert best == {"ada_rounds": 6}
-        assert len(results) == 1
-
-    def test_picks_the_separating_cell(self, resources):
-        # deleted iff (high followers) XOR (contains a swear word): every
-        # single-feature marginal is exactly 50/50, so depth-1 stumps are
-        # useless while depth >= 2 separates perfectly.
-        from conftest import make_profile
-
-        tweets = []
-        tid = 1
-        for u in range(1, 41):
-            high = u <= 20
-            profile = make_profile(u, followers_count=2000 if high else 50)
-            for k in range(20):
-                deleted = k < 10
-                marked = deleted if high else not deleted
-                text = f"damn filler{tid} words" if marked else f"filler{tid} plain words"
-                tweets.append(
-                    make_tweet(
-                        id=tid, user_id=u, created_at=ts(minutes=tid),
-                        text=text, deleted=deleted, profile=profile,
-                    )
-                )
-                tid += 1
-        corpus = make_corpus(tweets)
-        sample = balanced_sample(corpus, 150, seed=1)
-        cfg = TrainConfig(derived_feature_folds=3)
-        grid = [
-            {"ada_depth": 1, "ada_rounds": 1},
-            {"ada_depth": 3, "ada_rounds": 10},
-        ]
-        best, results = grid_search_cv(grid, sample, corpus, resources, cfg, k=2, seed=0)
-        assert best == {"ada_depth": 3, "ada_rounds": 10}
-        assert results[1]["mean_f1"] > results[0]["mean_f1"] + 0.2
-
-    def test_seeded_determinism(self, synth_small, resources):
-        sample = balanced_sample(synth_small.cleaned, 30, seed=2)
-        cfg = TrainConfig(stage2_hyper={"ada_depth": 2, "ada_rounds": 5}, derived_feature_folds=2)
-        out1 = grid_search_cv([{"ada_rounds": 5}], sample, synth_small.cleaned, resources, cfg, k=2, seed=3)
-        out2 = grid_search_cv([{"ada_rounds": 5}], sample, synth_small.cleaned, resources, cfg, k=2, seed=3)
-        assert out1 == out2
-
-    def test_empty_grid_rejected(self, synth_small, resources):
-        with pytest.raises(ValidationError):
-            grid_search_cv([], [], synth_small.cleaned, resources, TrainConfig(), k=2, seed=0)
-
-    def test_k_larger_than_class_rejected(self, synth_small, resources):
-        sample = balanced_sample(synth_small.cleaned, 3, seed=0)
-        with pytest.raises(ValidationError):
-            grid_search_cv([{}], sample, synth_small.cleaned, resources, TrainConfig(), k=10, seed=0)
-
-
 class TestTrainConfig:
-    def test_merged_overrides(self):
-        cfg = TrainConfig()
-        out = cfg.merged({"nb_alpha": 0.5, "ada_rounds": 7, "n_per_class": 10})
-        assert out.stage1_hyper["nb_alpha"] == 0.5
-        assert out.stage2_hyper["ada_rounds"] == 7
-        assert out.n_per_class == 10
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig().merged({"mystery": 1})
-
     def test_dict_roundtrip(self):
         cfg = TrainConfig(n_per_class=77, stage1_algorithm="multinomial_nb")
         again = decode_config(TrainConfig, encode_record(cfg))
@@ -868,10 +806,6 @@ class TestTrainConfig:
         assert cfg.stage1_hyper == {"nb_alpha": 0.1, "svm_c": 1.0, "svm_epochs": 30}
         assert cfg.stage2_hyper == {"ada_depth": 2, "ada_rounds": 100, "rbf_c": 0.1,
                                     "rbf_gamma": 0.001}
-        merged = cfg.merged({"rbf_c": 1.0})
-        assert merged.stage2_hyper["rbf_c"] == 1.0 and merged.stage2_hyper["ada_depth"] == 2
-        with pytest.raises(ConfigError, match="stage1_hyper.svm_epochs"):
-            cfg.merged({"svm_epochs": 2.7})
 
     def test_shipped_default_hyperparameters(self):
         cfg = TrainConfig()

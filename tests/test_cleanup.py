@@ -1,4 +1,3 @@
-import json
 from dataclasses import asdict
 
 import pytest
@@ -224,7 +223,7 @@ class TestReportAndConfig:
     def test_report_json_and_text(self):
         corpus = build_mixed_corpus()
         _, report = run_cleanup(corpus, CFG)
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         assert payload["retained"]["tweets"] == 3
         text = report.to_text()
         assert "Dataset before cleanup" in text

@@ -676,9 +676,7 @@ class TestCorpusContainer:
             decode_record(TweetRecord, bad)
 
 
-_TIMES = st.datetimes(
-    min_value=datetime(2000, 1, 1), max_value=datetime(2030, 1, 1), timezones=st.just(timezone.utc)
-)
+_TIMES = st.datetimes(timezones=st.just(timezone.utc))
 _IDS = st.integers(1, 2 ** 63 - 1)
 PROFILES = st.builds(
     UserProfile,
@@ -718,3 +716,14 @@ def test_record_codec_round_trip(record):
     encoded = encode_record(record)
     assert decode_record(type(record), encoded) == record
     assert decode_record(type(record), json.loads(json.dumps(encoded))) == record
+
+
+@pytest.mark.parametrize("year", [1, 999, 9999])
+def test_timestamp_of_any_year_round_trips(year, tmp_path):
+    at = datetime(year, 3, 4, 5, 6, 7, 250000, tzinfo=timezone.utc)
+    assert codec.format_rfc3339(at) == f"{year:04d}-03-04T05:06:07.25Z"
+    assert codec.format_rfc3339(at.replace(microsecond=0)) == f"{year:04d}-03-04T05:06:07Z"
+    assert codec.converter(datetime)(codec.format_rfc3339(at)) == at
+    path = tmp_path / "corpus.json"
+    make_corpus([make_tweet(id=1, profile=make_profile(1, account_created_at=at))]).save(path)
+    assert Corpus.load(path).profile_of(1).account_created_at == at

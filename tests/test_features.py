@@ -14,13 +14,12 @@ from regretstream.features import (
     FEATURE_GROUPS,
     FeatureResources,
     TweetMeasurements,
+    Vocabulary,
     build_vocab,
-    dense_features,
     featurize_corpus,
     load_feature_matrix,
     measure,
     open_text_vector,
-    response_features,
     save_feature_matrix,
 )
 from regretstream import textkit
@@ -29,6 +28,11 @@ from regretstream.textkit import Lexicon, RuleTagger, tokenize
 from conftest import make_corpus, make_profile, make_tweet, make_window, ts
 import oracles
 from oracles import index_pos_counts
+
+
+# An empty vocabulary: a one-row ``featurize_corpus`` call for a tweet's
+# dense or response row needs no terms.
+NO_TERMS = Vocabulary({}, 1)
 
 
 @pytest.fixture()
@@ -161,7 +165,7 @@ class TestDenseFeatures:
             mentions=("@pal",),
         )
         now = make_window().post_end
-        vec = dense_features(tweet, small_resources, now)
+        vec = featurize_corpus({}, NO_TERMS, small_resources, [tweet], now=now).dense[0]
         assert len(vec) == DENSE_SIZE
         # 4 word tokens: good good bad stuff -> posemo 50%, negemo 25%
         assert vec[0] == pytest.approx(50.0)
@@ -193,21 +197,32 @@ class TestDenseFeatures:
 
     def test_slots_finite_except_derived(self, small_resources):
         tweet = make_tweet(id=1, text="whatever words")
-        vec = dense_features(tweet, small_resources, make_window().post_end)
+        now = make_window().post_end
+        vec = featurize_corpus({}, NO_TERMS, small_resources, [tweet], now=now).dense[0]
         assert np.isfinite(vec[:DERIVED_SLOT]).all()
 
     def test_missing_timezone_encodes_zero(self, small_resources):
         profile = make_profile(1, timezone_offset_min=None)
         tweet = make_tweet(id=1, profile=profile)
-        vec = dense_features(tweet, small_resources, make_window().post_end)
+        now = make_window().post_end
+        vec = featurize_corpus({}, NO_TERMS, small_resources, [tweet], now=now).dense[0]
         assert vec[92] == 0.0
 
     def test_determinism(self, small_resources):
         tweet = make_tweet(id=1, text="some words #tag")
-        args = (tweet, small_resources, make_window().post_end)
-        a = dense_features(*args)
-        b = dense_features(*args)
+        now = make_window().post_end
+        a, b = (featurize_corpus({}, NO_TERMS, small_resources, [tweet], now=now).dense[0]
+                for _ in range(2))
         np.testing.assert_array_equal(np.nan_to_num(a), np.nan_to_num(b))
+
+
+def response_row(tweet, responses, resources) -> np.ndarray:
+    """The 93-slot response block of ``tweet`` alone, whose responses are
+    the records ``responses``: a one-row ``featurize_corpus`` call (any
+    reference time does, as the dense row is not read)."""
+    lookup = {r.id: r for r in responses}
+    return featurize_corpus(lookup, NO_TERMS, resources, [tweet], with_responses=True,
+                            now=tweet.created_at).response[0]
 
 
 class TestResponseFeatures:
@@ -228,7 +243,7 @@ class TestResponseFeatures:
 
     def test_counts_and_sums(self, small_resources):
         target, replies, others = self._tweet_with_responses()
-        vec = response_features(target, replies + others, small_resources)
+        vec = response_row(target, replies + others, small_resources)
         assert vec[0] == 1.0 and vec[1] == 1.0 and vec[2] == 2.0
         # reply lexicon sums: "good stuff" -> posemo 50; "bad" -> negemo 100
         assert vec[3] == pytest.approx(50.0)
@@ -238,14 +253,14 @@ class TestResponseFeatures:
 
     def test_empty_responses_zero_vector(self, small_resources):
         target = make_tweet(id=1)
-        vec = response_features(target, [], small_resources)
+        vec = response_row(target, [], small_resources)
         assert np.count_nonzero(vec) == 0 and len(vec) == 93
 
     def test_aggregation_linearity(self, small_resources):
         target, replies, others = self._tweet_with_responses()
-        full = response_features(target, replies + others, small_resources)
-        part_a = response_features(target, replies, small_resources)
-        part_b = response_features(target, others, small_resources)
+        full = response_row(target, replies + others, small_resources)
+        part_a = response_row(target, replies, small_resources)
+        part_b = response_row(target, others, small_resources)
         np.testing.assert_allclose(full, part_a + part_b, atol=1e-12)
 
 
@@ -459,11 +474,11 @@ class TestOneTextPass:
             corpus, build_vocab(tweets), resources, tweets=tweets, with_responses=True
         )
         for i, t in enumerate(tweets):
-            dense = dense_features(t, resources, now)
+            dense = featurize_corpus({}, NO_TERMS, resources, [t], now=now).dense[0]
             np.testing.assert_array_equal(m.dense[i], dense)
             ids = sorted(set(t.reply_ids) | set(t.retweet_ids) | set(t.quote_ids))
             linked = [corpus.get(r) for r in ids if corpus.get(r) is not None]
-            np.testing.assert_array_equal(m.response[i], response_features(t, linked, resources))
+            np.testing.assert_array_equal(m.response[i], response_row(t, linked, resources))
 
 
 class TestOneFill:

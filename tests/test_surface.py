@@ -1,6 +1,7 @@
 """Dead-surface guards: every function, class and module constant defined
-in the package is used somewhere in the source tree, every config field and
-every command-line option has a caller, no package module reads another's
+in the package is used somewhere in the source tree, every public function,
+class and method is used outside ``tests/``, every config field and every
+command-line option has a caller, no package module reads another's
 underscore names or an environment variable, and every benchmark probe
 target still resolves.
 
@@ -9,8 +10,9 @@ dot-separated part of it, as in the benchmark's
 ``"Lexicon.categories_for"`` probe targets) anywhere under ``src/``,
 ``tests/``, ``demos/`` or ``perfbench/``. A method is reached through its
 object, so only an attribute or a string counts as its use; a local
-variable of the same name does not. Imports and assignments alone do not
-count. Dunder names are used by the language itself and are skipped.
+variable of the same name does not. Imports, assignments and the names an
+``__all__`` lists do not count. Dunder names are used by the language
+itself and are skipped.
 
 A config field (or default hyperparameter key) has a caller when a file
 under ``tests/``, ``demos/`` or ``perfbench/`` names it as above or as a
@@ -46,6 +48,10 @@ SCANNED = ("src", "tests", "demos", "perfbench")
 FRAMEWORK_HOOKS = {
     "_Parser.error",  # argparse.ArgumentParser calls error() on a usage error
 }
+# Public definitions that may have no use outside ``tests/``.
+TEST_ONLY_SURFACE = {
+    "features.load_feature_matrix",  # the reader of RSF1, the format ``featurize`` writes
+}
 CONFIG_CONTRACT = ROOT / "tests" / "test_config_contract.py"
 
 
@@ -55,13 +61,26 @@ def _trees():
             yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _export_lists(tree) -> set[int]:
+    """The ids of the string constants listed in ``tree``'s ``__all__``."""
+    return {
+        id(element) for node in tree.body if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for element in ast.walk(node.value)
+    }
+
+
 def _reached_names(trees) -> tuple[set[str], set[str]]:
     """The names read, and the attributes and string constants (with their
-    dot-separated parts), in ``trees``."""
+    dot-separated parts), in ``trees``. The names an ``__all__`` lists are
+    not uses."""
     names: set[str] = set()
     reached: set[str] = set()
     for _, tree in trees:
+        exported = _export_lists(tree)
         for node in ast.walk(tree):
+            if id(node) in exported:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -123,6 +142,29 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_has_a_use():
     assert unused_definitions() == []
+
+
+def definitions_only_tests_use() -> list[str]:
+    """Public package functions, classes and methods that nothing outside
+    ``tests/`` uses: library surface kept alive by its own tests."""
+    trees = [(path, tree) for path, tree in _trees() if not path.is_relative_to(ROOT / "tests")]
+    names, reached = _reached_names(trees)
+    test_only = []
+    for path, tree in trees:
+        if not path.is_relative_to(PACKAGE):
+            continue
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        for qualified, name, is_method in _definitions(tree):
+            if any(part.startswith("_") for part in qualified.split(".")):
+                continue
+            if name not in reached and (is_method or name not in names):
+                test_only.append(f"{module}.{qualified}")
+    return test_only
+
+
+def test_every_public_definition_has_a_use_outside_tests():
+    # Equality, so an exemption that gains a use or goes away is dropped too.
+    assert set(definitions_only_tests_use()) == TEST_ONLY_SURFACE
 
 
 def test_framework_hooks_are_still_defined():

@@ -17,7 +17,7 @@ from regretstream.textkit import (
     text_stats,
     tokenize,
 )
-from regretstream.features import FeatureResources, dense_features
+from regretstream.features import FeatureResources, Vocabulary, featurize_corpus
 
 from conftest import make_tweet, make_window
 from oracles import dp_edit_distance, lexicon_score, scan_categories, uncached_tags
@@ -181,7 +181,9 @@ def lexicon_percentages(text: str, lex: Lexicon) -> list[float]:
     """Dense slots 0-63 of a tweet with ``text``: featurization's lexicon
     percentages, which must equal the reference rule's."""
     res = FeatureResources(lexicon=lex, valence={}, wordlist=frozenset(), tagger=RuleTagger())
-    got = dense_features(make_tweet(id=1, text=text), res, make_window().post_end)[:64].tolist()
+    row = featurize_corpus({}, Vocabulary({}, 1), res, [make_tweet(id=1, text=text)],
+                           now=make_window().post_end).dense[0]
+    got = row[:64].tolist()
     assert got == lexicon_score(tokenize(text), lex)
     return got
 
