@@ -74,9 +74,13 @@ def test_every_output_is_byte_identical_across_hash_seeds(tmp_path):
         runs[out] = subprocess.Popen(
             [sys.executable, "-c", CHAIN, json.dumps(COMMANDS)], cwd=out, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    for out, process in runs.items():
-        _, stderr = process.communicate(timeout=600)
-        assert process.returncode == 0, f"{out.name}: {stderr}"
+    try:
+        for out, process in runs.items():
+            _, stderr = process.communicate(timeout=600)
+            assert process.returncode == 0, f"{out.name}: {stderr}"
+    finally:
+        for process in runs.values():
+            process.kill()  # a no-op once it has exited
     first, second = (_digests(out) for out in runs)
     assert len(first) == 24  # 11 ``analyze`` files and 13 from the other commands
     assert first == second
