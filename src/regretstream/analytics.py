@@ -624,7 +624,8 @@ def aggregate_annotations(items, alpha: float = 0.05) -> dict:
 
     A tweet belongs to a category iff at least two annotators said yes.
     Unanimity/majority rates are computed across every answered question.
-    Regret yes-counts (non-deleted group first) go to Fisher's exact test.
+    Regret yes-counts (non-deleted group first) go to Fisher's exact test,
+    so each group needs at least one item.
     """
     labels = []
     unanimous = 0
@@ -666,6 +667,9 @@ def aggregate_annotations(items, alpha: float = 0.05) -> dict:
             }
         )
 
+    for group in GROUPS:
+        if not group_totals[group]:
+            raise ValidationError(f"annotation group {group!r} has no items")
     table = Contingency2x2(
         regret_yes["non_deleted"], group_totals["non_deleted"] - regret_yes["non_deleted"],
         regret_yes["deleted"], group_totals["deleted"] - regret_yes["deleted"],

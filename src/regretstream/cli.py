@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import analytics, classify, codec, features, synth, textkit
 from .cleanup import CleanupConfig, load_whitelist, run_cleanup
-from .errors import DuplicateTweetError, RegretstreamError
+from .errors import DuplicateTweetError, RegretstreamError, ValidationError
 from .events import (CollectionWindow, Corpus, TweetRecord, build_corpus, keep_first,
                      link_records, parse_rfc3339, read_events)
 from .features import FeatureResources
@@ -223,7 +223,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_annotate_agg(args) -> int:
     items = codec.decode_jsonl(args.annotations, analytics.annotation_item)
-    result = analytics.aggregate_annotations(items, alpha=args.alpha)
+    try:
+        result = analytics.aggregate_annotations(items, alpha=args.alpha)
+    except ValidationError as exc:  # a group without items
+        exc.args = (f"{args.annotations}: {exc}",)
+        raise
     _write_json(args.out, result)
     print(json.dumps(result["regret"], sort_keys=True))
     return 0

@@ -185,60 +185,36 @@ _TWEET_FIELDS = tuple(
 )
 
 
-# A memo gives up once it has made this many values and they outnumber its hits.
-_MEMO_TRIAL = 1024
-
-
-class _Memo:
-    """``make``, for the objects of one file, keeping what it made under
-    ``key(obj)`` and giving that again for a later object of the same key.
-    That pays where objects repeat, as an author's profile does while it
-    holds still; where nearly every object is new, as when each tweet
-    carries a fresh snapshot of its author's counts, it only costs. So once
-    ``_MEMO_TRIAL`` objects were new and they outnumber the repeats, the
-    memo is dropped (``kept`` becomes None) and every later object is made
-    anew. An object whose key cannot be built or hashed is made anew too."""
-
-    def __init__(self, make, key):
-        self.make, self.key = make, key
-        self.kept: dict | None = {}
-        self.hits = 0
-
-    def __call__(self, obj):
-        kept = self.kept
-        if kept is None:
-            return self.make(obj)
-        try:
-            key = self.key(obj)
-            value = kept.get(key)
-        except (AttributeError, TypeError):  # not an object, or an unhashable value
-            return self.make(obj)
-        if value is not None:
-            self.hits += 1
-            return value
-        if len(kept) >= _MEMO_TRIAL and len(kept) > self.hits:
-            self.kept = None
-            return self.make(obj)
-        value = kept[key] = self.make(obj)
-        return value
-
-
-def _profile_key(raw) -> tuple:
-    """The memo key of a raw user object: its keys in order, the types of
-    its values, and its values. Under plain dict equality ``1``, ``1.0``
-    and ``True`` would stand for one another, and the converters tell them
-    apart."""
-    values = tuple(raw.values())
-    return tuple(raw), tuple(map(type, values)), values
-
-
 def _profiles_once(fields) -> tuple:
     """The decode table ``fields`` for the records of one file: its ``user``
-    converter decodes each distinct raw user object once (``_Memo``), and
-    the records of one author share one profile object while it is
-    unchanged."""
-    return tuple((name, _Memo(convert, _profile_key) if name == "user" else convert, default)
+    converter keeps, per author, the last raw object it decoded and the
+    profile it made, and gives that profile again while the author's raw
+    object stays equal, value types included. So the records of one author
+    share one profile object while it is unchanged, and a changed profile
+    takes the author's slot. A raw value that is not an object, or has no
+    hashable ``user_id``, is decoded anew (and rejected)."""
+    return tuple((name, _last_profile(convert) if name == "user" else convert, default)
                  for name, convert, default in fields)
+
+
+def _last_profile(convert):
+    last = {}  # user_id: (raw object, its value types, profile)
+
+    def user(raw):
+        try:
+            user_id = raw["user_id"]
+            kept = last.get(user_id)
+        except (KeyError, TypeError):  # not an object, no user_id, or an unhashable one
+            return convert(raw)
+        # ``==`` takes 1, 1.0 and True for one another, and the converters
+        # do not; the types are read in the kept object's key order.
+        if (kept is not None and kept[0] == raw
+                and kept[1] == tuple(map(type, map(raw.get, kept[0])))):
+            return kept[2]
+        profile = convert(raw)
+        last[user_id] = (raw, tuple(map(type, raw.values())), profile)
+        return profile
+    return user
 
 
 @dataclass(frozen=True)
@@ -322,33 +298,30 @@ class Corpus:
         separators=(",", ":"))`` plus a newline, where payload holds the
         format, stats, tweets and window. Each part is encoded on its own by
         the C encoder (``json.dump`` never uses it), one tweet at a time.
-        Each distinct profile object is encoded once (by identity, through
-        ``_Memo``), and its text spliced into every record that holds it;
-        once the memo is dropped, each record is encoded whole."""
+        A profile is encoded once while its author's records hold that one
+        object, and its text spliced into each of them."""
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        # Keyed by id(): self.tweets keeps every profile alive meanwhile.
-        encode_user = _Memo(lambda user: encode(encode_record(user)), id)
+        users = {}  # user_id: (the profile last written, its text)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"format":' + encode(CORPUS_FORMAT))
             fh.write(',"stats":' + encode(encode_record(self.stats)) + ',"tweets":[')
             for i, t in enumerate(self.tweets):
-                if encode_user.kept is None:
-                    text = encode(encode_record(t))
-                else:
-                    text = encode(_encode_without_user(t))
-                    # "user" sorts just before "user_id", the last key, which
-                    # holds a number: the last ',"user_id":' is that key.
-                    cut = text.rindex(',"user_id":')
-                    text = text[:cut] + ',"user":' + encode_user(t.user) + text[cut:]
-                fh.write(("," if i else "") + text)
+                kept = users.get(t.user_id)
+                if kept is None or kept[0] is not t.user:
+                    kept = users[t.user_id] = (t.user, encode(encode_record(t.user)))
+                text = encode(_encode_without_user(t))
+                # "user" sorts just before "user_id", the last key, which
+                # holds a number: the last ',"user_id":' is that key.
+                cut = text.rindex(',"user_id":')
+                fh.write(("," if i else "") + text[:cut] + ',"user":' + kept[1] + text[cut:])
             fh.write('],"window":' + encode(encode_record(self.window)) + "}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Corpus":
         """Read a corpus file; malformed content raises ValidationError or
         SchemaError naming the file, and the tweet record and field at fault.
-        Each distinct raw user object in the file is decoded once
-        (``_profiles_once``).
+        An author's records share one profile object while its raw ``user``
+        object repeats unchanged (``_profiles_once``).
 
         The cyclic garbage collector, if it runs, is paused meanwhile.
         Parsing and decoding make no reference cycles, yet every container

@@ -106,8 +106,8 @@ class SynthConfig:
             )
         if self.tweet_rate_min <= 0 or self.tweet_rate_max < self.tweet_rate_min:
             raise ConfigError("tweet rate range must be positive and ordered")
-        for name, least in (("seed", 0), ("window_days", 1), ("delete_extra_days", 0),
-                            ("orphan_deletes", 0)):
+        for name, least in (("seed", 0), ("n_users", 1), ("window_days", 1),
+                            ("delete_extra_days", 0), ("orphan_deletes", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 

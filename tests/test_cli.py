@@ -834,7 +834,8 @@ def test_malformed_json_input_exits_1(workdir, tmp_path, capsys, name):
 
 
 # Inputs that are not UTF-8 (the bytes ff fe 7b) or are valid JSON of the
-# wrong shape: (argv, file bytes, line the error names or None).
+# wrong shape: (argv, file bytes, and the line the error names, or its text
+# after the file name, or None).
 NOT_UTF8 = b"\xff\xfe{"
 BAD_INPUTS = {
     "non-UTF-8 --lexicon": (["analyze", "--corpus", "{work}/cleaned.json", "--metrics",
@@ -864,6 +865,13 @@ BAD_INPUTS = {
         ["annotate-agg", "--annotations", "{bad}", "--out", "{tmp}/a.json"],
         b'{"item_id": 0, "group": "deleted", "regret": ["no", "no", "no"]}\n'
         b'{"item_id": 1, "group": "deleted", "regret": [["x"], "no", "no"]}\n', 2),
+    "annotate-agg empty": (
+        ["annotate-agg", "--annotations", "{bad}", "--out", "{tmp}/a.json"], b"",
+        "annotation group 'deleted' has no items"),
+    "annotate-agg deleted items only": (
+        ["annotate-agg", "--annotations", "{bad}", "--out", "{tmp}/a.json"],
+        b'{"item_id": 0, "group": "deleted", "regret": ["no", "no", "no"]}\n',
+        "annotation group 'non_deleted' has no items"),
     "--lexicon with 65 categories": (
         ["analyze", "--corpus", "{work}/cleaned.json", "--metrics", "temporal",
          "--lexicon", "{bad}", "--out", "{tmp}/r"],
@@ -887,7 +895,7 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_file_exits_1(workdir, tmp_path, capsys, name):
-    argv, content, line = BAD_INPUTS[name]
+    argv, content, where = BAD_INPUTS[name]
     bad = tmp_path / "bad.input"
     bad.write_bytes(content)
     argv = [a.format(bad=bad, work=workdir, tmp=tmp_path) for a in argv]
@@ -895,8 +903,10 @@ def test_bad_input_file_exits_1(workdir, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"error: {bad}: " in err
-    if line is not None:
-        assert f"{bad}: line {line}: " in err
+    if isinstance(where, str):
+        assert err == f"error: {bad}: {where}\n"
+    elif where is not None:
+        assert f"{bad}: line {where}: " in err
 
 
 # Resource files holding a value of another JSON type: (argv, file bytes, the
@@ -964,6 +974,9 @@ BAD_CONFIGS = {
         "synth", {"delete_extra_days": -20}, "delete_extra_days must be >= 0, got -20"),
     "synth orphans negative": (
         "synth", {"orphan_deletes": -1}, "orphan_deletes must be >= 0, got -1"),
+    "synth users zero": ("synth", {"n_users": 0}, "n_users must be >= 1, got 0"),
+    "synth users negative": (
+        "synth", {"n_users": -3, "deletion_rate": 0.0}, "n_users must be >= 1, got -3"),
     "train test fraction zero": (
         "train", {"test_fraction": 0}, "test_fraction must lie in (0, 1), got 0.0"),
     "train test fraction negative": (

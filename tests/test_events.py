@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -329,38 +329,54 @@ def test_a_repeated_profile_with_a_value_of_another_type_is_rejected(tmp_path, f
     assert str(exc.value) == f"{corpus}: tweet record 1: {message}"
 
 
-def test_the_records_of_one_author_share_one_profile_per_file(tmp_path):
+def test_a_repeated_profile_whose_values_trade_types_is_rejected(tmp_path):
+    """Two values that trade places and types leave the object equal, and
+    its value types in the same order: the type check reads them by key."""
+    def traded(user):
+        names = {"bio_length": "geo_enabled", "geo_enabled": "bio_length"}
+        return {names.get(k, k): v for k, v in user.items()}
+    message = "invalid user.bio_length: True (not a JSON integer)"
     stream = tmp_path / "events.jsonl"
-    stream.write_text("".join(json.dumps(tweet_event(id=i, user=PROFILE)) + "\n" for i in (1, 2)))
-    first, second = read_events(stream)
-    assert first.user is second.user
+    stream.write_text(json.dumps(tweet_event(id=1, user=PROFILE)) + "\n" + json.dumps(
+        tweet_event(id=2, user=traded(PROFILE))) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        list(read_events(stream))
+    assert str(exc.value) == f"{stream}: line 2: {message}"
     corpus = tmp_path / "corpus.json"
-    make_corpus([make_tweet(id=1, user_id=3, profile=make_profile(3)),
-                 make_tweet(id=2, user_id=3, profile=make_profile(3)),
-                 make_tweet(id=3, user_id=3, profile=make_profile(3, bio_length=40))]).save(corpus)
-    first, second, third = Corpus.load(corpus).tweets
-    assert first.user is second.user
-    assert third.user is not first.user and third.user.bio_length == 40
+    profile = make_profile(3, bio_length=1, geo_enabled=True)
+    make_corpus([make_tweet(id=i, user_id=3, profile=profile) for i in (1, 2)]).save(corpus)
+    payload = json.loads(corpus.read_text())
+    payload["tweets"][1]["user"] = traded(payload["tweets"][1]["user"])
+    corpus.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as exc:
+        Corpus.load(corpus)
+    assert str(exc.value) == f"{corpus}: tweet record 1: {message}"
 
 
-def test_memo_gives_up_where_objects_seldom_repeat(monkeypatch):
-    monkeypatch.setattr(events, "_MEMO_TRIAL", 4)
-    made = []
-    lookup = events._Memo(lambda x: made.append(x) or 10 * x, lambda x: x)
-    # Four new objects and four repeats: the memo still pays, and keeps a fifth.
-    assert [lookup(x) for x in (1, 1, 2, 2, 3, 3, 4, 4, 5)] == [10, 10, 20, 20, 30, 30, 40, 40,
-                                                               50]
-    assert made == [1, 2, 3, 4, 5]
-    # A sixth new object: the five new ones outnumber the four repeats.
-    assert [lookup(x) for x in (6, 1, 1)] == [60, 10, 10]
-    assert made == [1, 2, 3, 4, 5, 6, 1, 1]
-    assert lookup.kept is None
+def test_the_records_of_one_author_share_one_profile_per_file(tmp_path):
+    """Author 3's profiles run A, A, B, A: the first two records share one
+    object, and the last equals the first but is decoded anew. Author 4's
+    records in between keep one object too."""
+    changed = dict(PROFILE, bio_length=40)
+    other = dict(PROFILE, user_id=4)
+    users = (PROFILE, other, PROFILE, changed, other, PROFILE)
+    stream = tmp_path / "events.jsonl"
+    stream.write_text("".join(json.dumps(tweet_event(id=i, user_id=u["user_id"], user=u)) + "\n"
+                              for i, u in enumerate(users, 1)))
+    corpus = tmp_path / "corpus.json"
+    a, b, d = make_profile(3), make_profile(3, bio_length=40), make_profile(4)
+    make_corpus([make_tweet(id=i, user_id=p.user_id, created_at=ts(hours=i), profile=p)
+                 for i, p in enumerate((a, d, a, b, d, make_profile(3)), 1)]).save(corpus)
+    for records in (list(read_events(stream)), Corpus.load(corpus).tweets):
+        a1, d1, a2, b, d2, a3 = (t.user for t in records)
+        assert a1 is a2 and d1 is d2
+        assert b is not a1 and b.bio_length == 40
+        assert a3 == a1 and a3 is not a1
 
 
-def test_records_equal_the_walkers_once_the_memo_gives_up(tmp_path, monkeypatch):
+def test_records_equal_the_walkers_where_every_profile_differs(tmp_path):
     """Every profile differs, as where each tweet carries a fresh snapshot
     of its author's counts; later ones repeat the first."""
-    monkeypatch.setattr(events, "_MEMO_TRIAL", 2)
     lines = [json.dumps(tweet_event(id=i, user=dict(PROFILE, followers_count=i)))
              for i in range(1, 6)]
     lines.append(json.dumps(tweet_event(id=6, user=dict(PROFILE, followers_count=1))))
@@ -547,29 +563,28 @@ class TestCorpusContainer:
             assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_save_bytes_equal_json_dump(self, synth_small, tmp_path):
-        corpus = synth_small.cleaned
-        path = tmp_path / "corpus.json"
-        corpus.save(path)
-        payload = {
-            "format": "regretstream-corpus/1",
-            "window": encode_record(corpus.window),
-            "stats": asdict(corpus.stats),
-            "tweets": [encode_record(t) for t in corpus.tweets],
-        }
-        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        assert path.read_bytes() == want.encode("utf-8")
-
-    def test_save_bytes_unchanged_once_the_memo_gives_up(self, synth_small, tmp_path,
-                                                        monkeypatch):
-        """A loaded corpus shares each author's profile, so each record
-        splices its profile's text; with no trial, the memo gives up at the
-        second author, and the records after it are encoded whole."""
-        path = tmp_path / "corpus.json"
-        synth_small.cleaned.save(path)
-        corpus = Corpus.load(path)
-        monkeypatch.setattr(events, "_MEMO_TRIAL", 0)
-        corpus.save(tmp_path / "whole.json")
-        assert (tmp_path / "whole.json").read_bytes() == path.read_bytes()
+        """On the cleaned corpus, on a copy where every record's profile
+        differs, and on one where an author's profile changes and then
+        changes back to the same object."""
+        cleaned = synth_small.cleaned
+        a, b = make_profile(1), make_profile(1, bio_length=40)
+        for corpus in (
+            cleaned,
+            cleaned.replace_tweets(replace(t, user=replace(t.user, followers_count=i))
+                                   for i, t in enumerate(cleaned.tweets)),
+            make_corpus([make_tweet(id=i, created_at=ts(hours=i), profile=p)
+                         for i, p in enumerate((a, a, b, a), 1)]),
+        ):
+            path = tmp_path / "corpus.json"
+            corpus.save(path)
+            payload = {
+                "format": "regretstream-corpus/1",
+                "window": encode_record(corpus.window),
+                "stats": asdict(corpus.stats),
+                "tweets": [encode_record(t) for t in corpus.tweets],
+            }
+            want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            assert path.read_bytes() == want.encode("utf-8")
 
     def test_save_escapes_non_ascii_like_json_dump(self, tmp_path):
         corpus = make_corpus([make_tweet(id=1, text="caf\u00e9 \U0001F600 \ud800 \"q\"")])

@@ -2,8 +2,8 @@
 in the package is used somewhere in the source tree, every public function,
 class and method is used outside ``tests/``, every config field and every
 command-line option has a caller, no package module reads another's
-underscore names or an environment variable, and every benchmark probe
-target still resolves.
+underscore names or an environment variable, no test patches a package
+module's underscore name, and every benchmark probe target still resolves.
 
 A use is a name read, an attribute, or a string constant (or one
 dot-separated part of it, as in the benchmark's
@@ -242,6 +242,49 @@ def foreign_private_reads() -> list[str]:
 
 def test_no_module_reads_another_modules_private_names():
     assert foreign_private_reads() == []
+
+
+def _package_names(tree) -> set[str]:
+    """The names ``tree``'s imports bind to the package, its modules or
+    their members."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("regretstream"):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names
+                         if alias.name.startswith("regretstream"))
+    return names
+
+
+def private_patches() -> list[str]:
+    """``monkeypatch.setattr`` calls in ``tests/`` that set an underscore
+    name of a package module (or a name behind one): behaviour that shows
+    only under a patched private name is not tested on real input."""
+    patches = []
+    for path, tree in _trees():
+        if not path.is_relative_to(ROOT / "tests"):
+            continue
+        package = _package_names(tree) | {"regretstream"}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "setattr" and node.args):
+                continue
+            target, *rest = node.args
+            if isinstance(target, ast.Constant):  # setattr("regretstream.module.name", value)
+                dotted = str(target.value)
+            elif rest and isinstance(rest[0], ast.Constant):  # setattr(module, "name", value)
+                dotted = f"{ast.unparse(target)}.{rest[0].value}"
+            else:
+                continue
+            parts = dotted.split(".")
+            if parts[0] in package and any(map(_private, parts)):
+                patches.append(f"{path.relative_to(ROOT)}:{node.lineno}: {dotted}")
+    return patches
+
+
+def test_no_test_patches_a_private_package_name():
+    assert private_patches() == []
 
 
 ENVIRONMENT_READERS = {"environ", "getenv"}
