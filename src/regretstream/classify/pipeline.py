@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .. import codec
-from ..errors import ConfigError, InsufficientDataError, ValidationError
+from ..errors import InsufficientDataError, ValidationError
 from ..features import (
     DERIVED_SLOT,
     FEATURE_GROUPS,
@@ -48,26 +48,28 @@ _HYPER_DEFAULTS = {stage: {key: getattr(cls, name) for cls in models.values()
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    n_per_class: int = 1200
-    test_fraction: float = 0.25
+class TrainConfig(codec.Ranged):
+    n_per_class: int = codec.ranged(1200, 1)
+    test_fraction: float = codec.ranged(0.25, 0, 1, above=True, below=True)
     stage1_algorithm: str = LinearSvmModel.algorithm
     stage1_hyper: dict = field(default_factory=lambda: dict(_HYPER_DEFAULTS["stage1"]))
     stage2_algorithm: str = AdaBoostModel.algorithm
     stage2_hyper: dict = field(default_factory=lambda: dict(_HYPER_DEFAULTS["stage2"]))
-    derived_feature_folds: int = 5
+    derived_feature_folds: int = codec.ranged(5, 2)
     with_responses: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-        if self.n_per_class < 1:
-            raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
-        # Each hyper dict is merged over the defaults, as in a config file.
+        super().__post_init__()
+        # Each hyper dict is merged over the defaults, as in a config file,
+        # and checked against the ranges of every model class of its stage.
         for stage, models in _STAGE_MODELS.items():
             model_class(models, getattr(self, f"{stage}_algorithm"), f"{stage}_algorithm")
             hyper = codec.decode_config(
                 _HYPER_DEFAULTS[stage], getattr(self, f"{stage}_hyper"), f"{stage}_hyper.")
+            for cls in models.values():
+                keys = {name: key for key, name in cls.hyper_keys.items()}
+                codec.check_ranges(cls, {name: hyper[key] for name, key in keys.items()},
+                                   {name: f"{stage}_hyper.{key}" for name, key in keys.items()})
             object.__setattr__(self, f"{stage}_hyper", hyper)
 
 

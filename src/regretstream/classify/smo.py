@@ -14,6 +14,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.typing import NDArray
 
+from ..codec import Ranged, ranged
 from ..errors import ValidationError
 
 MAX_TRAIN_ROWS = 20_000
@@ -23,11 +24,11 @@ _MAX_PASSES = 200
 
 
 @dataclass
-class RbfSvmModel:
+class RbfSvmModel(Ranged):
     algorithm: ClassVar[str] = "rbf_svm"
     hyper_keys: ClassVar[dict[str, str]] = {"rbf_c": "c", "rbf_gamma": "gamma"}
-    c: float = 0.1
-    gamma: float = 0.001
+    c: float = ranged(0.1, 0, above=True)
+    gamma: float = ranged(0.001, 0, above=True)
     support_vectors: NDArray[np.float64] | None = None
     dual_coef: NDArray[np.float64] | None = None  # alpha_i * y_i
     bias: float = 0.0

@@ -14,6 +14,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.typing import NDArray
 
+from ..codec import Ranged, ranged
 from ..errors import ConfigError, ValidationError
 
 
@@ -62,19 +63,17 @@ def _check_binary_labels(y: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class NaiveBayesModel:
+class NaiveBayesModel(Ranged):
     """Multinomial NB with additive smoothing over term weights."""
 
     algorithm: ClassVar[str] = "multinomial_nb"
     # The field each config hyperparameter key sets, and so its default.
     hyper_keys: ClassVar[dict[str, str]] = {"nb_alpha": "alpha"}
-    alpha: float = 0.1
+    alpha: float = ranged(0.1, 0, above=True)
     class_log_prior: NDArray[np.float64] | None = None
     feature_log_prob: NDArray[np.float64] | None = None  # (2, V)
 
     def fit(self, X: SparseRows, y: np.ndarray) -> "NaiveBayesModel":
-        if self.alpha <= 0:
-            raise ConfigError("NB smoothing alpha must be > 0")
         y = _check_binary_labels(y)
         n = len(X)
         row_of = np.repeat(np.arange(n), np.diff(X.indptr))
@@ -111,7 +110,7 @@ class NaiveBayesModel:
 
 
 @dataclass
-class LinearSvmModel:
+class LinearSvmModel(Ranged):
     """Linear SVM minimizing 0.5*||w||^2 + C * sum hinge.
 
     Trained as Pegasos-style subgradient descent with lambda = 1/(n*C),
@@ -121,14 +120,12 @@ class LinearSvmModel:
 
     algorithm: ClassVar[str] = "linear_svm"
     hyper_keys: ClassVar[dict[str, str]] = {"svm_c": "c", "svm_epochs": "epochs"}
-    c: float = 1e-6
-    epochs: int = 30
+    c: float = ranged(1e-6, 0, above=True)
+    epochs: int = ranged(30, 1)
     seed: int = 0
     weights: NDArray[np.float64] | None = None  # (V+1,), last entry is the bias
 
     def fit(self, X: SparseRows, y: np.ndarray) -> "LinearSvmModel":
-        if self.c <= 0:
-            raise ConfigError("SVM C must be > 0")
         y = _check_binary_labels(y)
         ypm = (y.astype(np.float64) * 2.0 - 1.0).tolist()
         n = len(X)

@@ -18,6 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..codec import Ranged, ranged
 from ..errors import ValidationError
 
 _EPS = 1e-12
@@ -174,13 +175,13 @@ def _best_split(xs: np.ndarray, step: np.ndarray, ws: np.ndarray, ws_pos: np.nda
 
 
 @dataclass
-class AdaBoostModel:
+class AdaBoostModel(Ranged):
     """Discrete two-class AdaBoost over depth-limited Gini trees."""
 
     algorithm: ClassVar[str] = "adaboost"
     hyper_keys: ClassVar[dict[str, str]] = {"ada_depth": "max_depth", "ada_rounds": "rounds"}
-    max_depth: int = 5
-    rounds: int = 100
+    max_depth: int = ranged(5, 1)
+    rounds: int = ranged(100, 1)
     trees: list[DecisionTree] = field(default_factory=list)
     stage_weights: list[float] = field(default_factory=list)
     stage_errors: list[float] = field(default_factory=list)

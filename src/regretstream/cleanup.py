@@ -22,17 +22,11 @@ _EDIT_DISTANCE_MAX = 5
 
 
 @dataclass(frozen=True)
-class CleanupConfig:
+class CleanupConfig(codec.Ranged):
     language_tag: str = "en"
     client_whitelist: frozenset[str] = frozenset()
-    superficial_lookahead: int = 3
-    cosine_min: float = 0.6
-
-    def __post_init__(self):
-        if self.superficial_lookahead < 1:
-            raise ConfigError("superficial_lookahead must be >= 1")
-        if not (0.0 <= self.cosine_min <= 1.0):
-            raise ConfigError("cosine_min must be within [0, 1]")
+    superficial_lookahead: int = codec.ranged(3, 1)
+    cosine_min: float = codec.ranged(0.6, 0, 1)
 
 
 def load_whitelist(path: str | Path) -> frozenset[str]:

@@ -268,6 +268,35 @@ def json_field(json_default, **kwargs):
     return dataclasses.field(metadata={"json_default": json_default}, **kwargs)
 
 
+def ranged(default, low, high=math.inf, *, above=False, below=False):
+    """A dataclass field defaulting to ``default`` whose value must lie from
+    ``low`` to ``high``: strictly ``above`` low and strictly ``below`` high
+    where those are set. ``check_ranges`` checks it."""
+    return dataclasses.field(default=default, metadata={"range": (low, high, above, below)})
+
+
+def check_ranges(cls, values, names=None) -> None:
+    """Raise ConfigError for the first ``ranged`` field of the dataclass
+    ``cls`` whose value in ``values`` (by field name) lies outside its
+    range, naming it as ``names`` maps it, else by itself; NaN lies outside
+    every range."""
+    for f in (f for f in dataclasses.fields(cls) if "range" in f.metadata):
+        low, high, above, below = f.metadata["range"]
+        value = values[f.name]
+        if not ((value > low if above else value >= low)
+                and (value < high if below else value <= high)):
+            rule = (f"be {'>' if above else '>='} {low}" if high == math.inf else
+                    f"lie in {'(['[not above]}{low}, {high}{')]'[not below]}")
+            raise ConfigError(f"{(names or {}).get(f.name, f.name)} must {rule}, got {value}")
+
+
+class Ranged:
+    """A dataclass base whose construction checks every ``ranged`` field."""
+
+    def __post_init__(self):
+        check_ranges(type(self), vars(self))
+
+
 @functools.cache
 def record_fields(cls, prefix: str = "", strict: bool = False) -> tuple:
     """The decode table of the dataclass ``cls`` whose fields sit behind

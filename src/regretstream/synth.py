@@ -31,7 +31,7 @@ import numpy as np
 
 from . import codec
 from .cleanup import CleanupConfig, near_duplicate
-from .codec import encode_record, format_rfc3339
+from .codec import encode_record, format_rfc3339, ranged
 from .errors import ConfigError
 from .events import UserProfile
 
@@ -60,56 +60,42 @@ _REPLIES_MAX = 3
 
 
 @dataclass
-class SynthConfig:
-    seed: int = 42
-    n_users: int = 500
-    window_days: int = 14
-    delete_extra_days: int = 7
-    tweet_rate_min: float = 1.9
+class SynthConfig(codec.Ranged):
+    seed: int = ranged(42, 0)
+    n_users: int = ranged(500, 1)
+    window_days: int = ranged(14, 1)
+    delete_extra_days: int = ranged(7, 0)
+    tweet_rate_min: float = ranged(1.9, 0, above=True)
     tweet_rate_max: float = 2.4
-    deleter_fraction: float = 0.5
-    deletion_rate: float = 0.1111
-    superficial_fraction: float = 0.1445
-    non_english_fraction: float = 0.12
-    automated_fraction: float = 0.08
-    retweet_fraction: float = 0.15
+    deleter_fraction: float = ranged(0.5, 0, 1)
+    deletion_rate: float = ranged(0.1111, 0, 1)
+    superficial_fraction: float = ranged(0.1445, 0, 1)
+    non_english_fraction: float = ranged(0.12, 0, 1)
+    automated_fraction: float = ranged(0.08, 0, 1)
+    retweet_fraction: float = ranged(0.15, 0, 1)
     reply_sentiment_coupling: bool = True
-    user_conditioned_skew: float = 0.92
-    lexical_rate_deleted: float = 0.28
-    lexical_rate_non_deleted: float = 0.10
-    oov_lexical_rate_deleted: float = 0.0
-    oov_lexical_rate_non_deleted: float = 0.0
-    hashtag_rate_deleted: float = 0.12
-    hashtag_rate_non_deleted: float = 0.12
-    orphan_deletes: int = 5
-    nud_attr_skew_fraction: float = 0.0
-    nud_attr_reverse_fraction: float = 0.0
-    nud_attr_rate_high: float = 0.7
+    user_conditioned_skew: float = ranged(0.92, 0, 1)
+    lexical_rate_deleted: float = ranged(0.28, 0, 1)
+    lexical_rate_non_deleted: float = ranged(0.10, 0, 1)
+    oov_lexical_rate_deleted: float = ranged(0.0, 0, 1)
+    oov_lexical_rate_non_deleted: float = ranged(0.0, 0, 1)
+    hashtag_rate_deleted: float = ranged(0.12, 0, 1)
+    hashtag_rate_non_deleted: float = ranged(0.12, 0, 1)
+    orphan_deletes: int = ranged(5, 0)
+    nud_attr_skew_fraction: float = ranged(0.0, 0, 1)
+    nud_attr_reverse_fraction: float = ranged(0.0, 0, 1)
+    nud_attr_rate_high: float = ranged(0.7, 0, 1)
 
     def __post_init__(self):
-        fractions = {
-            "deleter_fraction": self.deleter_fraction,
-            "deletion_rate": self.deletion_rate,
-            "superficial_fraction": self.superficial_fraction,
-            "non_english_fraction": self.non_english_fraction,
-            "automated_fraction": self.automated_fraction,
-            "retweet_fraction": self.retweet_fraction,
-        }
-        for name, v in fractions.items():
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must be within [0, 1], got {v}")
+        super().__post_init__()
         excl = self.non_english_fraction + self.automated_fraction + self.retweet_fraction
         if excl > 1.0:
             raise ConfigError(
                 f"exclusive class fractions sum to {excl:.3f} > 1 "
                 "(non_english + automated + retweet)"
             )
-        if self.tweet_rate_min <= 0 or self.tweet_rate_max < self.tweet_rate_min:
-            raise ConfigError("tweet rate range must be positive and ordered")
-        for name, least in (("seed", 0), ("n_users", 1), ("window_days", 1),
-                            ("delete_extra_days", 0), ("orphan_deletes", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.tweet_rate_max >= self.tweet_rate_min:
+            raise ConfigError(f"tweet_rate_max must be >= tweet_rate_min, got {self.tweet_rate_max}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
