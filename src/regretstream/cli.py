@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import math
@@ -60,6 +61,14 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return int(text)
+
+
+def _check_output_dirs(args) -> None:
+    """Raise FileNotFoundError naming the first of the command's output
+    files whose directory does not exist, before it reads anything."""
+    for path in filter(None, (getattr(args, dest) for dest in args.outputs)):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "No such directory", path)
 
 
 def _write_json(path: str, payload) -> None:
@@ -148,6 +157,8 @@ def _cmd_analyze(args) -> int:
     unknown = set(metrics) - valid
     if unknown:
         raise RegretstreamError(f"unknown metrics: {sorted(unknown)}; valid: {sorted(valid)}")
+    trait_map = (analytics.load_trait_map(args.traits_map) if args.traits_map
+                 else load_default_trait_map())
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     deleters, non_deleters = analytics.partition_users(corpus)
@@ -205,11 +216,6 @@ def _cmd_analyze(args) -> int:
         _write_json(outdir / "response.json", report)
 
     if "traits" in metrics:
-        trait_map = (
-            analytics.load_trait_map(args.traits_map)
-            if args.traits_map
-            else load_default_trait_map()
-        )
         medians = analytics.user_category_medians(table, res.lexicon, deleters, non_deleters)
         # Keep only attributes the map knows plus the non-lexicon rows.
         tally, unmapped = analytics.trait_tally(medians, trait_map)
@@ -363,7 +369,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--out", required=True)
     p.add_argument("--strict", action="store_true", help="fail on duplicate tweet ids")
-    p.set_defaults(fn=_cmd_ingest)
+    p.set_defaults(fn=_cmd_ingest, outputs=("out",))
 
     p = sub.add_parser("clean", help="apply the four-filter cleanup cascade")
     p.add_argument("--corpus", required=True)
@@ -371,14 +377,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="cleanup config JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write the JSON accounting report here")
-    p.set_defaults(fn=_cmd_clean)
+    p.set_defaults(fn=_cmd_clean, outputs=("out", "report"))
 
     p = sub.add_parser("featurize", help="write the RSF1 feature matrix for a corpus")
     p.add_argument("--corpus", required=True)
     _add_resource_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--with-responses", action="store_true")
-    p.set_defaults(fn=_cmd_featurize)
+    p.set_defaults(fn=_cmd_featurize, outputs=("out",))
 
     p = sub.add_parser("analyze", help="group-difference analytics reports")
     p.add_argument("--corpus", required=True)
@@ -391,13 +397,13 @@ def build_parser() -> _Parser:
         "--structural-only", action="store_true",
         help="skip lexicon/POS attributes in ntd/nud",
     )
-    p.set_defaults(fn=_cmd_analyze)
+    p.set_defaults(fn=_cmd_analyze, outputs=())  # its --out is a directory it makes
 
     p = sub.add_parser("annotate-agg", help="aggregate three-annotator judgments")
     p.add_argument("--annotations", required=True)
     p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_annotate_agg)
+    p.set_defaults(fn=_cmd_annotate_agg, outputs=("out",))
 
     p = sub.add_parser("train", help="train the two-stage deletion classifier")
     p.add_argument("--corpus", required=True)
@@ -407,13 +413,13 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics-out", help="also write metrics JSON here")
     p.add_argument("--metrics-csv", help="also write metrics CSV here")
     _add_resource_flags(p)
-    p.set_defaults(fn=_cmd_train)
+    p.set_defaults(fn=_cmd_train, outputs=("out", "metrics_out", "metrics_csv"))
 
     p = sub.add_parser("predict", help="score new events with a trained bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_predict)
+    p.set_defaults(fn=_cmd_predict, outputs=("out",))
 
     p = sub.add_parser("ablate", help="feature-group ablation against the baseline")
     p.add_argument("--corpus", required=True)
@@ -426,14 +432,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also write a per-group CSV here")
     _add_resource_flags(p)
-    p.set_defaults(fn=_cmd_ablate)
+    p.set_defaults(fn=_cmd_ablate, outputs=("out", "csv"))
 
     p = sub.add_parser("synth", help="generate a synthetic stream plus ledger")
     p.add_argument("--config", help="synth config JSON (default: shipped defaults)")
     p.add_argument("--seed", type=_seed)
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-ledger", required=True)
-    p.set_defaults(fn=_cmd_synth)
+    p.set_defaults(fn=_cmd_synth, outputs=("out_events", "out_ledger"))
 
     return parser
 
@@ -442,6 +448,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_dirs(args)
         return args.fn(args)
     except UsageError as exc:
         print(exc.message, file=sys.stderr)

@@ -88,12 +88,13 @@ class SynthConfig(codec.Ranged):
 
     def __post_init__(self):
         super().__post_init__()
-        excl = self.non_english_fraction + self.automated_fraction + self.retweet_fraction
-        if excl > 1.0:
-            raise ConfigError(
-                f"exclusive class fractions sum to {excl:.3f} > 1 "
-                "(non_english + automated + retweet)"
-            )
+        # Each group of fractions shares one roll, so it may not sum past 1.
+        for kind, names in (("class", ("non_english", "automated", "retweet")),
+                            ("NUD attribute", ("nud_attr_skew", "nud_attr_reverse"))):
+            total = sum(getattr(self, f"{name}_fraction") for name in names)
+            if total > 1.0:
+                raise ConfigError(f"exclusive {kind} fractions sum to {total:.3f} > 1 "
+                                  f"({' + '.join(names)})")
         if not self.tweet_rate_max >= self.tweet_rate_min:
             raise ConfigError(f"tweet_rate_max must be >= tweet_rate_min, got {self.tweet_rate_max}")
 

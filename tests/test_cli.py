@@ -831,6 +831,7 @@ def test_malformed_json_input_exits_1(workdir, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{bad}: line 3: not valid JSON" in err
+    assert [p.name for p in tmp_path.iterdir()] == [bad.name]  # read before any output
 
 
 # Inputs that are not UTF-8 (the bytes ff fe 7b) or are valid JSON of the
@@ -903,6 +904,7 @@ def test_bad_input_file_exits_1(workdir, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"error: {bad}: " in err
+    assert [p.name for p in tmp_path.iterdir()] == [bad.name]  # read before any output
     if isinstance(where, str):
         assert err == f"error: {bad}: {where}\n"
     elif where is not None:
@@ -1032,6 +1034,66 @@ def test_mistyped_config_exits_1_naming_the_field(workdir, tmp_path, capsys, mon
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: {message}") and "Traceback" not in err
+
+
+def test_analyze_reads_the_trait_map_before_writing_reports(workdir, tmp_path, capsys):
+    bad = tmp_path / "traits.json"
+    bad.write_text("{bad")
+    out = tmp_path / "reports"
+    code = main(["analyze", "--corpus", str(workdir / "cleaned.json"), "--traits-map", str(bad),
+                 "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err.startswith(f"error: {bad}: line 1: ")
+    assert not out.exists()
+
+
+# Each command with every output file under {tmp}; each output option in
+# turn is pointed into a directory that does not exist.
+OUTPUT_ARGV = {
+    "ingest": ["ingest", "--events", "{work}/events.jsonl", "--window", *WINDOW,
+               "--out", "{tmp}/c.json"],
+    "clean": ["clean", "--corpus", "{work}/corpus.json", "--out", "{tmp}/c.json",
+              "--report", "{tmp}/r.json"],
+    "featurize": ["featurize", "--corpus", "{work}/cleaned.json", "--out", "{tmp}/f.rsf1"],
+    "annotate-agg": ["annotate-agg", "--annotations", "{made}/annotations.jsonl",
+                     "--out", "{tmp}/a.json"],
+    "train": ["train", "--corpus", "{work}/cleaned.json", "--config", "{made}/train.json",
+              "--out", "{tmp}/m.rsb1", "--metrics-out", "{tmp}/m.json",
+              "--metrics-csv", "{tmp}/m.csv"],
+    "predict": ["predict", "--bundle", "{made}/m.rsb1", "--events", "{work}/events.jsonl",
+                "--out", "{tmp}/s.jsonl"],
+    "ablate": ["ablate", "--corpus", "{work}/cleaned.json", "--config", "{made}/train.json",
+               "--groups", "user", "--out", "{tmp}/a.json", "--csv", "{tmp}/a.csv"],
+    "synth": ["synth", "--config", "{work}/synth.json", "--out-events", "{tmp}/e.jsonl",
+              "--out-ledger", "{tmp}/l.jsonl"],
+}
+OUTPUT_OPTIONS = [(command, option) for command, argv in OUTPUT_ARGV.items()
+                  for option, value in zip(argv, argv[1:]) if value.startswith("{tmp}/")]
+
+
+@pytest.fixture(scope="module")
+def made(workdir, train_config_path, tmp_path_factory):
+    """The inputs OUTPUT_ARGV reads that the workdir lacks: a train config,
+    a bundle trained with it, and an annotation file."""
+    root = tmp_path_factory.mktemp("made")
+    (root / "train.json").write_bytes(train_config_path.read_bytes())
+    assert main(["train", "--corpus", str(workdir / "cleaned.json"), "--config",
+                 str(root / "train.json"), "--out", str(root / "m.rsb1")]) == 0
+    (root / "annotations.jsonl").write_text("".join(
+        json.dumps({"item_id": i, "group": group, "answers": {}, "regret": ["no"] * 3}) + "\n"
+        for i, group in enumerate(("deleted", "non_deleted"))))
+    return root
+
+
+@pytest.mark.parametrize("command,option", OUTPUT_OPTIONS)
+def test_output_in_a_missing_directory_exits_2_before_any_output(workdir, made, tmp_path,
+                                                                 capsys, command, option):
+    argv = [a.format(work=workdir, made=made, tmp=tmp_path) for a in OUTPUT_ARGV[command]]
+    missing = tmp_path / "missing" / "out"
+    argv[argv.index(option) + 1] = str(missing)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestRemovedTrainFlags:

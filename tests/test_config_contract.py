@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretstream import analytics, codec, textkit
+from regretstream import analytics, classify, codec, textkit
 from regretstream.classify import TrainConfig
+from regretstream.classify.pipeline import STAGE1_MODELS, STAGE2_MODELS
 from regretstream.cleanup import CleanupConfig
-from regretstream.errors import RegretstreamError
+from regretstream.errors import ConfigError, RegretstreamError
 from regretstream.synth import SynthConfig
 
 from conftest import make_corpus, make_tweet, ts
@@ -217,3 +218,74 @@ def test_config_round_trip(cls):
 def test_absent_fields_decode_to_their_defaults(cls):
     """A config file may leave any field out, a set-valued one included."""
     assert codec.decode_config(cls, {}) == cls()
+
+
+# The config file each command reads, and the value of INPUTS it starts from.
+RANGED_CONFIGS = {SynthConfig: "synth config", CleanupConfig: "clean config",
+                  TrainConfig: "train config"}
+MODEL_CLASSES = {"stage1": STAGE1_MODELS, "stage2": STAGE2_MODELS}
+
+
+def _outside(f):
+    """The values just outside the declared range of the field ``f``."""
+    low, high, above, below = f.metadata["range"]
+    step = 1 if type(f.default) is int else 0.5
+    values = [low if above else low - step]
+    if high != math.inf:
+        values.append(high if below else high + step)
+    return [float(v) if type(f.default) is float else v for v in values]
+
+
+def _ranged(cls):
+    return [f for f in fields(cls) if "range" in f.metadata]
+
+
+def _range_cases():
+    """(input name, config, the name the error gives, value) for each value
+    just outside each declared range: of each config field, and of each
+    hyperparameter key, given with its model's algorithm chosen."""
+    for cls, name in RANGED_CONFIGS.items():
+        for f in _ranged(cls):
+            for value in _outside(f):
+                yield name, {f.name: value}, f.name, value
+    for stage, models in MODEL_CLASSES.items():
+        for model in models.values():
+            keys = {field_name: key for key, field_name in model.hyper_keys.items()}
+            for f in _ranged(model):
+                for value in _outside(f):
+                    hyper = {**INPUTS["train config"][0][f"{stage}_hyper"], keys[f.name]: value}
+                    yield ("train config",
+                           {f"{stage}_algorithm": model.algorithm, f"{stage}_hyper": hyper},
+                           f"{stage}_hyper.{keys[f.name]}", value)
+
+
+RANGE_CASES = list(_range_cases())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,change,field,value", RANGE_CASES,
+                         ids=[f"{c[2]}={c[3]}" for c in RANGE_CASES])
+def test_value_outside_a_declared_range_exits_1_naming_the_field(
+        files, tmp_path, monkeypatch, name, change, field, value):
+    def sample(*args):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(classify.pipeline, "balanced_sample", sample)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**INPUTS[name][0], **change}))
+    argv = [a.format(file=path, corpus=files / "corpus.json", tmp=tmp_path)
+            for a in INPUTS[name][3]]
+    code, err = _run_cli(argv)
+    assert code == 1, err
+    assert err.startswith(f"error: {path}: {field} must ") and err.endswith(f", got {value}\n")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("cls", [*RANGED_CONFIGS, *STAGE1_MODELS.values(),
+                                 *STAGE2_MODELS.values()], ids=lambda cls: cls.__name__)
+def test_nan_in_a_ranged_field_raises_config_error(cls):
+    assert _ranged(cls)
+    for f in _ranged(cls):
+        with pytest.raises(ConfigError, match=f"^{f.name} must "):
+            cls(**{f.name: math.nan})

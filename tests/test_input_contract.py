@@ -329,6 +329,9 @@ REJECTED_MANIFEST_VALUES = {
                       "invalid stage2.model.stage_weights: ['1e300'] (not an array of finite numbers)"),
     "model_max_depth": (("stage2", "model", "max_depth"), "5",
                         "invalid stage2.model.max_depth: '5' (not a JSON integer)"),
+    # Model values outside the range their field declares.
+    "model_max_depth_zero": (("stage2", "model", "max_depth"), 0, "max_depth must be >= 1, got 0"),
+    "stage1_c_negative": (("stage1", "c"), -1.0, "c must be > 0, got -1.0"),
     "early_stop": (("stage2", "model", "early_stop"), 1,
                    "invalid stage2.model.early_stop: 1 (not a string)"),
     "stage1_seed": (("stage1", "seed"), True, "invalid stage1.seed: True (not a JSON integer)"),

@@ -26,6 +26,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SynthConfig(non_english_fraction=0.5, automated_fraction=0.4, retweet_fraction=0.2)
 
+    def test_nud_attribute_fractions_must_fit(self):
+        # One roll draws both, so past 1 the reverse fraction would be capped.
+        with pytest.raises(ConfigError, match=r"exclusive NUD attribute fractions sum to 1\.300 > 1 "
+                                              r"\(nud_attr_skew \+ nud_attr_reverse\)"):
+            SynthConfig(nud_attr_skew_fraction=0.8, nud_attr_reverse_fraction=0.5)
+        SynthConfig(nud_attr_skew_fraction=0.8, nud_attr_reverse_fraction=0.2)
+
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             SynthConfig(deletion_rate=1.2)
