@@ -5,7 +5,9 @@ map, pre-tagged file or annotation file (a value retyped, ``Infinity`` or
 ``null``; a key dropped or added; the file truncated) makes its decoder
 raise only ``RegretstreamError``; through the CLI it exits 1 with an
 ``error:`` line and no traceback. Each config also survives
-``decode_config(cls, encode_record(c))`` unchanged.
+``decode_config(cls, encode_record(c))`` unchanged. A value just outside
+the range a config or model field declares, NaN included, is rejected
+naming the field, before any output.
 """
 
 import json
