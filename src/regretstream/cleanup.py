@@ -122,25 +122,52 @@ class CleanupReport:
         return "\n".join(lines)
 
 
-def near_duplicate(a: str, b: str, cfg: CleanupConfig) -> bool:
-    """True iff the edit distance of ``a`` and ``b`` is strictly below
-    ``_EDIT_DISTANCE_MAX`` OR their term cosine is strictly above ``cosine_min``."""
-    # |len(a)-len(b)| lower-bounds the edit distance, so the expensive
-    # DP can be skipped for texts of very different lengths.
-    if abs(len(a) - len(b)) < _EDIT_DISTANCE_MAX:
-        if textkit.edit_distance(a, b) < _EDIT_DISTANCE_MAX:
-            return True
-    return textkit.term_cosine(a, b) > cfg.cosine_min
+class NearDuplicates:
+    """The near-duplicate predicate of one cleanup config, over the texts
+    of one call. Each distinct text's term counts are made once, and each
+    ordered pair of texts is judged once: make one per call, since it keeps
+    every text and pair it was given."""
+
+    def __init__(self, cfg: CleanupConfig):
+        self._cosine_min = cfg.cosine_min
+        self._counts: dict[str, textkit.TermCounts] = {}
+        self._verdicts: dict[tuple[str, str], bool] = {}
+
+    def near_duplicate(self, a: str, b: str) -> bool:
+        """True iff the edit distance of ``a`` and ``b`` is strictly below
+        ``_EDIT_DISTANCE_MAX`` OR their term cosine is strictly above
+        ``cosine_min``."""
+        verdict = self._verdicts.get((a, b))
+        if verdict is None:
+            # |len(a)-len(b)| lower-bounds the edit distance, so the
+            # distance is skipped for texts of very different lengths.
+            verdict = self._verdicts[a, b] = (
+                (abs(len(a) - len(b)) < _EDIT_DISTANCE_MAX
+                 and textkit.edit_distance(a, b) < _EDIT_DISTANCE_MAX)
+                or textkit.counts_cosine(self._term_counts(a), self._term_counts(b))
+                > self._cosine_min)
+        return verdict
+
+    def _term_counts(self, text: str) -> textkit.TermCounts:
+        counts = self._counts.get(text)
+        if counts is None:
+            counts = self._counts[text] = textkit.term_counts(text)
+        return counts
 
 
-def detect_superficial(deleted: TweetRecord, followups, cfg: CleanupConfig) -> bool:
+def detect_superficial(deleted: TweetRecord, followups, cfg: CleanupConfig,
+                       judge: NearDuplicates | None = None) -> bool:
     """True iff some followup is a near-duplicate of the deleted tweet.
 
     ``followups`` are the chronologically next tweets by the same user (at
     most the configured lookahead); an empty list is never superficial.
+    ``judge`` holds the verdicts of earlier calls in one run; by default
+    the call has its own.
     """
+    if judge is None:
+        judge = NearDuplicates(cfg)
     return any(
-        near_duplicate(deleted.text, f.text, cfg) for f in followups[: cfg.superficial_lookahead]
+        judge.near_duplicate(deleted.text, f.text) for f in followups[: cfg.superficial_lookahead]
     )
 
 
@@ -157,6 +184,10 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
 
     Superficially deleted tweets are removed from the corpus entirely.
     Response link lists on surviving tweets are pruned to surviving ids.
+    Within the call each distinct text is tokenized at most once and each
+    (deleted text, followup text) pair judged at most once, however often
+    the fixpoint rescans its window; a survivor whose links all survive is
+    kept as it is, and only the others are rebuilt.
     """
     if not cfg.client_whitelist:
         raise ConfigError("client whitelist is empty; cleanup would remove every tweet")
@@ -179,6 +210,7 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
     # Superficial pass, iterated to a fixpoint: removing a near-duplicate
     # source shifts later followup windows, which can expose new matches.
     superficial_removed: list[TweetRecord] = []
+    judge = NearDuplicates(cfg)
     # ``kept`` is a subsequence of the corpus, so each timeline is already
     # in (created_at, id) order.
     timelines: dict[int, list[TweetRecord]] = {}
@@ -192,7 +224,8 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
             for i, t in enumerate(tl):
                 if not t.deleted:
                     continue
-                if detect_superficial(t, tl[i + 1 : i + 1 + cfg.superficial_lookahead], cfg):
+                if detect_superficial(t, tl[i + 1 : i + 1 + cfg.superficial_lookahead], cfg,
+                                      judge=judge):
                     flagged.append(i)
             if not flagged:
                 break
@@ -204,7 +237,7 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
 
     surviving_ids = {t.id for t in kept}
     pruned = [
-        replace(
+        t if surviving_ids.issuperset(t.reply_ids + t.retweet_ids + t.quote_ids) else replace(
             t,
             reply_ids=tuple(i for i in t.reply_ids if i in surviving_ids),
             retweet_ids=tuple(i for i in t.retweet_ids if i in surviving_ids),

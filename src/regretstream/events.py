@@ -445,7 +445,8 @@ def keep_first(tweets: dict[int, TweetRecord], tweet: TweetRecord, strict: bool 
 def link_records(tweets: dict[int, TweetRecord], deletion_lags: dict[int, int]) -> list[TweetRecord]:
     """``tweets`` (keyed by id) labelled and with reply, retweet and quote
     links resolved among them; a tweet is deleted iff its id has a lag in
-    ``deletion_lags``."""
+    ``deletion_lags``. A tweet that already holds the label, lag and links
+    the join gives it is kept as it is; only the others are rebuilt."""
     replies: dict[int, list[int]] = {}
     retweets: dict[int, list[int]] = {}
     quotes: dict[int, list[int]] = {}
@@ -461,14 +462,12 @@ def link_records(tweets: dict[int, TweetRecord], deletion_lags: dict[int, int]) 
     records = []
     for t in tweets.values():
         lag = deletion_lags.get(t.id)
-        records.append(
-            replace(
-                t,
-                deleted=lag is not None,
-                deletion_lag_sec=lag,
-                reply_ids=tuple(sorted(replies.get(t.id, ()))),
-                retweet_ids=tuple(sorted(retweets.get(t.id, ()))),
-                quote_ids=tuple(sorted(quotes.get(t.id, ()))),
-            )
-        )
+        links = (tuple(sorted(replies.get(t.id, ()))), tuple(sorted(retweets.get(t.id, ()))),
+                 tuple(sorted(quotes.get(t.id, ()))))
+        if (t.deleted == (lag is not None) and t.deletion_lag_sec == lag
+                and (t.reply_ids, t.retweet_ids, t.quote_ids) == links):
+            records.append(t)
+        else:
+            records.append(replace(t, deleted=lag is not None, deletion_lag_sec=lag,
+                                   reply_ids=links[0], retweet_ids=links[1], quote_ids=links[2]))
     return records

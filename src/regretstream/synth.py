@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .cleanup import CleanupConfig, near_duplicate
+from .cleanup import CleanupConfig, NearDuplicates
 from .codec import encode_record, format_rfc3339, ranged
 from .errors import ConfigError
 from .events import UserProfile
@@ -529,6 +529,8 @@ def _guard_near_duplicates(tweets) -> None:
     near-duplicates of a followup (in the pre- or post-removal timeline)."""
     rng = np.random.default_rng(987654321)
     cleanup_cfg = CleanupConfig()
+    # Texts are judged by value, so a resampled text gets fresh counts.
+    judge = NearDuplicates(cleanup_cfg)
     by_user: dict[int, list[_Tweet]] = {}
     for t in tweets:
         if t.filter_class == "clean":
@@ -550,7 +552,7 @@ def _guard_near_duplicates(tweets) -> None:
                 if t.id in final_pos:
                     wins += followups(final_timeline, final_pos[t.id])
                 for f in wins:
-                    if near_duplicate(t.text, f.text, cleanup_cfg):
+                    if judge.near_duplicate(t.text, f.text):
                         violation = t
                         break
                 if violation is not None:

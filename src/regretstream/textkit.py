@@ -1,9 +1,9 @@
 """Tokenization and per-tweet linguistic measurements.
 
 Everything here is a pure function of its inputs: tokenizing, Levenshtein
-distance, term-frequency cosine, lexicon category counts, valence
-sentiment, part-of-speech tagging, and lexical-density statistics. The
-lexicon, valence and pre-tagged resources are read through ``codec``.
+distance, term-frequency vectors and their cosine, lexicon category counts,
+valence sentiment, part-of-speech tagging, and lexical-density statistics.
+The lexicon, valence and pre-tagged resources are read through ``codec``.
 """
 
 from __future__ import annotations
@@ -121,19 +121,24 @@ def edit_distance(a: str, b: str) -> int:
     return dist
 
 
-def term_cosine(a: str, b: str) -> float:
-    """Cosine similarity of lowercased token term-frequency vectors.
+class TermCounts(NamedTuple):
+    counts: Counter  # lowercased token surface -> occurrences
+    norm: float  # Euclidean norm of ``counts``
 
-    Returns 0.0 when either side has no tokens.
-    """
-    ta = Counter(t.surface.lower() for t in tokenize(a))
-    tb = Counter(t.surface.lower() for t in tokenize(b))
-    if not ta or not tb:
+
+def term_counts(text: str) -> TermCounts:
+    """The term-frequency vector of ``text``'s lowercased token surfaces."""
+    counts = Counter(t.surface.lower() for t in tokenize(text))
+    return TermCounts(counts, math.sqrt(sum(v * v for v in counts.values())))
+
+
+def counts_cosine(a: TermCounts, b: TermCounts) -> float:
+    """Cosine similarity of two term-frequency vectors; 0.0 when either is
+    empty."""
+    if not a.counts or not b.counts:
         return 0.0
-    dot = sum(ta[w] * tb[w] for w in ta.keys() & tb.keys())
-    na = math.sqrt(sum(v * v for v in ta.values()))
-    nb = math.sqrt(sum(v * v for v in tb.values()))
-    return dot / (na * nb)
+    dot = sum(a.counts[w] * b.counts[w] for w in a.counts.keys() & b.counts.keys())
+    return dot / (a.norm * b.norm)
 
 
 # One category of the JSON lexicon format.

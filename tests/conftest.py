@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -70,6 +71,31 @@ def make_tweet(
     )
     fields.update(overrides)
     return TweetRecord(**fields)
+
+
+def record_builds(monkeypatch) -> list:
+    """The records constructed from now on, each appended as it is built
+    (``dataclasses.replace`` builds through ``__init__`` too)."""
+    built = []
+    init = TweetRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(TweetRecord, "__init__", counting_init)
+    return built
+
+
+def call_counts(monkeypatch, module, name) -> Counter:
+    """How often ``module.name`` is called from now on, by its arguments."""
+    calls = Counter()
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls[args if len(args) > 1 else args[0]] += 1
+        return real(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def make_window(days=14, extra=7) -> CollectionWindow:

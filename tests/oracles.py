@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from regretstream import analytics, codec, events, textkit
 from regretstream.analytics import NUD_MIN_TWEETS, NudDetail, ntd_value, nud_value, partition_users
 from regretstream.classify.trees import _EPS, DecisionTree
+from regretstream.cleanup import _EDIT_DISTANCE_MAX
 from regretstream.errors import SchemaError, UndefinedDifferenceError, ValidationError
 from regretstream.events import DeletePayload, TweetRecord, UserProfile
 from regretstream.features import _PROFILE_SLOTS, RESPONSE_SIZE, TweetMeasurements
@@ -585,3 +586,70 @@ def walker_corpus_tweets(path) -> list[TweetRecord]:
     except ValidationError as exc:
         raise ValidationError(f"{path}: tweet record {i}: {exc}") from None
     return tweets
+
+
+def term_cosine(a: str, b: str) -> float:
+    """Cosine similarity of lowercased token term-frequency vectors, each
+    side tokenized on every call; 0.0 when either side has no tokens."""
+    ta = Counter(t.surface.lower() for t in textkit.tokenize(a))
+    tb = Counter(t.surface.lower() for t in textkit.tokenize(b))
+    if not ta or not tb:
+        return 0.0
+    dot = sum(ta[w] * tb[w] for w in ta.keys() & tb.keys())
+    na = math.sqrt(sum(v * v for v in ta.values()))
+    nb = math.sqrt(sum(v * v for v in tb.values()))
+    return dot / (na * nb)
+
+
+def near_duplicate(a: str, b: str, cfg) -> bool:
+    """The near-duplicate predicate on two texts, worked out anew on every
+    call: edit distance strictly below ``_EDIT_DISTANCE_MAX`` or term cosine
+    strictly above ``cfg.cosine_min``."""
+    if abs(len(a) - len(b)) < _EDIT_DISTANCE_MAX:
+        if textkit.edit_distance(a, b) < _EDIT_DISTANCE_MAX:
+            return True
+    return term_cosine(a, b) > cfg.cosine_min
+
+
+def superficial_fixpoint(timeline, cfg) -> list[TweetRecord]:
+    """One user's chronological ``timeline`` after the superficial pass:
+    every window rescanned with ``near_duplicate`` until no deleted tweet
+    has a near-duplicate among its next ``superficial_lookahead`` tweets."""
+    tl = list(timeline)
+    while True:
+        flagged = [
+            i for i, t in enumerate(tl) if t.deleted and any(
+                near_duplicate(t.text, f.text, cfg)
+                for f in tl[i + 1 : i + 1 + cfg.superficial_lookahead])
+        ]
+        if not flagged:
+            return tl
+        for i in reversed(flagged):
+            del tl[i]
+
+
+def link_records(tweets: dict[int, TweetRecord], deletion_lags: dict[int, int]) -> list[TweetRecord]:
+    """``events.link_records`` rebuilding every tweet: each is labelled and
+    given its reply, retweet and quote links through ``replace``."""
+    replies: dict[int, list[int]] = {}
+    retweets: dict[int, list[int]] = {}
+    quotes: dict[int, list[int]] = {}
+    for t in tweets.values():
+        for target, links in (
+            (t.in_reply_to_id, replies),
+            (t.retweet_of_id, retweets),
+            (t.quoted_id, quotes),
+        ):
+            if target is not None and target in tweets:
+                links.setdefault(target, []).append(t.id)
+    return [
+        replace(
+            t,
+            deleted=deletion_lags.get(t.id) is not None,
+            deletion_lag_sec=deletion_lags.get(t.id),
+            reply_ids=tuple(sorted(replies.get(t.id, ()))),
+            retweet_ids=tuple(sorted(retweets.get(t.id, ()))),
+            quote_ids=tuple(sorted(quotes.get(t.id, ()))),
+        )
+        for t in tweets.values()
+    ]

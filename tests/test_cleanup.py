@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regretstream import textkit
 from regretstream.cleanup import (
     CleanupConfig,
     CleanupReport,
+    NearDuplicates,
     detect_superficial,
     load_whitelist,
     run_cleanup,
 )
 from regretstream.codec import decode_config, encode_record
 from regretstream.errors import ConfigError
-from regretstream.textkit import edit_distance, term_cosine
+from regretstream.textkit import edit_distance
 
-from conftest import make_corpus, make_profile, make_tweet, ts
+import oracles
+from conftest import call_counts, make_corpus, make_profile, make_tweet, record_builds, ts
 
 WL = frozenset({"Twitter Web Client", "Twitter for iPhone", "TweetDeck", "HootSuite"})
 CFG = CleanupConfig(client_whitelist=WL)
@@ -92,10 +95,10 @@ class TestDetectSuperficial:
         assert edit_distance("aaaa bbbb cccc", "zzza bbbb cccz") == 4
         assert edit_distance("abcdefghij", "vwxyzfghij") == 5
         assert edit_distance("aaaaa", "bbbbb") == 5
-        assert term_cosine("aaaaa", "bbbbb") == 0.0
-        assert term_cosine("w", _cosine_text(3, 4)) == 0.6
-        assert term_cosine("w", _cosine_text(3000, 3999)) > 0.6
-        assert term_cosine("alpha beta", "alpha beta gammas") > 0.6
+        assert oracles.term_cosine("aaaaa", "bbbbb") == 0.0
+        assert oracles.term_cosine("w", _cosine_text(3, 4)) == 0.6
+        assert oracles.term_cosine("w", _cosine_text(3000, 3999)) > 0.6
+        assert oracles.term_cosine("alpha beta", "alpha beta gammas") > 0.6
 
     def test_lookahead_respected(self):
         deleted = deleted_tweet("helo wrld today")
@@ -217,6 +220,61 @@ class TestRunCleanup:
         twice, report2 = run_cleanup(once, CFG)
         assert [encode_record(t) for t in twice] == [encode_record(t) for t in once]
         assert report2.stages["superficial"].removed == 0
+
+
+# Texts over a few words, some cut by up to two characters, so that pairs
+# fall on both sides of both thresholds.
+_TEXTS = st.builds(lambda words, cut: " ".join(words)[cut:],
+                   st.lists(st.sampled_from(["alpha", "beta", "gamma", "Beta", "d"]), max_size=5),
+                   st.integers(0, 2))
+
+
+class TestNearDuplicatesMatchOracle:
+    """The memoized predicate against the text-in oracle, which works
+    every pair out anew."""
+
+    @given(st.lists(st.tuples(_TEXTS, _TEXTS), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_one_judge_over_many_pairs(self, pairs):
+        judge = NearDuplicates(CFG)
+        for a, b in pairs + pairs[::-1] + [(b, a) for a, b in pairs]:
+            assert judge.near_duplicate(a, b) is oracles.near_duplicate(a, b, CFG), (a, b)
+
+    @given(st.lists(st.tuples(_TEXTS, st.booleans(), st.sampled_from([1, 2])), max_size=14),
+           st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_fixpoint_removes_what_rescanning_every_window_removes(self, rows, lookahead):
+        # Two interleaved timelines share one judge; each removal shifts
+        # the windows after it, which the fixpoint then scans again.
+        cfg = CleanupConfig(client_whitelist=WL, superficial_lookahead=lookahead)
+        corpus = make_corpus([
+            make_tweet(id=i + 1, user_id=user, created_at=ts(hours=i), text=text, deleted=deleted)
+            for i, (text, deleted, user) in enumerate(rows)
+        ])
+        cleaned, _ = run_cleanup(corpus, cfg)
+        want = [t for user in corpus.user_ids()
+                for t in oracles.superficial_fixpoint(corpus.tweets_of(user), cfg)]
+        assert sorted(t.id for t in cleaned) == sorted(t.id for t in want)
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("kernel", ["tokenize", "edit_distance"])
+    def test_each_text_or_pair_is_measured_once(self, synth_small, whitelist, monkeypatch,
+                                                kernel):
+        calls = call_counts(monkeypatch, textkit, kernel)
+        run_cleanup(synth_small.corpus, CleanupConfig(client_whitelist=whitelist))
+        assert calls and max(calls.values()) == 1
+
+    def test_only_survivors_that_lose_a_link_are_rebuilt(self, synth_small, whitelist,
+                                                        monkeypatch):
+        built = record_builds(monkeypatch)
+        cleaned, _ = run_cleanup(synth_small.corpus, CleanupConfig(client_whitelist=whitelist))
+
+        def links(t):
+            return t.reply_ids, t.retweet_ids, t.quote_ids
+        pruned = {t.id for t in cleaned if links(t) != links(synth_small.corpus.get(t.id))}
+        assert pruned and sorted(t.id for t in built) == sorted(pruned)
+        assert all(t is synth_small.corpus.get(t.id) for t in cleaned if t.id not in pruned)
 
 
 class TestReportAndConfig:

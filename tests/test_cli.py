@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,15 @@ from regretstream.resources import load_default_trait_map
 from regretstream.synth import POST_START, SynthConfig
 
 WINDOW = ("2015-08-03T00:00:00Z", "2015-08-17T00:00:00Z", "2015-08-24T00:00:00Z")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m regretstream`` with ``argv``, in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "regretstream", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +552,48 @@ def train_config_path(tmp_path_factory):
         "derived_feature_folds": 3,
     }))
     return path
+
+
+def test_python_dash_m_runs_the_command_line():
+    done = run_fresh(["--help"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: regretstream")
+
+
+def test_commands_rerun_in_one_process_write_a_fresh_processs_bytes(workdir, train_config_path,
+                                                                   tmp_path):
+    """synth, ingest + clean and predict, each called twice through
+    ``main`` in this process, write the bytes one fresh process per command
+    writes: nothing a call keeps outlives it."""
+    bundle = tmp_path / "model.rsb1"
+    assert main(["train", "--corpus", str(workdir / "cleaned.json"),
+                 "--config", str(train_config_path), "--out", str(bundle)]) == 0
+
+    def commands(out):
+        out.mkdir()
+        return [
+            ["synth", "--config", str(workdir / "synth.json"),
+             "--out-events", str(out / "events.jsonl"), "--out-ledger", str(out / "ledger.jsonl")],
+            ["ingest", "--events", str(out / "events.jsonl"), "--window", *WINDOW,
+             "--out", str(out / "corpus.json")],
+            ["clean", "--corpus", str(out / "corpus.json"), "--out", str(out / "cleaned.json"),
+             "--report", str(out / "cleanup.json")],
+            ["predict", "--bundle", str(bundle), "--events", str(out / "events.jsonl"),
+             "--out", str(out / "scores.jsonl")],
+        ]
+
+    def digests(out):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+    for argv in commands(tmp_path / "fresh"):
+        done = run_fresh(argv)
+        assert done.returncode == 0, done.stderr
+    want = digests(tmp_path / "fresh")
+    assert len(want) == 6
+    for run in ("warm1", "warm2"):
+        for argv in commands(tmp_path / run):
+            assert main(argv) == 0
+        assert digests(tmp_path / run) == want, run
 
 
 class TestTrainPredictAblate:

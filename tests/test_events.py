@@ -35,6 +35,7 @@ from conftest import (
     make_profile,
     make_tweet,
     make_window,
+    record_builds,
     run_synth_pipeline,
     ts,
 )
@@ -518,6 +519,55 @@ class TestBuildCorpus:
         ]
         corpus = build_corpus(events, make_window())
         assert corpus.get(1).deletion_lag_sec == 1800
+
+
+_TARGETS = st.one_of(st.none(), st.integers(1, 9))
+_LAGS = st.dictionaries(st.integers(1, 9), st.integers(0, 2), max_size=6)
+
+
+class TestLinkRecordsMatchesOracle:
+    """The join keeps a record only where it already holds the join's
+    label, lag and links; the oracle rebuilds every record."""
+
+    @given(st.lists(st.tuples(_TARGETS, _TARGETS, _TARGETS), min_size=1, max_size=8),
+           _LAGS, _LAGS, st.booleans(), st.sets(st.integers(1, 8)))
+    @settings(max_examples=300, deadline=None)
+    def test_records_that_arrive_labelled_and_linked(self, targets, first_lags, other_lags,
+                                                     same, dropped):
+        # A first join labels and links every tweet; some are dropped, and
+        # the rest are joined again, with the same lags or others.
+        tweets = {
+            i: make_tweet(id=i, created_at=ts(hours=i), in_reply_to_id=reply,
+                          retweet_of_id=retweet, quoted_id=quote)
+            for i, (reply, retweet, quote) in enumerate(targets, start=1)
+        }
+        labelled = {t.id: t for t in oracles.link_records(tweets, first_lags)
+                    if t.id not in dropped}
+        lags = first_lags if same else other_lags
+        got = events.link_records(labelled, lags)
+        want = oracles.link_records(labelled, lags)
+        assert got == want
+        assert [g is t for g, t in zip(got, labelled.values())] == [
+            w == t for w, t in zip(want, labelled.values())]
+
+    @pytest.mark.parametrize("stage", ["corpus", "cleaned"])
+    def test_a_built_corpus_fed_back_is_joined_afresh(self, synth_small, stage):
+        # No delete events come with them, so every stale label is reset;
+        # the cleaned records keep only the links among themselves.
+        tweets = list(getattr(synth_small, stage))
+        rebuilt = build_corpus(tweets, synth_small.corpus.window)
+        assert list(rebuilt) == oracles.link_records({t.id: t for t in tweets}, {})
+        assert not any(t.deleted for t in rebuilt)
+        assert any(t.deleted for t in tweets)
+
+    def test_only_records_the_join_labels_or_links_are_built(self, synth_small, monkeypatch):
+        parsed = [parse_event(json.dumps(e)) for e in synth_small.events]
+        tweets = {t.id: t for t in parsed if isinstance(t, TweetRecord)}
+        built = record_builds(monkeypatch)
+        corpus = build_corpus(parsed, synth_small.corpus.window)
+        joined = {t.id for t in corpus if t.deleted or t.reply_ids or t.retweet_ids or t.quote_ids}
+        assert joined and sorted(t.id for t in built) == sorted(joined)
+        assert all(t is tweets[t.id] for t in corpus if t.id not in joined)
 
 
 class TestCorpusContainer:

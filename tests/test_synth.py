@@ -3,11 +3,15 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
-from regretstream import synth
+import oracles
+from regretstream import synth, textkit
 from regretstream.cleanup import CleanupConfig
 from regretstream.codec import decode_config, encode_record
 from regretstream.errors import ConfigError, ValidationError
@@ -18,7 +22,7 @@ from regretstream.synth import (
     write_synthetic,
 )
 
-from conftest import run_synth_pipeline
+from conftest import call_counts, run_synth_pipeline
 
 
 class TestConfig:
@@ -154,6 +158,62 @@ class TestLedger:
         sp = run_synth_pipeline(cfg, whitelist)
         assert sp.summary["stages"]["superficial"]["removed"] == 0
         assert sp.report.stages["superficial"].removed == 0
+
+
+class TextJudge:
+    """``NearDuplicates`` without its memos: the text-in oracle decides
+    every pair anew."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    def near_duplicate(self, a: str, b: str) -> bool:
+        return oracles.near_duplicate(a, b, self.cfg)
+
+
+def _guarded_texts(rows, judge=None) -> list[str] | str:
+    """The texts of clean tweets made from ``rows`` of (words, deleted,
+    superficial, user id) once the near-duplicate guard has run, or its
+    error, with ``synth.NearDuplicates`` replaced by ``judge`` if one is
+    given."""
+    tweets = []
+    for i, (words, deleted, superficial, user_id) in enumerate(rows, start=1):
+        t = synth._Tweet(id=i, user=SimpleNamespace(user_id=user_id), created_at=None,
+                         filter_class="clean", deleted=deleted,
+                         superficial=deleted and superficial, words=list(words))
+        synth._render_text(t)
+        tweets.append(t)
+    with pytest.MonkeyPatch.context() as mp:
+        if judge is not None:
+            mp.setattr(synth, "NearDuplicates", judge)
+        try:
+            synth._guard_near_duplicates(tweets)
+        except RuntimeError as exc:  # the guard did not converge
+            return str(exc)
+    return [t.text for t in tweets]
+
+
+class TestNearDuplicateGuard:
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(["ab", "abc", "cd", "good", "sad"]),
+                                       min_size=1, max_size=5),
+                              st.booleans(), st.booleans(), st.sampled_from([1, 2])),
+                    max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_resampled_texts_are_judged_as_the_oracle_judges_them(self, rows):
+        assert _guarded_texts(rows) == _guarded_texts(rows, TextJudge)
+
+    def test_a_resampled_followup_is_judged_afresh(self):
+        # Three deleted copies of one text: the first two are resampled in
+        # turn, and the second is judged anew as the first one's followup.
+        rows = [(["ab", "cd", "good"], True, False, 1)] * 3
+        got = _guarded_texts(rows)
+        assert got[0] != got[1] != "ab cd good" == got[2]
+        assert got == _guarded_texts(rows, TextJudge)
+
+    def test_each_text_is_tokenized_once(self, synth_small, monkeypatch):
+        texts = call_counts(monkeypatch, textkit, "tokenize")
+        generate_synthetic(synth_small.config)
+        assert texts and max(texts.values()) == 1
 
 
 class TestComposition:

@@ -10,17 +10,23 @@ from regretstream.textkit import (
     Lexicon,
     RuleTagger,
     TokenList,
+    counts_cosine,
     edit_distance,
     pos_tag,
     sentiment_score,
-    term_cosine,
+    term_counts,
     text_stats,
     tokenize,
 )
 from regretstream.features import FeatureResources, Vocabulary, featurize_corpus
 
+import oracles
 from conftest import make_tweet, make_window
 from oracles import dp_edit_distance, lexicon_score, scan_categories, uncached_tags
+
+
+def term_cosine(a: str, b: str) -> float:
+    return counts_cosine(term_counts(a), term_counts(b))
 
 
 class TestTokenize:
@@ -170,6 +176,17 @@ class TestTermCosine:
     def test_bounds(self, ws1, ws2):
         v = term_cosine(" ".join(ws1), " ".join(ws2))
         assert 0.0 <= v <= 1.0 + 1e-12
+
+    @given(st.text(st.sampled_from("aAbB c:)#@1.\u00e9"), max_size=30),
+           st.text(st.sampled_from("aAbB c:)#@1.\u00e9"), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_give_the_oracles_cosine_exactly(self, a, b):
+        assert term_cosine(a, b) == oracles.term_cosine(a, b)
+
+    def test_counts_hold_the_lowercased_surfaces_and_their_norm(self):
+        counts = term_counts("Dog dog #Tag :) CAT")
+        assert counts.counts == {"dog": 2, "#tag": 1, ":)": 1, "cat": 1}
+        assert counts.norm == math.sqrt(7)
 
 
 @pytest.fixture()
