@@ -65,25 +65,26 @@ class MeasurementTable:
     """Per-tweet measurement columns, one row per tweet in the order given.
 
     The structural flags, plus the fill group (``features.measure``) of each
-    standard column named, from one read of each tweet's record (made here,
-    not kept), at every row or at the rows of its boolean mask in ``at``.
-    ``columns`` maps a name to flags, counts or float scalars; callers may
-    add their own. ``user`` holds each row's index into ``user_ids``, the
-    sorted distinct user ids (which need not fit 64 bits). NTD and NUD
+    standard column named in ``columns``, from one read of each tweet's
+    record (made here, not kept), at the rows ``columns`` maps the name to:
+    a boolean mask, or True for every row. The attribute ``columns`` maps a
+    name to flags, counts or float scalars; callers may add their own.
+    ``user`` holds each row's index into ``user_ids``, the sorted distinct
+    user ids (which need not fit 64 bits). NTD and NUD
     compare the rows of the boolean mask ``pool`` (default: every row),
     held sorted by deleted flag (``by_deleted``) and by user, then deleted
     flag (``by_user``); ``nud_users`` holds (user id, kept segment, deleted
     segment) of ``by_user`` for each NUD-eligible user, ascending.
     """
 
-    def __init__(self, tweets, resources, columns=(), at=None, pool=None):
-        n, at = len(tweets), at or {}
+    def __init__(self, tweets, resources, columns=None, pool=None):
+        n, columns = len(tweets), columns or {}
         need = {}  # fill group -> the rows it is measured at
         for group, names in _FILL_GROUPS:
-            for name in set(columns).intersection(names):
-                need[group] = need.get(group, False) | np.broadcast_to(at.get(name, True), n)
+            for name in columns.keys() & names:
+                need[group] = need.get(group, False) | np.broadcast_to(columns[name], n)
         records = (TweetMeasurements(t, resources) for t in tweets)
-        cols = measure(records, n, resources, need, at=need) if need else {}
+        cols = measure(records, n, resources, need) if need else {}
         self.user_ids = sorted({t.user_id for t in tweets})
         rank = {u: k for k, u in enumerate(self.user_ids)}
         self.user = np.array([rank[t.user_id] for t in tweets], dtype=np.int64)
@@ -132,7 +133,7 @@ def analysis_table(corpus: Corpus, resources, attrs=(), traits=False, firsts=Non
         at.update((c, at.get(c, False) | replied) for c in SENTIMENT_COLUMNS)
     if traits:
         at.update(dict.fromkeys(TRAIT_COLUMNS, True))
-    return MeasurementTable(tweets, resources, at, at=at, pool=pool)
+    return MeasurementTable(tweets, resources, at, pool=pool)
 
 
 # ---------------------------------------------------------------------------

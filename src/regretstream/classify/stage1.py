@@ -36,16 +36,21 @@ class SparseRows:
 
     def subset(self, rows) -> "SparseRows":
         rows = np.asarray(rows, dtype=np.int64)
-        lengths = self.indptr[rows + 1] - self.indptr[rows]
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        indices = np.concatenate(
-            [self.indices[self.indptr[r]: self.indptr[r + 1]] for r in rows]
-        ) if len(rows) else np.zeros(0, dtype=np.int64)
-        data = np.concatenate(
-            [self.data[self.indptr[r]: self.indptr[r + 1]] for r in rows]
-        ) if len(rows) else np.zeros(0, dtype=np.float64)
-        return SparseRows(indptr, indices, data, self.n_cols)
+        # Each entry's position here: its row's start plus its offset in the row.
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return SparseRows(indptr, self.indices[at], self.data[at], self.n_cols)
+
+    def dot_rows(self, weights: np.ndarray, offset) -> np.ndarray:
+        """``offset`` plus each row's dot product with the dense ``weights``."""
+        out = np.full(len(self), offset)
+        for i in range(len(self)):
+            idx, vals = self.row(i)
+            out[i] += float(np.dot(vals, weights[idx]))
+        return out
 
     @classmethod
     def from_feature_matrix(cls, m) -> "SparseRows":
@@ -95,12 +100,8 @@ class NaiveBayesModel(Ranged):
 
     def log_odds(self, X: SparseRows) -> np.ndarray:
         """log P(1|x) - log P(0|x) up to the shared normalizer."""
-        out = np.full(len(X), self.class_log_prior[1] - self.class_log_prior[0])
-        delta = self.feature_log_prob[1] - self.feature_log_prob[0]
-        for i in range(len(X)):
-            idx, vals = X.row(i)
-            out[i] += float(np.dot(vals, delta[idx]))
-        return out
+        return X.dot_rows(self.feature_log_prob[1] - self.feature_log_prob[0],
+                          self.class_log_prior[1] - self.class_log_prior[0])
 
     def decision_values(self, X: SparseRows) -> np.ndarray:
         return self.log_odds(X)
@@ -159,13 +160,7 @@ class LinearSvmModel(Ranged):
         return self
 
     def decision_values(self, X: SparseRows) -> np.ndarray:
-        w = self.weights
-        v = len(w) - 1
-        out = np.full(len(X), w[v])
-        for i in range(len(X)):
-            idx, vals = X.row(i)
-            out[i] += float(np.dot(vals, w[idx]))
-        return out
+        return X.dot_rows(self.weights, self.weights[-1])  # the last weight is the bias
 
     def predict(self, X: SparseRows) -> np.ndarray:
         return (self.decision_values(X) > 0).astype(np.int8)

@@ -8,14 +8,12 @@ fixpoint so that cleaning an already-clean corpus changes nothing.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import codec, textkit
 from .errors import ConfigError
 from .events import Corpus, TweetRecord
-
-FILTER_STAGES = ("non_language", "non_whitelisted", "retweets", "superficial")
 
 # Two texts closer than this many character edits are near-duplicates.
 _EDIT_DISTANCE_MAX = 5
@@ -39,41 +37,41 @@ def load_whitelist(path: str | Path) -> frozenset[str]:
     return frozenset(names)
 
 
-@dataclass(frozen=True)
-class StageCounts:
-    removed: int = 0
-    removed_deleted: int = 0
-    users: int = 0
+def accounting(tweets, retained, removed_by_stage: dict) -> dict:
+    """The dataset table: tweets posted and deleted, and users who posted
+    and who deleted, for ``tweets``, for each stage's removed list (by
+    name, in order) and for ``retained``. A tweet is anything with
+    ``deleted`` and ``user_id`` attributes."""
+
+    def block(tweets):
+        return {
+            "tweets": len(tweets),
+            "deleted": sum(1 for t in tweets if t.deleted),
+            "users": len({t.user_id for t in tweets}),
+            "deleting_users": len({t.user_id for t in tweets if t.deleted}),
+        }
+
+    return {
+        "input": block(tweets),
+        "stages": {
+            name: {
+                "removed": len(removed),
+                "removed_deleted": sum(1 for t in removed if t.deleted),
+                "users": len({t.user_id for t in removed}),
+            }
+            for name, removed in removed_by_stage.items()
+        },
+        "retained": block(retained),
+    }
 
 
 @dataclass(frozen=True)
 class CleanupReport:
-    input_tweets: int
-    input_deleted: int
-    input_users: int
-    input_deleting_users: int
-    stages: dict
-    retained: int = 0
-    retained_deleted: int = 0
-    retained_users: int = 0
-    retained_deleting_users: int = 0
+    """The three blocks of ``accounting``; ``asdict`` gives the JSON."""
 
-    def to_dict(self) -> dict:
-        return {
-            "input": {
-                "tweets": self.input_tweets,
-                "deleted": self.input_deleted,
-                "users": self.input_users,
-                "deleting_users": self.input_deleting_users,
-            },
-            "stages": {name: asdict(sc) for name, sc in self.stages.items()},
-            "retained": {
-                "tweets": self.retained,
-                "deleted": self.retained_deleted,
-                "users": self.retained_users,
-                "deleting_users": self.retained_deleting_users,
-            },
-        }
+    input: dict
+    stages: dict
+    retained: dict
 
     def to_text(self) -> str:
         """Render the report as a dataset-accounting table."""
@@ -83,7 +81,7 @@ class CleanupReport:
 
         lines = []
 
-        def block(title, tweets, deleted, users, deleting=None):
+        def block(title, tweets, deleted, users, deleting_users=None):
             lines.append(title)
             lines.append(f"  # Tweets posted                      {tweets:>12,}")
             if deleted is not None:
@@ -91,34 +89,23 @@ class CleanupReport:
                     f"  # Tweets deleted                     {deleted:>12,} ({pct(deleted, tweets)})"
                 )
             lines.append(f"  # Users who posted at-least 1 tweet  {users:>12,}")
-            if deleting is not None:
+            if deleting_users is not None:
                 lines.append(
-                    f"  # Users who deleted at-least 1 tweet {deleting:>12,} ({pct(deleting, users)})"
+                    f"  # Users who deleted at-least 1 tweet {deleting_users:>12,} ({pct(deleting_users, users)})"
                 )
             lines.append("")
 
-        block(
-            "Dataset before cleanup",
-            self.input_tweets, self.input_deleted,
-            self.input_users, self.input_deleting_users,
-        )
+        block("Dataset before cleanup", **self.input)
         titles = {
             "non_language": "Non-language-matching tweets",
             "non_whitelisted": "Automated (non-whitelisted client) tweets",
             "retweets": "Retweets",
             "superficial": "Superficial deletions",
         }
-        for name in FILTER_STAGES:
-            sc = self.stages[name]
-            if name == "superficial":
-                block(titles[name], sc.removed, None, sc.users)
-            else:
-                block(titles[name], sc.removed, sc.removed_deleted, sc.users)
-        block(
-            "Dataset after cleanup",
-            self.retained, self.retained_deleted,
-            self.retained_users, self.retained_deleting_users,
-        )
+        for name, sc in self.stages.items():
+            deleted = None if name == "superficial" else sc["removed_deleted"]
+            block(titles[name], sc["removed"], deleted, sc["users"])
+        block("Dataset after cleanup", **self.retained)
         return "\n".join(lines)
 
 
@@ -171,14 +158,6 @@ def detect_superficial(deleted: TweetRecord, followups, cfg: CleanupConfig,
     )
 
 
-def _count_stage(removed: list[TweetRecord]) -> StageCounts:
-    return StageCounts(
-        removed=len(removed),
-        removed_deleted=sum(1 for t in removed if t.deleted),
-        users=len({t.user_id for t in removed}),
-    )
-
-
 def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupReport]:
     """Apply the four filters in order and report per-stage accounting.
 
@@ -193,23 +172,23 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
         raise ConfigError("client whitelist is empty; cleanup would remove every tweet")
 
     kept = list(corpus.tweets)
-    stages: dict[str, StageCounts] = {}
+    removed: dict[str, list[TweetRecord]] = {}
 
     def split(pred):
         nonlocal kept
-        removed, rest = [], []
+        out, rest = [], []
         for t in kept:
-            (removed if pred(t) else rest).append(t)
+            (out if pred(t) else rest).append(t)
         kept = rest
-        return removed
+        return out
 
-    stages["non_language"] = _count_stage(split(lambda t: t.lang != cfg.language_tag))
-    stages["non_whitelisted"] = _count_stage(split(lambda t: t.source not in cfg.client_whitelist))
-    stages["retweets"] = _count_stage(split(lambda t: t.retweet_of_id is not None))
+    removed["non_language"] = split(lambda t: t.lang != cfg.language_tag)
+    removed["non_whitelisted"] = split(lambda t: t.source not in cfg.client_whitelist)
+    removed["retweets"] = split(lambda t: t.retweet_of_id is not None)
 
     # Superficial pass, iterated to a fixpoint: removing a near-duplicate
     # source shifts later followup windows, which can expose new matches.
-    superficial_removed: list[TweetRecord] = []
+    removed["superficial"] = []
     judge = NearDuplicates(cfg)
     # ``kept`` is a subsequence of the corpus, so each timeline is already
     # in (created_at, id) order.
@@ -230,10 +209,9 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
             if not flagged:
                 break
             for i in reversed(flagged):
-                superficial_removed.append(tl.pop(i))
+                removed["superficial"].append(tl.pop(i))
 
     kept = [t for tl in timelines.values() for t in tl]
-    stages["superficial"] = _count_stage(superficial_removed)
 
     surviving_ids = {t.id for t in kept}
     pruned = [
@@ -247,15 +225,4 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
     ]
     cleaned = corpus.replace_tweets(pruned)
 
-    report = CleanupReport(
-        input_tweets=len(corpus),
-        input_deleted=sum(1 for t in corpus if t.deleted),
-        input_users=len({t.user_id for t in corpus}),
-        input_deleting_users=len({t.user_id for t in corpus if t.deleted}),
-        stages=stages,
-        retained=len(cleaned),
-        retained_deleted=sum(1 for t in cleaned if t.deleted),
-        retained_users=len({t.user_id for t in cleaned}),
-        retained_deleting_users=len({t.user_id for t in cleaned if t.deleted}),
-    )
-    return cleaned, report
+    return cleaned, CleanupReport(**accounting(corpus.tweets, cleaned.tweets, removed))

@@ -126,7 +126,7 @@ def _cmd_clean(args) -> int:
     cleaned, report = run_cleanup(corpus, cfg)
     cleaned.save(args.out)
     if args.report:
-        _write_json(args.report, report.to_dict())
+        _write_json(args.report, asdict(report))
     print(report.to_text())
     return 0
 

@@ -171,14 +171,12 @@ class TweetMeasurements:
         return textkit.text_stats(self.tokens, self.tags, self._res.wordlist)
 
 
-def measure(
-    records, n: int, resources: FeatureResources, groups, at=None
-) -> dict[str, np.ndarray]:
+def measure(records, n: int, resources: FeatureResources, groups) -> dict[str, np.ndarray]:
     """Measurement columns of the ``n`` TweetMeasurements ``records``, one
     row each in the order given. Each record is read once, as it comes, and
-    not kept, so ``records`` may be a generator. Each of ``groups`` adds its
-    columns, measured at every row or, where ``at`` maps the group to a
-    boolean mask, at the rows it marks (its other rows read zero):
+    not kept, so ``records`` may be a generator. ``groups`` maps each group
+    wanted to the rows it is measured at, a boolean mask or True for every
+    row (its other rows read zero); each group adds its columns:
 
     - "words": ``lexicon``, (n, 64) word-token counts per lexicon category,
       and ``n_words``;
@@ -186,7 +184,6 @@ def measure(
     - "sentiment": ``sentiment``, the score;
     - "stats": ``stats``, (n, 2) lexical density and dictionary fraction.
     """
-    at = at or {}
     code = {tag: k for k, tag in enumerate(resources.tagger.tagset)}
     cols = {name: np.zeros(shape, dtype) for group, name, shape, dtype in (
         ("words", "lexicon", (n, textkit.Lexicon.SIZE), np.int32),
@@ -196,7 +193,7 @@ def measure(
         ("stats", "stats", (n, 2), np.float64),
     ) if group in groups}
     words, tags, sentiment, stats = (
-        np.broadcast_to(at.get(group, group in groups), n).tolist()
+        np.broadcast_to(groups.get(group, False), n).tolist()
         for group in ("words", "tags", "sentiment", "stats")
     )
     for i, m in enumerate(records):
@@ -312,7 +309,8 @@ def featurize_corpus(
             )
             yield m
 
-    cols = measure(records(), len(tweets), resources, ("words", "tags", "sentiment"))
+    cols = measure(records(), len(tweets), resources,
+                   dict.fromkeys(("words", "tags", "sentiment"), True))
     n_words, pct = cols["n_words"][:, None], dense[:, :64]
     np.multiply(cols["lexicon"], 100.0, out=pct)  # a tweet without words has no hit: 0.0
     np.divide(pct, n_words, out=pct, where=n_words > 0)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .cleanup import CleanupConfig, NearDuplicates
+from .cleanup import CleanupConfig, NearDuplicates, accounting
 from .codec import encode_record, format_rfc3339, ranged
 from .errors import ConfigError
 from .events import UserProfile
@@ -139,6 +139,10 @@ class _Tweet:
     lang: str = "en"
     source: str = ""
     text: str = ""
+
+    @property
+    def user_id(self) -> int:
+        return self.user.user_id
 
 
 def _make_background_vocab(rng, reserved: set[str]) -> list[str]:
@@ -561,9 +565,11 @@ def _guard_near_duplicates(tweets) -> None:
                 break
             # The deleted tweet's background words are free to change
             # (superficial sources and corrections are locked, but they are
-            # never flagged here).
+            # never flagged here). The suffix is a letter, so that each
+            # changed word stays one token: a digit would split off as a
+            # number, and two resamples would share the word and the number.
             fresh = [
-                w + "q" + str(int(rng.integers(10)))
+                w + "abcdefghij"[int(rng.integers(10))]
                 for w in violation.words[: max(3, len(violation.words) // 2)]
             ]
             violation.words = fresh + violation.words[len(fresh):]
@@ -663,16 +669,15 @@ def _build_ledger(cfg: SynthConfig, tweets, users, events) -> list[dict]:
             }
         )
 
-    def stage(tweet_filter):
-        removed = [t for t in tweets if tweet_filter(t)]
-        return {
-            "removed": len(removed),
-            "removed_deleted": sum(1 for t in removed if t.deleted),
-            "users": len({t.user.user_id for t in removed}),
-        }
-
-    clean = [t for t in tweets if t.filter_class == "clean"]
-    retained = [t for t in clean if not t.superficial]
+    # The selections are synth's own (its planted classes); only the
+    # counting is cleanup's, so the closure check compares two selections.
+    removed = {
+        "non_language": [t for t in tweets if t.filter_class == "non_english"],
+        "non_whitelisted": [t for t in tweets if t.filter_class == "automated"],
+        "retweets": [t for t in tweets if t.filter_class == "retweet"],
+        "superficial": [t for t in tweets if t.superficial],
+    }
+    retained = [t for t in tweets if t.filter_class == "clean" and not t.superficial]
     summary = {
         "kind": "summary",
         "total_tweet_events": len(tweets),
@@ -680,24 +685,7 @@ def _build_ledger(cfg: SynthConfig, tweets, users, events) -> list[dict]:
         "attempted_deletions": sum(1 for t in tweets if t.attempted_delete),
         "orphan_deletes": cfg.orphan_deletes,
         "late_deletes": sum(1 for t in tweets if t.censored),
-        "input": {
-            "tweets": len(tweets),
-            "deleted": sum(1 for t in tweets if t.deleted),
-            "users": len({t.user.user_id for t in tweets}),
-            "deleting_users": len({t.user.user_id for t in tweets if t.deleted}),
-        },
-        "stages": {
-            "non_language": stage(lambda t: t.filter_class == "non_english"),
-            "non_whitelisted": stage(lambda t: t.filter_class == "automated"),
-            "retweets": stage(lambda t: t.filter_class == "retweet"),
-            "superficial": stage(lambda t: t.superficial),
-        },
-        "retained": {
-            "tweets": len(retained),
-            "deleted": sum(1 for t in retained if t.deleted),
-            "users": len({t.user.user_id for t in retained}),
-            "deleting_users": len({t.user.user_id for t in retained if t.deleted}),
-        },
+        **accounting(tweets, retained, removed),
     }
     records.append(summary)
     return records

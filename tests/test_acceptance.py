@@ -8,7 +8,6 @@ line. Run with `pytest tests/test_acceptance.py -v -s`.
 import json
 import math
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -164,11 +163,8 @@ def test_criterion_05_cleanup_closure_on_default_stream(whitelist):
     elapsed = time.perf_counter() - start
 
     assert summary["total_tweet_events"] >= 18000
-    assert {k: asdict(v) for k, v in report.stages.items()} == summary["stages"]
-    assert report.retained == summary["retained"]["tweets"]
-    assert report.retained_deleted == summary["retained"]["deleted"]
-    assert report.retained_users == summary["retained"]["users"]
-    assert report.retained_deleting_users == summary["retained"]["deleting_users"]
+    assert report.stages == summary["stages"]
+    assert report.retained == summary["retained"]
     assert corpus.stats.orphan_deletes == summary["orphan_deletes"]
     assert corpus.stats.late_deletes == summary["late_deletes"]
     assert elapsed < 60.0

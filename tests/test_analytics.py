@@ -633,7 +633,7 @@ class TestSharedMeasurements:
             tweets.append(make_tweet(id=300 + i, user_id=2, deleted=True, text="bad day"))
             tweets.append(make_tweet(id=400 + i, user_id=2, text="good good"))
         corpus = make_corpus(tweets)
-        table = MeasurementTable(corpus, resources, ["n_words"])
+        table = MeasurementTable(corpus, resources, {"n_words": True})
         table.columns["good"] = np.array([tokenize(t.text).words().count("good") for t in corpus])
         value, detail = nud(good, table)
         assert set(detail.eligible_users) == {1, 2}
@@ -727,7 +727,7 @@ class TestColumnarOracle:
             assert got == oracles.loop_reply_sentiment_split(corpus, memo, firsts)
 
     def test_zero_row_table(self, resources):
-        table = MeasurementTable([], resources, analytics.WORD_COLUMNS)
+        table = MeasurementTable([], resources, dict.fromkeys(analytics.WORD_COLUMNS, True))
         assert table.columns["n_words"].shape == (0,)
         assert table.nud_users == []
         with pytest.raises(ValidationError):

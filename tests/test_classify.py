@@ -56,6 +56,19 @@ def sparse_from_rows(rows, n_cols):
     )
 
 
+class TestSparseRows:
+    @given(st.lists(st.dictionaries(st.integers(0, 5), st.floats(-2, 2), max_size=4),
+                    min_size=1, max_size=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_subset_holds_the_picked_rows(self, rows, data):
+        X = sparse_from_rows(rows, 6)
+        picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
+        got, want = X.subset(picked), sparse_from_rows([rows[r] for r in picked], 6)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestNaiveBayes:
     def _toy(self):
         # 4 docs, 2 per class, disjoint vocab {a,b} vs {c,d}; weights are

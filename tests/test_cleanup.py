@@ -130,11 +130,11 @@ class TestRunCleanup:
     def test_constructed_fixture_counts(self):
         corpus = build_mixed_corpus()
         cleaned, report = run_cleanup(corpus, CFG)
-        assert report.stages["non_language"].removed == 2
-        assert report.stages["non_whitelisted"].removed == 1
-        assert report.stages["retweets"].removed == 3
-        assert report.stages["superficial"].removed == 1
-        assert report.retained == 3
+        assert report.stages["non_language"]["removed"] == 2
+        assert report.stages["non_whitelisted"]["removed"] == 1
+        assert report.stages["retweets"]["removed"] == 3
+        assert report.stages["superficial"]["removed"] == 1
+        assert report.retained["tweets"] == 3
         assert {t.id for t in cleaned} == {8, 9, 10}
 
     def test_identity_on_clean_corpus(self):
@@ -144,14 +144,14 @@ class TestRunCleanup:
         ]
         corpus = make_corpus(tweets)
         cleaned, report = run_cleanup(corpus, CFG)
-        assert report.retained == 5
+        assert report.retained["tweets"] == 5
         assert [encode_record(t) for t in cleaned] == [encode_record(t) for t in corpus]
 
     def test_removal_conservation(self):
         corpus = build_mixed_corpus()
         _, report = run_cleanup(corpus, CFG)
-        removed = sum(sc.removed for sc in report.stages.values())
-        assert removed + report.retained == report.input_tweets
+        removed = sum(sc["removed"] for sc in report.stages.values())
+        assert removed + report.retained["tweets"] == report.input["tweets"]
 
     def test_empty_whitelist_rejected(self):
         corpus = build_mixed_corpus()
@@ -163,7 +163,7 @@ class TestRunCleanup:
         once, _ = run_cleanup(corpus, CFG)
         twice, report2 = run_cleanup(once, CFG)
         assert [encode_record(t) for t in twice] == [encode_record(t) for t in once]
-        assert sum(sc.removed for sc in report2.stages.values()) == 0
+        assert sum(sc["removed"] for sc in report2.stages.values()) == 0
 
     def test_superficial_removed_not_relabeled(self):
         corpus = build_mixed_corpus()
@@ -183,7 +183,7 @@ class TestRunCleanup:
         ]
         corpus = make_corpus(tweets)
         cleaned, report = run_cleanup(corpus, CFG)
-        assert report.stages["superficial"].removed == 2
+        assert report.stages["superficial"]["removed"] == 2
         assert cleaned.get(1) is None and cleaned.get(2) is None
 
     def test_response_links_pruned(self):
@@ -219,7 +219,7 @@ class TestRunCleanup:
         once, _ = run_cleanup(corpus, CFG)
         twice, report2 = run_cleanup(once, CFG)
         assert [encode_record(t) for t in twice] == [encode_record(t) for t in once]
-        assert report2.stages["superficial"].removed == 0
+        assert report2.stages["superficial"]["removed"] == 0
 
 
 # Texts over a few words, some cut by up to two characters, so that pairs
@@ -281,7 +281,7 @@ class TestReportAndConfig:
     def test_report_json_and_text(self):
         corpus = build_mixed_corpus()
         _, report = run_cleanup(corpus, CFG)
-        payload = report.to_dict()
+        payload = asdict(report)
         assert payload["retained"]["tweets"] == 3
         text = report.to_text()
         assert "Dataset before cleanup" in text
@@ -308,12 +308,8 @@ class TestReportAndConfig:
 class TestSynthClosure:
     def test_filter_tallies_match_ledger_exactly(self, synth_small):
         sp = synth_small
-        got = {name: asdict(sc) for name, sc in sp.report.stages.items()}
-        assert got == sp.summary["stages"]
-        assert sp.report.retained == sp.summary["retained"]["tweets"]
-        assert sp.report.retained_deleted == sp.summary["retained"]["deleted"]
-        assert sp.report.retained_users == sp.summary["retained"]["users"]
-        assert sp.report.retained_deleting_users == sp.summary["retained"]["deleting_users"]
+        assert sp.report.stages == sp.summary["stages"]
+        assert sp.report.retained == sp.summary["retained"]
 
     def test_ingest_stats_match_ledger(self, synth_small):
         sp = synth_small

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import make_corpus, make_tweet
+from conftest import make_corpus, make_tweet, run_synth_pipeline
 from regretstream import analytics, classify, cli
 from regretstream.cli import main
 from regretstream.events import (
@@ -465,6 +465,24 @@ def test_golden_predict_file(synth_small, resources, tmp_path, with_responses):
     assert main(["predict", "--bundle", str(tmp_path / "model.rsb1"),
                  "--events", str(events), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PREDICT[with_responses]
+
+
+def test_golden_clean_report_files(whitelist, tmp_path, capsys):
+    """The ``clean --report`` JSON and the accounting table ``clean``
+    prints, for the small synthetic stream whose corpus bytes
+    ``test_golden_corpus_files`` pins."""
+    pipeline = run_synth_pipeline(SynthConfig(seed=5, n_users=40), whitelist)
+    pipeline.corpus.save(tmp_path / "corpus.json")
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["clean", "--corpus", str(tmp_path / "corpus.json"),
+                 "--out", str(tmp_path / "cleaned.json"), "--report", str(report)]) == 0
+    table = capsys.readouterr().out
+    assert table == pipeline.report.to_text() + "\n"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "32a969f591977dacc3e4b068fa4f5674035f9f18ab7d503f46feaa40173ae037")
+    assert hashlib.sha256(table.encode("utf-8")).hexdigest() == (
+        "616bc83937ef6a7debe7226aa5f4388a91e188faf0c4d67c526ead71ebb5ad29")
 
 
 class TestAnnotateAggCommand:

@@ -494,7 +494,7 @@ class TestOneFill:
             linked = [corpus.get(r) for r in ids if corpus.get(r) is not None]
             assert m.response[i].tobytes() == oracles.response_vector(t, linked, memo).tobytes()
         want = oracles.loop_table_columns(corpus, memo)
-        table = MeasurementTable(list(corpus), resources, want)
+        table = MeasurementTable(list(corpus), resources, dict.fromkeys(want, True))
         for name, values in want.items():
             got = np.asarray(table.columns[name], dtype=np.float64)
             assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes(), name
@@ -504,14 +504,13 @@ class TestOneFill:
         unmasked fill where it is measured; a row no group marks is never
         tokenized."""
         tweets = list(synth_small.cleaned)[:60]
-        groups = ("words", "tags", "sentiment", "stats")
+        groups = dict.fromkeys(("words", "tags", "sentiment", "stats"), True)
         full = measure((TweetMeasurements(t, resources) for t in tweets), 60, resources, groups)
         rows = np.arange(60)
         at = {"words": rows % 2 == 0, "tags": rows % 3 == 0, "stats": rows % 3 == 0,
               "sentiment": rows < 10}
         tokenize_calls.clear()
-        got = measure((TweetMeasurements(t, resources) for t in tweets), 60, resources, groups,
-                      at=at)
+        got = measure((TweetMeasurements(t, resources) for t in tweets), 60, resources, at)
         marked = at["words"] | at["tags"] | at["sentiment"]
         assert sorted(tokenize_calls) == sorted(t.text for t, m in zip(tweets, marked) if m)
         for group, names in (("words", ("lexicon", "n_words")), ("tags", ("pos", "n_tokens")),
@@ -527,7 +526,8 @@ class TestOneFill:
                              with_responses=True)
         assert m.dense.shape == (0, DENSE_SIZE) and m.response.shape == (0, 93)
         assert len(m) == 0 and m.sparse_indptr.tolist() == [0]
-        cols = measure(iter(()), 0, small_resources, ("words", "tags", "sentiment", "stats"))
+        cols = measure(iter(()), 0, small_resources,
+                       dict.fromkeys(("words", "tags", "sentiment", "stats"), True))
         assert {name: c.shape for name, c in cols.items()} == {
             "lexicon": (0, 64), "n_words": (0,), "pos": (0, 25), "n_tokens": (0,),
             "sentiment": (0,), "stats": (0, 2),
