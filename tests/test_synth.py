@@ -211,8 +211,8 @@ class TestNearDuplicateGuard:
 
     @pytest.mark.parametrize("words,copies", [(["ab", "cd"], 3), (["ab"], 5)])
     def test_copies_of_a_short_text_converge(self, words, copies):
-        # A resampled word must stay one token: with a digit suffix two
-        # resamples shared a number token and stayed near-duplicates.
+        # A resampled word must stay one token, or two resamples of a short
+        # text share the split-off token and stay near-duplicates.
         got = _guarded_texts([(words, True, False, 1)] * copies)
         assert isinstance(got, list) and got[-1] == " ".join(words)
         assert all(len(textkit.tokenize(text)) == len(words) for text in got)
