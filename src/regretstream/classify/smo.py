@@ -14,8 +14,9 @@ from typing import ClassVar
 import numpy as np
 from numpy.typing import NDArray
 
-from ..codec import Ranged, ranged
+from ..codec import ranged
 from ..errors import ValidationError
+from .stage1 import BinaryModel, signed_labels
 
 MAX_TRAIN_ROWS = 20_000
 # KKT tolerance and the cap on passes over the points.
@@ -24,7 +25,7 @@ _MAX_PASSES = 200
 
 
 @dataclass
-class RbfSvmModel(Ranged):
+class RbfSvmModel(BinaryModel):
     algorithm: ClassVar[str] = "rbf_svm"
     hyper_keys: ClassVar[dict[str, str]] = {"rbf_c": "c", "rbf_gamma": "gamma"}
     c: float = ranged(0.1, 0, above=True)
@@ -39,15 +40,12 @@ class RbfSvmModel(Ranged):
 
     def fit(self, X: np.ndarray, y01: np.ndarray) -> "RbfSvmModel":
         X = np.asarray(X, dtype=np.float64)
-        y01 = np.asarray(y01)
         if len(X) > MAX_TRAIN_ROWS:
             raise ValidationError(
                 f"RBF-SVM training capped at {MAX_TRAIN_ROWS} rows (got {len(X)}); "
                 "use the AdaBoost stage-2 for larger samples"
             )
-        if len(np.unique(y01)) < 2:
-            raise ValidationError("SVM training needs both classes present")
-        y = y01.astype(np.float64) * 2.0 - 1.0
+        y = signed_labels(y01)
         n = len(y)
         alpha = np.zeros(n)
         b = 0.0
@@ -162,9 +160,6 @@ class RbfSvmModel(Ranged):
             )
             out[lo : lo + step] = np.exp(-self.gamma * np.maximum(d2, 0.0)) @ self.dual_coef
         return out + self.bias
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_values(X) > 0).astype(np.int8)
 
     def diagnostics(self) -> dict:
         """Training diagnostics for the metrics report."""

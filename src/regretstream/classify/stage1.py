@@ -3,7 +3,10 @@ SVM trained by deterministic primal subgradient descent.
 
 Both consume L2-normalized TF-IDF rows in CSR form and expose a scalar
 decision value; the signed distance from the SVM boundary (or the NB
-log-odds) becomes the derived open-text feature for stage 2.
+log-odds) becomes the derived open-text feature for stage 2. The two-class
+contract all four models (these and stage 2's) keep is defined here once:
+``BinaryModel`` predicts by the sign of ``decision_values`` and
+``signed_labels`` checks the 0/1 labels every fit takes.
 """
 
 from __future__ import annotations
@@ -57,18 +60,28 @@ class SparseRows:
         return cls(m.sparse_indptr, m.sparse_indices, m.sparse_data, m.vocab_size)
 
 
-def _check_binary_labels(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y)
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise ValidationError("stage-1 training needs both classes present")
+class BinaryModel(Ranged):
+    """A two-class model: ``fit(X, y01)`` takes 0/1 labels, and each class
+    defines ``decision_values(X)``, whose sign is the predicted class."""
+
+    def predict(self, X) -> np.ndarray:
+        return (self.decision_values(X) > 0).astype(np.int8)
+
+
+def signed_labels(y01) -> np.ndarray:
+    """0/1 labels as -1.0/+1.0; ValidationError unless both classes are
+    present and no other label is."""
+    y01 = np.asarray(y01)
+    classes = np.unique(y01)
     if not set(classes.tolist()) <= {0, 1}:
         raise ValidationError(f"labels must be 0/1, got {classes}")
-    return y.astype(np.int8)
+    if len(classes) < 2:
+        raise ValidationError("training needs both classes present")
+    return y01.astype(np.float64) * 2.0 - 1.0
 
 
 @dataclass
-class NaiveBayesModel(Ranged):
+class NaiveBayesModel(BinaryModel):
     """Multinomial NB with additive smoothing over term weights."""
 
     algorithm: ClassVar[str] = "multinomial_nb"
@@ -79,7 +92,7 @@ class NaiveBayesModel(Ranged):
     feature_log_prob: NDArray[np.float64] | None = None  # (2, V)
 
     def fit(self, X: SparseRows, y: np.ndarray) -> "NaiveBayesModel":
-        y = _check_binary_labels(y)
+        y = signed_labels(y) > 0
         n = len(X)
         row_of = np.repeat(np.arange(n), np.diff(X.indptr))
         v = X.n_cols
@@ -98,20 +111,14 @@ class NaiveBayesModel(Ranged):
         self.class_log_prior = np.log(n_per_class) - np.log(n)
         return self
 
-    def log_odds(self, X: SparseRows) -> np.ndarray:
+    def decision_values(self, X: SparseRows) -> np.ndarray:
         """log P(1|x) - log P(0|x) up to the shared normalizer."""
         return X.dot_rows(self.feature_log_prob[1] - self.feature_log_prob[0],
                           self.class_log_prior[1] - self.class_log_prior[0])
 
-    def decision_values(self, X: SparseRows) -> np.ndarray:
-        return self.log_odds(X)
-
-    def predict(self, X: SparseRows) -> np.ndarray:
-        return (self.decision_values(X) > 0).astype(np.int8)
-
 
 @dataclass
-class LinearSvmModel(Ranged):
+class LinearSvmModel(BinaryModel):
     """Linear SVM minimizing 0.5*||w||^2 + C * sum hinge.
 
     Trained as Pegasos-style subgradient descent with lambda = 1/(n*C),
@@ -127,8 +134,7 @@ class LinearSvmModel(Ranged):
     weights: NDArray[np.float64] | None = None  # (V+1,), last entry is the bias
 
     def fit(self, X: SparseRows, y: np.ndarray) -> "LinearSvmModel":
-        y = _check_binary_labels(y)
-        ypm = (y.astype(np.float64) * 2.0 - 1.0).tolist()
+        ypm = signed_labels(y).tolist()
         n = len(X)
         v = X.n_cols
         lam = 1.0 / (n * self.c)
@@ -160,10 +166,13 @@ class LinearSvmModel(Ranged):
         return self
 
     def decision_values(self, X: SparseRows) -> np.ndarray:
-        return X.dot_rows(self.weights, self.weights[-1])  # the last weight is the bias
-
-    def predict(self, X: SparseRows) -> np.ndarray:
-        return (self.decision_values(X) > 0).astype(np.int8)
+        """Signed distance (w.x + b)/||w|| from the boundary, invariant under
+        positive rescaling of (w, b); the last weight is the bias b."""
+        w = self.weights
+        norm = float(np.linalg.norm(w[:-1]))
+        if norm == 0.0:
+            raise ValidationError("derived feature undefined: zero SVM weight vector")
+        return X.dot_rows(w, w[-1]) / norm
 
 
 # The model class of each stage-1 algorithm, in the order messages list them.
@@ -191,18 +200,7 @@ def train_stage1(X: SparseRows, y, algorithm: str, hyper: dict | None = None, se
     return model.fit(X, y)
 
 
-def derived_feature(model, X: SparseRows) -> np.ndarray:
-    """Scalar open-text feature per row.
-
-    Linear SVM: signed distance (w.x + b)/||w|| (invariant under positive
-    rescaling of (w, b)). Naive Bayes fallback: class log-odds.
-    """
-    if isinstance(model, LinearSvmModel):
-        w = model.weights
-        norm = float(np.linalg.norm(w[:-1]))
-        if norm == 0.0:
-            raise ValidationError("derived feature undefined: zero SVM weight vector")
-        return model.decision_values(X) / norm
-    if isinstance(model, NaiveBayesModel):
-        return model.log_odds(X)
-    raise ValidationError(f"unsupported stage-1 model {type(model).__name__}")
+def derived_feature(model: BinaryModel, X: SparseRows) -> np.ndarray:
+    """Scalar open-text feature per row: the stage-1 model's decision value
+    (the linear SVM's signed distance, or the NB class log-odds)."""
+    return model.decision_values(X)

@@ -18,8 +18,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..codec import Ranged, ranged
+from ..codec import ranged
 from ..errors import ValidationError
+from .stage1 import BinaryModel, signed_labels
 
 _EPS = 1e-12
 
@@ -175,7 +176,7 @@ def _best_split(xs: np.ndarray, step: np.ndarray, ws: np.ndarray, ws_pos: np.nda
 
 
 @dataclass
-class AdaBoostModel(Ranged):
+class AdaBoostModel(BinaryModel):
     """Discrete two-class AdaBoost over depth-limited Gini trees."""
 
     algorithm: ClassVar[str] = "adaboost"
@@ -189,10 +190,7 @@ class AdaBoostModel(Ranged):
 
     def fit(self, X: np.ndarray, y01: np.ndarray) -> "AdaBoostModel":
         X = np.asarray(X, dtype=np.float64)
-        y01 = np.asarray(y01)
-        if len(np.unique(y01)) < 2:
-            raise ValidationError("AdaBoost training needs both classes present")
-        y = y01.astype(np.float64) * 2.0 - 1.0
+        y = signed_labels(y01)
         n = len(y)
         d = np.full(n, 1.0 / n)
         self.trees, self.stage_weights, self.stage_errors = [], [], []
@@ -239,9 +237,6 @@ class AdaBoostModel(Ranged):
         for tree, alpha in zip(self.trees, self.stage_weights):
             score += alpha * tree.predict(X)
         return score
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_values(X) > 0).astype(np.int8)
 
     def training_error_bound(self) -> float:
         bound = 1.0

@@ -211,7 +211,9 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
             for i in reversed(flagged):
                 removed["superficial"].append(tl.pop(i))
 
-    kept = [t for tl in timelines.values() for t in tl]
+    # Dropping the superficial ids keeps the survivors in corpus order.
+    superficial_ids = {t.id for t in removed["superficial"]}
+    kept = [t for t in kept if t.id not in superficial_ids]
 
     surviving_ids = {t.id for t in kept}
     pruned = [

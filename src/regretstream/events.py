@@ -66,6 +66,10 @@ class DeletePayload:
     user_id: int
     observed_at: datetime
 
+    def __post_init__(self):
+        if self.user_id <= 0:
+            raise SchemaError("user_id", "user_id must be positive")
+
 
 def _entities_from_text(text: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     tokens = textkit.tokenize(text)
@@ -95,14 +99,14 @@ def parse_event(line: str, line_number: int | None = None,
     if kind not in ("tweet", "delete"):
         raise SchemaError("kind", f"kind must be 'tweet' or 'delete', got {kind!r}", line_number)
 
-    if kind == "delete":
-        return DeletePayload(**decode_fields(raw, _DELETE_FIELDS, line_number))
-    fields = decode_fields(raw, _tweet_fields or _TWEET_FIELDS, line_number)
-    if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
+    delete = kind == "delete"
+    fields = decode_fields(raw, _DELETE_FIELDS if delete else _tweet_fields or _TWEET_FIELDS,
+                           line_number)
+    if not delete and "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
         # Sources without entity annotation: recover entities from the text.
         fields["hashtags"], fields["urls"], fields["mentions"] = _entities_from_text(fields["text"])
     try:
-        return TweetRecord(**fields)
+        return (DeletePayload if delete else TweetRecord)(**fields)
     except SchemaError as exc:
         raise SchemaError(exc.field, str(exc), line_number) from None
 
@@ -359,7 +363,10 @@ class Corpus:
             raise SchemaError(exc.field, f"{path}: tweet record {i}: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}: tweet record {i}: {exc}") from None
-        return cls(tweets, header["window"], header["stats"])
+        try:
+            return cls(tweets, header["window"], header["stats"])
+        except (DuplicateTweetError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpus:

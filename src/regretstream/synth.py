@@ -361,6 +361,15 @@ def _make_replies(cfg: SynthConfig, rng, users, base, window_sec) -> list[_Tweet
     return replies
 
 
+def _clean_timelines(tweets) -> dict[int, list[_Tweet]]:
+    """Each user's clean tweets, in the order of ``tweets``."""
+    by_user: dict[int, list[_Tweet]] = {}
+    for t in tweets:
+        if t.filter_class == "clean":
+            by_user.setdefault(t.user.user_id, []).append(t)
+    return by_user
+
+
 def _plant_superficial(cfg: SynthConfig, rng, tweets) -> None:
     """Mark clean deleted base tweets as superficial deletions.
 
@@ -369,13 +378,8 @@ def _plant_superficial(cfg: SynthConfig, rng, tweets) -> None:
     slots. The planted count targets superficial_fraction of all clean
     deletions exactly, candidate supply permitting.
     """
-    by_user: dict[int, list[_Tweet]] = {}
-    clean_deleted = 0
-    for t in tweets:
-        if t.filter_class == "clean":
-            by_user.setdefault(t.user.user_id, []).append(t)
-            if t.deleted:
-                clean_deleted += 1
+    by_user = _clean_timelines(tweets)
+    clean_deleted = sum(t.deleted for timeline in by_user.values() for t in timeline)
     target = int(round(cfg.superficial_fraction * clean_deleted))
     if target == 0:
         return
@@ -535,10 +539,7 @@ def _guard_near_duplicates(tweets) -> None:
     cleanup_cfg = CleanupConfig()
     # Texts are judged by value, so a resampled text gets fresh counts.
     judge = NearDuplicates(cleanup_cfg)
-    by_user: dict[int, list[_Tweet]] = {}
-    for t in tweets:
-        if t.filter_class == "clean":
-            by_user.setdefault(t.user.user_id, []).append(t)
+    by_user = _clean_timelines(tweets)
 
     def followups(timeline, i):
         return timeline[i + 1 : i + 1 + cleanup_cfg.superficial_lookahead]
@@ -607,36 +608,18 @@ def _emit_events(cfg: SynthConfig, rng, tweets, users, post_end, delete_end) -> 
             )
         )
         if t.attempted_delete:
-            events.append(
-                (
-                    t.observed_at,
-                    1,
-                    t.id,
-                    {
-                        "kind": "delete",
-                        "id": t.id,
-                        "user_id": t.user.user_id,
-                        "observed_at": format_rfc3339(t.observed_at),
-                    },
-                )
-            )
+            events.append(_delete_event(t.id, t.user.user_id, t.observed_at))
     for k in range(cfg.orphan_deletes):
         observed = POST_START + timedelta(seconds=int(rng.integers(0, int((delete_end - POST_START).total_seconds()))))
-        events.append(
-            (
-                observed,
-                1,
-                10**15 + k,
-                {
-                    "kind": "delete",
-                    "id": 10**15 + k,
-                    "user_id": 999999,
-                    "observed_at": format_rfc3339(observed),
-                },
-            )
-        )
+        events.append(_delete_event(10**15 + k, 999999, observed))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
     return [e[3] for e in events]
+
+
+def _delete_event(tweet_id: int, user_id: int, observed: datetime) -> tuple:
+    """A delete event after its sort key: (observed, 1, tweet_id, event)."""
+    return (observed, 1, tweet_id, {"kind": "delete", "id": tweet_id, "user_id": user_id,
+                                    "observed_at": format_rfc3339(observed)})
 
 
 def _build_ledger(cfg: SynthConfig, tweets, users, events) -> list[dict]:

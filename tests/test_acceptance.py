@@ -216,7 +216,7 @@ def test_criterion_07_classifier_unit_oracles():
             for cls in (0, 1):
                 s[cls] += w * math.log(theta[cls, idx])
         want = math.exp(s[1]) / (math.exp(s[0]) + math.exp(s[1]))
-        lo = model.log_odds(X.subset([probe_idx]))[0]
+        lo = model.decision_values(X.subset([probe_idx]))[0]
         got = 1.0 / (1.0 + math.exp(-lo))
         nb_worst = max(nb_worst, abs(got - want))
     assert nb_worst < 1e-9

@@ -104,7 +104,7 @@ class TestNaiveBayes:
                 s[cls] += w * math.log(theta[cls, idx])
         want_posterior = math.exp(s[1]) / (math.exp(s[0]) + math.exp(s[1]))
 
-        lo = model.log_odds(X.subset([1]))[0]
+        lo = model.decision_values(X.subset([1]))[0]
         got_posterior = 1.0 / (1.0 + math.exp(-lo))
         assert got_posterior == pytest.approx(want_posterior, abs=1e-9)
 
@@ -491,6 +491,24 @@ class TestRbfSvm:
             "algorithm": "rbf_svm", "n_support": len(model.support_vectors),
         }
         assert 0 < model.diagnostics()["n_support"] <= len(X)
+
+
+# Labels no model may train on: a class other than 0/1, or one class only.
+BAD_LABELS = {"zero_two": [0, 2, 0, 0], "signed": [-1, 1, -1, 1], "zero_one_two": [0, 1, 2, 1],
+              "zeros": [0, 0, 0, 0], "ones": [1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("labels", sorted(BAD_LABELS))
+@pytest.mark.parametrize("cls", [NaiveBayesModel, LinearSvmModel, AdaBoostModel, RbfSvmModel],
+                         ids=lambda cls: cls.__name__)
+def test_every_model_trains_only_on_both_of_0_and_1(cls, labels):
+    if cls in (NaiveBayesModel, LinearSvmModel):
+        X = sparse_from_rows([{0: 1.0}, {1: 1.0}, {0: 0.6, 1: 0.8}, {1: 0.5}], 2)
+    else:
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [0.6, 0.8], [0.2, 0.5]])
+    with pytest.raises(ValidationError):
+        cls().fit(X, np.array(BAD_LABELS[labels]))
+    assert set(cls().fit(X, np.array([0, 1, 0, 1])).predict(X).tolist()) <= {0, 1}
 
 
 class TestEvaluate:

@@ -173,6 +173,17 @@ class TestIngestCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("user_id", [0, -3])
+    def test_delete_with_a_nonpositive_user_id_exits_1(self, tmp_path, capsys, user_id):
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"kind": "delete", "id": 5, "user_id": user_id,
+                                      "observed_at": "2015-08-05T11:00:00Z"}) + "\n")
+        out = tmp_path / "c.json"
+        code = main(["ingest", "--events", str(events), "--window", *WINDOW, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {events}: line 1: user_id must be positive\n"
+        assert not out.exists()
+
     # Wire values of another JSON type than their field's: (path, value).
     @pytest.mark.parametrize("path,value", [
         (("user", "followers_count"), "5"),
@@ -211,6 +222,30 @@ class TestCleanCommand:
     def test_cleaned_corpus_loadable(self, workdir):
         cleaned = Corpus.load(workdir / "cleaned.json")
         assert all(t.lang == "en" for t in cleaned)
+
+
+    # damage -> (edit of the corpus payload, the error after the file name)
+    CORPUS_DAMAGE = {
+        "repeated tweet id": (lambda p: p["tweets"].append(dict(p["tweets"][0])),
+                              "duplicate tweet id {id}"),
+        "tweet before the window": (
+            lambda p: p["tweets"][0].update(created_at="2010-01-01T00:00:00Z"),
+            "tweet {id} created at 2010-01-01 00:00:00+00:00 lies outside the posting window"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(CORPUS_DAMAGE))
+    def test_corpus_error_names_the_file(self, workdir, tmp_path, capsys, damage):
+        path = tmp_path / "corpus.json"
+        payload = json.loads((workdir / "corpus.json").read_text())
+        edit, text = self.CORPUS_DAMAGE[damage]
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "cleaned.json"
+        code = main(["clean", "--corpus", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {text.format(id=payload['tweets'][0]['id'])}\n"
+        assert not out.exists()
 
 
 class TestFeaturizeCommand:

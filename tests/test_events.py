@@ -67,6 +67,14 @@ class TestParseEvent:
         assert d.id == 7
         assert d.user_id == 3
 
+    @pytest.mark.parametrize("user_id", [0, -3])
+    def test_delete_user_id_must_be_positive(self, user_id):
+        with pytest.raises(SchemaError) as exc:
+            parse_event(json.dumps(delete_event(user_id=user_id)), line_number=4)
+        assert exc.value.field == "user_id"
+        assert exc.value.line_number == 4
+        assert str(exc.value) == "line 4: user_id must be positive"
+
     def test_minimal_tweet_defaults(self):
         t = parse_event(json.dumps(tweet_event(text="plain words only")))
         assert t.hashtags == () and t.urls == () and t.mentions == ()

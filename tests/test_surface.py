@@ -3,7 +3,8 @@ in the package is used somewhere in the source tree, every public function,
 class and method is used outside ``tests/``, every config field and every
 command-line option has a caller, no package module reads another's
 underscore names or an environment variable, no test patches a package
-module's underscore name, and every benchmark probe target still resolves.
+module's underscore name, every benchmark probe target still resolves,
+and every stage model inherits its one ``predict`` from ``BinaryModel``.
 
 A use is a name read, an attribute, or a string constant (or one
 dot-separated part of it, as in the benchmark's
@@ -32,8 +33,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 from regretstream import cli, textkit
 from regretstream.classify import TrainConfig
+from regretstream.classify.pipeline import STAGE1_MODELS, STAGE2_MODELS
+from regretstream.classify.stage1 import BinaryModel
 from regretstream.cleanup import CleanupConfig
 from regretstream.features import build_vocab, featurize_corpus
 from regretstream.synth import SynthConfig
@@ -318,6 +323,14 @@ def benchmark_probes(monkeypatch) -> tuple:
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module.PROBES
+
+
+@pytest.mark.parametrize("cls", [*STAGE1_MODELS.values(), *STAGE2_MODELS.values()],
+                         ids=lambda cls: cls.__name__)
+def test_every_model_class_keeps_the_one_binary_contract(cls):
+    # ``BinaryModel`` holds the only ``predict``: the sign of ``decision_values``.
+    assert issubclass(cls, BinaryModel)
+    assert "predict" not in vars(cls)
 
 
 def test_every_benchmark_probe_target_resolves(monkeypatch):
