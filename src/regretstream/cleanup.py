@@ -8,12 +8,12 @@ fixpoint so that cleaning an already-clean corpus changes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import codec, textkit
 from .errors import ConfigError
-from .events import Corpus, TweetRecord
+from .events import Corpus, TweetRecord, link_records
 
 # Two texts closer than this many character edits are near-duplicates.
 _EDIT_DISTANCE_MAX = 5
@@ -158,15 +158,34 @@ def detect_superficial(deleted: TweetRecord, followups, cfg: CleanupConfig,
     )
 
 
+def superficial_pass(timeline, cfg: CleanupConfig, judge: NearDuplicates) -> list:
+    """The deleted tweets of one user's chronological ``timeline`` that the
+    superficial pass removes, in removal order. The pass is iterated to a
+    fixpoint: removing a near-duplicate source shifts later followup
+    windows, which can expose new matches. A tweet is anything with
+    ``deleted`` and ``text`` attributes."""
+    tl = list(timeline)
+    removed = []
+    while True:
+        flagged = [
+            i for i, t in enumerate(tl) if t.deleted and detect_superficial(
+                t, tl[i + 1 : i + 1 + cfg.superficial_lookahead], cfg, judge=judge)
+        ]
+        if not flagged:
+            return removed
+        for i in reversed(flagged):
+            removed.append(tl.pop(i))
+
+
 def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupReport]:
     """Apply the four filters in order and report per-stage accounting.
 
-    Superficially deleted tweets are removed from the corpus entirely.
-    Response link lists on surviving tweets are pruned to surviving ids.
-    Within the call each distinct text is tokenized at most once and each
-    (deleted text, followup text) pair judged at most once, however often
-    the fixpoint rescans its window; a survivor whose links all survive is
-    kept as it is, and only the others are rebuilt.
+    Superficially deleted tweets are removed from the corpus entirely, and
+    the survivors relinked among themselves by ``link_records``. Within the
+    call each distinct text is tokenized at most once and each (deleted
+    text, followup text) pair judged at most once, however often the
+    fixpoint rescans its window; only the survivors whose links change are
+    rebuilt.
     """
     if not cfg.client_whitelist:
         raise ConfigError("client whitelist is empty; cleanup would remove every tweet")
@@ -186,45 +205,19 @@ def run_cleanup(corpus: Corpus, cfg: CleanupConfig) -> tuple[Corpus, CleanupRepo
     removed["non_whitelisted"] = split(lambda t: t.source not in cfg.client_whitelist)
     removed["retweets"] = split(lambda t: t.retweet_of_id is not None)
 
-    # Superficial pass, iterated to a fixpoint: removing a near-duplicate
-    # source shifts later followup windows, which can expose new matches.
-    removed["superficial"] = []
     judge = NearDuplicates(cfg)
     # ``kept`` is a subsequence of the corpus, so each timeline is already
     # in (created_at, id) order.
     timelines: dict[int, list[TweetRecord]] = {}
     for t in kept:
         timelines.setdefault(t.user_id, []).append(t)
-
-    for user_id in sorted(timelines):
-        tl = timelines[user_id]
-        while True:
-            flagged = []
-            for i, t in enumerate(tl):
-                if not t.deleted:
-                    continue
-                if detect_superficial(t, tl[i + 1 : i + 1 + cfg.superficial_lookahead], cfg,
-                                      judge=judge):
-                    flagged.append(i)
-            if not flagged:
-                break
-            for i in reversed(flagged):
-                removed["superficial"].append(tl.pop(i))
+    removed["superficial"] = [t for user_id in sorted(timelines)
+                              for t in superficial_pass(timelines[user_id], cfg, judge)]
 
     # Dropping the superficial ids keeps the survivors in corpus order.
     superficial_ids = {t.id for t in removed["superficial"]}
-    kept = [t for t in kept if t.id not in superficial_ids]
-
-    surviving_ids = {t.id for t in kept}
-    pruned = [
-        t if surviving_ids.issuperset(t.reply_ids + t.retweet_ids + t.quote_ids) else replace(
-            t,
-            reply_ids=tuple(i for i in t.reply_ids if i in surviving_ids),
-            retweet_ids=tuple(i for i in t.retweet_ids if i in surviving_ids),
-            quote_ids=tuple(i for i in t.quote_ids if i in surviving_ids),
-        )
-        for t in kept
-    ]
-    cleaned = corpus.replace_tweets(pruned)
+    survivors = {t.id: t for t in kept if t.id not in superficial_ids}
+    cleaned = corpus.replace_tweets(link_records(
+        survivors, {i: t.deletion_lag_sec for i, t in survivors.items() if t.deleted}))
 
     return cleaned, CleanupReport(**accounting(corpus.tweets, cleaned.tweets, removed))

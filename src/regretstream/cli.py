@@ -159,9 +159,17 @@ def _cmd_analyze(args) -> int:
         raise RegretstreamError(f"unknown metrics: {sorted(unknown)}; valid: {sorted(valid)}")
     trait_map = (analytics.load_trait_map(args.traits_map) if args.traits_map
                  else load_default_trait_map())
+    deleters, non_deleters = analytics.partition_users(corpus)
+    # Each family's groups are checked before the first report is written.
+    deleted = sum(t.deleted for t in corpus)
+    for family, groups, present in (
+        ("users", "deleting and non-deleting users", deleters and non_deleters),
+        ("temporal", "deleted and kept tweets", 0 < deleted < len(corpus)),
+    ):
+        if family in metrics and not present:
+            raise ValidationError(f"{args.corpus}: the {family} metrics need both {groups}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    deleters, non_deleters = analytics.partition_users(corpus)
     families = [m for m in ("ntd", "nud") if m in metrics]
     attrs = analytics.structural_extractors() if families else []
     if families and not args.structural_only:

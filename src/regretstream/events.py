@@ -375,14 +375,15 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
 
     Events may arrive in any order; everything is buffered and joined at the
     end, so the result depends only on the event set. A tweet is labeled
-    deleted iff a matching notice was observed no later than
-    ``window.delete_end``; notices after that are counted as late, notices
-    without a matching in-window tweet as orphans. A duplicate tweet id is
-    resolved by ``keep_first``: with ``strict`` it raises; otherwise the
-    first occurrence wins and the duplicate is counted.
+    deleted iff a matching notice, one with the tweet's id and author, was
+    observed no later than ``window.delete_end``; notices after that are
+    counted as late, notices without a matching in-window tweet as orphans.
+    A duplicate tweet id is resolved by ``keep_first``: with ``strict`` it
+    raises; otherwise the first occurrence wins and the duplicate is
+    counted.
     """
     tweets: dict[int, TweetRecord] = {}
-    deletes: dict[int, DeletePayload] = {}
+    deletes: dict[tuple[int, int], DeletePayload] = {}
     tweets_in = retained = outside = duplicates = 0
     deletes_in = late = orphans = clamped = applied = 0
 
@@ -392,10 +393,11 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
             duplicates += not keep_first(tweets, ev, strict)
         else:
             deletes_in += 1
-            # Keep the earliest observation per id.
-            prev = deletes.get(ev.id)
+            # Keep the earliest observation per (id, author), so that a
+            # notice naming another author cannot hide the author's own.
+            prev = deletes.get((ev.id, ev.user_id))
             if prev is None or ev.observed_at < prev.observed_at:
-                deletes[ev.id] = ev
+                deletes[ev.id, ev.user_id] = ev
 
     in_window: dict[int, TweetRecord] = {}
     for t in tweets.values():
@@ -408,7 +410,7 @@ def build_corpus(events, window: CollectionWindow, strict: bool = True) -> Corpu
     deletion: dict[int, int] = {}
     for d in deletes.values():
         t = in_window.get(d.id)
-        if t is None:
+        if t is None or t.user_id != d.user_id:
             orphans += 1
             continue
         if d.observed_at > window.delete_end:

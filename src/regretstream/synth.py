@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .cleanup import CleanupConfig, NearDuplicates, accounting
+from .cleanup import CleanupConfig, NearDuplicates, accounting, superficial_pass
 from .codec import encode_record, format_rfc3339, ranged
 from .errors import ConfigError
 from .events import UserProfile
@@ -533,35 +533,21 @@ def _render_text(t: _Tweet) -> None:
 
 
 def _guard_near_duplicates(tweets) -> None:
-    """Resample deleted non-superficial tweets that accidentally look like
-    near-duplicates of a followup (in the pre- or post-removal timeline)."""
+    """Resample each deleted tweet that cleanup's superficial pass would
+    remove without its being planted, until the pass removes planted
+    tweets only."""
     rng = np.random.default_rng(987654321)
     cleanup_cfg = CleanupConfig()
     # Texts are judged by value, so a resampled text gets fresh counts.
     judge = NearDuplicates(cleanup_cfg)
     by_user = _clean_timelines(tweets)
 
-    def followups(timeline, i):
-        return timeline[i + 1 : i + 1 + cleanup_cfg.superficial_lookahead]
-
     for uid in sorted(by_user):
         timeline = by_user[uid]
-        final_timeline = [t for t in timeline if not t.superficial]
-        final_pos = {t.id: i for i, t in enumerate(final_timeline)}
         for _ in range(100):
-            violation = None
-            for i, t in enumerate(timeline):
-                if not t.deleted or t.superficial:
-                    continue
-                wins = list(followups(timeline, i))
-                if t.id in final_pos:
-                    wins += followups(final_timeline, final_pos[t.id])
-                for f in wins:
-                    if judge.near_duplicate(t.text, f.text):
-                        violation = t
-                        break
-                if violation is not None:
-                    break
+            unplanted = {t.id for t in superficial_pass(timeline, cleanup_cfg, judge)
+                         if not t.superficial}
+            violation = next((t for t in timeline if t.id in unplanted), None)
             if violation is None:
                 break
             # The deleted tweet's background words are free to change

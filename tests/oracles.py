@@ -559,14 +559,16 @@ def walker_fields(fields, strict: bool = False) -> tuple:
 def walker_parse_event(line: str, line_number=None):
     """``events.parse_event`` of a JSON object line by the walker alone."""
     raw = json.loads(line)
-    if raw["kind"] == "delete":
-        return DeletePayload(**codec.decode_fields(raw, events._DELETE_FIELDS, line_number))
-    fields = codec.decode_fields(raw, walker_fields(events._TWEET_FIELDS), line_number)
-    if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
-        fields["hashtags"], fields["urls"], fields["mentions"] = \
-            events._entities_from_text(fields["text"])
+    delete = raw["kind"] == "delete"
+    if delete:
+        fields = codec.decode_fields(raw, events._DELETE_FIELDS, line_number)
+    else:
+        fields = codec.decode_fields(raw, walker_fields(events._TWEET_FIELDS), line_number)
+        if "hashtags" not in raw and "urls" not in raw and "mentions" not in raw:
+            fields["hashtags"], fields["urls"], fields["mentions"] = \
+                events._entities_from_text(fields["text"])
     try:
-        return TweetRecord(**fields)
+        return (DeletePayload if delete else TweetRecord)(**fields)
     except SchemaError as exc:
         raise SchemaError(exc.field, str(exc), line_number) from None
 

@@ -197,6 +197,17 @@ class TestRunCleanup:
         cleaned, _ = run_cleanup(corpus, CFG)
         assert cleaned.get(1).reply_ids == (2,)
 
+    def test_survivors_are_relinked_from_their_link_fields(self):
+        # Stored links that disagree with the survivors' own reply fields
+        # give way to the links those fields make.
+        target = make_tweet(id=1, user_id=1, created_at=ts(hours=1), text="target tweet words",
+                            reply_ids=(3,))
+        reply = make_tweet(id=2, user_id=2, created_at=ts(hours=2), text="a real reply",
+                           in_reply_to_id=1)
+        other = make_tweet(id=3, user_id=3, created_at=ts(hours=3), text="not a reply at all")
+        cleaned, _ = run_cleanup(make_corpus([target, reply, other]), CFG)
+        assert [t.reply_ids for t in cleaned] == [(2,), (), ()]
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=20, deadline=None)
     def test_idempotence_random_corpora(self, rnd):

@@ -184,6 +184,23 @@ class TestIngestCommand:
         assert capsys.readouterr().err == f"error: {events}: line 1: user_id must be positive\n"
         assert not out.exists()
 
+    def test_a_delete_notice_applies_only_to_its_authors_tweet(self, tmp_path, capsys):
+        tweet = {"kind": "tweet", "id": 5, "user_id": 3, "created_at": "2015-08-05T10:00:00Z",
+                 "text": "hello",
+                 "user": {"user_id": 3, "account_created_at": "2014-01-01T00:00:00Z"}}
+        stray = {"kind": "delete", "id": 5, "user_id": 8, "observed_at": "2015-08-05T10:30:00Z"}
+        own = {"kind": "delete", "id": 5, "user_id": 3, "observed_at": "2015-08-05T11:00:00Z"}
+        events, out = tmp_path / "events.jsonl", tmp_path / "c.json"
+        # The stray notice comes first and is the earlier: it must neither
+        # delete the tweet nor hide the author's own notice.
+        for lines, applied, lag in (([tweet, stray], 0, None), ([tweet, stray, own], 1, 3600)):
+            events.write_text("".join(json.dumps(line) + "\n" for line in lines))
+            assert main(["ingest", "--events", str(events), "--window", *WINDOW,
+                         "--out", str(out)]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert (stats["deletes_applied"], stats["orphan_deletes"]) == (applied, 1)
+            assert Corpus.load(out).get(5).deletion_lag_sec == lag
+
     # Wire values of another JSON type than their field's: (path, value).
     @pytest.mark.parametrize("path,value", [
         (("user", "followers_count"), "5"),
@@ -1142,6 +1159,26 @@ def test_mistyped_config_exits_1_naming_the_field(workdir, tmp_path, capsys, mon
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("metrics,family", [(None, "users"), ("users", "users"),
+                                            ("temporal", "temporal")])
+def test_analyze_checks_the_groups_before_any_report(workdir, tmp_path, capsys, metrics, family):
+    # A stream with no delete events: no deleting user and no deleted tweet.
+    lines = [line for line in (workdir / "events.jsonl").read_text().splitlines()
+             if json.loads(line)["kind"] == "tweet"][:30]
+    events, corpus = tmp_path / "events.jsonl", tmp_path / "corpus.json"
+    events.write_text("\n".join(lines) + "\n")
+    assert main(["ingest", "--events", str(events), "--window", *WINDOW,
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "reports"
+    flags = ["--metrics", metrics] if metrics else []
+    assert main(["analyze", "--corpus", str(corpus), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}: the {family} metrics need both ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_analyze_reads_the_trait_map_before_writing_reports(workdir, tmp_path, capsys):

@@ -279,15 +279,20 @@ def mutated(raw: dict, name: str) -> dict:
     return raw
 
 
+# The fourth line ``test_read_events`` reads: each mutated tweet, and deletes.
+LAST_EVENTS = {name: mutated(tweet_event(id=4, user=PROFILE), name) for name in MUTATIONS} | {
+    f"delete user_id {user_id}": delete_event(id=4, user_id=user_id) for user_id in (3, 0, -3)}
+
+
 class TestDecoderMatchesWalker:
     """The profile memo against the ``decode_fields`` walker alone: the
     same records, or the same error, line and tweet record included. The changed record follows three that hold
     its author's profile unchanged."""
 
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    @pytest.mark.parametrize("name", sorted(LAST_EVENTS))
     def test_read_events(self, tmp_path, name):
         raws = [tweet_event(id=i, user=PROFILE) for i in (1, 2, 3)]
-        lines = [json.dumps(raw) for raw in raws + [mutated(tweet_event(id=4, user=PROFILE), name)]]
+        lines = [json.dumps(raw) for raw in raws + [LAST_EVENTS[name]]]
         path = tmp_path / "events.jsonl"
         path.write_text("\n".join(lines) + "\n")
         got = _outcome(lambda: list(read_events(path)))

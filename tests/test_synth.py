@@ -192,14 +192,49 @@ def _guarded_texts(rows, judge=None) -> list[str] | str:
     return [t.text for t in tweets]
 
 
+def _unplanted_removals(rows) -> list[str] | None:
+    """The texts of the tweets made from ``rows`` (as ``_guarded_texts``
+    makes them) that the oracle's superficial fixpoint removes from their
+    author's timeline without their being planted, once the guard has run;
+    None if the guard did not converge."""
+    texts = _guarded_texts(rows)
+    if isinstance(texts, str):
+        return None
+    timelines: dict[int, list] = {}
+    for text, (_, deleted, superficial, user_id) in zip(texts, rows):
+        timelines.setdefault(user_id, []).append(
+            SimpleNamespace(text=text, deleted=deleted, planted=deleted and superficial))
+    kept = {id(t) for tl in timelines.values()
+            for t in oracles.superficial_fixpoint(tl, CleanupConfig())}
+    return [t.text for tl in timelines.values() for t in tl
+            if not t.planted and id(t) not in kept]
+
+
+_GUARD_ROWS = st.lists(st.tuples(st.lists(st.sampled_from(["ab", "abc", "cd", "good", "sad"]),
+                                          min_size=1, max_size=5),
+                                 st.booleans(), st.booleans(), st.sampled_from([1, 2])),
+                       max_size=10)
+
+
 class TestNearDuplicateGuard:
-    @given(st.lists(st.tuples(st.lists(st.sampled_from(["ab", "abc", "cd", "good", "sad"]),
-                                       min_size=1, max_size=5),
-                              st.booleans(), st.booleans(), st.sampled_from([1, 2])),
-                    max_size=10))
+    @given(_GUARD_ROWS)
     @settings(max_examples=150, deadline=None)
     def test_resampled_texts_are_judged_as_the_oracle_judges_them(self, rows):
         assert _guarded_texts(rows) == _guarded_texts(rows, TextJudge)
+
+    @given(_GUARD_ROWS)
+    @settings(max_examples=150, deadline=None)
+    def test_cleanup_removes_only_planted_tweets(self, rows):
+        assert _unplanted_removals(rows) in ([], None)
+
+    def test_a_planted_tweet_the_pass_keeps_cannot_hide_a_removal(self):
+        # The 2nd, 3rd and 5th tweets are planted. The 5th has no followup,
+        # so cleanup's pass keeps it, and once the 2nd and 3rd are gone it
+        # is a followup of the 1st: the text the 1st ends with must not be a
+        # near-duplicate of it.
+        rows = [([w], True, planted, 1) for w, planted in
+                (("good", False), ("sad", True), ("ab", True), ("abc", False), ("good", True))]
+        assert _unplanted_removals(rows) == []
 
     def test_a_resampled_followup_is_judged_afresh(self):
         # Three deleted copies of one text: the first two are resampled in
